@@ -5,9 +5,9 @@ context-free hypergrammar decision procedures, rank computation, and PCP
 reduction encoders, plus text formats and a CLI.
 """
 
-from .core import (Alphabet, HWord, QuantifierPrefix, TrackLetter, VarSet,
-                   hword_from_tracks, is_padding_of, is_synchronous,
-                   pad_to_sync, strip_hash, tracks_of)
+from .core import (HWord, QuantifierPrefix, TrackLetter, hword_from_tracks,
+                   is_padding_of, is_synchronous, pad_to_sync, strip_hash,
+                   tracks_of)
 from .cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
                   derive_bounded, to_cnf)
 from .cfhg import (Cfhg, cfhg_empty, exists_empty, exists_regular_member,

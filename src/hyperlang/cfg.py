@@ -7,7 +7,7 @@ terminal (a base symbol string or a ``TrackLetter``).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import TrackLetter
 from .errors import AlphabetMismatch, CapExceeded, NotCnf

@@ -9,17 +9,18 @@ prefix; everything else raises a structured ``Undecidable``.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
                   derive_bounded, to_cnf)
-from .core import (HWord, PAD, QuantifierPrefix, TrackLetter, Word, as_word,
-                   is_synchronous, pad_to_sync)
-from .errors import (EmptyLanguage, NotRanked, Undecidable, UniverseTooLarge,
-                     WrongPrefix)
+from .core import (HWord, PAD, QuantifierPrefix, TrackLetter, Word,
+                   bounded_universe, evaluate, finite_language, is_synchronous,
+                   nonempty_subsets, pad_to_sync)
+from .errors import NotRanked, Undecidable, WrongPrefix
 from .nfa import Nfa, pad_anywhere, track_product, with_var, word_automaton
-from .ranks import RankTable, compute_ranks, is_ranked
+from .ranks import is_ranked
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,21 @@ class Cfhg:
         return is_ranked(self.underlying).ranked
 
 
-def _require_prefix(g: Cfhg, allowed, what: str):
-    if g.prefix.quantifiers not in allowed:
-        raise WrongPrefix(f"{what} requires a prefix in {allowed}, "
-                          f"got {g.prefix.render()!r}")
+def emptiness_route(prefix: QuantifierPrefix) -> str:
+    """The emptiness route of a prefix: ``exists`` (∃* or a single
+    quantifier), ``sync`` (∀* or ∃∀*), ``emptinessexistsforall`` (∃∃⁺∀⁺) or
+    ``forallexists`` (a ∀ before an ∃)."""
+    qs = "".join(prefix.quantifiers)
+    if "A" not in qs or len(qs) == 1:
+        return "exists"
+    if "AE" in qs:
+        return "forallexists"
+    return "sync" if "E" not in qs[1:] else "emptinessexistsforall"
 
 
 def exists_empty(g: Cfhg) -> bool:
     """Emptiness for ∃* prefixes (and a single ∀): reduces to CFG emptiness."""
-    qs = g.prefix.quantifiers
-    if not (all(q == "E" for q in qs) or len(qs) == 1):
+    if emptiness_route(g.prefix) != "exists":
         raise WrongPrefix("exists_empty handles ∃* and single-quantifier prefixes")
     return cfg_empty(g.underlying)
 
@@ -76,6 +82,22 @@ def exists_regular_member(g: Cfhg, a: Nfa) -> bool:
     return not cfg_intersect_empty(to_cnf(g.underlying), joint)
 
 
+def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], bool]:
+    """The memoised leaf of the quantifier tree: is some #-padding of the
+    assignment derived?  Compiles the grammar once, for any number of trees."""
+    cnf = to_cnf(g.underlying)
+    order = g.vars
+    if not force_slow and g.ranked():
+        def leaf(assignment: tuple[Word, ...]) -> bool:
+            return cyk_member(cnf, pad_to_sync(dict(zip(order, assignment)), order))
+    else:
+        def leaf(assignment: tuple[Word, ...]) -> bool:
+            parts = [with_var(pad_anywhere(word_automaton(w, g.symbols)), v)
+                     for w, v in zip(assignment, order)]
+            return not cfg_intersect_empty(cnf, track_product(parts))
+    return functools.cache(leaf)
+
+
 def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
     """Is the finite language a member of the grammar's hyperlanguage?
 
@@ -85,41 +107,8 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
     general the leaf intersects the underlying grammar with the product of
     pad-anywhere word automata.
     """
-    words = sorted({as_word(w) for w in language})
-    if not words:
-        raise EmptyLanguage("membership is defined for non-empty languages")
-    for w in words:
-        for s in w:
-            if s not in g.symbols:
-                raise EmptyLanguage(f"word symbol {s!r} outside the alphabet")
-    cnf = to_cnf(g.underlying)
-    order = g.vars
-    use_fast = not force_slow and g.ranked()
-    memo: dict[tuple, bool] = {}
-
-    def leaf(assignment: tuple[Word, ...]) -> bool:
-        if assignment in memo:
-            return memo[assignment]
-        if use_fast:
-            h = pad_to_sync(dict(zip(order, assignment)), order)
-            result = cyk_member(cnf, h)
-        else:
-            parts = [with_var(pad_anywhere(word_automaton(w, g.symbols)), v)
-                     for w, v in zip(assignment, order)]
-            result = not cfg_intersect_empty(cnf, track_product(parts))
-        memo[assignment] = result
-        return result
-
-    entries = g.prefix.entries
-
-    def evaluate(depth: int, bound: tuple[Word, ...]) -> bool:
-        if depth == len(entries):
-            return leaf(bound)
-        quantifier, _ = entries[depth]
-        branches = (evaluate(depth + 1, bound + (w,)) for w in words)
-        return any(branches) if quantifier == "E" else all(branches)
-
-    return evaluate(0, ())
+    words = finite_language(language, g.symbols)
+    return evaluate(g.prefix.quantifiers, words, _membership_leaf(g, force_slow))
 
 
 def sync_check_bounded(g: Cfhg, n: int) -> bool:
@@ -148,9 +137,8 @@ def diagonal_restriction(g: Cfhg) -> Cfg:
 def sync_forall_empty(g: Cfhg) -> bool:
     """Emptiness of a ranked ∀*/∃∀* grammar: a language exists iff a singleton
     does, so it suffices to check the diagonal restriction for emptiness."""
-    qs = g.prefix.quantifiers
-    if not (all(q == "A" for q in qs)
-            or (qs[0] == "E" and all(q == "A" for q in qs[1:]))):
+    # a single quantifier routes to exists_empty but is also a ∀* prefix
+    if len(g.prefix.entries) > 1 and emptiness_route(g.prefix) != "sync":
         raise WrongPrefix("sync_forall_empty handles ∀* and ∃∀* prefixes")
     if not g.ranked():
         raise NotRanked("the diagonal reduction is only sound for ranked grammars")
@@ -163,56 +151,46 @@ def cfhg_empty(g: Cfhg) -> bool:
     Raises ``Undecidable`` (naming the relevant result) for the prefix
     classes where no procedure exists.
     """
-    qs = g.prefix.quantifiers
-    if all(q == "E" for q in qs) or len(qs) == 1:
+    route = emptiness_route(g.prefix)
+    if route == "exists":
         return exists_empty(g)
-    forall_tail = qs[0] == "E" and all(q == "A" for q in qs[1:])
-    if all(q == "A" for q in qs) or forall_tail:
-        if g.ranked():
+    if route == "sync":
+        try:
             return sync_forall_empty(g)
+        except NotRanked:
+            raise Undecidable(
+                "undecforall",
+                "emptiness of ∀*/∃∀*-CFHG is undecidable for non-ranked grammars"
+            ) from None
+    if route == "emptinessexistsforall":
         raise Undecidable(
-            "undecforall",
-            "emptiness of ∀*/∃∀*-CFHG is undecidable for non-ranked grammars")
-    exists_count = len(list(itertools.takewhile(lambda q: q == "E", qs)))
-    if all(q == "A" for q in qs[exists_count:]):
-        raise Undecidable(
-            "emptinessexistsforall",
-            "emptiness of ∃*∀*-CFHG is undecidable even for ranked grammars")
+            route, "emptiness of ∃*∀*-CFHG is undecidable even for ranked grammars")
     raise Undecidable(
-        "forallexists",
+        route,
         "emptiness of prefixes with ∀ before ∃ is undecidable already for NFH")
 
 
 def regular_member(g: Cfhg, a: Nfa) -> bool:
     """Regular-language membership, defined only for ∃* prefixes."""
-    if all(q == "E" for q in g.prefix.quantifiers):
+    try:
         return exists_regular_member(g, a)
-    raise Undecidable(
-        "forallsyncundec",
-        "regular membership for grammars with a ∀ quantifier is undecidable")
+    except WrongPrefix:
+        raise Undecidable(
+            "forallsyncundec",
+            "regular membership for grammars with a ∀ quantifier is undecidable"
+        ) from None
 
 
 def bounded_nonempty_witness(g: Cfhg, max_len: int,
                              universe_cap: int = 20):
     """Search for a member language over Σ^{≤max_len}; None if none is found.
 
-    Evidence only — a miss does not decide emptiness.
+    Evidence only — a miss does not decide emptiness.  One memoised leaf
+    serves every subset, since a leaf's verdict does not depend on it.
     """
-    symbols = sorted(g.symbols)
-    universe: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(max_len):
-        frontier = [w + (s,) for w in frontier for s in symbols]
-        universe.extend(frontier)
-    if len(universe) > universe_cap:
-        raise UniverseTooLarge(
-            f"universe has {len(universe)} words; cap is {universe_cap}")
-    for mask in range(1, 1 << len(universe)):
-        words = [universe[i] for i in range(len(universe)) if mask >> i & 1]
-        if finite_member(g, words):
+    universe = bounded_universe(g.symbols, max_len, universe_cap)
+    leaf = _membership_leaf(g, False)
+    for words in nonempty_subsets(universe):
+        if evaluate(g.prefix.quantifiers, words, leaf):
             return frozenset(words)
     return None
-
-
-def rank_table(g: Cfhg) -> RankTable:
-    return compute_ranks(g.underlying)

@@ -17,8 +17,7 @@ from .core import render_word
 from .errors import (CapExceeded, HyperlangError, ParseError, Undecidable,
                      UniverseTooLarge)
 from .formats import (parse_cfhg, parse_language, parse_nfa, parse_nfh,
-                      parse_pcp, rank_report, render_cfhg, render_language,
-                      render_nfh)
+                      parse_pcp, rank_report, render_cfhg, render_nfh)
 from .nfa import Dfa, determinize, trim
 from .nfh import nfh_accepts, nfh_hyperlanguage_probe
 from .pcp import pcp_encode_exists_forall, pcp_encode_forall

@@ -1,17 +1,23 @@
-"""Base alphabets, word variables, track letters, and word assignments.
+"""Words, track letters, word assignments, and the quantifier layer.
 
 A k-variable word assignment is stored as an ``HWord``: a sequence of
 ``TrackLetter`` values, each mapping every word variable to a base symbol or
 to the pad marker ``#``.  Shorter words are padded at the end with ``#`` so
 that all tracks have equal length.
+
+NFH and CFHG membership share one semantics: the quantifier prefix binds each
+variable to a word of a finite language and an engine (``leaf``) decides every
+full assignment.  ``evaluate`` walks that tree; ``finite_language``,
+``bounded_universe`` and ``nonempty_subsets`` supply its languages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import LengthMismatch
+from .errors import (EmptyLanguage, LengthMismatch, UniverseTooLarge,
+                     UnknownLetter)
 
 PAD = "#"
 
@@ -35,69 +41,6 @@ def render_word(w: Word) -> str:
     if all(len(s) == 1 for s in w):
         return "".join(w)
     return " ".join(w)
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """An ordered set of base symbols.  The pad marker ``#`` is reserved."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise ValueError("alphabet must be non-empty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be unique")
-        if PAD in self.symbols:
-            raise ValueError("the pad marker '#' cannot be an alphabet symbol")
-
-    @classmethod
-    def of(cls, *symbols: str) -> "Alphabet":
-        return cls(tuple(symbols))
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.symbols
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def words_up_to(self, n: int) -> list[Word]:
-        """All words of length at most ``n``, shortest first, in symbol order."""
-        out: list[Word] = [()]
-        frontier: list[Word] = [()]
-        for _ in range(n):
-            frontier = [w + (s,) for w in frontier for s in self.symbols]
-            out.extend(frontier)
-        return out
-
-
-@dataclass(frozen=True)
-class VarSet:
-    """An ordered sequence of word-variable names."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.names:
-            raise ValueError("variable set must be non-empty")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("variable names must be unique")
-
-    @classmethod
-    def of(cls, *names: str) -> "VarSet":
-        return cls(tuple(names))
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
 
 @dataclass(frozen=True)
@@ -247,21 +190,49 @@ def pad_to_sync(assignment: Mapping[str, str | Sequence[str]],
     return hword_from_tracks(padded, order)
 
 
-def all_track_letters(alphabet: Alphabet, var_order: Sequence[str],
-                      include_all_pad: bool = False) -> list[TrackLetter]:
-    """Every track letter over (alphabet + pad)^vars, in a fixed order."""
-    symbols = tuple(alphabet.symbols) + (PAD,)
-    combos: list[tuple[str, ...]] = [()]
-    for _ in var_order:
-        combos = [c + (s,) for c in combos for s in symbols]
-    letters = [TrackLetter(tuple(var_order), c) for c in combos]
-    if not include_all_pad:
-        letters = [l for l in letters if not l.is_all_pad()]
-    return letters
+def finite_language(language: Iterable, symbols: frozenset[str]) -> list[Word]:
+    """The sorted, duplicate-free words of a non-empty language over ``symbols``."""
+    words = sorted({as_word(w) for w in language})
+    if not words:
+        raise EmptyLanguage("membership is defined for non-empty languages")
+    for w in words:
+        for s in w:
+            if s not in symbols:
+                raise UnknownLetter(f"word symbol {s!r} outside the alphabet")
+    return words
 
 
-def subsets_nonempty(items: Sequence) -> Iterable[frozenset]:
-    """All non-empty subsets of ``items``, by increasing bit pattern."""
-    items = list(items)
-    for mask in range(1, 1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+def evaluate(quantifiers: Sequence[str], words: Sequence[Word],
+             leaf: Callable[[tuple[Word, ...]], bool]) -> bool:
+    """Decide the quantifier tree: 'E' binds its variable to some word, 'A' to
+    every word, and ``leaf`` decides each full assignment."""
+
+    def walk(bound: tuple[Word, ...]) -> bool:
+        if len(bound) == len(quantifiers):
+            return leaf(bound)
+        branches = (walk(bound + (w,)) for w in words)
+        return any(branches) if quantifiers[len(bound)] == "E" else all(branches)
+
+    return walk(())
+
+
+def bounded_universe(symbols: Iterable[str], max_len: int,
+                     universe_cap: int) -> list[Word]:
+    """All words of length ≤ ``max_len``, shortest first, in sorted symbol
+    order; more than ``universe_cap`` of them raise ``UniverseTooLarge``."""
+    ordered = sorted(symbols)
+    size = sum(len(ordered) ** i for i in range(max_len + 1))
+    if size > universe_cap:
+        raise UniverseTooLarge(f"universe has {size} words; cap is {universe_cap}")
+    universe: list[Word] = [()]
+    frontier: list[Word] = [()]
+    for _ in range(max_len):
+        frontier = [w + (s,) for w in frontier for s in ordered]
+        universe.extend(frontier)
+    return universe
+
+
+def nonempty_subsets(universe: Sequence[Word]) -> Iterator[tuple[Word, ...]]:
+    """Every non-empty subset of ``universe``, by increasing bit mask."""
+    for mask in range(1, 1 << len(universe)):
+        yield tuple(w for i, w in enumerate(universe) if mask >> i & 1)

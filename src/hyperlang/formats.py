@@ -16,7 +16,7 @@ from .errors import ParseError
 from .nfa import Dfa, Nfa, canonical
 from .nfh import Nfh
 from .pcp import PcpInstance
-from .ranks import RankTable, compute_ranks, is_ranked
+from .ranks import compute_ranks, is_ranked
 
 _LETTER_RE = re.compile(r"^\[([^\[\]]*)\]$")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .core import PAD, HWord, TrackLetter, Word, as_word
+from .core import PAD, HWord, TrackLetter, as_word
 from .errors import UnknownLetter, VarClash
 
 
@@ -447,15 +447,11 @@ def totalize(d: Dfa, letters: Iterable | None = None) -> Dfa:
         sink = ("sink", sink[1] + 1)
     transitions = set(d.transitions)
     defined = {(q, l) for q, l, _ in d.transitions}
-    needed_sink = False
-    for q in d.states | {sink}:
+    states = d.states | {sink}
+    for q in states:
         for letter in alphabet:
             if (q, letter) not in defined:
                 transitions.add((q, letter, sink))
-                needed_sink = True
-    states = set(d.states)
-    if needed_sink or True:
-        states.add(sink)
     return Dfa(d.symbols, states, d.start, d.accepting, transitions, d.vars,
                total=True)
 

@@ -7,12 +7,13 @@ padded word assignment.  Only finite-language membership is implemented here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (HWord, QuantifierPrefix, Word, as_word, is_synchronous,
+from .core import (HWord, QuantifierPrefix, Word, bounded_universe, evaluate,
+                   finite_language, is_synchronous, nonempty_subsets,
                    pad_to_sync, strip_hash)
-from .errors import EmptyLanguage, UniverseTooLarge
 from .nfa import Nfa, nfa_language, nfa_member
 
 
@@ -42,30 +43,17 @@ def nfh_accepts(n: Nfh, language: Iterable) -> bool:
     a fully bound assignment is checked by right-padding all words to equal
     length and running the underlying automaton.
     """
-    words = sorted({as_word(w) for w in language})
-    if not words:
-        raise EmptyLanguage("hyperlanguage membership is defined for non-empty languages")
-    entries = n.prefix.entries
+    words = finite_language(language, n.symbols)
     order = n.vars
-    memo: dict[tuple, bool] = {}
 
+    @functools.cache
     def leaf(assignment: tuple[Word, ...]) -> bool:
-        if assignment not in memo:
-            h = pad_to_sync(dict(zip(order, assignment)), order)
-            memo[assignment] = nfa_member(n.underlying, h)
-        return memo[assignment]
+        return nfa_member(n.underlying, pad_to_sync(dict(zip(order, assignment)), order))
 
-    def evaluate(depth: int, bound: tuple[Word, ...]) -> bool:
-        if depth == len(entries):
-            return leaf(bound)
-        quantifier, _ = entries[depth]
-        branches = (evaluate(depth + 1, bound + (w,)) for w in words)
-        return any(branches) if quantifier == "E" else all(branches)
-
-    return evaluate(0, ())
+    return evaluate(n.prefix.quantifiers, words, leaf)
 
 
-def _accepted_assignments(underlying: Nfa, max_len: int) -> set[tuple[Word, ...]]:
+def accepted_assignments(underlying: Nfa, max_len: int) -> set[tuple[Word, ...]]:
     """All synchronous accepted HWords of length ≤ max_len, as stripped track tuples."""
     order = underlying.vars
     found: set[tuple[Word, ...]] = set()
@@ -102,36 +90,23 @@ def nfh_hyperlanguage_probe(n: Nfh, max_len: int,
     Exhaustive over every non-empty subset of the bounded universe; guarded
     by ``universe_cap`` on the number of universe words.
     """
-    symbols = sorted(n.symbols)
-    universe: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(max_len):
-        frontier = [w + (s,) for w in frontier for s in symbols]
-        universe.extend(frontier)
-    if len(universe) > universe_cap:
-        raise UniverseTooLarge(
-            f"universe has {len(universe)} words; cap is {universe_cap}")
-
+    universe = bounded_universe(n.symbols, max_len, universe_cap)
     root = _Trie()
-    for assignment in _accepted_assignments(n.underlying, max_len):
-        if all(len(w) <= max_len for w in assignment):
-            root.insert(assignment)
+    for assignment in accepted_assignments(n.underlying, max_len):
+        root.insert(assignment)
 
     quantifiers = n.prefix.quantifiers
 
-    def evaluate(node: _Trie, depth: int, words: tuple[Word, ...]) -> bool:
+    # Trie walk, not core.evaluate: prefix pruning made it ~2x faster over 2^15 subsets.
+    def walk(node: _Trie, depth: int, words: tuple[Word, ...]) -> bool:
         if depth == len(quantifiers):
             return node.terminal
         children = node.children
         if quantifiers[depth] == "E":
-            return any(w in children and evaluate(children[w], depth + 1, words)
+            return any(w in children and walk(children[w], depth + 1, words)
                        for w in words)
-        return all(w in children and evaluate(children[w], depth + 1, words)
+        return all(w in children and walk(children[w], depth + 1, words)
                    for w in words)
 
-    accepted = []
-    for mask in range(1, 1 << len(universe)):
-        words = tuple(universe[i] for i in range(len(universe)) if mask >> i & 1)
-        if evaluate(root, 0, words):
-            accepted.append(frozenset(words))
-    return frozenset(accepted)
+    return frozenset(frozenset(words) for words in nonempty_subsets(universe)
+                     if walk(root, 0, words))

@@ -106,12 +106,10 @@ def _tarjan_sccs(vertices, edges) -> list[list]:
 
 @dataclass(frozen=True)
 class RankTable:
-    """Final ranks per vertex, plus the intermediate per-vertex l/r values."""
+    """Final left and right ranks per vertex."""
 
     left: dict
     right: dict
-    left_inner: dict
-    right_inner: dict
 
     def symbol_left(self, g: Cfg, token) -> frozenset[str]:
         return self.left[token] if g.is_variable(token) else letter_pads(token)
@@ -120,7 +118,7 @@ class RankTable:
         return self.right[token] if g.is_variable(token) else letter_pads(token)
 
 
-def _compute_side(g: Cfg, vertices, edges, side: str) -> tuple[dict, dict]:
+def _compute_side(g: Cfg, vertices, edges, side: str) -> dict:
     """One rank map (L or R).  ``side`` picks the boundary token and the
     combination operators: intersection-flavored for L, union-flavored for R.
     """
@@ -178,15 +176,15 @@ def _compute_side(g: Cfg, vertices, edges, side: str) -> tuple[dict, dict]:
                 closed = frozenset().union(*all_inner)
             for u in pending:
                 rank[u] = closed
-    return rank, inner
+    return rank
 
 
 def compute_ranks(g: Cfg) -> RankTable:
     """Left and right ranks of every variable and right-hand side."""
     graph = build_rule_graph(g)
-    left, left_inner = _compute_side(g, graph.vertices, graph.left_edges, "L")
-    right, right_inner = _compute_side(g, graph.vertices, graph.right_edges, "R")
-    return RankTable(left, right, left_inner, right_inner)
+    left = _compute_side(g, graph.vertices, graph.left_edges, "L")
+    right = _compute_side(g, graph.vertices, graph.right_edges, "R")
+    return RankTable(left, right)
 
 
 @dataclass(frozen=True)

@@ -11,37 +11,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (HWord, PAD, QuantifierPrefix, TrackLetter, Word, as_word,
-                   is_synchronous, pad_to_sync, strip_hash, tracks_of)
+from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, complement, compose_free, compose_sync,
-                  determinize, elim_pad, intersect, nfa_language, nfa_member,
-                  pad_closure, pad_suffix, project, rename_vars, to_base, trim,
-                  union_all, with_var, word_automaton)
-from .nfh import Nfh
+                  determinize, elim_pad, intersect, pad_closure, pad_suffix,
+                  project, rename_vars, to_base, trim, union_all, with_var,
+                  word_automaton)
+from .nfh import Nfh, accepted_assignments
 
 
 # --- relations over word pairs -------------------------------------------------
 
-def relation_accepts(relation: Nfa, u, v) -> bool:
-    """True iff the pair (u, v) is in the relation the 2-track NFA computes."""
-    h = pad_to_sync({"x": as_word(u), "y": as_word(v)}, ("x", "y"))
-    return nfa_member(absorb_pad(pad_closure(relation)), h)
-
-
 def relation_pairs(relation: Nfa, max_len: int) -> set[tuple[Word, Word]]:
-    """All related pairs with both words of length ≤ max_len, by enumeration."""
-    closed = absorb_pad(pad_closure(relation))
-    pairs: set[tuple[Word, Word]] = set()
-    for letters in nfa_language(closed, max_len):
-        hw = HWord(relation.vars, tuple(letters))
-        if not is_synchronous(hw):
-            continue
-        if letters and letters[-1].is_all_pad():
-            continue
-        tracks = tracks_of(hw)
-        pairs.add((strip_hash(tracks["x"]), strip_hash(tracks["y"])))
-    return pairs
+    """All related (x, y) pairs with both words of length ≤ max_len, by enumeration."""
+    return accepted_assignments(absorb_pad(pad_closure(relation)), max_len)
 
 
 # --- specs ---------------------------------------------------------------------
@@ -80,11 +63,6 @@ class PartialOrderSpec:
             raise ValueError("the successor bound must be at least 1")
         if self.relation.vars != ("x", "y"):
             raise ValueError("relation automaton must be over variables (x, y)")
-
-    def check_minimal(self, max_len: int) -> bool:
-        """Bounded check that the declared minimal words have no predecessor."""
-        pairs = relation_pairs(self.relation, max_len)
-        return not any(v in self.minimal_words and u != v for u, v in pairs)
 
 
 # --- finite and ordered languages ----------------------------------------------

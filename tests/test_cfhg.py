@@ -1,7 +1,10 @@
 """Hypergrammar decision procedures and undecidability routing."""
 
+import itertools
+
 import pytest
 
+import hyperlang.cfhg as cfhg_module
 from hyperlang.cfg import Cfg, cfg_empty, cyk_member, derive_bounded, to_cnf
 from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
                             diagonal_restriction, exists_empty,
@@ -12,6 +15,8 @@ from hyperlang.core import HWord, QuantifierPrefix, as_word, pad_to_sync
 from hyperlang.errors import (EmptyLanguage, NotRanked, Undecidable,
                               WrongPrefix)
 from hyperlang.nfa import Nfa, word_automaton
+from hyperlang.pcp import pcp_encode_exists_forall
+from hyperlang.ranks import is_ranked
 
 from conftest import letter, words
 
@@ -160,7 +165,6 @@ def test_cfhg_empty_routing(g1_forall, robot_diagonal, tile_grammar_cfhg,
 
 
 def test_cfhg_empty_exists_forall_reason(pcp_fixture):
-    from hyperlang.pcp import pcp_encode_exists_forall
     g = pcp_encode_exists_forall(pcp_fixture)
     with pytest.raises(Undecidable) as err:
         cfhg_empty(g)
@@ -181,3 +185,68 @@ def test_bounded_nonempty_witness(robot_diagonal, tile_grammar_cfhg):
     assert finite_member(robot_diagonal, got)
     # the tile grammar's shortest member word is the 9-letter solution word
     assert bounded_nonempty_witness(tile_grammar_cfhg, 2) is None
+
+
+def _route_grammar(prefix, ranked):
+    """A one-rule grammar over the prefix's variables; the unranked variant
+    pads x in front of a letter on x."""
+    prefix = QuantifierPrefix.parse(prefix)
+    v = prefix.variables
+    body = (letter(v, *"a" * len(v)),)
+    if not ranked:
+        body = (letter(v, "#", *"a" * (len(v) - 1)),) + body
+    return Cfhg(frozenset({"a"}), prefix,
+                Cfg(frozenset({"V0"}), "V0", frozenset({("V0", body)})))
+
+
+@pytest.mark.parametrize("prefix, ranked, expected", [
+    ("E x", True, "exists"),
+    ("A x", True, "exists"),
+    ("E x E y", True, "exists"),
+    ("A x A y", True, "sync"),
+    ("A x A y", False, "undecforall"),
+    ("E x A y", True, "sync"),
+    ("E x A y", False, "undecforall"),
+    ("E x E y A z", True, "emptinessexistsforall"),
+    ("A x E y", True, "forallexists"),
+    ("E x A y E z", True, "forallexists"),
+    ("A x A y E z", True, "forallexists"),
+])
+def test_cfhg_empty_route(monkeypatch, prefix, ranked, expected):
+    """The procedure cfhg_empty dispatches to, or the reason it refuses."""
+    routes = []
+    for name, route in (("exists_empty", "exists"), ("sync_forall_empty", "sync")):
+        def spy(g, original=getattr(cfhg_module, name), route=route):
+            routes.append(route)
+            return original(g)
+        monkeypatch.setattr(cfhg_module, name, spy)
+    g = _route_grammar(prefix, ranked)
+    assert is_ranked(g.underlying).ranked == ranked
+    try:
+        cfhg_empty(g)
+        got = routes
+    except Undecidable as exc:
+        got = [exc.reason]
+    assert got == [expected]
+
+
+def _reference_witness(g, max_len):
+    """The search as first defined: finite_member on every non-empty subset of
+    the shortest-first, sorted-symbol universe, in bit-mask order."""
+    universe = [w for n in range(max_len + 1)
+                for w in itertools.product(sorted(g.symbols), repeat=n)]
+    for mask in range(1, 1 << len(universe)):
+        language = [w for i, w in enumerate(universe) if mask >> i & 1]
+        if finite_member(g, language):
+            return frozenset(language)
+    return None
+
+
+def test_bounded_witness_equals_reference(robot_diagonal, tile_grammar_cfhg,
+                                          pcp_fixture, pumping_grammar):
+    # the last two have several member languages, which pins the mask order
+    cases = [(robot_diagonal, 2), (tile_grammar_cfhg, 2),
+             (pcp_encode_exists_forall(pcp_fixture), 1),
+             (_exists_pair_grammar(), 2), (pumping_grammar, 2)]
+    for g, max_len in cases:
+        assert bounded_nonempty_witness(g, max_len) == _reference_witness(g, max_len)

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+from hyperlang.cfhg import finite_member
 from hyperlang.cli import run
+from hyperlang.errors import UnknownLetter
+from hyperlang.formats import parse_cfhg, parse_nfh
+from hyperlang.nfh import nfh_accepts
+
+from conftest import words
 
 FIG1 = """\
 quantifiers: A x E y
@@ -39,6 +45,24 @@ trans: s1 b s2
 """
 
 TILES = "a | baa\nab | aa\nbba | bb\n"
+
+EXISTS_A_NFH = """\
+quantifiers: E x
+type: nfa
+alphabet: a b
+vars: x
+states: q0 q1
+initial: q0
+accepting: q1
+trans: q0 [x=a] q1
+"""
+
+EXISTS_A_CFHG = """\
+quantifiers: E x
+alphabet: a b
+start: V0
+rule: V0 -> [x=a]
+"""
 
 
 @pytest.fixture
@@ -215,3 +239,22 @@ def test_deterministic_output(files, capsys):
     run(["pcp", "encode-forall", tiles, "-o", out2])
     capsys.readouterr()
     assert (tmp / "a.cfhg").read_text() == (tmp / "b.cfhg").read_text()
+
+
+def test_out_of_alphabet_word_is_unknown_letter(files, capsys):
+    # the ∃ tree could stop at 'a' before it reaches 'z': the verdict must not
+    # depend on the order of the words
+    write, _ = files
+    n, g = parse_nfh(EXISTS_A_NFH), parse_cfhg(EXISTS_A_CFHG)
+    for language in (words("a", "z"), words("b", "z")):
+        with pytest.raises(UnknownLetter):
+            nfh_accepts(n, language)
+        with pytest.raises(UnknownLetter):
+            finite_member(g, language)
+    lang = write("l.txt", "a\nz\n")
+    for argv in (["nfh", "member", write("e.nfh", EXISTS_A_NFH), lang],
+                 ["cfhg", "member-finite", write("e.cfhg", EXISTS_A_CFHG), lang]):
+        assert run(["--json", *argv]) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")

@@ -93,3 +93,17 @@ def test_exists_superset_monotone():
         for extra in universe:
             bigger = frozenset(language) | {extra}
             assert frozenset(bigger) in accepted
+
+
+def test_probe_equals_membership_over_universe():
+    """The probe's trie walk agrees with nfh_accepts on every non-empty subset
+    of the 7-word universe over {a, b} up to length 2."""
+    universe = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    subsets = [frozenset(c) for k in range(1, len(universe) + 1)
+               for c in itertools.combinations(universe, k)]
+    rng = random.Random(11)
+    for _ in range(4):
+        language = rng.sample(universe, rng.randint(1, 3))
+        n = realize_finite(language, alphabet={"a", "b"})
+        expected = {s for s in subsets if nfh_accepts(n, s)}
+        assert nfh_hyperlanguage_probe(n, 2) == expected
