@@ -186,11 +186,16 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int,
     """Search for a member language over Σ^{≤max_len}; None if none is found.
 
     Evidence only — a miss does not decide emptiness.  One memoised leaf
-    serves every subset, since a leaf's verdict does not depend on it.
+    serves every subset, since a leaf's verdict does not depend on it.  A ∀*
+    hyperlanguage is closed under subsets, so its first member in mask order
+    is a singleton and only singletons are tried.
     """
-    universe = bounded_universe(g.symbols, max_len, universe_cap)
+    universe = bounded_universe(g.symbols, max_len, universe_cap, "witness-search")
     leaf = _membership_leaf(g, False)
-    for words in nonempty_subsets(universe):
-        if evaluate(g.prefix.quantifiers, words, leaf):
+    quantifiers = g.prefix.quantifiers
+    candidates = (nonempty_subsets(universe) if "E" in quantifiers
+                  else ((w,) for w in universe))
+    for words in candidates:
+        if evaluate(quantifiers, words, leaf):
             return frozenset(words)
     return None

@@ -17,7 +17,8 @@ from .core import render_word
 from .errors import (CapExceeded, HyperlangError, ParseError, Undecidable,
                      UniverseTooLarge)
 from .formats import (parse_cfhg, parse_language, parse_nfa, parse_nfh,
-                      parse_pcp, rank_report, render_cfhg, render_nfh)
+                      parse_pcp, rank_report, render_cfhg, render_nfh,
+                      render_violation)
 from .nfa import Dfa, determinize, trim
 from .nfh import nfh_accepts, nfh_hyperlanguage_probe
 from .pcp import pcp_encode_exists_forall, pcp_encode_forall
@@ -221,11 +222,8 @@ def _run_cfhg(args, report: _Report):
     else:
         verdict = is_ranked(g.underlying)
         report.verdict(verdict.ranked)
-        for (head, body), i, r, l in verdict.violations:
-            rendered = " ".join(t.render() if hasattr(t, "render") else t
-                                for t in body)
-            line = (f"violation: {head} -> {rendered} @ position {i}: "
-                    f"R={{{','.join(sorted(r))}}} ⊄ L={{{','.join(sorted(l))}}}")
+        for violation in verdict.violations:
+            line = render_violation(violation, with_ranks=True)
             report.lines.append(line)
             report.document.setdefault("violations", []).append(line)
 

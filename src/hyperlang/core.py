@@ -216,14 +216,16 @@ def evaluate(quantifiers: Sequence[str], words: Sequence[Word],
     return walk(())
 
 
-def bounded_universe(symbols: Iterable[str], max_len: int,
-                     universe_cap: int) -> list[Word]:
+def bounded_universe(symbols: Iterable[str], max_len: int, universe_cap: int,
+                     stage: str) -> list[Word]:
     """All words of length ≤ ``max_len``, shortest first, in sorted symbol
-    order; more than ``universe_cap`` of them raise ``UniverseTooLarge``."""
+    order; more than ``universe_cap`` of them raise ``UniverseTooLarge``,
+    whose message names the search (``stage``) that asked."""
     ordered = sorted(symbols)
     size = sum(len(ordered) ** i for i in range(max_len + 1))
     if size > universe_cap:
-        raise UniverseTooLarge(f"universe has {size} words; cap is {universe_cap}")
+        raise UniverseTooLarge(
+            f"{stage} universe has {size} words; cap is {universe_cap}")
     universe: list[Word] = [()]
     frontier: list[Word] = [()]
     for _ in range(max_len):

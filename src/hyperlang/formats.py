@@ -303,6 +303,16 @@ def _rank_set(s) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
+def render_violation(violation, with_ranks: bool) -> str:
+    """One ranked-check violation: the rule and position, and optionally the
+    rank sets R and L that fail the inclusion."""
+    (head, body), i, r, l = violation
+    line = f"violation: {head} -> {_vertex_label(body)} @ position {i}"
+    if with_ranks:
+        line += f": R={_rank_set(r)} ⊄ L={_rank_set(l)}"
+    return line
+
+
 def rank_report(g: Cfhg) -> str:
     """Human-readable rank table plus any ranked-check violations."""
     table = compute_ranks(g.underlying)
@@ -311,7 +321,5 @@ def rank_report(g: Cfhg) -> str:
     for vertex in sorted(table.left, key=_vertex_label):
         lines.append(f"{_vertex_label(vertex)} | {_rank_set(table.left[vertex])}"
                      f" | {_rank_set(table.right[vertex])}")
-    for (head, body), i, r, l in verdict.violations:
-        rule = f"{head} -> {_vertex_label(body)}"
-        lines.append(f"violation: {rule} @ position {i}")
+    lines.extend(render_violation(v, with_ranks=False) for v in verdict.violations)
     return "\n".join(lines) + "\n"

@@ -242,11 +242,24 @@ def _reference_witness(g, max_len):
     return None
 
 
+def _forall_letter_pairs_grammar():
+    """∀x1∀x2 grammar deriving every one-letter pair over {a, b}: its member
+    languages are {a}, {b} and {a, b}."""
+    v = ("x1", "x2")
+    rules = {("V0", (letter(v, s, t),)) for s in "ab" for t in "ab"}
+    return Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 A x2"),
+                Cfg(frozenset({"V0"}), "V0", frozenset(rules)))
+
+
 def test_bounded_witness_equals_reference(robot_diagonal, tile_grammar_cfhg,
-                                          pcp_fixture, pumping_grammar):
-    # the last two have several member languages, which pins the mask order
+                                          pcp_fixture, pumping_grammar,
+                                          mixed_letter_grammar):
+    # the ∃ cases with several member languages pin the mask order; the ∀*
+    # cases take the singleton route, whose first member is not universe[0]
+    # or does not exist
     cases = [(robot_diagonal, 2), (tile_grammar_cfhg, 2),
              (pcp_encode_exists_forall(pcp_fixture), 1),
-             (_exists_pair_grammar(), 2), (pumping_grammar, 2)]
+             (_exists_pair_grammar(), 2), (pumping_grammar, 2),
+             (_forall_letter_pairs_grammar(), 2), (mixed_letter_grammar, 2)]
     for g, max_len in cases:
         assert bounded_nonempty_witness(g, max_len) == _reference_witness(g, max_len)

@@ -185,6 +185,20 @@ def test_cfhg_empty_bounded_witness(files, capsys):
     assert "no member language found" in text
 
 
+def test_cap_errors_name_the_search(files, capsys):
+    write, tmp = files
+    assert run(["nfh", "probe", write("e.nfh", EXISTS_A_NFH), "--max-len", "5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "cap exceeded: probe universe has 63 words; cap is 20\n"
+    grammar = str(tmp / "g.cfhg")
+    run(["pcp", "encode-ea", write("t.txt", TILES), "-o", grammar])
+    capsys.readouterr()
+    assert run(["cfhg", "empty", grammar, "--bounded", "2"]) == 2
+    assert capsys.readouterr().err == \
+        "cap exceeded: witness-search universe has 43 words; cap is 20\n"
+
+
 def test_cfhg_member_finite(files, capsys):
     write, _ = files
     g = write("g.cfhg", ROBOT)
@@ -221,6 +235,42 @@ def test_cfhg_ranks_and_is_ranked(files, capsys):
     text = capsys.readouterr().out
     assert text.splitlines()[0] == "FALSE"
     assert run(["cfhg", "is-ranked", write("g2.cfhg", ROBOT)]) == 0
+
+
+TILES_RANKS = """\
+vertex | L | R
+V0 | {} | {x1,x2}
+[x1=a,x2=a] [x1=b,x2=a] | {} | {}
+[x1=a,x2=a] [x1=b,x2=a] V0 | {} | {x1,x2}
+[x1=a,x2=b] [x1=#,x2=a] [x1=#,x2=a] | {} | {x1}
+[x1=a,x2=b] [x1=#,x2=a] [x1=#,x2=a] V0 | {} | {x1,x2}
+[x1=b,x2=b] [x1=b,x2=b] [x1=a,x2=#] | {} | {x2}
+[x1=b,x2=b] [x1=b,x2=b] [x1=a,x2=#] V0 | {} | {x1,x2}
+violation: V0 -> [x1=a,x2=b] [x1=#,x2=a] [x1=#,x2=a] V0 @ position 2
+violation: V0 -> [x1=b,x2=b] [x1=b,x2=b] [x1=a,x2=#] V0 @ position 2
+"""
+
+TILES_IS_RANKED = """\
+FALSE
+violation: V0 -> [x1=a,x2=b] [x1=#,x2=a] [x1=#,x2=a] V0 @ position 2: R={x1} ⊄ L={}
+violation: V0 -> [x1=b,x2=b] [x1=b,x2=b] [x1=a,x2=#] V0 @ position 2: R={x2} ⊄ L={}
+"""
+
+
+def test_rank_violations_golden(files, capsys):
+    """Full stdout of ``ranks`` and ``is-ranked`` on the encode-forall tiles
+    grammar, which has two violating rules."""
+    write, tmp = files
+    out = str(tmp / "g.cfhg")
+    run(["pcp", "encode-forall", write("t.txt", TILES), "-o", out])
+    capsys.readouterr()
+    assert run(["cfhg", "ranks", out]) == 0
+    assert capsys.readouterr().out == TILES_RANKS
+    assert run(["cfhg", "is-ranked", out]) == 1
+    assert capsys.readouterr().out == TILES_IS_RANKED
+    assert run(["--json", "cfhg", "is-ranked", out]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == \
+        TILES_IS_RANKED.splitlines()[1:]
 
 
 def test_usage_and_parse_errors(files, capsys):

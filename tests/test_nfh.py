@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import hyperlang.nfh as nfh_module
 from hyperlang.core import QuantifierPrefix, TrackLetter, as_word
 from hyperlang.errors import EmptyLanguage, UniverseTooLarge
 from hyperlang.nfa import Nfa, with_var, word_automaton
@@ -107,3 +108,46 @@ def test_probe_equals_membership_over_universe():
         n = realize_finite(language, alphabet={"a", "b"})
         expected = {s for s in subsets if nfh_accepts(n, s)}
         assert nfh_hyperlanguage_probe(n, 2) == expected
+
+
+def _random_nfh(rng, quantifiers):
+    """A random NFH over {a, b} with one variable per quantifier."""
+    v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
+    pool = [letter(v, *t) for t in itertools.product("ab#", repeat=len(v))
+            if set(t) != {"#"}]
+    states = [f"q{i}" for i in range(rng.randint(1, 3))]
+    delta = {(rng.choice(states), rng.choice(pool), rng.choice(states))
+             for _ in range(rng.randint(2, 3 * len(pool)))}
+    accepting = {q for q in states if rng.random() < 0.5}
+    underlying = Nfa({"a", "b", "#"}, states, {states[0]}, accepting, delta, v)
+    return Nfh(frozenset({"a", "b"}), QuantifierPrefix(tuple(zip(quantifiers, v))),
+               underlying)
+
+
+def test_pruned_probe_equals_membership(monkeypatch):
+    """The probe walks only the viable words, yet agrees with nfh_accepts on
+    every non-empty subset of the 7-word universe, for every prefix of one to
+    three quantifiers."""
+    universe = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    subsets = [frozenset(c) for k in range(1, len(universe) + 1)
+               for c in itertools.combinations(universe, k)]
+    walked = []
+
+    def spy(words, original=nfh_module.nonempty_subsets):
+        walked.append(len(words))
+        return original(words)
+
+    monkeypatch.setattr(nfh_module, "nonempty_subsets", spy)
+    rng = random.Random(5)
+    pruned_and_accepting = 0
+    for k in (1, 2, 3):
+        for quantifiers in itertools.product("EA", repeat=k):
+            for _ in range(2):
+                n = _random_nfh(rng, quantifiers)
+                expected = {s for s in subsets if nfh_accepts(n, s)}
+                assert nfh_hyperlanguage_probe(n, 2) == expected, quantifiers
+                if "A" not in quantifiers:
+                    assert walked[-1] == len(universe)
+                elif expected and walked[-1] < len(universe):
+                    pruned_and_accepting += 1
+    assert pruned_and_accepting > 0
