@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
-                           derive_bounded, is_cnf, to_cnf)
+from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cfg_intersect_empty,
+                           cleanup, cyk_member, derive_bounded, is_cnf, to_cnf)
 from hyperlang.core import HWord, as_word
 from hyperlang.errors import NotCnf
 from hyperlang.nfa import Nfa, word_automaton
@@ -144,3 +144,25 @@ def test_track_letter_grammar(tile_grammar_cfhg):
     )
     cnf = to_cnf(g)
     assert cyk_member(cnf, HWord(("x1", "x2"), tuple(shortest)))
+
+
+def _random_nfa(rng):
+    states = [f"q{i}" for i in range(rng.randint(1, 3))]
+    transitions = {(rng.choice(states), rng.choice("ab"), rng.choice(states))
+                   for _ in range(rng.randint(1, 5))}
+    return Nfa({"a", "b"}, states, set(rng.sample(states, rng.randint(1, len(states)))),
+               set(rng.sample(states, rng.randint(1, len(states)))), transitions)
+
+
+def test_intersect_empty_equals_bar_hillel():
+    """The span fixpoint of ``cfg_intersect_empty`` against the emptiness of
+    the materialised Bar-Hillel grammar, on random CNF grammars and NFAs."""
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(100):
+        cnf = to_cnf(random_base_grammar(rng))
+        a = _random_nfa(rng)
+        got = cfg_intersect_empty(cnf, a)
+        assert got == cfg_empty(bar_hillel(cnf, a)), (cnf.rules, a.transitions)
+        verdicts.add(got)
+    assert verdicts == {True, False}

@@ -1,24 +1,29 @@
 """Hypergrammar decision procedures and undecidability routing."""
 
 import itertools
+import random
 
 import pytest
 
 import hyperlang.cfhg as cfhg_module
-from hyperlang.cfg import Cfg, cfg_empty, cyk_member, derive_bounded, to_cnf
+from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cyk_member,
+                           derive_bounded, to_cnf)
 from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
                             diagonal_restriction, exists_empty,
                             exists_regular_member, finite_member,
                             regular_member, sync_check_bounded,
                             sync_forall_empty)
-from hyperlang.core import HWord, QuantifierPrefix, as_word, pad_to_sync
+from hyperlang.core import (HWord, QuantifierPrefix, as_word, pad_to_sync,
+                            strip_hash, tracks_of)
 from hyperlang.errors import (EmptyLanguage, NotRanked, Undecidable,
                               WrongPrefix)
-from hyperlang.nfa import Nfa, word_automaton
-from hyperlang.pcp import pcp_encode_exists_forall
+from hyperlang.nfa import (Nfa, pad_anywhere, track_product, with_var,
+                           word_automaton)
+from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
+                           pcp_encode_forall)
 from hyperlang.ranks import is_ranked
 
-from conftest import letter, words
+from conftest import letter, random_ranked_grammars, words
 
 
 def _exists_pair_grammar():
@@ -263,3 +268,66 @@ def test_bounded_witness_equals_reference(robot_diagonal, tile_grammar_cfhg,
              (_forall_letter_pairs_grammar(), 2), (mixed_letter_grammar, 2)]
     for g, max_len in cases:
         assert bounded_nonempty_witness(g, max_len) == _reference_witness(g, max_len)
+
+
+def _two_track_prefixes():
+    return [QuantifierPrefix.parse(f"{q1} x1 {q2} x2")
+            for q1 in "AE" for q2 in "AE"]
+
+
+def test_cyk_route_equals_slow_route():
+    """On ranked grammars the synchronous padding is the only one derived, so
+    the CYK leaf and the pad-anywhere leaf must give every verdict alike."""
+    rng = random.Random(5)
+    short = [as_word("".join(p)) for n in range(3)
+             for p in itertools.product("ab", repeat=n)]
+    verdicts = set()
+    for grammar in random_ranked_grammars(10, seed=13):
+        derived = {strip_hash(track) for w in derive_bounded(grammar, 3)
+                   for track in tracks_of(HWord(("x1", "x2"), w)).values()}
+        pool = sorted(derived | set(short))
+        for prefix in _two_track_prefixes():
+            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+            for _ in range(4):
+                language = rng.sample(pool, rng.randint(1, 2))
+                fast = finite_member(g, language)
+                assert fast == finite_member(g, language, force_slow=True), \
+                    (grammar.rules, prefix.render(), language)
+                verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+def _product_leaf(g, assignment):
+    """The pad-anywhere leaf as first written: the CNF grammar against the
+    materialised product of one pad-anywhere word automaton per variable."""
+    parts = [with_var(pad_anywhere(word_automaton(w, g.symbols)), v)
+             for w, v in zip(assignment, g.vars)]
+    return not cfg_intersect_empty(to_cnf(g.underlying), track_product(parts))
+
+
+def test_sparse_leaf_equals_product_leaf():
+    """The leaf of ``force_slow`` against the product it replaces, on ∀∀ and
+    ∃∃∀ encodings of random PCP instances; each assignment mixes the tracks
+    of derived words with random words."""
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(6):
+        tiles = [tuple("".join(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+                       for _ in range(2))
+                 for _ in range(rng.randint(2, 3))]
+        instance = PcpInstance.of(*tiles)
+        for g in (pcp_encode_forall(instance), pcp_encode_exists_forall(instance)):
+            leaf = cfhg_module._membership_leaf(g, True)
+            derived = [tuple(strip_hash(t) for t in tracks_of(HWord(g.vars, w)).values())
+                       for w in sorted(derive_bounded(g.underlying, 5), key=len)]
+            symbols = sorted(g.symbols)
+            noise = [tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+                     for _ in range(4)]
+            assignments = derived[:4] + [
+                tuple(rng.choice(noise + [d[i]]) for i in range(len(g.vars)))
+                for d in derived[:4] for _ in range(2)]
+            for assignment in assignments:
+                got = leaf(assignment)
+                assert got == _product_leaf(g, assignment), (tiles, assignment)
+                verdicts.add(got)
+    assert verdicts == {True, False}

@@ -1,9 +1,13 @@
 """End-to-end CLI coverage: every verb and every verdict path."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hyperlang
 from hyperlang.cfhg import finite_member
 from hyperlang.cli import run
 from hyperlang.errors import UnknownLetter
@@ -308,3 +312,54 @@ def test_out_of_alphabet_word_is_unknown_letter(files, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error:")
+
+
+
+def _fresh_runs(argvs):
+    """(exit code, stdout, stderr) of each distinct argv, each in a new
+    interpreter; the interpreters run side by side."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlang.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    distinct = list(dict.fromkeys(map(tuple, argvs)))
+    procs = [subprocess.Popen([sys.executable, "-m", "hyperlang.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env)
+             for argv in distinct]
+    return {argv: (p.wait(), *p.communicate()) for argv, p in zip(distinct, procs)}
+
+
+def test_cli_calls_share_no_state(files, capsys):
+    """One process running a sequence of calls prints, call by call, what a
+    new process prints for that call alone: no option value, output mode or
+    error carries over from an earlier call."""
+    write, tmp = files
+    grammar = str(tmp / "ea.cfhg")
+    run(["pcp", "encode-ea", write("t.txt", TILES), "-o", grammar])
+    nfh, lang = write("f.nfh", FIG1), write("l.txt", "a\n")
+    dfa = write("d.dfa", PREFIX_CLOSED_DFA)
+    capsys.readouterr()
+    sequence = [
+        ["cfhg", "empty", grammar, "--bounded", "1"],
+        ["cfhg", "empty", grammar],
+        ["--json", "nfh", "member", nfh, lang],
+        ["nfh", "member", nfh, lang],
+        ["realize", "prefix-closed", dfa, "--route", "relation",
+         "-o", str(tmp / "relation.nfh")],
+        ["realize", "prefix-closed", dfa, "-o", str(tmp / "fast.nfh")],
+        ["nfh", "probe", nfh],
+        ["nfh", "member", nfh, lang],
+    ]
+    in_process = []
+    for argv in sequence:
+        code = run(argv)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert "witness" not in in_process[1][1]
+    assert in_process[6][0] == 64
+    written = {name: (tmp / name).read_text()
+               for name in ("relation.nfh", "fast.nfh")}
+    fresh = _fresh_runs(sequence)
+    for argv, got in zip(sequence, in_process):
+        assert got == fresh[tuple(argv)], argv
+    for name, text in written.items():
+        assert (tmp / name).read_text() == text, name
