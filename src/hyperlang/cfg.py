@@ -3,21 +3,35 @@
 A rule body is a tuple mixing terminals and variable names.  Variables are
 plain strings listed in ``Cfg.variables``; anything else in a body is a
 terminal (a base symbol string or a ``TrackLetter``).
+
+The membership engines work on a CNF grammar's rules indexed once per
+grammar and cached on the ``Cfg`` (``_CnfIndex``): ``cyk_member`` joins table
+cells through it, and ``derives_span`` runs the semi-naive span fixpoint
+behind ``cfg_intersect_empty`` and the word-assignment leaf of ``cfhg``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .core import TrackLetter
 from .errors import AlphabetMismatch, CapExceeded, NotCnf
 from .nfa import Nfa
 
 
+class _CnfIndex(NamedTuple):
+    """The rules of a CNF grammar, indexed for the membership engines."""
+
+    by_terminal: dict  # terminal -> heads of its rules A -> a
+    by_left: dict      # B -> (C, A) for each rule A -> B C
+    by_right: dict     # C -> (B, A) for each rule A -> B C
+    start_eps: bool    # whether start -> ε is a rule
+
+
 class Cfg:
     """An immutable context-free grammar."""
 
-    __slots__ = ("variables", "start", "rules", "_by_var")
+    __slots__ = ("variables", "start", "rules", "_by_var", "_cnf")
 
     def __init__(self, variables: Iterable[str], start: str, rules: Iterable[tuple]):
         self.variables = frozenset(variables)
@@ -29,6 +43,7 @@ class Cfg:
             if v not in self.variables:
                 raise ValueError(f"rule head {v!r} is not a declared variable")
         self._by_var = None
+        self._cnf = None
 
     def bodies(self, var: str) -> list[tuple]:
         if self._by_var is None:
@@ -52,19 +67,33 @@ class Cfg:
         return frozenset(out)
 
 
+def _productive(rules: Collection[tuple], variables) -> set[str]:
+    """Least fixpoint of the heads that derive some terminal word, as a
+    worklist: a rule fires once its last unproductive variable is."""
+    blocked: dict = {}
+    missing: list[int] = []
+    productive: set[str] = set()
+    for i, (v, body) in enumerate(rules):
+        needs = {t for t in body if t in variables}
+        missing.append(len(needs))
+        for t in needs:
+            blocked.setdefault(t, []).append(i)
+        if not needs:
+            productive.add(v)
+    heads = [v for v, _ in rules]
+    stack = list(productive)
+    while stack:
+        for i in blocked.get(stack.pop(), ()):
+            missing[i] -= 1
+            if not missing[i] and heads[i] not in productive:
+                productive.add(heads[i])
+                stack.append(heads[i])
+    return productive
+
+
 def productive_variables(g: Cfg) -> frozenset[str]:
     """Least fixpoint of variables that derive some terminal word."""
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v, body in g.rules:
-            if v in productive:
-                continue
-            if all(not g.is_variable(t) or t in productive for t in body):
-                productive.add(v)
-                changed = True
-    return frozenset(productive)
+    return frozenset(_productive(list(g.rules), g.variables))
 
 
 def cfg_empty(g: Cfg) -> bool:
@@ -73,16 +102,21 @@ def cfg_empty(g: Cfg) -> bool:
 
 
 def reachable_variables(g: Cfg) -> frozenset[str]:
-    seen = {g.start}
-    stack = [g.start]
+    return frozenset(_reachable(g.start, g.rules, g.variables))
+
+
+def _reachable(start: str, rules: Iterable[tuple], variables) -> set[str]:
+    succ: dict = {}
+    for v, body in rules:
+        succ.setdefault(v, []).extend(t for t in body if t in variables)
+    seen = {start}
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for body in g.bodies(v):
-            for t in body:
-                if g.is_variable(t) and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return frozenset(seen)
+        for t in succ.get(stack.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def _nullable_variables(g: Cfg) -> frozenset[str]:
@@ -93,7 +127,7 @@ def _nullable_variables(g: Cfg) -> frozenset[str]:
         for v, body in g.rules:
             if v in nullable:
                 continue
-            if all(g.is_variable(t) and t in nullable for t in body):
+            if all(t in nullable for t in body):
                 nullable.add(v)
                 changed = True
     return frozenset(nullable)
@@ -112,7 +146,7 @@ def cleanup(g: Cfg) -> Cfg:
     for v, body in g.rules:
         expansions = [()]
         for token in body:
-            if g.is_variable(token) and token in nullable:
+            if token in nullable:
                 expansions = [e + (token,) for e in expansions] + expansions
             else:
                 expansions = [e + (token,) for e in expansions]
@@ -135,20 +169,15 @@ def cleanup(g: Cfg) -> Cfg:
         else:
             rules.add((start, ()))
 
-    trimmed = Cfg(variables, start, rules)
-    keep = productive_variables(trimmed)
-    keep_rules = {
-        (v, body) for v, body in trimmed.rules
-        if (v in keep or not body) and all(not trimmed.is_variable(t) or t in keep
-                                           for t in body)
-    }
+    rules = list(rules)
+    keep = _productive(rules, variables)
     if start not in keep:
         # Empty language: keep just the start symbol with no rules.
-        return Cfg({start}, start, {(v, b) for v, b in keep_rules if v == start})
-    trimmed = Cfg(keep | {start}, start, keep_rules)
-    reach = reachable_variables(trimmed)
-    return Cfg(reach, start,
-               {(v, body) for v, body in trimmed.rules if v in reach})
+        return Cfg({start}, start, ())
+    rules = [(v, body) for v, body in rules
+             if v in keep and all(t in keep or t not in variables for t in body)]
+    reach = _reachable(start, rules, variables)
+    return Cfg(reach, start, [(v, body) for v, body in rules if v in reach])
 
 
 def is_cnf(g: Cfg) -> bool:
@@ -172,13 +201,16 @@ def to_cnf(g: Cfg) -> Cfg:
     g = cleanup(g)
 
     variables = set(g.variables)
+    # names only accumulate, so each base resumes where its last probe ended
+    tried: dict[str, int] = {}
 
     def fresh(base: str) -> str:
-        name = base
-        i = 0
+        i = tried.get(base, 0)
+        name = f"{base}_{i}" if i else base
         while name in variables:
             i += 1
             name = f"{base}_{i}"
+        tried[base] = i
         variables.add(name)
         return name
 
@@ -210,67 +242,83 @@ def to_cnf(g: Cfg) -> Cfg:
             v, body = link, body[1:]
         binary.add((v, body))
 
-    # Eliminate unit rules A→B by inlining B's non-unit bodies.
+    # Eliminate unit rules A→B by inlining the non-unit bodies of every
+    # variable in A's unit closure, indexed by head.
+    units: dict = {}
+    non_unit: dict = {}
+    for v, body in binary:
+        if len(body) == 1 and body[0] in variables:
+            units.setdefault(v, []).append(body[0])
+        else:
+            non_unit.setdefault(v, []).append(body)
     result: set[tuple] = set()
-    is_var = lambda t: isinstance(t, str) and t in variables
-    unit_closure: dict[str, set[str]] = {v: {v} for v in variables}
-    changed = True
-    unit_pairs = {(v, body[0]) for v, body in binary
-                  if len(body) == 1 and is_var(body[0])}
-    while changed:
-        changed = False
-        for v, w in unit_pairs:
-            for t in list(unit_closure[w]):
-                if t not in unit_closure[v]:
-                    unit_closure[v].add(t)
-                    changed = True
-    non_unit = {(v, body) for v, body in binary
-                if not (len(body) == 1 and is_var(body[0]))}
     for v in variables:
-        for w in unit_closure[v]:
-            for u, body in non_unit:
-                if u == w:
-                    result.add((v, body))
+        closure = {v}
+        stack = [v]
+        while stack:
+            for w in units.get(stack.pop(), ()):
+                if w not in closure:
+                    closure.add(w)
+                    stack.append(w)
+        for w in closure:
+            result.update((v, body) for body in non_unit.get(w, ()))
 
     return cleanup(Cfg(variables, g.start, result))
 
 
+def _cnf_index(g: Cfg, caller: str) -> _CnfIndex:
+    """The rules of a CNF grammar indexed by terminal, left child and right
+    child; built and checked once per grammar.  A grammar not in CNF raises
+    ``NotCnf`` naming ``caller``."""
+    index = g._cnf
+    if index is None:
+        index = False
+        if is_cnf(g):
+            by_terminal: dict = {}
+            by_left: dict = {}
+            by_right: dict = {}
+            for v, body in g.rules:
+                if len(body) == 1:
+                    by_terminal.setdefault(body[0], []).append(v)
+                elif len(body) == 2:
+                    by_left.setdefault(body[0], []).append((body[1], v))
+                    by_right.setdefault(body[1], []).append((body[0], v))
+            index = _CnfIndex(by_terminal, by_left, by_right, (g.start, ()) in g.rules)
+        g._cnf = index
+    if index is False:
+        raise NotCnf(f"{caller} requires a grammar in Chomsky normal form")
+    return index
+
+
 def cyk_member(g: Cfg, w) -> bool:
     """CYK table membership for a CNF grammar; ``w`` is a sequence of terminals."""
-    if not is_cnf(g):
-        raise NotCnf("cyk_member requires a grammar in Chomsky normal form")
+    index = _cnf_index(g, "cyk_member")
     word = list(w.letters) if hasattr(w, "letters") else list(w)
     n = len(word)
     if n == 0:
-        return (g.start, ()) in g.rules
-    by_terminal: dict = {}
-    pairs: list[tuple[str, str, str]] = []
-    for v, body in g.rules:
-        if len(body) == 1:
-            by_terminal.setdefault(body[0], set()).add(v)
-        elif len(body) == 2:
-            pairs.append((v, body[0], body[1]))
-    table = [[set() for _ in range(n)] for _ in range(n)]
-    for i, letter in enumerate(word):
-        table[0][i] = set(by_terminal.get(letter, set()))
+        return index.start_eps
+    by_left = index.by_left
+    table = [[set(index.by_terminal.get(letter, ())) for letter in word]]
     for span in range(2, n + 1):
+        row = []
         for i in range(n - span + 1):
-            cell = table[span - 1][i]
+            cell: set = set()
             for split in range(1, span):
-                left = table[split - 1][i]
                 right = table[span - split - 1][i + split]
-                if not left or not right:
+                if not right:
                     continue
-                for v, b, c in pairs:
-                    if b in left and c in right:
-                        cell.add(v)
+                for b in table[split - 1][i]:
+                    for c, v in by_left.get(b, ()):
+                        if c in right:
+                            cell.add(v)
+            row.append(cell)
+        table.append(row)
     return g.start in table[n - 1][0]
 
 
 def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     """Grammar for L(g) ∩ L(a), with triple-indexed variables (p, V, q)."""
-    if not is_cnf(g):
-        raise NotCnf("bar_hillel requires a grammar in Chomsky normal form")
+    _cnf_index(g, "bar_hillel")
     grammar_terminals = g.terminals()
     track_terms = [t for t in grammar_terminals if isinstance(t, TrackLetter)]
     if track_terms and not a.is_track:
@@ -315,46 +363,58 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
 
 def cfg_intersect_empty(g: Cfg, a: Nfa) -> bool:
     """True iff L(g) ∩ L(a) = ∅, for a CNF grammar, without materializing
-    the full Bar-Hillel product.
-
-    Works on the sparse relation var → set of automaton state pairs (p, q)
-    such that the variable derives some word taking p to q.
-    """
-    if not is_cnf(g):
-        raise NotCnf("cfg_intersect_empty requires Chomsky normal form")
+    the full Bar-Hillel product."""
+    _cnf_index(g, "cfg_intersect_empty")
     by_letter: dict = {}
     for q, l, p in a.transitions:
-        by_letter.setdefault(l, set()).add((q, p))
-    spans: dict[str, set[tuple]] = {v: set() for v in g.variables}
-    unary = [(v, body[0]) for v, body in g.rules
-             if len(body) == 1 and not g.is_variable(body[0])]
-    binary = [(v, body[0], body[1]) for v, body in g.rules if len(body) == 2]
-    for v, letter in unary:
-        spans[v] |= by_letter.get(letter, set())
+        by_letter.setdefault(l, []).append((q, p))
+    return not derives_span(g, lambda letter: by_letter.get(letter, ()),
+                            a.initial, a.accepting)
 
-    def done(v: str) -> bool:
-        return any(p in a.initial and q in a.accepting for p, q in spans[v])
 
-    if (g.start, ()) in g.rules and a.initial & a.accepting:
-        return False
-    changed = True
-    while changed:
-        changed = False
-        for v, b, c in binary:
-            right_by_start: dict = {}
-            for p, q in spans[c]:
-                right_by_start.setdefault(p, set()).add(q)
-            new = set()
-            for p, mid in spans[b]:
-                for q in right_by_start.get(mid, set()):
-                    if (p, q) not in spans[v]:
-                        new.add((p, q))
-            if new:
-                spans[v] |= new
-                changed = True
-        if done(g.start):
-            return False
-    return not done(g.start)
+def derives_span(g: Cfg, letter_spans: Callable[[object], Iterable[tuple]],
+                 sources: Collection, targets: Collection) -> bool:
+    """Does the CNF grammar derive a word that takes some source to some
+    target?  ``letter_spans(a)`` lists the pairs (p, q) that terminal ``a``
+    takes p to.
+
+    Semi-naive least fixpoint (Bancilhon & Ramakrishnan, 1986) of the
+    relation "variable V derives a word taking p to q": each new span is
+    joined once, through the rule index, with the spans already found for
+    its sibling, and the search stops at the first start span from a source
+    to a target.
+    """
+    index = _cnf_index(g, "derives_span")
+    if index.start_eps and any(p in targets for p in sources):
+        return True
+    by_left, by_right, start = index.by_left, index.by_right, g.start
+    ends: dict = {v: {} for v in g.variables}    # V -> p -> {q}
+    begins: dict = {v: {} for v in g.variables}  # V -> q -> {p}
+    work: list[tuple] = []
+
+    def add(v, p, q):
+        found = ends[v].setdefault(p, set())
+        if q not in found:
+            found.add(q)
+            begins[v].setdefault(q, set()).add(p)
+            work.append((v, p, q))
+
+    for letter, heads in index.by_terminal.items():
+        spans = letter_spans(letter)
+        for v in heads:
+            for p, q in spans:
+                add(v, p, q)
+    while work:
+        v, p, q = work.pop()
+        if v == start and p in sources and q in targets:
+            return True
+        for c, head in by_left.get(v, ()):
+            for r in tuple(ends[c].get(q, ())):
+                add(head, p, r)
+        for b, head in by_right.get(v, ()):
+            for o in tuple(begins[b].get(p, ())):
+                add(head, o, q)
+    return False
 
 
 def derive_bounded(g: Cfg, n: int, cap: int = 10 ** 6) -> set:

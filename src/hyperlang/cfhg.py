@@ -10,16 +10,17 @@ prefix; everything else raises a structured ``Undecidable``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
-                  derive_bounded, to_cnf)
+                  derive_bounded, derives_span, to_cnf)
 from .core import (HWord, PAD, QuantifierPrefix, TrackLetter, Word,
                    bounded_universe, evaluate, finite_language, is_synchronous,
                    nonempty_subsets, pad_to_sync)
 from .errors import NotRanked, Undecidable, WrongPrefix
-from .nfa import Nfa, pad_anywhere, track_product, with_var, word_automaton
+from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
 
 
@@ -82,6 +83,29 @@ def exists_regular_member(g: Cfhg, a: Nfa) -> bool:
     return not cfg_intersect_empty(to_cnf(g.underlying), joint)
 
 
+def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple]:
+    """The moves of ``letter`` between states of the pad-anywhere reading of
+    the assigned words, without building that product automaton.
+
+    A state is one position per word, coded as a mixed-radix int (word j has
+    weight w_j = ∏_{i<j} (|word_i| + 1)); a pad track stays put, a symbol
+    track advances by one where its word has that symbol.  Returns the pairs
+    (p, q) with q = p + Σ of the advancing tracks' weights.
+    """
+    starts = [0]
+    step = 0
+    weight = 1
+    for word, symbol in zip(assignment, letter.symbols):
+        if symbol == PAD:
+            offsets = [i * weight for i in range(len(word) + 1)]
+        else:
+            offsets = [i * weight for i, s in enumerate(word) if s == symbol]
+            step += weight
+        starts = [p + o for p in starts for o in offsets]
+        weight *= len(word) + 1
+    return [(p, p + step) for p in starts]
+
+
 def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], bool]:
     """The memoised leaf of the quantifier tree: is some #-padding of the
     assignment derived?  Compiles the grammar once, for any number of trees."""
@@ -92,9 +116,11 @@ def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], 
             return cyk_member(cnf, pad_to_sync(dict(zip(order, assignment)), order))
     else:
         def leaf(assignment: tuple[Word, ...]) -> bool:
-            parts = [with_var(pad_anywhere(word_automaton(w, g.symbols)), v)
-                     for w, v in zip(assignment, order)]
-            return not cfg_intersect_empty(cnf, track_product(parts))
+            # the start state has every word at position 0, the end state
+            # every word read through: its code is one less than the states'
+            end = math.prod(len(w) + 1 for w in assignment) - 1
+            return derives_span(cnf, lambda letter: _word_spans(assignment, letter),
+                                (0,), (end,))
     return functools.cache(leaf)
 
 
@@ -104,8 +130,8 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
     Walks the quantifier decision tree over word assignments.  A leaf asks
     whether some #-padding of the assignment is derived: for ranked grammars
     the synchronous padding is the only one, so a CYK check suffices; in
-    general the leaf intersects the underlying grammar with the product of
-    pad-anywhere word automata.
+    general (and with ``force_slow``) the leaf runs the span fixpoint of
+    ``derives_span`` over the pad-anywhere readings of the assigned words.
     """
     words = finite_language(language, g.symbols)
     return evaluate(g.prefix.quantifiers, words, _membership_leaf(g, force_slow))

@@ -238,10 +238,14 @@ def _run_pcp(args, report: _Report):
     report.note("output", args.output, f"wrote {args.output}")
 
 
+# Built once per process: argparse keeps no state between ``parse_args``
+# calls, and building its ~20 parsers costs more than a membership query.
+_PARSER = _build_parser()
+
+
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

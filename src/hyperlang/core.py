@@ -30,8 +30,6 @@ def as_word(w: str | Sequence[str]) -> Word:
     Strings are split into single-character symbols; any other sequence is
     taken as a sequence of (possibly multi-character) symbol tokens.
     """
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
 
 
@@ -45,7 +43,11 @@ def render_word(w: Word) -> str:
 
 @dataclass(frozen=True)
 class TrackLetter:
-    """A single letter of the joint alphabet: one symbol (or ``#``) per variable."""
+    """A single letter of the joint alphabet: one symbol (or ``#``) per variable.
+
+    Letters are hashed in every engine loop, their text is the sort key of
+    rules and transitions and their pad set feeds the rank analysis, so each
+    is computed at most once per letter."""
 
     vars: tuple[str, ...]
     symbols: tuple[str, ...]
@@ -53,6 +55,10 @@ class TrackLetter:
     def __post_init__(self):
         if len(self.vars) != len(self.symbols):
             raise ValueError("track letter must assign every variable")
+        object.__setattr__(self, "_hash", hash((self.vars, self.symbols)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, assignment: Mapping[str, str], var_order: Sequence[str]) -> "TrackLetter":
@@ -69,16 +75,23 @@ class TrackLetter:
 
     def pad_vars(self) -> frozenset[str]:
         """Variables assigned the pad marker in this letter."""
-        return frozenset(v for v, s in self.items() if s == PAD)
+        pads = self.__dict__.get("_pads")
+        if pads is None:
+            pads = frozenset(v for v, s in self.items() if s == PAD)
+            object.__setattr__(self, "_pads", pads)
+        return pads
 
     def is_all_pad(self) -> bool:
         return all(s == PAD for s in self.symbols)
 
     def render(self) -> str:
-        return "[" + ",".join(f"{v}={s}" for v, s in self.items()) + "]"
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = "[" + ",".join(f"{v}={s}" for v, s in self.items()) + "]"
+            object.__setattr__(self, "_text", text)
+        return text
 
-    def __repr__(self) -> str:
-        return self.render()
+    __repr__ = render
 
 
 @dataclass(frozen=True)

@@ -170,15 +170,17 @@ def render_nfh(n: Nfh) -> str:
     return f"quantifiers: {n.prefix.render()}\n" + render_nfa(n.underlying)
 
 
-def _parse_rule_body(tokens: list[str], heads: set[str], vars_):
+def _parse_rule_body(tokens: list[str], vars_, letters: dict):
+    """Bracketed tokens are track letters, parsed once per grammar into
+    ``letters``; any other token is a variable or a bare base-alphabet
+    terminal, told apart by the grammar's heads."""
     body = []
     for token in tokens:
         if token.startswith("["):
-            body.append(parse_track_letter(token, vars_))
-        elif token in heads:
-            body.append(token)
-        else:
-            body.append(token)  # a bare base-alphabet terminal
+            if token not in letters:
+                letters[token] = parse_track_letter(token, vars_)
+            token = letters[token]
+        body.append(token)
     return tuple(body)
 
 
@@ -216,11 +218,12 @@ def parse_cfg_text(text: str):
         vars_ = prefix.variables
     heads = {h for h, _ in raw_rules} | {start}
     rules = set()
+    letters: dict = {}
     for head, tokens in raw_rules:
         if tokens == ["eps"]:
             rules.add((head, ()))
         else:
-            rules.add((head, _parse_rule_body(tokens, heads, vars_)))
+            rules.add((head, _parse_rule_body(tokens, vars_, letters)))
     try:
         grammar = Cfg(heads, start, rules)
     except ValueError as exc:

@@ -33,58 +33,72 @@ class RuleGraph:
     right_edges: frozenset
 
 
-def build_rule_graph(g: Cfg) -> RuleGraph:
-    """Edges: variable → its bodies; a body pointing back to its boundary variable."""
-    vertices: set = set(g.variables)
-    left: set = set()
-    right: set = set()
+def _coded_rule_graph(g: Cfg):
+    """The rule graph over integer vertex ids: (vertices, left successors,
+    right successors), where ``vertices[i]`` is vertex i and each successor
+    list holds ids.  Edges: variable → its bodies; a body → its boundary
+    variable."""
+    ids: dict = {v: i for i, v in enumerate(sorted(g.variables))}
+    vertices: list = sorted(g.variables)
+    left: list[list[int]] = [[] for _ in vertices]
+    right: list[list[int]] = [[] for _ in vertices]
     for v, body in g.rules:
         if not body:
             continue
-        vertices.add(body)
-        left.add((v, body))
-        right.add((v, body))
-        if g.is_variable(body[0]):
-            left.add((body, body[0]))
-        if g.is_variable(body[-1]):
-            right.add((body, body[-1]))
-    return RuleGraph(tuple(sorted(vertices, key=repr)),
-                     frozenset(left), frozenset(right))
+        b = ids.get(body)
+        if b is None:
+            b = ids[body] = len(vertices)
+            vertices.append(body)
+            left.append([ids[body[0]]] if body[0] in g.variables else [])
+            right.append([ids[body[-1]]] if body[-1] in g.variables else [])
+        left[ids[v]].append(b)
+        right[ids[v]].append(b)
+    return vertices, left, right
 
 
-def _tarjan_sccs(vertices, edges) -> list[list]:
-    """Iterative Tarjan; components are emitted sinks-first (reverse topological)."""
-    succ: dict = {v: [] for v in vertices}
-    for a, b in sorted(edges, key=repr):
-        succ[a].append(b)
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[list] = []
-    counter = [0]
+def build_rule_graph(g: Cfg) -> RuleGraph:
+    """Edges: variable → its bodies; a body pointing back to its boundary variable."""
+    vertices, left, right = _coded_rule_graph(g)
 
-    for root in vertices:
-        if root in index:
+    def edges(succ):
+        return frozenset((vertices[a], vertices[b])
+                         for a, targets in enumerate(succ) for b in targets)
+
+    return RuleGraph(tuple(sorted(vertices, key=repr)), edges(left), edges(right))
+
+
+def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
+    """Iterative Tarjan over vertices 0..n-1; components are emitted
+    sinks-first (reverse topological)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] >= 0:
             continue
         work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             v, it = work[-1]
             advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     advanced = True
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[v] = min(low[v], index[w])
             if advanced:
                 continue
@@ -96,7 +110,7 @@ def _tarjan_sccs(vertices, edges) -> list[list]:
                 component = []
                 while True:
                     w = stack.pop()
-                    on_stack.remove(w)
+                    on_stack[w] = False
                     component.append(w)
                     if w == v:
                         break
@@ -118,73 +132,50 @@ class RankTable:
         return self.right[token] if g.is_variable(token) else letter_pads(token)
 
 
-def _compute_side(g: Cfg, vertices, edges, side: str) -> dict:
+def _compute_side(g: Cfg, vertices: list, succ: list[list[int]], side: str) -> dict:
     """One rank map (L or R).  ``side`` picks the boundary token and the
-    combination operators: intersection-flavored for L, union-flavored for R.
+    combination operator: intersection for L, union for R.
     """
-    sccs = _tarjan_sccs(vertices, edges)
-    comp_of: dict = {}
+    combine = frozenset.intersection if side == "L" else frozenset.union
+    sccs = _tarjan_sccs(succ)
+    comp_of = [0] * len(vertices)
     for i, component in enumerate(sccs):
-        for v in component:
-            comp_of[v] = i
-    out_edges: dict = {}
-    for a, b in edges:
-        out_edges.setdefault(a, set()).add(b)
-
-    rank: dict = {}
-    inner: dict = {}
-    for component in sccs:
+        for u in component:
+            comp_of[u] = i
+    rank: list = [None] * len(vertices)
+    # the combined rank of each finished component, as seen from outside it
+    seen_as: list[frozenset] = []
+    for my_comp, component in enumerate(sccs):
         # Terminal-boundary members take the pad set of their boundary letter.
         pending = []
         for u in component:
-            if isinstance(u, tuple):
-                boundary = u[0] if side == "L" else u[-1]
+            vertex = vertices[u]
+            if isinstance(vertex, tuple):
+                boundary = vertex[0] if side == "L" else vertex[-1]
                 if not g.is_variable(boundary):
-                    rank[u] = inner[u] = letter_pads(boundary)
+                    rank[u] = letter_pads(boundary)
                     continue
             pending.append(u)
         if pending:
-            my_comp = comp_of[component[0]]
-            targets: set[int] = set()
-            for u in component:
-                for w in out_edges.get(u, set()):
-                    if comp_of[w] != my_comp:
-                        targets.add(comp_of[w])
-            values = []
-            for t in sorted(targets):
-                member_ranks = [rank[u] for u in sccs[t]]
-                if side == "L":
-                    combined = frozenset.intersection(*member_ranks)
-                else:
-                    combined = frozenset().union(*member_ranks)
-                values.append(combined)
+            targets = {comp_of[w] for u in component for w in succ[u]} - {my_comp}
             # Across alternatives the left rank is a guarantee (every
             # derivation pads these tracks), so alternatives intersect; the
             # right rank is a possibility, so alternatives accumulate.
-            if not values:
-                flowed = frozenset()
-            elif side == "L":
-                flowed = frozenset.intersection(*values)
-            else:
-                flowed = frozenset().union(*values)
-            for u in pending:
-                inner[u] = flowed
-            all_inner = [inner[u] for u in component]
-            if side == "L":
-                closed = frozenset.intersection(*all_inner)
-            else:
-                closed = frozenset().union(*all_inner)
+            flowed = (combine(*(seen_as[t] for t in targets)) if targets
+                      else frozenset())
+            closed = combine(flowed, *(rank[u] for u in component
+                                       if rank[u] is not None))
             for u in pending:
                 rank[u] = closed
-    return rank
+        seen_as.append(combine(*(rank[u] for u in component)))
+    return {vertices[u]: r for u, r in enumerate(rank)}
 
 
 def compute_ranks(g: Cfg) -> RankTable:
     """Left and right ranks of every variable and right-hand side."""
-    graph = build_rule_graph(g)
-    left = _compute_side(g, graph.vertices, graph.left_edges, "L")
-    right = _compute_side(g, graph.vertices, graph.right_edges, "R")
-    return RankTable(left, right)
+    vertices, left, right = _coded_rule_graph(g)
+    return RankTable(_compute_side(g, vertices, left, "L"),
+                     _compute_side(g, vertices, right, "R"))
 
 
 @dataclass(frozen=True)
@@ -203,10 +194,12 @@ def is_ranked(g: Cfg, table: RankTable | None = None) -> RankedVerdict:
     if table is None:
         table = compute_ranks(g)
     violations = []
-    for v, body in sorted(g.rules, key=repr):
+    for v, body in g.rules:
         for i in range(len(body) - 1):
             r = table.symbol_right(g, body[i])
             l = table.symbol_left(g, body[i + 1])
             if not r <= l:
                 violations.append(((v, body), i, r, l))
+    # rules in text order; a rule's violations stay in position order
+    violations.sort(key=lambda violation: repr(violation[0]))
     return RankedVerdict(tuple(violations))
