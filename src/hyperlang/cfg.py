@@ -4,10 +4,12 @@ A rule body is a tuple mixing terminals and variable names.  Variables are
 plain strings listed in ``Cfg.variables``; anything else in a body is a
 terminal (a base symbol string or a ``TrackLetter``).
 
-The membership engines work on a CNF grammar's rules indexed once per
-grammar and cached on the ``Cfg`` (``_CnfIndex``): ``cyk_member`` joins table
-cells through it, and ``derives_span`` runs the semi-naive span fixpoint
-behind ``cfg_intersect_empty`` and the word-assignment leaf of ``cfhg``.
+The membership engines share one index of a CNF grammar's rules (terminal →
+heads, left child → (right child, head), right child → (left child, head)),
+built and checked for CNF once and cached on the ``Cfg``.  ``cyk_member``
+fills its table through it; ``derives_span`` runs the semi-naive span
+fixpoint behind ``cfg_intersect_empty`` and behind the pad-anywhere
+membership leaf of ``cfhg``, which builds no product automaton.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class _CnfIndex(NamedTuple):
 class Cfg:
     """An immutable context-free grammar."""
 
-    __slots__ = ("variables", "start", "rules", "_by_var", "_cnf")
+    __slots__ = ("variables", "start", "rules", "_cnf")
 
     def __init__(self, variables: Iterable[str], start: str, rules: Iterable[tuple]):
         self.variables = frozenset(variables)
@@ -42,18 +44,7 @@ class Cfg:
         for v, body in self.rules:
             if v not in self.variables:
                 raise ValueError(f"rule head {v!r} is not a declared variable")
-        self._by_var = None
-        self._cnf = None
-
-    def bodies(self, var: str) -> list[tuple]:
-        if self._by_var is None:
-            by_var: dict = {}
-            for v, body in self.rules:
-                by_var.setdefault(v, []).append(body)
-            for bodies in by_var.values():
-                bodies.sort(key=repr)
-            self._by_var = by_var
-        return self._by_var.get(var, [])
+        self._cnf = None  # the rule index of a CNF grammar, built on first use
 
     def is_variable(self, token) -> bool:
         return isinstance(token, str) and token in self.variables
@@ -74,7 +65,8 @@ def _productive(rules: Collection[tuple], variables) -> set[str]:
     missing: list[int] = []
     productive: set[str] = set()
     for i, (v, body) in enumerate(rules):
-        needs = {t for t in body if t in variables}
+        # a variable occurring twice blocks the rule twice and frees it twice
+        needs = [t for t in body if t in variables]
         missing.append(len(needs))
         for t in needs:
             blocked.setdefault(t, []).append(i)
@@ -141,18 +133,21 @@ def cleanup(g: Cfg) -> Cfg:
     """
     nullable = _nullable_variables(g)
 
-    # Expand each body over the nullable subsets of its variables.
-    rules: set[tuple] = set()
-    for v, body in g.rules:
-        expansions = [()]
-        for token in body:
-            if token in nullable:
-                expansions = [e + (token,) for e in expansions] + expansions
-            else:
-                expansions = [e + (token,) for e in expansions]
-        for e in expansions:
-            if e:
-                rules.add((v, e))
+    # Expand each body over the nullable subsets of its variables; with no
+    # nullable variable there is no ε-rule and every body stays as it is.
+    rules = g.rules
+    if nullable:
+        rules = set()
+        for v, body in g.rules:
+            expansions = [()]
+            for token in body:
+                if token in nullable:
+                    expansions = [e + (token,) for e in expansions] + expansions
+                else:
+                    expansions = [e + (token,) for e in expansions]
+            for e in expansions:
+                if e:
+                    rules.add((v, e))
 
     start = g.start
     variables = set(g.variables)
@@ -263,7 +258,10 @@ def to_cnf(g: Cfg) -> Cfg:
         for w in closure:
             result.update((v, body) for body in non_unit.get(w, ()))
 
-    return cleanup(Cfg(variables, g.start, result))
+    # Every variable still derives what it did, so all stay productive; the
+    # variables reached only through unit rules are dropped.
+    reach = _reachable(g.start, result, variables)
+    return Cfg(reach, g.start, [(v, body) for v, body in result if v in reach])
 
 
 def _cnf_index(g: Cfg, caller: str) -> _CnfIndex:

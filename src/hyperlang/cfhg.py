@@ -5,6 +5,14 @@ procedures follow the decidability frontier: ∃*-emptiness and single-∀
 emptiness are polynomial; ∀*/∃∀* emptiness is decidable for ranked grammars
 via diagonal restriction; finite-language membership is decidable for every
 prefix; everything else raises a structured ``Undecidable``.
+
+Finite-language membership compiles the grammar to CNF once and decides
+each leaf of the quantifier tree (one word per variable) with that grammar:
+a ranked grammar by CYK on the synchronous padding, any other grammar (and
+``force_slow``) by the span fixpoint of ``cfg.derives_span`` over the
+assigned words read with pads anywhere.  A state of that reading is one
+position per word; the spans of each terminal come straight from the words,
+and no product automaton is built.
 """
 
 from __future__ import annotations
