@@ -147,9 +147,9 @@ def test_track_letter_grammar(tile_grammar_cfhg):
 
 
 def _random_nfa(rng):
-    states = [f"q{i}" for i in range(rng.randint(1, 3))]
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
     transitions = {(rng.choice(states), rng.choice("ab"), rng.choice(states))
-                   for _ in range(rng.randint(1, 5))}
+                   for _ in range(rng.randint(1, 8))}
     return Nfa({"a", "b"}, states, set(rng.sample(states, rng.randint(1, len(states)))),
                set(rng.sample(states, rng.randint(1, len(states)))), transitions)
 
@@ -159,7 +159,7 @@ def test_intersect_empty_equals_bar_hillel():
     the materialised Bar-Hillel grammar, on random CNF grammars and NFAs."""
     rng = random.Random(9)
     verdicts = set()
-    for _ in range(100):
+    for _ in range(300):
         cnf = to_cnf(random_base_grammar(rng))
         a = _random_nfa(rng)
         got = cfg_intersect_empty(cnf, a)

@@ -20,7 +20,7 @@ from hyperlang.errors import (EmptyLanguage, NotRanked, Undecidable,
 from hyperlang.nfa import (Nfa, pad_anywhere, track_product, with_var,
                            word_automaton)
 from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
-                           pcp_encode_forall)
+                           pcp_encode_forall, solution_language)
 from hyperlang.ranks import is_ranked
 
 from conftest import letter, random_ranked_grammars, words
@@ -270,30 +270,53 @@ def test_bounded_witness_equals_reference(robot_diagonal, tile_grammar_cfhg,
         assert bounded_nonempty_witness(g, max_len) == _reference_witness(g, max_len)
 
 
-def _two_track_prefixes():
-    return [QuantifierPrefix.parse(f"{q1} x1 {q2} x2")
-            for q1 in "AE" for q2 in "AE"]
+def _planted_pcp(rng):
+    """A random instance whose tiles cut one word two ways, so that the
+    index sequence 1..m is a solution."""
+    word = "".join(rng.choice("ab") for _ in range(rng.randint(3, 6)))
+    pieces = rng.randint(2, min(3, len(word)))
+    cuts = [sorted(rng.sample(range(1, len(word)), pieces - 1)) for _ in range(2)]
+    top, bottom = ([word[i:j] for i, j in zip([0] + c, c + [len(word)])]
+                   for c in cuts)
+    return PcpInstance.of(*zip(top, bottom)), list(range(1, pieces + 1))
+
+
+def _flip(rng, word):
+    i = rng.randrange(len(word))
+    return word[:i] + ({"a": "b", "b": "a"}.get(word[i], "a"),) + word[i + 1:]
 
 
 def test_cyk_route_equals_slow_route():
     """On ranked grammars the synchronous padding is the only one derived, so
-    the CYK leaf and the pad-anywhere leaf must give every verdict alike."""
+    the CYK leaf and the pad-anywhere leaf must give every verdict alike:
+    random ranked two-track grammars under every two-variable prefix, on
+    languages of derived tracks and short words, and the ∃∃∀ encodings
+    (ranked by design) of planted PCP instances, on the solution language,
+    its forward-order and one-letter-flipped variants."""
     rng = random.Random(5)
     short = [as_word("".join(p)) for n in range(3)
              for p in itertools.product("ab", repeat=n)]
-    verdicts = set()
+    cases = []
     for grammar in random_ranked_grammars(10, seed=13):
-        derived = {strip_hash(track) for w in derive_bounded(grammar, 3)
+        derived = {strip_hash(track) for w in derive_bounded(grammar, 4)
                    for track in tracks_of(HWord(("x1", "x2"), w)).values()}
         pool = sorted(derived | set(short))
-        for prefix in _two_track_prefixes():
-            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
-            for _ in range(4):
-                language = rng.sample(pool, rng.randint(1, 2))
-                fast = finite_member(g, language)
-                assert fast == finite_member(g, language, force_slow=True), \
-                    (grammar.rules, prefix.render(), language)
-                verdicts.add(fast)
+        for q1, q2 in itertools.product("AE", repeat=2):
+            g = Cfhg(frozenset({"a", "b"}),
+                     QuantifierPrefix.parse(f"{q1} x1 {q2} x2"), grammar)
+            cases += [(g, rng.sample(pool, rng.randint(1, 2))) for _ in range(4)]
+    for _ in range(4):
+        instance, solution = _planted_pcp(rng)
+        g = pcp_encode_exists_forall(instance)
+        word, cs = sorted(solution_language(instance, solution), reverse=True)
+        forward = word[:len(word) - len(solution)] + tuple(map(str, solution))
+        cases += [(g, [word, cs]), (g, [forward, cs]), (g, [_flip(rng, word), cs])]
+    verdicts = set()
+    for g, language in cases:
+        fast = finite_member(g, language)
+        assert fast == finite_member(g, language, force_slow=True), \
+            (g.underlying.rules, g.prefix.render(), language)
+        verdicts.add(fast)
     assert verdicts == {True, False}
 
 
