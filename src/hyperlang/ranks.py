@@ -38,8 +38,8 @@ def _coded_rule_graph(g: Cfg):
     right successors), where ``vertices[i]`` is vertex i and each successor
     list holds ids.  Edges: variable → its bodies; a body → its boundary
     variable."""
-    ids: dict = {v: i for i, v in enumerate(sorted(g.variables))}
     vertices: list = sorted(g.variables)
+    ids: dict = {v: i for i, v in enumerate(vertices)}
     left: list[list[int]] = [[] for _ in vertices]
     right: list[list[int]] = [[] for _ in vertices]
     for v, body in g.rules:
