@@ -58,34 +58,23 @@ class Cfg:
         return frozenset(out)
 
 
-def _productive(rules: Collection[tuple], variables) -> set[str]:
-    """Least fixpoint of the heads that derive some terminal word, as a
-    worklist: a rule fires once its last unproductive variable is."""
-    blocked: dict = {}
-    missing: list[int] = []
+def _productive(rules: Iterable[tuple], variables) -> set[str]:
+    """Least fixpoint of the heads that derive some terminal word."""
     productive: set[str] = set()
-    for i, (v, body) in enumerate(rules):
-        # a variable occurring twice blocks the rule twice and frees it twice
-        needs = [t for t in body if t in variables]
-        missing.append(len(needs))
-        for t in needs:
-            blocked.setdefault(t, []).append(i)
-        if not needs:
-            productive.add(v)
-    heads = [v for v, _ in rules]
-    stack = list(productive)
-    while stack:
-        for i in blocked.get(stack.pop(), ()):
-            missing[i] -= 1
-            if not missing[i] and heads[i] not in productive:
-                productive.add(heads[i])
-                stack.append(heads[i])
+    changed = True
+    while changed:
+        changed = False
+        for v, body in rules:
+            if v not in productive and all(t in productive or t not in variables
+                                           for t in body):
+                productive.add(v)
+                changed = True
     return productive
 
 
 def productive_variables(g: Cfg) -> frozenset[str]:
     """Least fixpoint of variables that derive some terminal word."""
-    return frozenset(_productive(list(g.rules), g.variables))
+    return frozenset(_productive(g.rules, g.variables))
 
 
 def cfg_empty(g: Cfg) -> bool:
@@ -164,7 +153,6 @@ def cleanup(g: Cfg) -> Cfg:
         else:
             rules.add((start, ()))
 
-    rules = list(rules)
     keep = _productive(rules, variables)
     if start not in keep:
         # Empty language: keep just the start symbol with no rules.

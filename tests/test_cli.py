@@ -354,7 +354,8 @@ def test_cli_calls_share_no_state(files, capsys):
         code = run(argv)
         out = capsys.readouterr()
         in_process.append((code, out.out, out.err))
-    assert "witness" not in in_process[1][1]
+    assert in_process[0][1].count("\n") == 2  # verdict and witness lines
+    assert in_process[1][1].count("\n") == 1  # the verdict alone
     assert in_process[6][0] == 64
     written = {name: (tmp / name).read_text()
                for name in ("relation.nfh", "fast.nfh")}
