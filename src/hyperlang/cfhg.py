@@ -124,8 +124,8 @@ def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], 
             return cyk_member(cnf, pad_to_sync(dict(zip(order, assignment)), order))
     else:
         def leaf(assignment: tuple[Word, ...]) -> bool:
-            # the start state has every word at position 0, the end state
-            # every word read through: its code is one less than the states'
+            # the start state (code 0) has every word at position 0; the end
+            # state has every word read through, the highest code
             end = math.prod(len(w) + 1 for w in assignment) - 1
             return derives_span(cnf, lambda letter: _word_spans(assignment, letter),
                                 (0,), (end,))

@@ -308,7 +308,7 @@ def test_cyk_route_equals_slow_route():
     for _ in range(4):
         instance, solution = _planted_pcp(rng)
         g = pcp_encode_exists_forall(instance)
-        word, cs = sorted(solution_language(instance, solution), reverse=True)
+        word, cs = sorted(solution_language(instance, solution))
         forward = word[:len(word) - len(solution)] + tuple(map(str, solution))
         cases += [(g, [word, cs]), (g, [forward, cs]), (g, [_flip(rng, word), cs])]
     verdicts = set()
