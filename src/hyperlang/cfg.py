@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Iterable, NamedTuple
 
-from .core import TrackLetter
+from .core import TrackLetter, closure
 from .errors import AlphabetMismatch, CapExceeded, NotCnf
 from .nfa import Nfa
 
@@ -82,22 +82,11 @@ def cfg_empty(g: Cfg) -> bool:
     return g.start not in productive_variables(g)
 
 
-def reachable_variables(g: Cfg) -> frozenset[str]:
-    return frozenset(_reachable(g.start, g.rules, g.variables))
-
-
 def _reachable(start: str, rules: Iterable[tuple], variables) -> set[str]:
     succ: dict = {}
     for v, body in rules:
         succ.setdefault(v, []).extend(t for t in body if t in variables)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for t in succ.get(stack.pop(), ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+    return closure({start}, lambda v: succ.get(v, ()))
 
 
 def _nullable_variables(g: Cfg) -> frozenset[str]:
@@ -236,14 +225,8 @@ def to_cnf(g: Cfg) -> Cfg:
             non_unit.setdefault(v, []).append(body)
     result: set[tuple] = set()
     for v in variables:
-        closure = {v}
-        stack = [v]
-        while stack:
-            for w in units.get(stack.pop(), ()):
-                if w not in closure:
-                    closure.add(w)
-                    stack.append(w)
-        for w in closure:
+        # a variable with no unit rule is its own unit closure
+        for w in closure({v}, lambda u: units.get(u, ())) if v in units else (v,):
             result.update((v, body) for body in non_unit.get(w, ()))
 
     # Every variable still derives what it did, so all stay productive; the

@@ -9,12 +9,14 @@ NFH and CFHG membership share one semantics: the quantifier prefix binds each
 variable to a word of a finite language and an engine (``leaf``) decides every
 full assignment.  ``evaluate`` walks that tree; ``finite_language``,
 ``bounded_universe`` and ``nonempty_subsets`` supply its languages.
+``closure`` is the one unlabelled graph search, shared by the automaton and
+grammar reachability walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (EmptyLanguage, LengthMismatch, UniverseTooLarge,
                      UnknownLetter)
@@ -251,3 +253,17 @@ def nonempty_subsets(universe: Sequence[Word]) -> Iterator[tuple[Word, ...]]:
     """Every non-empty subset of ``universe``, by increasing bit mask."""
     for mask in range(1, 1 << len(universe)):
         yield tuple(w for i, w in enumerate(universe) if mask >> i & 1)
+
+
+def closure(start: Iterable[Hashable],
+            successors: Callable[[Hashable], Iterable[Hashable]]) -> set:
+    """Every node reachable from ``start`` (included) through ``successors``,
+    by depth-first search."""
+    seen = set(start)
+    stack = list(seen)
+    while stack:
+        for node in successors(stack.pop()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen

@@ -114,9 +114,8 @@ def parse_nfa(text: str) -> Nfa:
         raise ParseError(str(exc)) from exc
 
 
-def render_nfa(a: Nfa, normalize: bool = True) -> str:
-    if normalize:
-        a = canonical(a)
+def render_nfa(a: Nfa) -> str:
+    a = canonical(a)
     kind = "dfa" if isinstance(a, Dfa) else "nfa"
     lines = [f"type: {kind}",
              "alphabet: " + " ".join(sorted(s for s in a.symbols if s != PAD))]

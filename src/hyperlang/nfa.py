@@ -3,13 +3,16 @@
 Automata are immutable after construction.  Letters are either plain symbol
 strings (base alphabet, possibly including the pad marker ``#``) or
 ``TrackLetter`` values over a fixed variable tuple.
+
+The product and subset constructions share one worklist, ``explore``: each
+supplies only the moves of a state and its acceptance test.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
 
-from .core import PAD, HWord, TrackLetter, as_word
+from .core import PAD, HWord, TrackLetter, as_word, closure
 from .errors import UnknownLetter, VarClash
 
 
@@ -136,17 +139,34 @@ def nfa_member(a: Nfa, w) -> bool:
     return bool(current & a.accepting)
 
 
-def reachable(a: Nfa, start: Iterable) -> frozenset:
-    seen = set(start)
-    stack = list(seen)
-    moves = a.moves_from()
+def explore(initial: Iterable[Hashable],
+            step: Callable[[Hashable], Iterable[tuple]]) -> tuple[set, set]:
+    """The states reachable from ``initial`` and the transitions between
+    them, where ``step(state)`` yields the state's (letter, target) moves."""
+    states = set(initial)
+    stack = list(states)
+    transitions = set()
     while stack:
-        q = stack.pop()
-        for _, p in moves.get(q, []):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
+        state = stack.pop()
+        for letter, target in step(state):
+            transitions.add((state, letter, target))
+            if target not in states:
+                states.add(target)
+                stack.append(target)
+    return states, transitions
+
+
+def fresh_state(states: Container, tag: str) -> tuple:
+    """The first ``(tag, i)``, counting i from 0, that is not in ``states``."""
+    i = 0
+    while (tag, i) in states:
+        i += 1
+    return (tag, i)
+
+
+def reachable(a: Nfa, start: Iterable) -> frozenset:
+    moves = a.moves_from()
+    return frozenset(closure(start, lambda q: (p for _, p in moves.get(q, ()))))
 
 
 def nfa_empty(a: Nfa) -> bool:
@@ -159,16 +179,9 @@ def trim(a: Nfa) -> Nfa:
     fwd = reachable(a, a.initial)
     back: dict = {}
     for q, _, p in a.transitions:
-        back.setdefault(p, set()).add(q)
-    seen = set(a.accepting & fwd)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for p in back.get(q, set()):
-            if p in fwd and p not in seen:
-                seen.add(p)
-                stack.append(p)
-    keep = frozenset(seen)
+        if q in fwd:
+            back.setdefault(p, set()).add(q)
+    keep = frozenset(closure(a.accepting & fwd, lambda q: back.get(q, ())))
     return Nfa(a.symbols,
                keep or {"__dead__"},
                a.initial & keep,
@@ -191,9 +204,7 @@ def pad_suffix(a: Nfa) -> Nfa:
     """Close a base-alphabet NFA under trailing pads: the language times ``#*``."""
     if a.is_track:
         raise ValueError("pad_suffix expects a base-alphabet automaton")
-    pad_state = ("pad", 0)
-    while pad_state in a.states:
-        pad_state = ("pad", pad_state[1] + 1)
+    pad_state = fresh_state(a.states, "pad")
     transitions = set(a.transitions)
     for q in a.accepting:
         transitions.add((q, PAD, pad_state))
@@ -239,9 +250,7 @@ def pad_closure(a: Nfa) -> Nfa:
     if not a.is_track:
         raise ValueError("pad_closure expects a track automaton")
     all_pad = TrackLetter(a.vars, (PAD,) * len(a.vars))
-    pad_state = ("pad", 0)
-    while pad_state in a.states:
-        pad_state = ("pad", pad_state[1] + 1)
+    pad_state = fresh_state(a.states, "pad")
     transitions = set(a.transitions)
     for q in a.accepting:
         transitions.add((q, all_pad, pad_state))
@@ -259,18 +268,11 @@ def absorb_pad(a: Nfa) -> Nfa:
     """
     if not a.is_track:
         raise ValueError("absorb_pad expects a track automaton")
-    accepting = set(a.accepting)
-    pad_moves: dict = {}
+    pad_sources: dict = {}
     for q, letter, p in a.transitions:
         if letter.is_all_pad():
-            pad_moves.setdefault(q, set()).add(p)
-    changed = True
-    while changed:
-        changed = False
-        for q, targets in pad_moves.items():
-            if q not in accepting and targets & accepting:
-                accepting.add(q)
-                changed = True
+            pad_sources.setdefault(p, set()).add(q)
+    accepting = closure(a.accepting, lambda p: pad_sources.get(p, ()))
     return Nfa(a.symbols, a.states, a.initial, accepting, a.transitions, a.vars)
 
 
@@ -291,32 +293,24 @@ def track_product(parts: Sequence[Nfa]) -> Nfa:
     joint_vars = tuple(seen_vars)
     symbols = frozenset().union(*(p.symbols for p in parts))
 
-    initial = {tuple(combo) for combo in _combos([p.initial for p in parts])}
     moves = [p.moves_from() for p in parts]
 
-    states = set(initial)
-    transitions = set()
-    stack = list(initial)
-    while stack:
-        joint = stack.pop()
-        options = []
-        for i, part in enumerate(parts):
-            options.append(moves[i].get(joint[i], []))
+    def step(joint):
+        options = [moves[i].get(q, []) for i, q in enumerate(joint)]
         for combo in _combos(options):
-            letter = TrackLetter(
-                joint_vars,
-                tuple(s for (l, _) in combo for s in l.symbols),
-            )
-            target = tuple(p for (_, p) in combo)
-            transitions.add((joint, letter, target))
-            if target not in states:
-                states.add(target)
-                stack.append(target)
-    accepting = {
-        joint for joint in states
-        if all(joint[i] in parts[i].accepting for i in range(len(parts)))
-    }
+            yield (TrackLetter(joint_vars, tuple(s for l, _ in combo for s in l.symbols)),
+                   tuple(p for _, p in combo))
+
+    initial = _combos([p.initial for p in parts])
+    states, transitions = explore(initial, step)
+    accepting = _all_accepting(states, parts)
     return Nfa(symbols, states, initial, accepting, transitions, joint_vars)
+
+
+def _all_accepting(states, parts: Sequence[Nfa]) -> set:
+    """The product states whose every component accepts in its operand."""
+    return {joint for joint in states
+            if all(q in part.accepting for q, part in zip(joint, parts))}
 
 
 def _combos(option_lists):
@@ -345,29 +339,21 @@ def compose_sync(*parts: Nfa, track_vars: Sequence[str]) -> Nfa:
     joint_vars = tuple(track_vars)
     symbols = frozenset().union(*(p.symbols for p in parts))
     moves = [p.moves_from() for p in parts]
-    initial = {tuple(c) for c in _combos([p.initial for p in parts])}
-    states = set(initial)
-    transitions = set()
-    stack = list(initial)
-    while stack:
-        joint = stack.pop()
+
+    def step(joint):
         by_letter: dict = {}
-        for i in range(len(parts)):
-            for letter, p in moves[i].get(joint[i], []):
+        for i, q in enumerate(joint):
+            for letter, p in moves[i].get(q, []):
                 by_letter.setdefault(letter, [set() for _ in parts])[i].add(p)
         for letter, targets in by_letter.items():
-            if any(not t for t in targets):
-                continue
-            for combo in _combos(targets):
+            if all(targets):
                 joint_letter = TrackLetter(joint_vars, (letter,) * len(parts))
-                transitions.add((joint, joint_letter, combo))
-                if combo not in states:
-                    states.add(combo)
-                    stack.append(combo)
-    accepting = {
-        joint for joint in states
-        if all(joint[i] in parts[i].accepting for i in range(len(parts)))
-    }
+                for combo in _combos(targets):
+                    yield joint_letter, combo
+
+    initial = _combos([p.initial for p in parts])
+    states, transitions = explore(initial, step)
+    accepting = _all_accepting(states, parts)
     return Nfa(symbols, states, initial, accepting, transitions, joint_vars)
 
 
@@ -395,45 +381,34 @@ def intersect(a1: Nfa, a2: Nfa) -> Nfa:
     """Product on equal letters."""
     if a1.vars != a2.vars:
         raise ValueError("intersection operands must share the variable set")
-    moves2: dict = {}
-    for q, l, p in a2.transitions:
-        moves2.setdefault((q, l), set()).add(p)
-    initial = {(q, p) for q in a1.initial for p in a2.initial}
-    states = set(initial)
-    transitions = set()
-    stack = list(initial)
     moves1 = a1.moves_from()
-    while stack:
-        (q, p) = stack.pop()
+    moves2 = a2.adjacency()
+
+    def step(state):
+        q, p = state
         for letter, q2 in moves1.get(q, []):
-            for p2 in moves2.get((p, letter), set()):
-                transitions.add(((q, p), letter, (q2, p2)))
-                if (q2, p2) not in states:
-                    states.add((q2, p2))
-                    stack.append((q2, p2))
-    accepting = {(q, p) for (q, p) in states
-                 if q in a1.accepting and p in a2.accepting}
+            for p2 in moves2.get((p, letter), ()):
+                yield letter, (q2, p2)
+
+    initial = {(q, p) for q in a1.initial for p in a2.initial}
+    states, transitions = explore(initial, step)
+    accepting = _all_accepting(states, (a1, a2))
     return Nfa(a1.symbols | a2.symbols, states, initial, accepting, transitions,
                a1.vars)
 
 
 def determinize(a: Nfa) -> Dfa:
     """Subset construction over the letters that actually occur in ``a``."""
-    letters = sorted(a.letters(), key=repr)
-    start = frozenset(a.initial)
-    states = {start}
-    transitions = set()
-    stack = [start]
-    while stack:
-        cur = stack.pop()
+    letters = a.letters()
+
+    def step(subset):
         for letter in letters:
-            nxt = a.step(cur, letter)
-            if not nxt:
-                continue
-            transitions.add((cur, letter, nxt))
-            if nxt not in states:
-                states.add(nxt)
-                stack.append(nxt)
+            nxt = a.step(subset, letter)
+            if nxt:
+                yield letter, nxt
+
+    start = frozenset(a.initial)
+    states, transitions = explore({start}, step)
     accepting = {s for s in states if s & a.accepting}
     return Dfa(a.symbols, states, start, accepting, transitions, a.vars)
 
@@ -442,9 +417,7 @@ def totalize(d: Dfa, letters: Iterable | None = None) -> Dfa:
     """Add a non-accepting sink so every (state, letter) has a move."""
     alphabet = sorted(set(letters) if letters is not None else
                       (d.symbols if not d.is_track else d.letters()), key=repr)
-    sink = ("sink", 0)
-    while sink in d.states:
-        sink = ("sink", sink[1] + 1)
+    sink = fresh_state(d.states, "sink")
     transitions = set(d.transitions)
     defined = {(q, l) for q, l, _ in d.transitions}
     states = d.states | {sink}
@@ -497,19 +470,7 @@ def elim_pad(a: Nfa) -> Nfa:
     for q, l, p in a.transitions:
         if l == PAD:
             eps.setdefault(q, set()).add(p)
-
-    def closure(qs: frozenset) -> frozenset:
-        seen = set(qs)
-        stack = list(qs)
-        while stack:
-            q = stack.pop()
-            for p in eps.get(q, set()):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return frozenset(seen)
-
-    closures = {q: closure(frozenset({q})) for q in a.states}
+    closures = {q: closure({q}, lambda r: eps.get(r, ())) for q in a.states}
     transitions = set()
     for q in a.states:
         for mid in closures[q]:

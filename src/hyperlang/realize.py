@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, complement, compose_free, compose_sync,
-                  determinize, elim_pad, intersect, pad_closure, pad_suffix,
-                  project, rename_vars, to_base, trim, union_all, with_var,
-                  word_automaton)
+                  determinize, elim_pad, explore, fresh_state, intersect,
+                  pad_closure, pad_suffix, project, rename_vars, to_base, trim,
+                  union_all, with_var, word_automaton)
 from .nfh import Nfh, accepted_assignments
 
 
@@ -112,13 +112,9 @@ def _successor_product(relation: Nfa, shared: str, y_names: tuple[str, ...]) -> 
         moves.setdefault(q, []).append((letter["x"], letter["y"], p))
 
     joint_vars = (shared,) + y_names
-    initial = {(combo, frozenset())
-               for combo in itertools.product(closed.initial, repeat=i)}
-    states = set(initial)
-    transitions = set()
-    stack = list(initial)
-    while stack:
-        (copies, seen) = stack.pop()
+
+    def step(state):
+        copies, seen = state
         per_copy: list[dict] = []
         for q in copies:
             by_x: dict = {}
@@ -135,12 +131,11 @@ def _successor_product(relation: Nfa, shared: str, y_names: tuple[str, ...]) -> 
                 new_seen = seen | {frozenset({j1, j2})
                                    for j1 in range(i) for j2 in range(j1 + 1, i)
                                    if y_syms[j1] != y_syms[j2]}
-                letter = TrackLetter(joint_vars, (x_sym,) + y_syms)
-                target = (targets, new_seen)
-                transitions.add((((copies, seen)), letter, target))
-                if target not in states:
-                    states.add(target)
-                    stack.append(target)
+                yield TrackLetter(joint_vars, (x_sym,) + y_syms), (targets, new_seen)
+
+    initial = {(combo, frozenset())
+               for combo in itertools.product(closed.initial, repeat=i)}
+    states, transitions = explore(initial, step)
     accepting = {
         (copies, seen) for (copies, seen) in states
         if seen == all_pairs and all(q in closed.accepting for q in copies)
@@ -176,23 +171,17 @@ def successors_exact(relation: Nfa, i: int, det_cap: int = 64) -> Nfa:
 
 def _constrain_track(a: Nfa, var: str, base: Nfa) -> Nfa:
     """Product of a track automaton with a base automaton run on one track."""
-    moves_base: dict = {}
-    for q, s, p in base.transitions:
-        moves_base.setdefault((q, s), set()).add(p)
-    initial = {(q, b) for q in a.initial for b in base.initial}
-    states = set(initial)
-    transitions = set()
-    stack = list(initial)
     moves_a = a.moves_from()
-    while stack:
-        (q, b) = stack.pop()
+    moves_base = base.adjacency()
+
+    def step(state):
+        q, b = state
         for letter, q2 in moves_a.get(q, []):
-            for b2 in moves_base.get((b, letter[var]), set()):
-                target = (q2, b2)
-                transitions.add(((q, b), letter, target))
-                if target not in states:
-                    states.add(target)
-                    stack.append(target)
+            for b2 in moves_base.get((b, letter[var]), ()):
+                yield letter, (q2, b2)
+
+    initial = {(q, b) for q in a.initial for b in base.initial}
+    states, transitions = explore(initial, step)
     accepting = {(q, b) for (q, b) in states
                  if q in a.accepting and b in base.accepting}
     return trim(Nfa(a.symbols | base.symbols, states, initial, accepting,
@@ -246,10 +235,13 @@ def _check_prefix_closed(a: Dfa) -> Dfa:
     t = trim(a)
     if not t.accepting:
         raise NotPrefixClosed("the language is empty")
-    for q, _, p in t.transitions:
-        if p in t.accepting and q not in t.accepting:
-            raise NotPrefixClosed(
-                f"accepting state {p!r} is reachable from non-accepting {q!r}")
+    violations = [(q, p) for q, _, p in t.transitions
+                  if p in t.accepting and q not in t.accepting]
+    if violations:
+        # the least one, so the message does not depend on set order
+        q, p = min(violations, key=repr)
+        raise NotPrefixClosed(
+            f"accepting state {p!r} is reachable from non-accepting {q!r}")
     if not (t.initial & t.accepting):
         raise NotPrefixClosed("the empty word is not in the language")
     return t
@@ -265,15 +257,18 @@ def _accepting_extensions(a: Nfa) -> dict:
     return out
 
 
-def prefix_closed_relation(a: Dfa) -> PartialOrderSpec:
-    """Single-letter-extension relation of a prefix-closed regular language."""
+def _prefix_closed_setup(a: Dfa) -> tuple[Dfa, dict, int, tuple]:
+    """What both prefix-closed routes start from: the checked, trimmed DFA,
+    its accepting extensions, the successor bound k and a fresh final state."""
     t = _check_prefix_closed(a)
     extensions = _accepting_extensions(t)
     k = max((len(ls) for ls in extensions.values()), default=1) or 1
+    return t, extensions, k, fresh_state(t.states, "ext")
 
-    final = ("ext", 0)
-    while final in t.states:
-        final = ("ext", final[1] + 1)
+
+def prefix_closed_relation(a: Dfa) -> PartialOrderSpec:
+    """Single-letter-extension relation of a prefix-closed regular language."""
+    t, extensions, k, final = _prefix_closed_setup(a)
     transitions = set()
     for q, s, p in t.transitions:
         transitions.add((q, TrackLetter(("x", "y"), (s, s)), p))
@@ -295,15 +290,9 @@ def realize_prefix_closed_fast(a: Dfa) -> Nfh:
     finishes with a single letter that hands each y one extension letter (or
     pad, where fewer extensions exist).
     """
-    t = _check_prefix_closed(a)
-    extensions = _accepting_extensions(t)
-    k = max((len(ls) for ls in extensions.values()), default=1) or 1
+    t, extensions, k, final = _prefix_closed_setup(a)
     y_names = tuple(f"y{i + 1}" for i in range(k))
     joint_vars = ("z",) + y_names
-
-    final = ("ext", 0)
-    while final in t.states:
-        final = ("ext", final[1] + 1)
     transitions = set()
     for q, s, p in t.transitions:
         transitions.add((q, TrackLetter(joint_vars, (s,) * (k + 1)), p))
@@ -363,57 +352,38 @@ def _pump_component(a: Dfa, p, cycle: Word) -> Nfa:
     the buffer.  Since the DFA is deterministic, the y-run's acceptance is
     implied by the x-run's.
     """
-    moves = {}
-    for q, s, r in a.transitions:
-        moves.setdefault(q, []).append((s, r))
+    moves = a.moves_from()
     n = len(cycle)
     letter = lambda x_sym, y_sym: TrackLetter(("x", "y"), (x_sym, y_sym))
 
-    def phase2_steps(state):
-        """Transitions out of a pump-phase state (x_state|None, j, buffer)."""
-        x_state, j, buffer = state
-        steps = []
+    def pump_steps(x_state, j, buffer):
+        """Moves out of a pump-phase state (x_state|None, j, buffer): y reads
+        the cycle's j-th letter while j < n, then drains the buffer."""
         if j < n:
-            y_sym = cycle[j]
-            if x_state is not None:
-                for s, r in moves.get(x_state, []):
-                    steps.append((letter(s, y_sym), ("pump", r, j + 1, buffer + (s,))))
-                if x_state in a.accepting:
-                    steps.append((letter(PAD, y_sym), ("pump", None, j + 1, buffer)))
-            else:
-                steps.append((letter(PAD, y_sym), ("pump", None, j + 1, buffer)))
+            y_sym, j, rest = cycle[j], j + 1, buffer
         elif buffer:
-            y_sym = buffer[0]
-            if x_state is not None:
-                for s, r in moves.get(x_state, []):
-                    steps.append((letter(s, y_sym), ("pump", r, j, buffer[1:] + (s,))))
-                if x_state in a.accepting:
-                    steps.append((letter(PAD, y_sym), ("pump", None, j, buffer[1:])))
-            else:
-                steps.append((letter(PAD, y_sym), ("pump", None, j, buffer[1:])))
-        return steps
+            y_sym, rest = buffer[0], buffer[1:]
+        else:
+            return
+        if x_state is not None:
+            for s, r in moves.get(x_state, []):
+                yield letter(s, y_sym), ("pump", r, j, rest + (s,))
+        if x_state is None or x_state in a.accepting:
+            yield letter(PAD, y_sym), ("pump", None, j, rest)
 
-    initial = ("walk", a.start, frozenset({a.start}))
-    states = {initial}
-    transitions = set()
-    stack = [initial]
-    while stack:
-        state = stack.pop()
-        steps = []
-        if state[0] == "walk":
+    def step(state):
+        if state[0] == "pump":
+            yield from pump_steps(*state[1:])
+        else:
             _, q, visited = state
             for s, r in moves.get(q, []):
                 if r not in visited:
-                    steps.append((letter(s, s), ("walk", r, visited | {r})))
+                    yield letter(s, s), ("walk", r, visited | {r})
             if q == p:
-                steps.extend(phase2_steps((q, 0, ())))
-        else:
-            steps = phase2_steps(state[1:])
-        for l, target in steps:
-            transitions.add((state, l, target))
-            if target not in states:
-                states.add(target)
-                stack.append(target)
+                yield from pump_steps(q, 0, ())
+
+    initial = ("walk", a.start, frozenset({a.start}))
+    states, transitions = explore({initial}, step)
     accepting = {s for s in states
                  if s[0] == "pump" and s[1] is None and s[2] == n and not s[3]}
     return trim(Nfa(a.symbols | {PAD}, states, {initial}, accepting, transitions,

@@ -144,6 +144,39 @@ def test_realize_prefix_closed_routes(files, capsys):
         assert capsys.readouterr().out.strip() == "{eps,a,ab}"
 
 
+NOT_PREFIX_CLOSED_DFA = """\
+type: dfa
+alphabet: a b
+states: s0 s1 s2 s3
+initial: s0
+accepting: s1 s3
+trans: s0 a s3
+trans: s0 b s1
+trans: s1 a s0
+trans: s1 b s3
+trans: s2 b s2
+trans: s3 a s1
+"""
+
+
+def test_not_prefix_closed_message_is_seed_independent(files):
+    """Two violating transitions: the message names the same one under any
+    hash seed."""
+    write, tmp = files
+    dfa = write("d.dfa", NOT_PREFIX_CLOSED_DFA)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlang.__file__)))
+    outcomes = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-m", "hyperlang.cli", "realize",
+                               "prefix-closed", dfa, "-o", str(tmp / "out.nfh")],
+                              capture_output=True, text=True, env=env)
+        outcomes.append((done.returncode, done.stderr))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 64
+    assert "reachable from non-accepting 's0'" in outcomes[0][1]
+
+
 def test_realize_regular(files, capsys):
     write, tmp = files
     dfa = write("d.dfa", """\

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from hyperlang.core import HWord, as_word, hword_from_tracks, pad_to_sync, strip_hash
+from hyperlang.core import (PAD, HWord, as_word, hword_from_tracks, pad_to_sync,
+                            strip_hash)
 from hyperlang.errors import UnknownLetter, VarClash
 from hyperlang.nfa import (Dfa, Nfa, complement, compose_free, compose_sync,
                            determinize, intersect, nfa_empty, nfa_language,
-                           nfa_member, pad_anywhere, pad_suffix, project,
-                           rename_vars, totalize, trim, union, with_var,
-                           word_automaton)
+                           nfa_member, pad_anywhere, pad_closure, pad_suffix,
+                           project, rename_vars, totalize, track_product, trim,
+                           union, with_var, word_automaton)
 
 
 def base_words(a, max_len):
@@ -154,11 +155,33 @@ def _random_nfa(rng, symbols="ab", max_states=4):
     return Nfa(set(symbols), states, {states[0]}, accepting, delta)
 
 
+def _padded_pairs(words1, words2, max_len):
+    """Each pair of words, padded with ``#`` to every common length up to
+    ``max_len``, as a tuple of per-position symbol pairs."""
+    return {tuple(zip(w1 + (PAD,) * (n - len(w1)), w2 + (PAD,) * (n - len(w2))))
+            for w1 in words1 for w2 in words2
+            for n in range(max(len(w1), len(w2)), max_len + 1)}
+
+
 def test_determinize_preserves_language():
+    """Differential check of the constructions built on ``explore``, on
+    random NFAs and words up to length 4: determinize keeps the language,
+    intersect and compose_sync accept the common words, and the product of
+    pad-closed one-track copies accepts exactly the padded pairs."""
     rng = random.Random(11)
+    other = random.Random(13)
     for _ in range(20):
-        a = _random_nfa(rng)
+        a, b = _random_nfa(rng), _random_nfa(other)
+        words_a, words_b = nfa_language(a, 4), nfa_language(b, 4)
         assert base_words(a, 4) == base_words(determinize(a), 4)
+        assert nfa_language(intersect(a, b), 4) == words_a & words_b
+        sync = compose_sync(a, b, track_vars=("x", "y"))
+        assert ({tuple(l.symbols for l in h) for h in nfa_language(sync, 4)}
+                == {tuple((s, s) for s in w) for w in words_a & words_b})
+        product = track_product([pad_closure(with_var(a, "x")),
+                                 pad_closure(with_var(b, "y"))])
+        assert ({tuple(l.symbols for l in h) for h in nfa_language(product, 4)}
+                == _padded_pairs(words_a, words_b, 4))
 
 
 def test_complement_is_exact_complement():
