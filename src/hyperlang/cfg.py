@@ -72,14 +72,9 @@ def _productive(rules: Iterable[tuple], variables) -> set[str]:
     return productive
 
 
-def productive_variables(g: Cfg) -> frozenset[str]:
-    """Least fixpoint of variables that derive some terminal word."""
-    return frozenset(_productive(g.rules, g.variables))
-
-
 def cfg_empty(g: Cfg) -> bool:
     """True iff the grammar derives no terminal word."""
-    return g.start not in productive_variables(g)
+    return g.start not in _productive(g.rules, g.variables)
 
 
 def _reachable(start: str, rules: Iterable[tuple], variables) -> set[str]:
@@ -89,27 +84,15 @@ def _reachable(start: str, rules: Iterable[tuple], variables) -> set[str]:
     return closure({start}, lambda v: succ.get(v, ()))
 
 
-def _nullable_variables(g: Cfg) -> frozenset[str]:
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v, body in g.rules:
-            if v in nullable:
-                continue
-            if all(t in nullable for t in body):
-                nullable.add(v)
-                changed = True
-    return frozenset(nullable)
-
-
 def cleanup(g: Cfg) -> Cfg:
     """Normalize: eliminate inner ε-rules, drop useless variables.
 
     The result keeps at most one ε-rule, on a start symbol that never occurs
     on a right-hand side.  The language is unchanged.
     """
-    nullable = _nullable_variables(g)
+    # the nullable variables: those that derive ε through variable-only bodies
+    nullable = _productive([(v, body) for v, body in g.rules
+                            if all(t in g.variables for t in body)], g.variables)
 
     # Expand each body over the nullable subsets of its variables; with no
     # nullable variable there is no ε-rule and every body stays as it is.

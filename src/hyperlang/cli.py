@@ -119,6 +119,9 @@ def _write(path: str, text: str):
 
 
 def _as_dfa(a) -> Dfa:
+    if a.is_track:
+        raise _UsageError("expected an automaton over the base alphabet "
+                          "(no 'vars:' line)")
     if isinstance(a, Dfa):
         return a
     return determinize(trim(a))
@@ -182,7 +185,11 @@ def _run_realize(args, report: _Report):
     elif args.verb == "ordered":
         word = "" if args.first_word == "eps" else args.first_word
         successor = parse_nfa(_read(args.successor_file))
-        n = realize_ordered(OrderedLanguageSpec(tuple(word), successor))
+        try:
+            spec = OrderedLanguageSpec(tuple(word), successor)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+        n = realize_ordered(spec)
     elif args.verb == "prefix-closed":
         dfa = _as_dfa(parse_nfa(_read(args.dfa_file)))
         if args.route == "fast":

@@ -71,7 +71,6 @@ def parse_nfa(text: str) -> Nfa:
     initial: list[str] = []
     accepting: list[str] = []
     transitions = []
-    extra: dict[str, str] = {}
     for key, value in fields:
         if key == "type":
             kind = value
@@ -91,7 +90,7 @@ def parse_nfa(text: str) -> Nfa:
                 raise ParseError(f"bad transition line {value!r}")
             transitions.append(tuple(parts))
         else:
-            extra[key] = value
+            raise ParseError(f"unknown automaton field {key!r}")
     if kind not in ("nfa", "dfa"):
         raise ParseError(f"missing or bad 'type:' line (got {kind!r})")
     if not alphabet:
@@ -115,8 +114,8 @@ def parse_nfa(text: str) -> Nfa:
 
 
 def render_nfa(a: Nfa) -> str:
-    a = canonical(a)
     kind = "dfa" if isinstance(a, Dfa) else "nfa"
+    a = canonical(a)
     lines = [f"type: {kind}",
              "alphabet: " + " ".join(sorted(s for s in a.symbols if s != PAD))]
     if a.is_track:
@@ -130,13 +129,9 @@ def render_nfa(a: Nfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _state_key(q):
-    if isinstance(q, str):
-        m = re.match(r"^q(\d+)$", q)
-        if m:
-            return (0, int(m.group(1)), q)
-        return (1, 0, q)
-    return (2, 0, repr(q))
+def _state_key(q: str) -> int:
+    """The index of a canonical state name ``q<i>``."""
+    return int(q[1:])
 
 
 def parse_nfh(text: str) -> Nfh:

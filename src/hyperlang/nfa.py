@@ -500,7 +500,7 @@ def nfa_language(a: Nfa, max_len: int) -> set:
             for q in stateset:
                 for letter, p in moves.get(q, []):
                     by_letter.setdefault(letter, set()).add(p)
-            for letter, targets in sorted(by_letter.items(), key=lambda kv: repr(kv[0])):
+            for letter, targets in by_letter.items():
                 word = prefix + (letter,)
                 targets = frozenset(targets)
                 if targets & a.accepting:

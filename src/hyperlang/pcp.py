@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfg import Cfg
-from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
+from .core import QuantifierPrefix, TrackLetter, Word, as_word, pad_to_sync
 from .cfhg import Cfhg
 
 
@@ -46,12 +46,6 @@ class PcpInstance:
         return bool(indices) and top == bottom
 
 
-def _zip_letters(vars: tuple[str, ...], *tracks: Word) -> tuple[TrackLetter, ...]:
-    n = max(len(t) for t in tracks)
-    padded = [t + (PAD,) * (n - len(t)) for t in tracks]
-    return tuple(TrackLetter(vars, tuple(t[i] for t in padded)) for i in range(n))
-
-
 def pcp_encode_forall(instance: PcpInstance) -> Cfhg:
     """∀∀-CFHG whose members are sets of solution words of the instance.
 
@@ -62,7 +56,7 @@ def pcp_encode_forall(instance: PcpInstance) -> Cfhg:
     vars = ("x1", "x2")
     rules = set()
     for a, b in instance.tiles:
-        chunk = _zip_letters(vars, a, b)
+        chunk = pad_to_sync({"x1": a, "x2": b}, vars).letters
         rules.add(("V0", chunk + ("V0",)))
         rules.add(("V0", chunk))
     grammar = Cfg({"V0"}, "V0", rules)
@@ -86,11 +80,13 @@ def pcp_encode_exists_forall(instance: PcpInstance) -> Cfhg:
     rules.add(("V0", ("V2",)))
     for i, (a, b) in enumerate(instance.tiles):
         idx = index_symbols[i]
-        a_chunk = _zip_letters(vars, a, ("c",) * len(a), a)
+        a_chunk = pad_to_sync({"x1": a, "x2": ("c",) * len(a), "x3": a},
+                              vars).letters
         a_idx = (TrackLetter(vars, (idx, "c", idx)),)
         rules.add(("V1", a_chunk + ("V1",) + a_idx))
         rules.add(("V1", a_chunk + a_idx))
-        b_chunk = _zip_letters(vars, b, ("c",) * len(b), ("c",) * len(b))
+        cs = ("c",) * len(b)
+        b_chunk = pad_to_sync({"x1": b, "x2": cs, "x3": cs}, vars).letters
         b_idx = (TrackLetter(vars, (idx, "c", "c")),)
         rules.add(("V2", b_chunk + ("V2",) + b_idx))
         rules.add(("V2", b_chunk + b_idx))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TrackLetter
+from .core import TrackLetter, closure
 from .cfg import Cfg
 
 
@@ -33,89 +33,17 @@ class RuleGraph:
     right_edges: frozenset
 
 
-def _coded_rule_graph(g: Cfg):
-    """The rule graph over integer vertex ids: (vertices, left successors,
-    right successors), where ``vertices[i]`` is vertex i and each successor
-    list holds ids.  Edges: variable → its bodies; a body → its boundary
-    variable."""
-    vertices: list = sorted(g.variables)
-    ids: dict = {v: i for i, v in enumerate(vertices)}
-    left: list[list[int]] = [[] for _ in vertices]
-    right: list[list[int]] = [[] for _ in vertices]
-    for v, body in g.rules:
-        if not body:
-            continue
-        b = ids.get(body)
-        if b is None:
-            b = ids[body] = len(vertices)
-            vertices.append(body)
-            left.append([ids[body[0]]] if body[0] in g.variables else [])
-            right.append([ids[body[-1]]] if body[-1] in g.variables else [])
-        left[ids[v]].append(b)
-        right[ids[v]].append(b)
-    return vertices, left, right
-
-
 def build_rule_graph(g: Cfg) -> RuleGraph:
     """Edges: variable → its bodies; a body pointing back to its boundary variable."""
-    vertices, left, right = _coded_rule_graph(g)
+    rules = [(v, body) for v, body in g.rules if body]
+    bodies = {body for _, body in rules}
 
-    def edges(succ):
-        return frozenset((vertices[a], vertices[b])
-                         for a, targets in enumerate(succ) for b in targets)
+    def edges(end):
+        return frozenset(rules) | {(body, body[end]) for body in bodies
+                                   if g.is_variable(body[end])}
 
-    return RuleGraph(tuple(sorted(vertices, key=repr)), edges(left), edges(right))
-
-
-def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over vertices 0..n-1; components are emitted
-    sinks-first (reverse topological)."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(component)
-    return sccs
+    return RuleGraph(tuple(sorted(g.variables | bodies, key=repr)),
+                     edges(0), edges(-1))
 
 
 @dataclass(frozen=True)
@@ -132,50 +60,65 @@ class RankTable:
         return self.right[token] if g.is_variable(token) else letter_pads(token)
 
 
-def _compute_side(g: Cfg, vertices: list, succ: list[list[int]], side: str) -> dict:
-    """One rank map (L or R).  ``side`` picks the boundary token and the
-    combination operator: intersection for L, union for R.
+def _variable_ranks(g: Cfg, end: int) -> dict:
+    """The rank of every variable on one side: ``end`` is 0 for L, -1 for R.
+
+    rank(V) combines the ranks of the boundary symbols of V's non-empty
+    bodies, a letter's rank being its pad set.  Across alternatives the left
+    rank is a guarantee (every derivation pads these tracks), so alternatives
+    intersect, starting from all tracks; the right rank is a possibility, so
+    alternatives accumulate, starting from ∅.  A variable that reaches no
+    letter along boundaries (no rule, only ε rules, a letterless cycle) keeps
+    ∅.  A worklist (Kildall, 1973) recomputes a variable only when one of its
+    boundary variables changed, and a rank changes at most |tracks| + 1 times.
     """
-    combine = frozenset.intersection if side == "L" else frozenset.union
-    sccs = _tarjan_sccs(succ)
-    comp_of = [0] * len(vertices)
-    for i, component in enumerate(sccs):
-        for u in component:
-            comp_of[u] = i
-    rank: list = [None] * len(vertices)
-    # the combined rank of each finished component, as seen from outside it
-    seen_as: list[frozenset] = []
-    for my_comp, component in enumerate(sccs):
-        # Terminal-boundary members take the pad set of their boundary letter.
-        pending = []
-        for u in component:
-            vertex = vertices[u]
-            if isinstance(vertex, tuple):
-                boundary = vertex[0] if side == "L" else vertex[-1]
-                if not g.is_variable(boundary):
-                    rank[u] = letter_pads(boundary)
-                    continue
-            pending.append(u)
-        if pending:
-            targets = {comp_of[w] for u in component for w in succ[u]} - {my_comp}
-            # Across alternatives the left rank is a guarantee (every
-            # derivation pads these tracks), so alternatives intersect; the
-            # right rank is a possibility, so alternatives accumulate.
-            flowed = (combine(*(seen_as[t] for t in targets)) if targets
-                      else frozenset())
-            closed = combine(flowed, *(rank[u] for u in component
-                                       if rank[u] is not None))
-            for u in pending:
-                rank[u] = closed
-        seen_as.append(combine(*(rank[u] for u in component)))
-    return {vertices[u]: r for u, r in enumerate(rank)}
+    combine = frozenset.intersection if end == 0 else frozenset.union
+    letters: dict = {v: [] for v in g.variables}  # V -> its boundary letters' pads
+    inner: dict = {v: [] for v in g.variables}    # V -> its boundary variables
+    bounded_by: dict = {}  # W -> the variables with a body bounded by W
+    for v, body in g.rules:
+        if body:
+            token = body[end]
+            if g.is_variable(token):
+                inner[v].append(token)
+                bounded_by.setdefault(token, []).append(v)
+            else:
+                letters[v].append(letter_pads(token))
+    live = closure([v for v in g.variables if letters[v]],
+                   lambda w: bounded_by.get(w, ()))
+    # every padded track: as high as a live left rank can be
+    start = (frozenset().union(*(p for pads in letters.values() for p in pads))
+             if end == 0 else frozenset())
+    rank = dict.fromkeys(g.variables, frozenset())
+    for v in live:
+        rank[v] = combine(start, *letters[v])
+    queued = live
+    work = list(queued)
+    while work:
+        v = work.pop()
+        queued.discard(v)
+        new = combine(rank[v], *(rank[w] for w in inner[v]))
+        if new != rank[v]:
+            rank[v] = new
+            for u in bounded_by.get(v, ()):
+                if u not in queued:
+                    queued.add(u)
+                    work.append(u)
+    return rank
 
 
 def compute_ranks(g: Cfg) -> RankTable:
-    """Left and right ranks of every variable and right-hand side."""
-    vertices, left, right = _coded_rule_graph(g)
-    return RankTable(_compute_side(g, vertices, left, "L"),
-                     _compute_side(g, vertices, right, "R"))
+    """Left and right ranks of every variable and right-hand side; a body's
+    rank is the rank of its boundary symbol."""
+    sides = []
+    for end in (0, -1):
+        rank = _variable_ranks(g, end)
+        for _, body in g.rules:
+            if body:
+                token = body[end]
+                rank[body] = rank[token] if g.is_variable(token) else letter_pads(token)
+        sides.append(rank)
+    return RankTable(*sides)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,33 @@ trans: s1 b s2
     assert capsys.readouterr().out.strip() == "{ab}"
 
 
+TWO_TRACK_NFA = """\
+type: nfa
+alphabet: a b
+vars: x y
+states: q0 q1
+initial: q0
+accepting: q1
+trans: q0 [x=a,y=b] q1
+"""
+
+
+def test_realize_rejects_the_wrong_automaton_kind(files, capsys):
+    write, tmp = files
+    out = str(tmp / "out.nfh")
+    tracks = write("t.nfa", TWO_TRACK_NFA)
+    one_track = write("one.nfa", EXISTS_A_NFH.replace("quantifiers: E x\n", ""))
+    for argv, expected in (
+            (["realize", "regular", tracks], "automaton over the base alphabet"),
+            (["realize", "prefix-closed", tracks],
+             "automaton over the base alphabet"),
+            (["realize", "ordered", "a", one_track], "over variables (x, y)")):
+        assert run(argv + ["-o", out]) == 64, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and expected in err, (argv, err)
+    assert not (tmp / "out.nfh").exists()
+
+
 def test_cfhg_empty_true_path(files, capsys):
     write, _ = files
     assert run(["cfhg", "empty", write("g.cfhg", ROBOT)]) == 1
@@ -311,11 +338,15 @@ def test_rank_violations_golden(files, capsys):
 
 
 def test_usage_and_parse_errors(files, capsys):
-    write, _ = files
+    write, tmp = files
     assert run(["bogus"]) == 64
     assert run(["nfh", "member", "no-such-file", "also-missing"]) == 64
     bad = write("bad.nfh", "quantifiers: A x\ntype: nfa\n")
     assert run(["nfh", "probe", bad, "--max-len", "1"]) == 65
+    typo = write("typo.dfa", PREFIX_CLOSED_DFA.replace("accepting:", "acepting:"))
+    capsys.readouterr()
+    assert run(["realize", "regular", typo, "-o", str(tmp / "o.nfh")]) == 65
+    assert "unknown automaton field 'acepting'" in capsys.readouterr().err
 
 
 def test_deterministic_output(files, capsys):

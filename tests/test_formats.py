@@ -75,6 +75,8 @@ def test_parse_nfa_errors():
     with pytest.raises(ParseError):
         parse_nfa("type: dfa\nalphabet: a\nstates: q0 q1\ninitial: q0 q1\n"
                   "accepting: q0\n")
+    with pytest.raises(ParseError, match="'acepting'"):
+        parse_nfa(NFA_TEXT.replace("accepting:", "acepting:"))
 
 
 def test_nfa_round_trip():
@@ -82,6 +84,9 @@ def test_nfa_round_trip():
     again = parse_nfa(render_nfa(a))
     for w in ("a", "ab", "abb", "b", ""):
         assert nfa_member(a, as_word(w)) == nfa_member(again, as_word(w))
+    d = parse_nfa(NFA_TEXT.replace("type: nfa", "type: dfa"))
+    assert isinstance(d, Dfa)
+    assert isinstance(parse_nfa(render_nfa(d)), Dfa)
 
 
 def test_render_nfa_deterministic():

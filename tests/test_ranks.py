@@ -1,5 +1,7 @@
 """Rule graph, left/right rank computation, and the ranked-grammar check."""
 
+import random
+
 from hyperlang.cfg import Cfg, cleanup, derive_bounded
 from hyperlang.core import hword_from_tracks, is_synchronous, HWord
 from hyperlang.ranks import (build_rule_graph, compute_ranks, is_ranked,
@@ -106,3 +108,92 @@ def test_rank_violation_reports_positions(pumping_grammar):
     assert position == 0
     assert right == frozenset({"x2"})
     assert left == frozenset()
+
+
+def _rank_grammar(rng):
+    """A random grammar with ε bodies, rule-less variables, unit (possibly
+    letterless) cycles, base terminals and track letters over up to three
+    tracks."""
+    tracks = ("x1", "x2", "x3")[:rng.randint(1, 3)]
+    pool = [letter(tracks, *(rng.choice("ab#") for _ in tracks))
+            for _ in range(rng.randint(1, 4))]
+    pool = [t for t in pool if not t.is_all_pad()] + ["c"] * rng.randint(0, 1)
+    variables = [f"V{i}" for i in range(rng.randint(1, 6))]
+    rules = set()
+    for head in variables:
+        if rng.random() < 0.15:
+            continue
+        for _ in range(rng.randint(0, 3)):
+            p_variable = 1.0 if not pool else rng.random()
+            rules.add((head, tuple(rng.choice(variables)
+                                   if rng.random() < p_variable
+                                   else rng.choice(pool)
+                                   for _ in range(rng.randint(0, 3)))))
+    return Cfg(variables, "V0", rules)
+
+
+def _boundaries(g, end):
+    """Each variable's boundary symbols on one side (``end`` 0 or -1)."""
+    return {v: [b[end] for u, b in g.rules if u == v and b] for v in g.variables}
+
+
+def _reach(g, succ, v):
+    """The variables reachable from ``v`` (included) along boundaries."""
+    seen, stack = {v}, [v]
+    while stack:
+        for t in succ[stack.pop()]:
+            if g.is_variable(t) and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _reference_ranks(g):
+    """The ranks by their reachability definition, one search per variable.
+
+    Along one side's boundaries, L(V) intersects the pad sets of the letters
+    reachable from V, and is ∅ when some reachable variable reaches no
+    letter; R(V) is the union of those pad sets.  A body takes the rank of
+    its boundary symbol.
+    """
+    table = []
+    for end, combine in ((0, frozenset.intersection), (-1, frozenset.union)):
+        succ = _boundaries(g, end)
+
+        def letters(v):
+            return [letter_pads(t) for u in _reach(g, succ, v) for t in succ[u]
+                    if not g.is_variable(t)]
+
+        rank = {}
+        for v in g.variables:
+            pads = letters(v)
+            dead = any(not letters(u) for u in _reach(g, succ, v))
+            rank[v] = (frozenset() if not pads or (end == 0 and dead)
+                       else combine(*pads))
+        for _, body in g.rules:
+            if body:
+                t = body[end]
+                rank[body] = rank[t] if g.is_variable(t) else letter_pads(t)
+        table.append(rank)
+    return table
+
+
+def test_ranks_match_their_reachability_definition():
+    rng = random.Random(5)
+    shapes = dict.fromkeys(("eps", "rule-less", "letterless cycle", "base"), 0)
+    for _ in range(300):
+        g = _rank_grammar(rng)
+        left, right = _reference_ranks(g)
+        table = compute_ranks(g)
+        assert table.left == left, sorted(g.rules, key=repr)
+        assert table.right == right, sorted(g.rules, key=repr)
+        succ = _boundaries(g, 0)
+        shapes["eps"] += any(not body for _, body in g.rules)
+        shapes["rule-less"] += any(not any(u == v for u, _ in g.rules)
+                                   for v in g.variables)
+        shapes["letterless cycle"] += any(
+            any(v in _reach(g, succ, w) for w in succ[v] if g.is_variable(w))
+            and all(g.is_variable(t) for u in _reach(g, succ, v) for t in succ[u])
+            for v in g.variables)
+        shapes["base"] += "c" in g.terminals()
+    assert min(shapes.values()) >= 20, shapes
