@@ -124,7 +124,12 @@ def _as_dfa(a) -> Dfa:
                           "(no 'vars:' line)")
     if isinstance(a, Dfa):
         return a
-    return determinize(trim(a))
+    # a subset state is named by its sorted members, which hold no space, so
+    # that nothing printed depends on the hash seed
+    d = determinize(trim(a))
+    name = {q: "{" + " ".join(sorted(q)) + "}" for q in d.states}
+    return Dfa(d.symbols, name.values(), name[d.start], map(name.get, d.accepting),
+               {(name[q], letter, name[p]) for q, letter, p in d.transitions})
 
 
 class _Report:
@@ -253,6 +258,8 @@ _PARSER = _build_parser()
 def run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if any((getattr(args, bound, None) or 0) < 0 for bound in ("max_len", "bounded")):
+            raise _UsageError("a length bound must be at least 0")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -236,6 +236,8 @@ def bounded_universe(symbols: Iterable[str], max_len: int, universe_cap: int,
     """All words of length ≤ ``max_len``, shortest first, in sorted symbol
     order; more than ``universe_cap`` of them raise ``UniverseTooLarge``,
     whose message names the search (``stage``) that asked."""
+    if max_len < 0:
+        raise ValueError(f"the length bound must be at least 0, not {max_len}")
     ordered = sorted(symbols)
     size = sum(len(ordered) ** i for i in range(max_len + 1))
     if size > universe_cap:

@@ -90,17 +90,16 @@ class Nfa:
 class Dfa(Nfa):
     """A deterministic automaton: one initial state, at most one move per letter."""
 
-    __slots__ = ("total",)
+    __slots__ = ()
 
     def __init__(self, symbols, states, initial_state, accepting, transitions,
-                 vars=None, total=False):
+                 vars=None):
         super().__init__(symbols, states, {initial_state}, accepting, transitions, vars)
         seen = set()
         for q, letter, _ in self.transitions:
             if (q, letter) in seen:
                 raise ValueError(f"nondeterministic moves from {q} on {letter}")
             seen.add((q, letter))
-        self.total = total
 
     @property
     def start(self):
@@ -413,10 +412,9 @@ def determinize(a: Nfa) -> Dfa:
     return Dfa(a.symbols, states, start, accepting, transitions, a.vars)
 
 
-def totalize(d: Dfa, letters: Iterable | None = None) -> Dfa:
+def totalize(d: Dfa, letters: Iterable) -> Dfa:
     """Add a non-accepting sink so every (state, letter) has a move."""
-    alphabet = sorted(set(letters) if letters is not None else
-                      (d.symbols if not d.is_track else d.letters()), key=repr)
+    alphabet = sorted(set(letters), key=repr)
     sink = fresh_state(d.states, "sink")
     transitions = set(d.transitions)
     defined = {(q, l) for q, l, _ in d.transitions}
@@ -425,15 +423,14 @@ def totalize(d: Dfa, letters: Iterable | None = None) -> Dfa:
         for letter in alphabet:
             if (q, letter) not in defined:
                 transitions.add((q, letter, sink))
-    return Dfa(d.symbols, states, d.start, d.accepting, transitions, d.vars,
-               total=True)
+    return Dfa(d.symbols, states, d.start, d.accepting, transitions, d.vars)
 
 
-def complement(d: Dfa, letters: Iterable | None = None) -> Dfa:
+def complement(d: Dfa, letters: Iterable) -> Dfa:
     """Exact complement with respect to the given letter set (totalized first)."""
-    t = d if d.total else totalize(d, letters)
+    t = totalize(d, letters)
     return Dfa(t.symbols, t.states, t.start, t.states - t.accepting,
-               t.transitions, t.vars, total=True)
+               t.transitions, t.vars)
 
 
 def project(a: Nfa, drop: str) -> Nfa:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
@@ -98,38 +99,28 @@ def realize_ordered(spec: OrderedLanguageSpec, alphabet=None) -> Nfh:
 
 # --- successor-counting automata -----------------------------------------------
 
-def _successor_product(relation: Nfa, shared: str, y_names: tuple[str, ...]) -> Nfa:
-    """Joint automaton over (shared, y_1..y_i): i relation copies sharing the
-    first track, accepting only when all y-words are pairwise distinct.
+def _successor_product(relation: Nfa, i: int) -> Nfa:
+    """P_i, the joint automaton over (z, y1..yi): i relation copies sharing
+    the z-track, accepting only when all y-words are pairwise distinct.
 
     States are (per-copy states, set of index pairs already seen distinct).
     """
     closed = pad_closure(relation)
-    i = len(y_names)
-    all_pairs = frozenset(frozenset(p) for p in itertools.combinations(range(i), 2))
-    moves: dict = {}
+    pairs = list(itertools.combinations(range(i), 2))
+    all_pairs = frozenset(frozenset(p) for p in pairs)
+    by_x: dict = {}
     for q, letter, p in closed.transitions:
-        moves.setdefault(q, []).append((letter["x"], letter["y"], p))
-
-    joint_vars = (shared,) + y_names
+        by_x.setdefault(q, {}).setdefault(letter["x"], []).append((letter["y"], p))
+    joint_vars = ("z",) + tuple(f"y{j + 1}" for j in range(i))
 
     def step(state):
         copies, seen = state
-        per_copy: list[dict] = []
-        for q in copies:
-            by_x: dict = {}
-            for x_sym, y_sym, p in moves.get(q, []):
-                by_x.setdefault(x_sym, []).append((y_sym, p))
-            per_copy.append(by_x)
-        shared_syms = set(per_copy[0]) if per_copy else set()
-        for by_x in per_copy[1:]:
-            shared_syms &= set(by_x)
-        for x_sym in shared_syms:
-            for combo in itertools.product(*(by_x[x_sym] for by_x in per_copy)):
+        per_copy = [by_x.get(q, {}) for q in copies]
+        for x_sym in set(per_copy[0]).intersection(*per_copy[1:]):
+            for combo in itertools.product(*(moves[x_sym] for moves in per_copy)):
                 y_syms = tuple(y for y, _ in combo)
                 targets = tuple(p for _, p in combo)
-                new_seen = seen | {frozenset({j1, j2})
-                                   for j1 in range(i) for j2 in range(j1 + 1, i)
+                new_seen = seen | {frozenset((j1, j2)) for j1, j2 in pairs
                                    if y_syms[j1] != y_syms[j2]}
                 yield TrackLetter(joint_vars, (x_sym,) + y_syms), (targets, new_seen)
 
@@ -144,27 +135,37 @@ def _successor_product(relation: Nfa, shared: str, y_names: tuple[str, ...]) -> 
                     joint_vars))
 
 
-def successors_ge(relation: Nfa, i: int) -> Nfa:
-    """Base-alphabet NFA for the words with at least ``i`` distinct successors."""
-    if i < 1:
-        raise ValueError("the successor count must be at least 1")
-    y_names = tuple(f"y{j + 1}" for j in range(i))
-    joint = absorb_pad(_successor_product(relation, "x", y_names))
-    for y in y_names:
+def successors_ge(product: Nfa) -> Nfa:
+    """Base-alphabet NFA for the z-words of a successor product P_i: the words
+    with at least i distinct successors."""
+    joint = absorb_pad(product)
+    for y in product.vars[1:]:
         joint = project(joint, y)
     return elim_pad(to_base(joint))
 
 
-def successors_exact(relation: Nfa, i: int, det_cap: int = 64) -> Nfa:
-    """Words with exactly ``i`` successors: at least i but not at least i+1."""
-    at_least = successors_ge(relation, i)
-    more = trim(successors_ge(relation, i + 1))
+def successors_exact(at_least: Nfa, more: Nfa, det_cap: int = 64) -> Nfa:
+    """Words with exactly i successors: those of ``at_least`` (at least i)
+    not in ``more`` (at least i+1)."""
+    more = trim(more)
     if len(more.states) > det_cap:
         raise CapExceeded(
             f"determinization input has {len(more.states)} states (cap {det_cap})")
-    letters = {s for s in relation.symbols if s != PAD}
-    not_more = complement(determinize(more), letters)
+    not_more = complement(determinize(more), at_least.symbols)
     return trim(intersect(at_least, not_more))
+
+
+def _successor_counts(relation: Nfa, k: int, det_cap: int) -> Iterator[tuple[Nfa, Nfa]]:
+    """(P_i, the words with exactly i successors) for i = 1..k, building each
+    product once; P_{i+1} is built when count i is asked for, before its cap
+    check."""
+    product = _successor_product(relation, 1)
+    at_least = successors_ge(product)
+    for i in range(1, k + 1):
+        next_product = _successor_product(relation, i + 1)
+        more = successors_ge(next_product)
+        yield product, successors_exact(at_least, more, det_cap)
+        product, at_least = next_product, more
 
 
 # --- partially ordered languages -----------------------------------------------
@@ -202,20 +203,18 @@ def _extend_diagonal(a: Nfa, source: str, new_vars: tuple[str, ...]) -> Nfa:
 
 def realize_partially_ordered(spec: PartialOrderSpec, det_cap: int = 64) -> Nfh:
     """∃^m ∀ ∃^k NFH: minimal words exist, and every word demands its successors."""
-    m = len(spec.minimal_words)
     k = spec.max_successors
     symbols = {s for s in spec.relation.symbols if s != PAD}
     symbols |= {s for w in spec.minimal_words for s in w}
-    x_names = tuple(f"x{i + 1}" for i in range(m))
+    x_names = tuple(f"x{i + 1}" for i in range(len(spec.minimal_words)))
     y_names = tuple(f"y{i + 1}" for i in range(k))
     a_u = compose_free(*(with_var(word_automaton(w, symbols), x)
                          for w, x in zip(spec.minimal_words, x_names)))
 
     parts = []
-    for i in range(1, k + 1):
-        exact = successors_exact(spec.relation, i, det_cap)
-        b_i = _successor_product(spec.relation, "z", y_names[:i])
-        b_i = _constrain_track(b_i, "z", pad_suffix(exact))
+    counts = _successor_counts(spec.relation, k, det_cap)
+    for i, (product, exact) in enumerate(counts, 1):
+        b_i = _constrain_track(product, "z", pad_suffix(exact))
         b_i = _extend_diagonal(b_i, "z", y_names[i:])
         if b_i.accepting:
             parts.append(trim(compose_free(a_u, b_i)))
@@ -249,12 +248,9 @@ def _check_prefix_closed(a: Dfa) -> Dfa:
 
 def _accepting_extensions(a: Nfa) -> dict:
     """accepting state -> sorted letters leading to an accepting state."""
-    out = {}
-    for q in a.accepting:
-        letters = sorted({s for (q2, s, p) in a.transitions
-                          if q2 == q and p in a.accepting})
-        out[q] = letters
-    return out
+    moves = a.moves_from()
+    return {q: sorted({s for s, p in moves.get(q, []) if p in a.accepting})
+            for q in a.accepting}
 
 
 def _prefix_closed_setup(a: Dfa) -> tuple[Dfa, dict, int, tuple]:
@@ -273,11 +269,8 @@ def prefix_closed_relation(a: Dfa) -> PartialOrderSpec:
     for q, s, p in t.transitions:
         transitions.add((q, TrackLetter(("x", "y"), (s, s)), p))
     for q, letters in extensions.items():
-        if letters:
-            for s in letters:
-                transitions.add((q, TrackLetter(("x", "y"), (PAD, s)), final))
-        else:
-            transitions.add((q, TrackLetter(("x", "y"), (PAD, PAD)), final))
+        for s in letters or [PAD]:
+            transitions.add((q, TrackLetter(("x", "y"), (PAD, s)), final))
     relation = Nfa(t.symbols | {PAD}, t.states | {final}, t.initial, {final},
                    transitions, ("x", "y"))
     return PartialOrderSpec(((),), relation, k)

@@ -159,22 +159,40 @@ trans: s3 a s1
 """
 
 
+# determinized, its states are subsets: {s1 s2} -b-> {s3} is the violation
+NOT_PREFIX_CLOSED_NFA = """\
+type: nfa
+alphabet: a b
+states: s0 s1 s2 s3
+initial: s0
+accepting: s0 s3
+trans: s0 a s1
+trans: s0 a s2
+trans: s1 b s3
+trans: s2 b s3
+"""
+
+
 def test_not_prefix_closed_message_is_seed_independent(files):
-    """Two violating transitions: the message names the same one under any
-    hash seed."""
+    """The message names the same violating transition, by the same state
+    names, under any hash seed."""
     write, tmp = files
-    dfa = write("d.dfa", NOT_PREFIX_CLOSED_DFA)
     src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlang.__file__)))
-    outcomes = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-        done = subprocess.run([sys.executable, "-m", "hyperlang.cli", "realize",
-                               "prefix-closed", dfa, "-o", str(tmp / "out.nfh")],
-                              capture_output=True, text=True, env=env)
-        outcomes.append((done.returncode, done.stderr))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == 64
-    assert "reachable from non-accepting 's0'" in outcomes[0][1]
+    for text, message in (
+            (NOT_PREFIX_CLOSED_DFA, "reachable from non-accepting 's0'"),
+            (NOT_PREFIX_CLOSED_NFA,
+             "accepting state '{s3}' is reachable from non-accepting '{s1 s2}'")):
+        dfa = write("d.dfa", text)
+        outcomes = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run([sys.executable, "-m", "hyperlang.cli", "realize",
+                                   "prefix-closed", dfa, "-o", str(tmp / "out.nfh")],
+                                  capture_output=True, text=True, env=env)
+            outcomes.append((done.returncode, done.stderr))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 64
+        assert message in outcomes[0][1]
 
 
 def test_realize_regular(files, capsys):
@@ -347,6 +365,15 @@ def test_usage_and_parse_errors(files, capsys):
     capsys.readouterr()
     assert run(["realize", "regular", typo, "-o", str(tmp / "o.nfh")]) == 65
     assert "unknown automaton field 'acepting'" in capsys.readouterr().err
+    nfh, grammar = write("f.nfh", FIG1), str(tmp / "aa.cfhg")
+    run(["pcp", "encode-forall", write("t.txt", TILES), "-o", grammar])
+    capsys.readouterr()
+    for argv in (["nfh", "probe", nfh, "--max-len", "-1"],
+                 ["cfhg", "empty", grammar, "--bounded", "-1"]):
+        assert run(argv) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "usage error: a length bound must be at least 0\n"
 
 
 def test_deterministic_output(files, capsys):

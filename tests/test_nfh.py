@@ -60,6 +60,8 @@ def test_probe_fig1_empty(fig1_nfh):
 def test_probe_universe_guard(fig1_nfh):
     with pytest.raises(UniverseTooLarge):
         nfh_hyperlanguage_probe(fig1_nfh, 25)
+    with pytest.raises(ValueError):
+        nfh_hyperlanguage_probe(fig1_nfh, -1)
 
 
 def _random_forall_nfh(rng):

@@ -6,10 +6,11 @@ import pytest
 
 from hyperlang.core import QuantifierPrefix, as_word, pad_to_sync
 from hyperlang.errors import NotPrefixClosed
-from hyperlang.nfa import (Dfa, Nfa, nfa_language, nfa_member, with_var,
-                           word_automaton)
+from hyperlang.nfa import (Dfa, Nfa, nfa_empty, nfa_language, nfa_member,
+                           with_var, word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
+                               _successor_counts, _successor_product,
                                prefix_closed_relation, realize_finite,
                                realize_ordered, realize_partially_ordered,
                                realize_prefix_closed_fast, realize_regular,
@@ -93,24 +94,34 @@ def _finite_relation(pairs, symbols):
     return union_all(parts)
 
 
+def at_least(relation, i):
+    """The words with at least i distinct successors."""
+    return successors_ge(_successor_product(relation, i))
+
+
+def exactly(relation, i):
+    """The words with exactly i distinct successors."""
+    return successors_exact(at_least(relation, i), at_least(relation, i + 1))
+
+
 def test_successors_ge():
     rel = _finite_relation([("a", "b"), ("a", "c")], "abc")
-    two = successors_ge(rel, 2)
+    two = at_least(rel, 2)
     assert {"".join(w) for w in nfa_language(two, 2)} == {"a"}
-    three = successors_ge(rel, 3)
+    three = at_least(rel, 3)
     assert {"".join(w) for w in nfa_language(three, 2)} == set()
 
 
 def test_successors_ge_one_is_domain():
     rel = _finite_relation([("a", "b"), ("ab", "b"), ("b", "b")], "ab")
-    one = successors_ge(rel, 1)
+    one = at_least(rel, 1)
     assert {"".join(w) for w in nfa_language(one, 3)} == {"a", "ab", "b"}
 
 
 def test_successors_exact():
     rel = _finite_relation([("a", "b"), ("a", "c")], "abc")
-    assert {"".join(w) for w in nfa_language(successors_exact(rel, 2), 2)} == {"a"}
-    assert {"".join(w) for w in nfa_language(successors_exact(rel, 1), 2)} == set()
+    assert {"".join(w) for w in nfa_language(exactly(rel, 2), 2)} == {"a"}
+    assert {"".join(w) for w in nfa_language(exactly(rel, 1), 2)} == set()
 
 
 def test_successors_exact_partitions_domain():
@@ -121,11 +132,50 @@ def test_successors_exact_partitions_domain():
     buckets = []
     for i in range(1, spec.max_successors + 1):
         buckets.append({"".join(w)
-                        for w in nfa_language(successors_exact(spec.relation, i), 3)})
+                        for w in nfa_language(exactly(spec.relation, i), 3)})
     assert set().union(*buckets) == domain
     for i, b1 in enumerate(buckets):
         for b2 in buckets[i + 1:]:
             assert not (b1 & b2)
+
+
+def _random_dfa(rng, cyclic):
+    """A DFA over {a, b} with 2-3 states and a non-empty language; acyclic
+    ones only move to higher-numbered states."""
+    while True:
+        n = rng.randint(2, 3)
+        states = [str(i) for i in range(n)]
+        delta = {(q, s, str(rng.randrange(n) if cyclic else rng.randint(i + 1, n - 1)))
+                 for i, q in enumerate(states) for s in "ab"
+                 if (cyclic or i + 1 < n) and rng.random() < 0.6}
+        accepting = {q for q in states if rng.random() < 0.5}
+        d = Dfa({"a", "b"}, states, "0", accepting, delta)
+        if not nfa_empty(d):
+            return d
+
+
+def test_successor_counting_matches_enumeration():
+    """For each count i up to k, the words of length <= 3 with exactly i
+    distinct successors, counted from the enumerated pairs, are the words of
+    ``_successor_counts``."""
+    rng = random.Random(17)
+    dfas = [random_prefix_closed_dfa(rng) for _ in range(6)]
+    cases = [(prefix_closed_relation(d), len(d.states)) for d in dfas]
+    for cyclic in (True, False) * 5:
+        d = _random_dfa(rng, cyclic)
+        spec = regular_relation(d)
+        if spec.max_successors <= 3:  # k+1 relation copies: keep it small
+            cases.append((spec, len(d.states)))
+    assert sum(spec.max_successors > 1 for spec, _ in cases) >= 5
+    for spec, n in cases:
+        successors: dict = {}
+        for u, v in relation_pairs(spec.relation, 3 + n):
+            successors.setdefault(u, set()).add(v)
+        counts = _successor_counts(spec.relation, spec.max_successors, 64)
+        for i, (_, exact) in enumerate(counts, 1):
+            expected = {u for u, vs in successors.items()
+                        if len(u) <= 3 and len(vs) == i}
+            assert nfa_language(exact, 3) == expected, (spec, i)
 
 
 # --- prefix-closed languages ----------------------------------------------------

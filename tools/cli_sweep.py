@@ -1,0 +1,240 @@
+"""Sweep of the hyperlang CLI: one line per call, for byte-for-byte comparison.
+
+    python3 tools/cli_sweep.py --src src --seeds 1 2 3 > sweep.txt
+
+Each line is ``<call id> exit=<code> out=<sha256> err=<sha256> file=<sha256>``:
+the exit code and the SHA-256 of stdout, of stderr and of the file the call
+wrote (``-`` when it wrote none).  Two checkouts give the same output
+when the CLI behaves the same on every call, so running the sweep with
+``--src`` pointed at each and ``diff``-ing the outputs shows every call whose
+output changed; running it twice under different ``PYTHONHASHSEED`` values
+shows output that depends on set order.
+
+The calls: every query of the three benchmark workloads (``perfbench/gen.py``)
+for each seed, in text and ``--json``; on every workload grammar ``cfhg
+empty``, ``ranks`` and ``is-ranked``; on every workload NFH ``nfh probe``;
+on every realize DFA both ``realize prefix-closed`` routes and ``realize
+regular``; and the verbs no workload runs, on fixed inputs below.  Calls
+run in-process, in a scratch directory, with file names relative to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+from gen import (CRITERION9_TILES, forall_cfhg_text, make_queries,  # noqa: E402
+                 WORKLOADS)
+
+# s0 -a-> s1, s2 and s1, s2 -b-> s3: determinized, a violation's states are
+# subsets, which the NotPrefixClosed message must name the same way under
+# every hash seed.
+NOT_PREFIX_CLOSED_NFA = """\
+type: nfa
+alphabet: a b
+states: s0 s1 s2 s3
+initial: s0
+accepting: s0 s3
+trans: s0 a s1
+trans: s0 a s2
+trans: s1 b s3
+trans: s2 b s3
+"""
+
+# Prefix-closed; ``realize regular`` writes an NFH whose bytes follow the
+# order of the subset states' names.
+PREFIX_CLOSED_NFA = """\
+type: nfa
+alphabet: a b
+states: s0 s1 s2
+initial: s0
+accepting: s0 s1 s2
+trans: s0 a s1
+trans: s0 a s2
+trans: s1 b s1
+trans: s2 a s0
+"""
+
+# f(a^2i) = b^2i and f(b^2i) = a^(2i+2): from eps it orders the even blocks.
+EVEN_BLOCKS_SUCCESSOR = """\
+type: nfa
+alphabet: a b
+vars: x y
+states: p0 p1 p2 q0 q1 q2 q3
+initial: p0 q0
+accepting: p2 q3
+trans: p0 [x=a,y=b] p1
+trans: p1 [x=a,y=b] p2
+trans: p2 [x=a,y=b] p1
+trans: q0 [x=b,y=a] q1
+trans: q1 [x=b,y=a] q0
+trans: q0 [x=#,y=a] q2
+trans: q2 [x=#,y=a] q3
+"""
+
+FIG1_NFH = """\
+quantifiers: A x E y
+type: nfa
+alphabet: a
+vars: x y
+states: u0 u1
+initial: u0
+accepting: u1
+trans: u0 [x=a,y=a] u0
+trans: u0 [x=#,y=a] u1
+trans: u1 [x=#,y=a] u1
+"""
+
+EXISTS_CFHG = """\
+quantifiers: E x
+alphabet: a b
+start: V0
+rule: V0 -> [x=a] V0
+rule: V0 -> [x=b]
+"""
+
+A_STAR_B_NFA = """\
+type: nfa
+alphabet: a b
+states: s0 s1
+initial: s0
+accepting: s1
+trans: s0 a s0
+trans: s0 b s1
+"""
+
+FIXED_FILES = {
+    "npc.nfa": NOT_PREFIX_CLOSED_NFA,
+    "pc.nfa": PREFIX_CLOSED_NFA,
+    "succ.nfa": EVEN_BLOCKS_SUCCESSOR,
+    "fig1.nfh": FIG1_NFH,
+    "e.cfhg": EXISTS_CFHG,
+    "aa.cfhg": forall_cfhg_text(CRITERION9_TILES),
+    "ab.nfa": A_STAR_B_NFA,
+    "tiles.txt": "".join(f"{a} | {b}\n" for a, b in CRITERION9_TILES),
+    "words.lang": "eps\na\nab\n",
+    "a.lang": "a\naa\n",
+}
+
+FIXED_CALLS = [
+    ("npc-fast", ["realize", "prefix-closed", "npc.nfa", "-o", "out"]),
+    ("npc-relation", ["realize", "prefix-closed", "npc.nfa", "--route", "relation",
+                      "-o", "out"]),
+    ("npc-regular", ["realize", "regular", "npc.nfa", "-o", "out"]),
+    ("pc-fast", ["realize", "prefix-closed", "pc.nfa", "-o", "out"]),
+    ("pc-relation", ["realize", "prefix-closed", "pc.nfa", "--route", "relation",
+                     "-o", "out"]),
+    ("pc-regular", ["realize", "regular", "pc.nfa", "-o", "out"]),
+    ("ordered", ["realize", "ordered", "eps", "succ.nfa", "-o", "out"]),
+    ("ordered-wrong-kind", ["realize", "ordered", "a", "pc.nfa", "-o", "out"]),
+    ("regular-track", ["realize", "regular", "succ.nfa", "-o", "out"]),
+    ("finite", ["realize", "finite", "words.lang", "-o", "out"]),
+    ("encode-forall", ["pcp", "encode-forall", "tiles.txt", "-o", "out"]),
+    ("encode-ea", ["pcp", "encode-ea", "tiles.txt", "-o", "out"]),
+    ("member-regular-exists", ["cfhg", "member-regular", "e.cfhg", "ab.nfa"]),
+    ("member-regular-forall", ["cfhg", "member-regular", "aa.cfhg", "ab.nfa"]),
+    ("fig1-member", ["nfh", "member", "fig1.nfh", "a.lang"]),
+    ("fig1-probe", ["nfh", "probe", "fig1.nfh", "--max-len", "2"]),
+    ("probe-negative", ["nfh", "probe", "fig1.nfh", "--max-len", "-1"]),
+    ("bounded", ["cfhg", "empty", "aa.cfhg", "--bounded", "1"]),
+    ("bounded-negative", ["cfhg", "empty", "aa.cfhg", "--bounded", "-1"]),
+    ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
+    ("bogus-verb", ["bogus"]),
+]
+
+
+def import_cli(src: str):
+    """Import the package from ``src``, never from elsewhere."""
+    src = os.path.abspath(src)
+    sys.path.insert(0, src)
+    import hyperlang.cli
+    if os.path.dirname(os.path.abspath(hyperlang.__file__)) != os.path.join(src, "hyperlang"):
+        raise SystemExit(f"hyperlang was imported from {hyperlang.__file__}, not {src}")
+    return hyperlang.cli
+
+
+def digest(data: str | None) -> str:
+    return "-" if data is None else hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+
+def call(cli, argv: list[str], output: str | None) -> str:
+    """Run one call in the current directory; its exit code and digests."""
+    if output is not None and os.path.exists(output):
+        os.remove(output)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.run(argv))
+        except Exception as exc:  # a crash is an outcome to compare, not a stop
+            code = f"raised:{type(exc).__name__}"
+            print(exc, file=sys.stderr)
+    written = None
+    if output is not None and os.path.exists(output):
+        with open(output, encoding="utf-8") as handle:
+            written = handle.read()
+    return (f"exit={code} out={digest(out.getvalue())} err={digest(err.getvalue())} "
+            f"file={digest(written)}")
+
+
+def workload_calls(workload: str, seed: int):
+    """(call id, argv, files) of a workload's queries and the extra verbs on
+    their inputs."""
+    for q in make_queries(workload, seed):
+        argv = [a[1:] if a.startswith("@") else a for a in q.argv]
+        yield q.qid, argv, q.files
+        for name, text in q.files.items():
+            files = {name: text}
+            if name.endswith(".cfhg"):
+                for verb in ("empty", "ranks", "is-ranked"):
+                    yield f"{q.qid}/{verb}", ["cfhg", verb, name], files
+            elif name.endswith(".nfh"):
+                yield f"{q.qid}/probe", ["nfh", "probe", name, "--max-len", "3"], files
+            elif name.endswith(".dfa"):
+                out = ["-o", f"{q.qid}.extra.nfh"]
+                for route in ("fast", "relation"):
+                    yield (f"{q.qid}/prefix-{route}",
+                           ["realize", "prefix-closed", name, "--route", route, *out],
+                           files)
+                yield f"{q.qid}/regular", ["realize", "regular", name, *out], files
+
+
+def all_calls(seeds):
+    for seed in seeds:
+        for workload in WORKLOADS:
+            for qid, argv, files in workload_calls(workload, seed):
+                yield f"s{seed}/{workload}/{qid}", argv, files
+    for qid, argv in FIXED_CALLS:
+        yield f"fixed/{qid}", argv, FIXED_FILES
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True,
+                        help="directory holding the hyperlang package to run")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    cli = import_cli(args.src)
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        for call_id, argv, files in all_calls(args.seeds):
+            for name, text in files.items():
+                with open(name, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            output = argv[argv.index("-o") + 1] if "-o" in argv else None
+            for mode in ("text", "json"):
+                full = argv if mode == "text" else ["--json", *argv]
+                print(f"{call_id}/{mode} {call(cli, full, output)}")
+        os.chdir(HERE)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
