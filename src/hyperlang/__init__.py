@@ -17,7 +17,7 @@ from .errors import (CapExceeded, EmptyLanguage, HyperlangError, LengthMismatch,
                      NotCnf, NotPrefixClosed, NotRanked, ParseError,
                      Undecidable, UniverseTooLarge, UnknownLetter, VarClash,
                      WrongPrefix)
-from .nfa import (Dfa, Nfa, complement, compose_free, compose_sync, determinize,
+from .nfa import (Dfa, Nfa, compose_free, compose_sync, determinize, difference,
                   intersect, nfa_empty, nfa_member, pad_anywhere, pad_suffix,
                   project, union, word_automaton)
 from .nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe

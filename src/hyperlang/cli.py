@@ -26,7 +26,7 @@ from .ranks import is_ranked
 from .realize import (OrderedLanguageSpec, prefix_closed_relation,
                       realize_finite, realize_ordered,
                       realize_partially_ordered, realize_prefix_closed_fast,
-                      realize_regular)
+                      realize_shortlex)
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -202,7 +202,7 @@ def _run_realize(args, report: _Report):
         else:
             n = realize_partially_ordered(prefix_closed_relation(dfa))
     else:
-        n = realize_regular(_as_dfa(parse_nfa(_read(args.dfa_file))))
+        n = realize_shortlex(_as_dfa(parse_nfa(_read(args.dfa_file))))
     _write(args.output, render_nfh(n))
     report.note("output", args.output, f"wrote {args.output}")
 

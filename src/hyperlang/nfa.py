@@ -396,6 +396,26 @@ def intersect(a1: Nfa, a2: Nfa) -> Nfa:
                a1.vars)
 
 
+def difference(a1: Nfa, a2: Nfa) -> Nfa:
+    """The words of ``a1`` that ``a2`` rejects: a product of ``a1`` with the
+    subset construction of ``a2``, which runs on ``a1``'s letters only."""
+    if a1.vars != a2.vars:
+        raise ValueError("difference operands must share the variable set")
+    moves1 = a1.moves_from()
+
+    def step(state):
+        q, subset = state
+        for letter, q2 in moves1.get(q, []):
+            yield letter, (q2, a2.step(subset, letter))
+
+    initial = {(q, a2.initial) for q in a1.initial}
+    states, transitions = explore(initial, step)
+    accepting = {(q, subset) for q, subset in states
+                 if q in a1.accepting and not subset & a2.accepting}
+    return Nfa(a1.symbols | a2.symbols, states, initial, accepting, transitions,
+               a1.vars)
+
+
 def determinize(a: Nfa) -> Dfa:
     """Subset construction over the letters that actually occur in ``a``."""
     letters = a.letters()
@@ -410,27 +430,6 @@ def determinize(a: Nfa) -> Dfa:
     states, transitions = explore({start}, step)
     accepting = {s for s in states if s & a.accepting}
     return Dfa(a.symbols, states, start, accepting, transitions, a.vars)
-
-
-def totalize(d: Dfa, letters: Iterable) -> Dfa:
-    """Add a non-accepting sink so every (state, letter) has a move."""
-    alphabet = sorted(set(letters), key=repr)
-    sink = fresh_state(d.states, "sink")
-    transitions = set(d.transitions)
-    defined = {(q, l) for q, l, _ in d.transitions}
-    states = d.states | {sink}
-    for q in states:
-        for letter in alphabet:
-            if (q, letter) not in defined:
-                transitions.add((q, letter, sink))
-    return Dfa(d.symbols, states, d.start, d.accepting, transitions, d.vars)
-
-
-def complement(d: Dfa, letters: Iterable) -> Dfa:
-    """Exact complement with respect to the given letter set (totalized first)."""
-    t = totalize(d, letters)
-    return Dfa(t.symbols, t.states, t.start, t.states - t.accepting,
-               t.transitions, t.vars)
 
 
 def project(a: Nfa, drop: str) -> Nfa:

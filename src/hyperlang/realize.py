@@ -4,6 +4,12 @@ Each builder returns an NFH whose hyperlanguage is exactly ``{L}`` for the
 described language L, under the quantifier shape the construction needs:
 finite languages (∀∃), ordered languages (∃∀∃), partially ordered languages
 (∃^m ∀ ∃^k), and prefix-closed / general regular languages via relations.
+
+A general regular L has two constructions.  ``realize_shortlex`` orders an
+infinite L by its shortlex successor, a synchronous relation, and realizes
+it as an ordered language (∃∀∃); it hands a finite L to ``realize_regular``,
+which pumps the DFA's simple cycles and counts each word's successors
+(∃^m ∀ ∃^k).
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from typing import Iterator
 
 from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
-from .nfa import (Dfa, Nfa, absorb_pad, complement, compose_free, compose_sync,
-                  determinize, elim_pad, explore, fresh_state, intersect,
-                  pad_closure, pad_suffix, project, rename_vars, to_base, trim,
-                  union_all, with_var, word_automaton)
+from .nfa import (Dfa, Nfa, absorb_pad, compose_free, compose_sync, difference,
+                  elim_pad, explore, fresh_state, pad_closure, pad_suffix,
+                  project, reachable, rename_vars, to_base, trim, union_all,
+                  with_var, word_automaton)
 from .nfh import Nfh, accepted_assignments
 
 
@@ -144,27 +150,36 @@ def successors_ge(product: Nfa) -> Nfa:
     return elim_pad(to_base(joint))
 
 
-def successors_exact(at_least: Nfa, more: Nfa, det_cap: int = 64) -> Nfa:
+def _capped(a: Nfa, det_cap: int, stage: str) -> Nfa:
+    """``a`` trimmed, to be determinized; ``CapExceeded`` naming ``stage`` if
+    it has more than ``det_cap`` states."""
+    a = trim(a)
+    if len(a.states) > det_cap:
+        raise CapExceeded(f"{stage}: determinization input has {len(a.states)} "
+                          f"states (cap {det_cap})")
+    return a
+
+
+def successors_exact(at_least: Nfa, more: Nfa, i: int, det_cap: int = 64) -> Nfa:
     """Words with exactly i successors: those of ``at_least`` (at least i)
     not in ``more`` (at least i+1)."""
-    more = trim(more)
-    if len(more.states) > det_cap:
-        raise CapExceeded(
-            f"determinization input has {len(more.states)} states (cap {det_cap})")
-    not_more = complement(determinize(more), at_least.symbols)
-    return trim(intersect(at_least, not_more))
+    more = _capped(more, det_cap, f"successor count {i}")
+    return trim(difference(at_least, more))
 
 
 def _successor_counts(relation: Nfa, k: int, det_cap: int) -> Iterator[tuple[Nfa, Nfa]]:
     """(P_i, the words with exactly i successors) for i = 1..k, building each
     product once; P_{i+1} is built when count i is asked for, before its cap
-    check."""
+    check.  No word has more successors than i once none has i, so the
+    counts stop there."""
     product = _successor_product(relation, 1)
     at_least = successors_ge(product)
     for i in range(1, k + 1):
+        if not at_least.accepting:
+            return
         next_product = _successor_product(relation, i + 1)
         more = successors_ge(next_product)
-        yield product, successors_exact(at_least, more, det_cap)
+        yield product, successors_exact(at_least, more, i, det_cap)
         product, at_least = next_product, more
 
 
@@ -409,3 +424,107 @@ def realize_regular(a: Dfa, path_cap: int = 32, cycle_cap: int = 32,
     """∃^m ∀ ∃^k NFH for a regular language, via the cycle-pumping relation."""
     return realize_partially_ordered(regular_relation(a, path_cap, cycle_cap),
                                      det_cap)
+
+
+# --- the shortlex successor ----------------------------------------------------
+
+def _shortlex_step(order: str, s: str, t: str) -> str | None:
+    """The shortlex order ("<", "=" or ">") of two padded words u, v after
+    the letters (s, t), given their order before them; None once u is the
+    longer, so that u > v whatever follows.  Pads are trailing, so the word
+    that pads first is the shorter."""
+    if t == PAD:
+        return order if s == PAD else None
+    if s == PAD:
+        return "<"
+    if order == "=" and s != t:
+        return "<" if s < t else ">"
+    return order
+
+
+def _shortlex_tracks(tracks: tuple[Nfa, ...], names: tuple[str, ...],
+                     less: tuple[tuple[int, int], ...]) -> Nfa:
+    """Tightly padded track NFA over ``names`` whose track i is read by the
+    base automaton ``tracks[i]`` (pads included) and, for each (i, j) in
+    ``less``, holds a word shortlex-less than track j's."""
+    moves = [a.moves_from() for a in tracks]
+
+    def step(state):
+        qs, orders = state
+        for combo in itertools.product(*(m.get(q, ()) for m, q in zip(moves, qs))):
+            symbols = tuple(s for s, _ in combo)
+            if all(s == PAD for s in symbols):
+                continue
+            new_orders = tuple(_shortlex_step(o, symbols[i], symbols[j])
+                               for o, (i, j) in zip(orders, less))
+            if None not in new_orders:
+                yield (TrackLetter(names, symbols),
+                       (tuple(p for _, p in combo), new_orders))
+
+    initial = {(qs, ("=",) * len(less))
+               for qs in itertools.product(*(a.initial for a in tracks))}
+    states, transitions = explore(initial, step)
+    accepting = {(qs, orders) for qs, orders in states
+                 if all(q in a.accepting for q, a in zip(qs, tracks))
+                 and all(o == "<" for o in orders)}
+    symbols = frozenset().union(*(a.symbols for a in tracks))
+    return trim(Nfa(symbols, states, initial, accepting, transitions, names))
+
+
+def shortlex_successor(a: Dfa, det_cap: int = 64) -> Nfa:
+    """Tightly padded track NFA over (x, y) for the shortlex successor
+    within L(a): u, v ∈ L, u < v, and no word of L lies strictly between.
+
+    Shortlex order is automatic (Khoussainov & Nerode 1995), so the pairs
+    with a word of L between them are the 3-track "w ∈ L ∧ u < w ∧ w < v"
+    with w projected away.  Its x- and y-tracks read any letters: the pairs
+    it is determinized against are tightly padded words of L.
+    """
+    padded = pad_suffix(a)
+    symbols = padded.symbols
+    anything = Nfa(symbols, {"any"}, {"any"}, {"any"},
+                   {("any", s, "any") for s in symbols})
+    less = _shortlex_tracks((padded, padded), ("x", "y"), ((0, 1),))
+    between = _shortlex_tracks((anything, padded, anything), ("x", "w", "y"),
+                               ((0, 1), (1, 2)))
+    between = _capped(project(between, "w"), det_cap, "shortlex between relation")
+    return trim(difference(less, between))
+
+
+def _least_word(a: Dfa) -> Word:
+    """The shortlex-least word of L(a).  Breadth first with the letters in
+    order, each state is first reached by its least word."""
+    moves = a.moves_from()
+    access = {a.start: ()}
+    frontier = [a.start]
+    while frontier:
+        for q in frontier:
+            if q in a.accepting:
+                return access[q]
+        reached = []
+        for q in frontier:
+            for s, p in sorted(moves.get(q, ())):  # one move per letter
+                if p not in access:
+                    access[p] = access[q] + (s,)
+                    reached.append(p)
+        frontier = reached
+    raise EmptyLanguage("the language is empty")
+
+
+def _is_infinite(a: Nfa) -> bool:
+    """True iff L(a) is infinite: the trimmed automaton has a cycle."""
+    t = trim(a)
+    moves = t.moves_from()
+    return any(q in reachable(t, (p for _, p in moves.get(q, ())))
+               for q in t.states)
+
+
+def realize_shortlex(a: Dfa) -> Nfh:
+    """∃∀∃ NFH for a regular language: its shortlex-least word exists, and
+    every word demands its shortlex successor within L.  The successor is
+    total on an infinite L, whose words it chains in order; a finite L has
+    no successor for its greatest word and keeps ``realize_regular``."""
+    if not _is_infinite(a):
+        return realize_regular(a)
+    return realize_ordered(OrderedLanguageSpec(_least_word(a),
+                                               shortlex_successor(a)))

@@ -10,9 +10,10 @@ import pytest
 import hyperlang
 from hyperlang.cfhg import finite_member
 from hyperlang.cli import run
-from hyperlang.errors import UnknownLetter
-from hyperlang.formats import parse_cfhg, parse_nfh
+from hyperlang.errors import CapExceeded, UnknownLetter
+from hyperlang.formats import parse_cfhg, parse_nfa, parse_nfh, render_nfh
 from hyperlang.nfh import nfh_accepts
+from hyperlang.realize import realize_regular, realize_shortlex
 
 from conftest import words
 
@@ -211,6 +212,78 @@ trans: s1 b s2
     capsys.readouterr()
     assert run(["nfh", "probe", out, "--max-len", "2"]) == 0
     assert capsys.readouterr().out.strip() == "{ab}"
+
+
+ACYCLIC_DFA = """\
+type: dfa
+alphabet: a b
+states: s0 s1 s2
+initial: s0
+accepting: s1 s2
+trans: s0 a s1
+trans: s0 b s2
+trans: s1 b s2
+"""
+
+A_PLUS_DFA = """\
+type: dfa
+alphabet: a
+states: s0 s1
+initial: s0
+accepting: s1
+trans: s0 a s1
+trans: s1 a s1
+"""
+
+# 0-a->1, 1-b->2, 2-a->1, 0-b->0 accepting {1, 2}
+ROADMAP_DFA = """\
+type: dfa
+alphabet: a b
+states: 0 1 2
+initial: 0
+accepting: 1 2
+trans: 0 a 1
+trans: 0 b 0
+trans: 1 b 2
+trans: 2 a 1
+"""
+
+
+def test_realize_regular_routes(files, capsys):
+    """``realize regular`` writes realize_shortlex's NFH: the ∃∀∃ chain on
+    an infinite L, and realize_regular's bytes on a finite L."""
+    write, tmp = files
+    written = {}
+    for name, text in (("acyclic", ACYCLIC_DFA), ("a_plus", A_PLUS_DFA)):
+        out = tmp / f"{name}.nfh"
+        assert run(["realize", "regular", write(f"{name}.dfa", text),
+                    "-o", str(out)]) == 0
+        written[name] = out.read_text()
+        assert written[name] == render_nfh(realize_shortlex(parse_nfa(text)))
+    capsys.readouterr()
+    assert written["acyclic"] == render_nfh(realize_regular(parse_nfa(ACYCLIC_DFA)))
+    assert written["a_plus"].startswith("quantifiers: E x1 A x2 E x3\n")
+
+
+def test_realize_regular_on_the_roadmap_dfa(files):
+    """The default caps refuse the pumping construction on this DFA and not
+    ``realize regular``, whose output does not depend on the hash seed."""
+    write, tmp = files
+    dfa = write("d.dfa", ROADMAP_DFA)
+    with pytest.raises(CapExceeded, match=r"^successor count "):
+        realize_regular(parse_nfa(ROADMAP_DFA))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlang.__file__)))
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp / f"seed{seed}.nfh"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-m", "hyperlang.cli", "realize",
+                               "regular", dfa, "-o", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("quantifiers: E x1 A x2 E x3\n")
 
 
 TWO_TRACK_NFA = """\

@@ -8,11 +8,11 @@ import pytest
 from hyperlang.core import (PAD, HWord, as_word, hword_from_tracks, pad_to_sync,
                             strip_hash)
 from hyperlang.errors import UnknownLetter, VarClash
-from hyperlang.nfa import (Dfa, Nfa, complement, compose_free, compose_sync,
-                           determinize, intersect, nfa_empty, nfa_language,
+from hyperlang.nfa import (Dfa, Nfa, compose_free, compose_sync, determinize,
+                           difference, intersect, nfa_empty, nfa_language,
                            nfa_member, pad_anywhere, pad_closure, pad_suffix,
-                           project, rename_vars, totalize, track_product, trim,
-                           union, with_var, word_automaton)
+                           project, rename_vars, track_product, trim, union,
+                           with_var, word_automaton)
 
 
 def base_words(a, max_len):
@@ -129,9 +129,13 @@ def test_union_intersect():
     assert base_words(both, 2) == {"a"}
 
 
+# every word over {a, b}: the complement of L is its difference from this
+SIGMA_STAR = Nfa({"a", "b"}, {"q"}, {"q"}, {"q"}, {("q", "a", "q"), ("q", "b", "q")})
+
+
 def test_determinize_complement():
     a = word_automaton(as_word("a"), symbols={"a", "b"})
-    c = complement(totalize(determinize(a), {"a", "b"}), letters={"a", "b"})
+    c = difference(SIGMA_STAR, determinize(a))
     assert not nfa_member(c, as_word("a"))
     assert nfa_member(c, as_word("b"))
     assert nfa_member(c, as_word("aa"))
@@ -166,8 +170,9 @@ def _padded_pairs(words1, words2, max_len):
 def test_determinize_preserves_language():
     """Differential check of the constructions built on ``explore``, on
     random NFAs and words up to length 4: determinize keeps the language,
-    intersect and compose_sync accept the common words, and the product of
-    pad-closed one-track copies accepts exactly the padded pairs."""
+    intersect and compose_sync accept the common words, difference the words
+    of the first only, and the product of pad-closed one-track copies accepts
+    exactly the padded pairs."""
     rng = random.Random(11)
     other = random.Random(13)
     for _ in range(20):
@@ -175,6 +180,7 @@ def test_determinize_preserves_language():
         words_a, words_b = nfa_language(a, 4), nfa_language(b, 4)
         assert base_words(a, 4) == base_words(determinize(a), 4)
         assert nfa_language(intersect(a, b), 4) == words_a & words_b
+        assert nfa_language(difference(a, b), 4) == words_a - words_b
         sync = compose_sync(a, b, track_vars=("x", "y"))
         assert ({tuple(l.symbols for l in h) for h in nfa_language(sync, 4)}
                 == {tuple((s, s) for s in w) for w in words_a & words_b})
@@ -190,5 +196,5 @@ def test_complement_is_exact_complement():
                 for p in itertools.product("ab", repeat=n)}
     for _ in range(10):
         a = _random_nfa(rng)
-        c = complement(totalize(determinize(a), {"a", "b"}), letters={"a", "b"})
+        c = difference(SIGMA_STAR, a)
         assert base_words(c, 3) == universe - base_words(a, 3)

@@ -1,20 +1,23 @@
 """Singleton-hyperlanguage realizability constructions."""
 
+import itertools
 import random
 
 import pytest
 
 from hyperlang.core import QuantifierPrefix, as_word, pad_to_sync
-from hyperlang.errors import NotPrefixClosed
+from hyperlang.errors import CapExceeded, NotPrefixClosed
 from hyperlang.nfa import (Dfa, Nfa, nfa_empty, nfa_language, nfa_member,
                            with_var, word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
-                               _successor_counts, _successor_product,
-                               prefix_closed_relation, realize_finite,
-                               realize_ordered, realize_partially_ordered,
+                               _least_word, _successor_counts,
+                               _successor_product, prefix_closed_relation,
+                               realize_finite, realize_ordered,
+                               realize_partially_ordered,
                                realize_prefix_closed_fast, realize_regular,
-                               regular_relation, relation_pairs,
+                               realize_shortlex, regular_relation,
+                               relation_pairs, shortlex_successor,
                                successors_exact, successors_ge)
 
 from conftest import letter, random_prefix_closed_dfa, words
@@ -101,7 +104,7 @@ def at_least(relation, i):
 
 def exactly(relation, i):
     """The words with exactly i distinct successors."""
-    return successors_exact(at_least(relation, i), at_least(relation, i + 1))
+    return successors_exact(at_least(relation, i), at_least(relation, i + 1), i)
 
 
 def test_successors_ge():
@@ -316,6 +319,72 @@ def test_realize_regular_underlying_successor_step():
                      y1: as_word("a"), y2: as_word("aa")}),
     ]
     assert any(nfa_member(n.underlying, h) for h in orders)
+
+
+# --- the shortlex successor -------------------------------------------------------
+
+# 0-a->1, 1-b->2, 2-a->1, 0-b->0 accepting {1, 2}: the pumping route exceeds
+# the default det_cap on it
+ROADMAP_DFA = Dfa({"a", "b"}, {"0", "1", "2"}, "0", {"1", "2"},
+                  {("0", "a", "1"), ("1", "b", "2"), ("2", "a", "1"),
+                   ("0", "b", "0")})
+
+
+def shortlex_words(d, max_len):
+    """The words of L(d) up to max_len, in shortlex order."""
+    return [w for n in range(max_len + 1)
+            for w in itertools.product(sorted(d.symbols), repeat=n)
+            if nfa_member(d, w)]
+
+
+def test_shortlex_successor_matches_enumeration():
+    """On generated infinite languages, the relation is the shortlex-next
+    pairs of L up to length 5, a function, and chains the least word
+    through all of L up to length 5."""
+    rng = random.Random(23)
+    dfas = [ROADMAP_DFA]
+    while len(dfas) < 31:
+        d = _random_dfa(rng, cyclic=True)
+        # a word as long as the DFA has states can be pumped: L is infinite
+        if any(len(w) >= len(d.states) for w in shortlex_words(d, 3)):
+            dfas.append(d)
+    for d in dfas:
+        language = shortlex_words(d, 5)
+        relation = shortlex_successor(d)
+        pairs = relation_pairs(relation, 5)
+        assert pairs == set(zip(language, language[1:])), d.transitions
+        least = _least_word(d)
+        assert OrderedLanguageSpec(least, relation).check_functional(5)
+        reached = {least}
+        for u, v in sorted(pairs, key=lambda p: (len(p[0]), p[0])):
+            if u in reached:
+                reached.add(v)
+        assert reached == set(language)
+
+
+def test_realize_shortlex_routes():
+    """An infinite L gets the ∃∀∃ chain from its least word; a finite L
+    keeps the pumping construction."""
+    n = realize_shortlex(ROADMAP_DFA)
+    assert n.prefix.render() == "E x1 A x2 E x3"
+    x1, x2, x3 = n.prefix.variables
+    step = pad_to_sync({x1: as_word("a"), x2: as_word("aba"), x3: as_word("bab")})
+    assert nfa_member(n.underlying, step)
+    skip = pad_to_sync({x1: as_word("a"), x2: as_word("ab"), x3: as_word("bab")})
+    assert not nfa_member(n.underlying, skip)
+    d = Dfa({"a", "b"}, {"0", "1", "2"}, "0", {"2"},
+            {("0", "a", "1"), ("1", "b", "2")})
+    assert realize_shortlex(d).underlying.transitions == \
+        realize_regular(d).underlying.transitions
+
+
+def test_caps_name_their_stage():
+    with pytest.raises(CapExceeded, match=r"^successor count 2: determinization "
+                                          r"input has 66 states \(cap 64\)$"):
+        realize_regular(ROADMAP_DFA)
+    with pytest.raises(CapExceeded, match=r"^shortlex between relation: "
+                                          r"determinization input has \d+ states"):
+        shortlex_successor(ROADMAP_DFA, det_cap=4)
 
 
 # --- order containment ----------------------------------------------------------

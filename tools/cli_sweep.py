@@ -49,8 +49,8 @@ trans: s1 b s3
 trans: s2 b s3
 """
 
-# Prefix-closed; ``realize regular`` writes an NFH whose bytes follow the
-# order of the subset states' names.
+# Prefix-closed and infinite; the realize verbs determinize it, so their
+# outputs are where the hash order of a subset state could show.
 PREFIX_CLOSED_NFA = """\
 type: nfa
 alphabet: a b
