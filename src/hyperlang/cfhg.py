@@ -220,16 +220,17 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int,
     """Search for a member language over Σ^{≤max_len}; None if none is found.
 
     Evidence only — a miss does not decide emptiness.  One memoised leaf
-    serves every subset, since a leaf's verdict does not depend on it.  A ∀*
-    hyperlanguage is closed under subsets, so its first member in mask order
-    is a singleton and only singletons are tried.
+    serves every subset, since a leaf's verdict does not depend on it.  Under
+    an ∃^m∀* prefix the ∃ choices of a member S form a member within S (each
+    ∀ then ranges over fewer words), and for m = 0 so does S's lowest word;
+    so the first member in mask order has at most max(1, m) words, and only
+    those subsets are tried.  A prefix with ∀ before ∃ tries every subset.
     """
     universe = bounded_universe(g.symbols, max_len, universe_cap, "witness-search")
     leaf = _membership_leaf(g, False)
-    quantifiers = g.prefix.quantifiers
-    candidates = (nonempty_subsets(universe) if "E" in quantifiers
-                  else ((w,) for w in universe))
-    for words in candidates:
+    quantifiers = "".join(g.prefix.quantifiers)
+    most = None if "AE" in quantifiers else max(1, quantifiers.count("E"))
+    for words in nonempty_subsets(universe, most):
         if evaluate(quantifiers, words, leaf):
             return frozenset(words)
     return None

@@ -16,6 +16,7 @@ grammar reachability walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (EmptyLanguage, LengthMismatch, UniverseTooLarge,
@@ -199,10 +200,8 @@ def pad_to_sync(assignment: Mapping[str, str | Sequence[str]],
                 var_order: Sequence[str] | None = None) -> HWord:
     """Right-pad the assigned words with ``#`` to equal length and zip them."""
     order = tuple(var_order) if var_order is not None else tuple(assignment)
-    words = {v: as_word(assignment[v]) for v in order}
-    n = max((len(w) for w in words.values()), default=0)
-    padded = {v: w + (PAD,) * (n - len(w)) for v, w in words.items()}
-    return hword_from_tracks(padded, order)
+    columns = zip_longest(*(as_word(assignment[v]) for v in order), fillvalue=PAD)
+    return HWord(order, tuple(TrackLetter(order, c) for c in columns))
 
 
 def finite_language(language: Iterable, symbols: frozenset[str]) -> list[Word]:
@@ -251,10 +250,16 @@ def bounded_universe(symbols: Iterable[str], max_len: int, universe_cap: int,
     return universe
 
 
-def nonempty_subsets(universe: Sequence[Word]) -> Iterator[tuple[Word, ...]]:
-    """Every non-empty subset of ``universe``, by increasing bit mask."""
-    for mask in range(1, 1 << len(universe)):
+def nonempty_subsets(universe: Sequence[Word],
+                     most: int | None = None) -> Iterator[tuple[Word, ...]]:
+    """Every non-empty subset of ``universe`` of at most ``most`` words (any
+    size if None), by increasing bit mask.  From a mask of ``most`` bits the
+    next one adds its lowest bit, skipping only masks with more bits."""
+    most = len(universe) if most is None else most
+    mask = 1
+    while mask < 1 << len(universe):
         yield tuple(w for i, w in enumerate(universe) if mask >> i & 1)
+        mask += 1 if mask.bit_count() < most else mask & -mask
 
 
 def closure(start: Iterable[Hashable],

@@ -1,5 +1,6 @@
 """Shared fixtures: worked examples used across the test modules."""
 
+import itertools
 import random
 
 import pytest
@@ -167,11 +168,16 @@ def random_base_grammar(rng, symbols=("a", "b")):
     return Cfg(frozenset(variables), "S", frozenset(rules))
 
 
+def track_letters(var_names, symbols=("a", "b")):
+    """Every track letter over the variables except the all-pad one."""
+    return [letter(var_names, *column) for column in
+            itertools.product(list(symbols) + ["#"], repeat=len(var_names))
+            if set(column) != {"#"}]
+
+
 def random_track_grammar(rng, var_names=("x1", "x2"), symbols=("a", "b")):
-    """A small random two-track grammar mixing diagonal, mixed, and pad letters."""
-    pool = [letter(var_names, a, b)
-            for a in list(symbols) + ["#"] for b in list(symbols) + ["#"]
-            if (a, b) != ("#", "#")]
+    """A small random track grammar mixing diagonal, mixed, and pad letters."""
+    pool = track_letters(var_names, symbols)
     variables = ["V0", "V1"][:rng.randint(1, 2)]
     rules = set()
     for head in variables:

@@ -23,7 +23,8 @@ from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
                            pcp_encode_forall, solution_language)
 from hyperlang.ranks import is_ranked
 
-from conftest import letter, random_ranked_grammars, words
+from conftest import (letter, random_ranked_grammars, random_track_grammar,
+                      track_letters, words)
 
 
 def _exists_pair_grammar():
@@ -260,14 +261,65 @@ def test_bounded_witness_equals_reference(robot_diagonal, tile_grammar_cfhg,
                                           pcp_fixture, pumping_grammar,
                                           mixed_letter_grammar):
     # the ∃ cases with several member languages pin the mask order; the ∀*
-    # cases take the singleton route, whose first member is not universe[0]
-    # or does not exist
+    # cases try single words only (m = 0), and their first member is not
+    # universe[0] or does not exist
     cases = [(robot_diagonal, 2), (tile_grammar_cfhg, 2),
              (pcp_encode_exists_forall(pcp_fixture), 1),
              (_exists_pair_grammar(), 2), (pumping_grammar, 2),
              (_forall_letter_pairs_grammar(), 2), (mixed_letter_grammar, 2)]
     for g, max_len in cases:
         assert bounded_nonempty_witness(g, max_len) == _reference_witness(g, max_len)
+
+
+def _letter_set_grammar(rng, v):
+    """A grammar deriving 2 to 8 random one-letter words over ``v``."""
+    rules = {("V0", (t,)) for t in rng.sample(track_letters(v), rng.randint(2, 8))}
+    return Cfg(frozenset({"V0"}), "V0", frozenset(rules))
+
+
+def test_bounded_witness_equals_reference_on_generated_grammars():
+    """Under every prefix of two and three variables, the witness search
+    agrees with the all-subsets reference on seeded random grammars over
+    {a, b} at length 2 (7 words).  The cases include ∃∃∀ grammars whose first
+    member has exactly two words, so a size bound below m is caught, and
+    prefixes with ∀ before ∃ whose first member has more words than ∃s, so a
+    size bound there is caught too."""
+    rng = random.Random(19)
+    two_word_eea = more_words_than_exists = 0
+    for quantifiers in ("EE", "EA", "AA", "AE", "EEA", "EAA", "EAE", "AAE"):
+        v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
+        prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
+        for i in range(8):
+            make = random_track_grammar if i % 2 else _letter_set_grammar
+            g = Cfhg(frozenset({"a", "b"}), prefix, make(rng, v))
+            expected = _reference_witness(g, 2)
+            assert bounded_nonempty_witness(g, 2) == expected, (quantifiers, g)
+            size = len(expected or ())
+            two_word_eea += quantifiers == "EEA" and size == 2
+            more_words_than_exists += ("AE" in quantifiers
+                                       and size > quantifiers.count("E"))
+    assert two_word_eea and more_words_than_exists
+
+
+def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
+    """On the ∃∃∀ criterion-9 encoding at length 1 (7 words, no member) only
+    the 28 languages of at most two words are evaluated; the same grammar
+    under ∀∃∃ still walks all 127 non-empty subsets."""
+    tried = []
+
+    def spy(quantifiers, words, leaf, original=cfhg_module.evaluate):
+        tried.append(words)
+        return original(quantifiers, words, leaf)
+
+    monkeypatch.setattr(cfhg_module, "evaluate", spy)
+    g = pcp_encode_exists_forall(pcp_fixture)
+    assert bounded_nonempty_witness(g, 1) is None
+    assert len(tried) <= 28 and max(map(len, tried)) == 2
+    tried.clear()
+    forall_first = Cfhg(g.symbols, QuantifierPrefix.parse("A x1 E x2 E x3"),
+                        g.underlying)
+    assert bounded_nonempty_witness(forall_first, 1) is None
+    assert len(tried) == 127
 
 
 def _planted_pcp(rng):
