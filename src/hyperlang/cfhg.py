@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
-                  derive_bounded, derives_span, to_cnf)
-from .core import (HWord, PAD, QuantifierPrefix, TrackLetter, Word,
-                   bounded_universe, evaluate, finite_language, is_synchronous,
-                   nonempty_subsets, pad_to_sync)
+                  derives_span, to_cnf)
+from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
+                   evaluate, finite_language, nonempty_subsets, pad_to_sync)
 from .errors import NotRanked, Undecidable, WrongPrefix
 from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
@@ -143,14 +142,6 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
     """
     words = finite_language(language, g.symbols)
     return evaluate(g.prefix.quantifiers, words, _membership_leaf(g, force_slow))
-
-
-def sync_check_bounded(g: Cfhg, n: int) -> bool:
-    """Every derivable terminal word of length ≤ n is synchronous."""
-    for word in derive_bounded(g.underlying, n):
-        if not is_synchronous(HWord(g.vars, tuple(word))):
-            return False
-    return True
 
 
 def diagonal_restriction(g: Cfhg) -> Cfg:

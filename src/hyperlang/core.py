@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (EmptyLanguage, LengthMismatch, UniverseTooLarge,
-                     UnknownLetter)
+from .errors import EmptyLanguage, UniverseTooLarge, UnknownLetter
 
 PAD = "#"
 
@@ -62,13 +61,6 @@ class TrackLetter:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @classmethod
-    def of(cls, assignment: Mapping[str, str], var_order: Sequence[str]) -> "TrackLetter":
-        missing = [v for v in var_order if v not in assignment]
-        if missing:
-            raise ValueError(f"track letter missing variables {missing}")
-        return cls(tuple(var_order), tuple(assignment[v] for v in var_order))
 
     def __getitem__(self, var: str) -> str:
         return self.symbols[self.vars.index(var)]
@@ -155,26 +147,6 @@ class QuantifierPrefix:
 def strip_hash(w: str | Sequence[str]) -> Word:
     """Remove every pad marker from a padded word."""
     return tuple(s for s in as_word(w) if s != PAD)
-
-
-def is_padding_of(wp: str | Sequence[str], w: str | Sequence[str]) -> bool:
-    """True iff ``wp`` is ``w`` with pad markers inserted (anywhere)."""
-    return strip_hash(wp) == as_word(w)
-
-
-def hword_from_tracks(tracks: Mapping[str, str | Sequence[str]],
-                      var_order: Sequence[str] | None = None) -> HWord:
-    """Zip equal-length padded tracks into an HWord, letter by letter."""
-    order = tuple(var_order) if var_order is not None else tuple(tracks)
-    words = {v: as_word(tracks[v]) for v in order}
-    lengths = {len(w) for w in words.values()}
-    if len(lengths) > 1:
-        raise LengthMismatch(f"tracks have unequal lengths {sorted(lengths)}")
-    n = lengths.pop() if lengths else 0
-    letters = tuple(
-        TrackLetter(order, tuple(words[v][i] for v in order)) for i in range(n)
-    )
-    return HWord(order, letters)
 
 
 def tracks_of(h: HWord) -> dict[str, Word]:

@@ -5,10 +5,6 @@ class HyperlangError(Exception):
     """Base class for all toolkit errors."""
 
 
-class LengthMismatch(HyperlangError):
-    """Tracks of differing lengths where equal lengths are required."""
-
-
 class VarClash(HyperlangError):
     """Two automata to be composed share a word variable."""
 

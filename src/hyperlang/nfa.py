@@ -109,22 +109,17 @@ class Dfa(Nfa):
 
 def _word_letters(a: Nfa, w) -> list:
     """Normalize membership input to a letter sequence, validating the alphabet."""
-    if a.is_track:
-        if isinstance(w, HWord):
-            letters = list(w.letters)
-        else:
-            letters = list(w)
-        for letter in letters:
-            if not isinstance(letter, TrackLetter) or letter.vars != a.vars:
-                raise UnknownLetter(f"letter {letter!r} not over variables {a.vars}")
-            for s in letter.symbols:
-                if s != PAD and s not in a.symbols:
-                    raise UnknownLetter(f"symbol {s!r} outside alphabet")
-        return letters
-    letters = list(as_word(w))
-    for s in letters:
-        if s not in a.symbols:
-            raise UnknownLetter(f"letter {s!r} outside alphabet")
+    if not a.is_track:
+        letters = list(as_word(w))
+    elif isinstance(w, HWord):
+        letters = list(w.letters)
+    else:
+        letters = list(w)
+    for letter in letters:
+        try:
+            a._check_letter(letter)
+        except ValueError as e:
+            raise UnknownLetter(str(e)) from None
     return letters
 
 
@@ -166,11 +161,6 @@ def fresh_state(states: Container, tag: str) -> tuple:
 def reachable(a: Nfa, start: Iterable) -> frozenset:
     moves = a.moves_from()
     return frozenset(closure(start, lambda q: (p for _, p in moves.get(q, ()))))
-
-
-def nfa_empty(a: Nfa) -> bool:
-    """True iff no accepting state is reachable from an initial state."""
-    return not (reachable(a, a.initial) & a.accepting)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -374,26 +364,6 @@ def union_all(parts: Sequence[Nfa]) -> Nfa:
     for part in parts[1:]:
         result = union(result, part)
     return result
-
-
-def intersect(a1: Nfa, a2: Nfa) -> Nfa:
-    """Product on equal letters."""
-    if a1.vars != a2.vars:
-        raise ValueError("intersection operands must share the variable set")
-    moves1 = a1.moves_from()
-    moves2 = a2.adjacency()
-
-    def step(state):
-        q, p = state
-        for letter, q2 in moves1.get(q, []):
-            for p2 in moves2.get((p, letter), ()):
-                yield letter, (q2, p2)
-
-    initial = {(q, p) for q in a1.initial for p in a2.initial}
-    states, transitions = explore(initial, step)
-    accepting = _all_accepting(states, (a1, a2))
-    return Nfa(a1.symbols | a2.symbols, states, initial, accepting, transitions,
-               a1.vars)
 
 
 def difference(a1: Nfa, a2: Nfa) -> Nfa:

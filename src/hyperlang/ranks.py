@@ -1,12 +1,11 @@
-"""Rule graphs, left/right ranks, and the ranked-grammar (synchronicity) check.
+"""Left/right ranks and the ranked-grammar (synchronicity) check.
 
-A vertex of the rule graph is either a grammar variable (a string) or a rule
-right-hand side (a tuple of terminals and variables).  The left rank of a
-vertex collects the word variables that every derivation from it pads at its
-left boundary (alternatives intersect); the right rank collects those that
-some derivation pads at its right boundary (alternatives accumulate).  A
-grammar is ranked when no rule can place a pad-producing symbol before a
-letter-producing one.
+Ranks are kept per grammar variable and per rule right-hand side (a tuple of
+terminals and variables).  The left rank of one collects the word variables
+that every derivation from it pads at its left boundary (alternatives
+intersect); the right rank collects those that some derivation pads at its
+right boundary (alternatives accumulate).  A grammar is ranked when no rule
+can place a pad-producing symbol before a letter-producing one.
 """
 
 from __future__ import annotations
@@ -25,30 +24,8 @@ def letter_pads(token) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class RuleGraph:
-    """Vertices (variables and right-hand sides) with the two edge relations."""
-
-    vertices: tuple
-    left_edges: frozenset
-    right_edges: frozenset
-
-
-def build_rule_graph(g: Cfg) -> RuleGraph:
-    """Edges: variable → its bodies; a body pointing back to its boundary variable."""
-    rules = [(v, body) for v, body in g.rules if body]
-    bodies = {body for _, body in rules}
-
-    def edges(end):
-        return frozenset(rules) | {(body, body[end]) for body in bodies
-                                   if g.is_variable(body[end])}
-
-    return RuleGraph(tuple(sorted(g.variables | bodies, key=repr)),
-                     edges(0), edges(-1))
-
-
-@dataclass(frozen=True)
 class RankTable:
-    """Final left and right ranks per vertex."""
+    """Final left and right ranks per variable and right-hand side."""
 
     left: dict
     right: dict

@@ -47,13 +47,6 @@ class OrderedLanguageSpec:
         if self.successor.vars != ("x", "y"):
             raise ValueError("successor automaton must be over variables (x, y)")
 
-    def check_functional(self, max_len: int) -> bool:
-        """Bounded check that the relation is a function on its domain."""
-        by_source: dict[Word, set[Word]] = {}
-        for u, v in relation_pairs(self.successor, max_len):
-            by_source.setdefault(u, set()).add(v)
-        return all(len(vs) == 1 for vs in by_source.values())
-
 
 @dataclass(frozen=True)
 class PartialOrderSpec:

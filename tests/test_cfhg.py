@@ -11,8 +11,7 @@ from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cyk_member,
 from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
                             diagonal_restriction, exists_empty,
                             exists_regular_member, finite_member,
-                            regular_member, sync_check_bounded,
-                            sync_forall_empty)
+                            regular_member, sync_forall_empty)
 from hyperlang.core import (HWord, QuantifierPrefix, as_word, pad_to_sync,
                             strip_hash, tracks_of)
 from hyperlang.errors import (EmptyLanguage, NotRanked, Undecidable,
@@ -103,13 +102,6 @@ def test_finite_member_fast_equals_slow(g1_forall, pumping_grammar):
 def test_finite_member_empty_language(g1_forall):
     with pytest.raises(EmptyLanguage):
         finite_member(g1_forall, [])
-
-
-def test_sync_check_bounded(pumping_grammar, tile_grammar_cfhg):
-    assert sync_check_bounded(pumping_grammar, 6)
-    assert not sync_check_bounded(tile_grammar_cfhg, 6)
-    hash_free = _exists_pair_grammar()
-    assert sync_check_bounded(hash_free, 6)
 
 
 def test_diagonal_restriction(robot_diagonal, mixed_letter_grammar):

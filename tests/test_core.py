@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperlang.core import (PAD, QuantifierPrefix, TrackLetter, as_word,
-                            hword_from_tracks, is_padding_of, is_synchronous,
+from hyperlang.core import (PAD, QuantifierPrefix, as_word, is_synchronous,
                             pad_to_sync, render_word, strip_hash, tracks_of)
-from hyperlang.errors import LengthMismatch
 
-from conftest import letter
+from conftest import hword, letter
 
 padded_words = st.text(alphabet="ab#", max_size=6).map(as_word)
 plain_words = st.text(alphabet="ab", max_size=6).map(as_word)
@@ -27,34 +25,10 @@ def test_strip_hash_removes_only_pad(w):
     assert len(strip_hash(w)) <= len(w)
 
 
-def test_is_padding_of():
-    assert is_padding_of(as_word("a#b"), as_word("ab"))
-    assert not is_padding_of(as_word("ab#"), as_word("ba"))
-    assert is_padding_of(as_word("bb#aabb#baa"), as_word("bbaabbbaa"))
-
-
-@given(padded_words)
-def test_strip_is_a_padding_witness(w):
-    assert is_padding_of(w, strip_hash(w))
-
-
-def test_hword_from_tracks():
-    h = hword_from_tracks({"x": as_word("aa#"), "y": as_word("abb")})
-    assert [t.items() for t in h.letters] == [
-        (("x", "a"), ("y", "a")),
-        (("x", "a"), ("y", "b")),
-        (("x", "#"), ("y", "b")),
-    ]
-    assert hword_from_tracks({"x": ()}).letters == ()
-    with pytest.raises(LengthMismatch):
-        hword_from_tracks({"x": as_word("ab"), "y": as_word("a")})
-
-
 def test_tracks_of_round_trip():
     tracks = {"x": as_word("a#"), "y": as_word("ab")}
-    h = hword_from_tracks(tracks)
-    assert tracks_of(h) == tracks
-    assert tracks_of(hword_from_tracks({"x": (), "y": ()})) == {"x": (), "y": ()}
+    assert tracks_of(hword(tracks)) == tracks
+    assert tracks_of(hword({"x": (), "y": ()})) == {"x": (), "y": ()}
 
 
 @given(st.dictionaries(st.sampled_from("xyz"), plain_words, min_size=1))
@@ -68,11 +42,9 @@ def test_pad_to_sync_properties(assignment):
 
 
 def test_is_synchronous():
-    assert is_synchronous(hword_from_tracks({"x": as_word("ab#"),
-                                             "y": as_word("abb")}))
-    assert not is_synchronous(hword_from_tracks({"x": as_word("a#b")}))
-    assert is_synchronous(hword_from_tracks({"x1": as_word("a##"),
-                                             "x2": as_word("baa")}))
+    assert is_synchronous(hword({"x": "ab#", "y": "abb"}))
+    assert not is_synchronous(hword({"x": "a#b"}))
+    assert is_synchronous(hword({"x1": "a##", "x2": "baa"}))
 
 
 def test_pad_to_sync_examples():

@@ -1,11 +1,10 @@
-"""Rule graph, left/right rank computation, and the ranked-grammar check."""
+"""Left/right rank computation and the ranked-grammar check."""
 
 import random
 
 from hyperlang.cfg import Cfg, cleanup, derive_bounded
-from hyperlang.core import hword_from_tracks, is_synchronous, HWord
-from hyperlang.ranks import (build_rule_graph, compute_ranks, is_ranked,
-                             letter_pads)
+from hyperlang.core import HWord, is_synchronous
+from hyperlang.ranks import compute_ranks, is_ranked, letter_pads
 
 from conftest import letter, random_ranked_grammars, tile_grammar
 
@@ -14,27 +13,6 @@ def test_letter_pads():
     assert letter_pads(letter(("x1", "x2"), "a", "#")) == frozenset({"x2"})
     assert letter_pads(letter(("x1", "x2"), "a", "b")) == frozenset()
     assert letter_pads("V0") == frozenset()
-
-
-def test_rule_graph_shape():
-    g = tile_grammar()
-    graph = build_rule_graph(g)
-    bodies = {b for _, b in g.rules}
-    assert frozenset(graph.vertices) == frozenset({"V0"}) | bodies
-    looping = {b for b in bodies if b[-1] == "V0"}
-    for b in looping:
-        assert (b, "V0") in graph.right_edges
-    terminal_bodies = bodies - looping
-    for b in terminal_bodies:
-        assert all(edge[0] != b for edge in graph.left_edges | graph.right_edges)
-
-
-def test_rule_graph_single_rule():
-    g = Cfg(frozenset({"S"}), "S", frozenset({("S", ("a",))}))
-    graph = build_rule_graph(g)
-    assert frozenset(graph.vertices) == frozenset({"S", ("a",)})
-    assert graph.left_edges == frozenset({("S", ("a",))})
-    assert graph.right_edges == frozenset({("S", ("a",))})
 
 
 def test_tile_grammar_ranks():
