@@ -10,6 +10,7 @@ supplies only the moves of a state and its acceptance test.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
 
 from .core import PAD, HWord, TrackLetter, as_word, closure
@@ -286,11 +287,11 @@ def track_product(parts: Sequence[Nfa]) -> Nfa:
 
     def step(joint):
         options = [moves[i].get(q, []) for i, q in enumerate(joint)]
-        for combo in _combos(options):
+        for combo in itertools.product(*options):
             yield (TrackLetter(joint_vars, tuple(s for l, _ in combo for s in l.symbols)),
                    tuple(p for _, p in combo))
 
-    initial = _combos([p.initial for p in parts])
+    initial = set(itertools.product(*(p.initial for p in parts)))
     states, transitions = explore(initial, step)
     accepting = _all_accepting(states, parts)
     return Nfa(symbols, states, initial, accepting, transitions, joint_vars)
@@ -300,13 +301,6 @@ def _all_accepting(states, parts: Sequence[Nfa]) -> set:
     """The product states whose every component accepts in its operand."""
     return {joint for joint in states
             if all(q in part.accepting for q, part in zip(joint, parts))}
-
-
-def _combos(option_lists):
-    combos = [()]
-    for options in option_lists:
-        combos = [c + (o,) for c in combos for o in options]
-    return combos
 
 
 def compose_free(*parts: Nfa) -> Nfa:
@@ -337,10 +331,10 @@ def compose_sync(*parts: Nfa, track_vars: Sequence[str]) -> Nfa:
         for letter, targets in by_letter.items():
             if all(targets):
                 joint_letter = TrackLetter(joint_vars, (letter,) * len(parts))
-                for combo in _combos(targets):
+                for combo in itertools.product(*targets):
                     yield joint_letter, combo
 
-    initial = _combos([p.initial for p in parts])
+    initial = set(itertools.product(*(p.initial for p in parts)))
     states, transitions = explore(initial, step)
     accepting = _all_accepting(states, parts)
     return Nfa(symbols, states, initial, accepting, transitions, joint_vars)

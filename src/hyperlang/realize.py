@@ -7,9 +7,10 @@ finite languages (∀∃), ordered languages (∃∀∃), partially ordered lang
 
 A general regular L has two constructions.  ``realize_shortlex`` orders an
 infinite L by its shortlex successor, a synchronous relation, and realizes
-it as an ordered language (∃∀∃); it hands a finite L to ``realize_regular``,
-which pumps the DFA's simple cycles and counts each word's successors
-(∃^m ∀ ∃^k).
+it as an ordered language (∃∀∃); it realizes a finite L as the finite
+language of its words (∀∃).  ``realize_regular`` is the paper's
+construction: it pumps the DFA's simple cycles and counts each word's
+successors (∃^m ∀ ∃^k).
 """
 
 from __future__ import annotations
@@ -313,8 +314,10 @@ def realize_prefix_closed_fast(a: Dfa) -> Nfh:
 
 # --- general regular languages -------------------------------------------------
 
-def _simple_paths(a: Dfa) -> list[Word]:
-    """Words reaching accepting states along simple paths from the start state."""
+def _simple_paths(a: Dfa, path_cap: int = 32) -> list[Word]:
+    """Words reaching accepting states along simple paths from the start
+    state: all of L when L is finite.  Refuses an empty L, and more than
+    ``path_cap`` words."""
     out: list[Word] = []
     moves = a.moves_from()
 
@@ -326,7 +329,12 @@ def _simple_paths(a: Dfa) -> list[Word]:
                 walk(p, word + (s,), visited | {p})
 
     walk(a.start, (), frozenset({a.start}))
-    return sorted(set(out))
+    words = sorted(set(out))
+    if not words:
+        raise EmptyLanguage("the language is empty")
+    if len(words) > path_cap:
+        raise CapExceeded(f"{len(words)} simple-path words exceed the cap {path_cap}")
+    return words
 
 
 def _simple_cycles(a: Dfa) -> list[tuple[object, Word]]:
@@ -393,18 +401,13 @@ def _pump_component(a: Dfa, p, cycle: Word) -> Nfa:
 
 def regular_relation(a: Dfa, path_cap: int = 32, cycle_cap: int = 32) -> PartialOrderSpec:
     """Cycle-pumping successor relation of a regular language (plus reflexivity)."""
-    t = a
-    paths = _simple_paths(t)
-    if not paths:
-        raise EmptyLanguage("the language is empty")
-    if len(paths) > path_cap:
-        raise CapExceeded(f"{len(paths)} simple-path words exceed the cap {path_cap}")
-    cycles = _simple_cycles(t)
+    paths = _simple_paths(a, path_cap)
+    cycles = _simple_cycles(a)
     if len(cycles) > cycle_cap:
         raise CapExceeded(f"{len(cycles)} simple cycles exceed the cap {cycle_cap}")
-    parts = [compose_sync(t, t, track_vars=("x", "y"))]
+    parts = [compose_sync(a, a, track_vars=("x", "y"))]
     for q, c in cycles:
-        component = _pump_component(t, q, c)
+        component = _pump_component(a, q, c)
         if component.accepting:
             parts.append(component)
     relation = union_all(parts)
@@ -513,11 +516,12 @@ def _is_infinite(a: Nfa) -> bool:
 
 
 def realize_shortlex(a: Dfa) -> Nfh:
-    """∃∀∃ NFH for a regular language: its shortlex-least word exists, and
-    every word demands its shortlex successor within L.  The successor is
-    total on an infinite L, whose words it chains in order; a finite L has
-    no successor for its greatest word and keeps ``realize_regular``."""
+    """NFH for a regular language.  On an infinite L, ∃∀∃: its shortlex-least
+    word exists, and every word demands its shortlex successor within L,
+    which is total there and chains L's words in order.  A finite L, whose
+    greatest word has no successor, is ``realize_finite`` on its words (∀∃):
+    its trimmed DFA is acyclic, so they are the simple-path words."""
     if not _is_infinite(a):
-        return realize_regular(a)
+        return realize_finite(_simple_paths(a), a.symbols - {PAD})
     return realize_ordered(OrderedLanguageSpec(_least_word(a),
                                                shortlex_successor(a)))

@@ -36,8 +36,8 @@ from hyperlang.pcp import (pcp_encode_exists_forall, pcp_encode_forall,
 from hyperlang.ranks import compute_ranks, is_ranked
 from hyperlang.realize import (prefix_closed_relation, realize_finite,
                                realize_partially_ordered,
-                               realize_prefix_closed_fast, realize_regular,
-                               regular_relation, relation_pairs)
+                               realize_prefix_closed_fast, regular_relation,
+                               relation_pairs)
 
 from conftest import (letter, random_base_grammar, random_prefix_closed_dfa,
                       random_ranked_grammars, tile_grammar, words)

@@ -8,7 +8,7 @@ from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cfg_intersect_empty,
                            cleanup, cyk_member, derive_bounded, is_cnf, to_cnf)
 from hyperlang.core import HWord, as_word
 from hyperlang.errors import NotCnf
-from hyperlang.nfa import Nfa, word_automaton
+from hyperlang.nfa import Nfa
 
 from conftest import random_base_grammar
 

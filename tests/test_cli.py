@@ -13,7 +13,8 @@ from hyperlang.cli import run
 from hyperlang.errors import CapExceeded, UnknownLetter
 from hyperlang.formats import parse_cfhg, parse_nfa, parse_nfh, render_nfh
 from hyperlang.nfh import nfh_accepts
-from hyperlang.realize import realize_regular, realize_shortlex
+from hyperlang.realize import (realize_finite, realize_regular,
+                               realize_shortlex)
 
 from conftest import words
 
@@ -251,7 +252,7 @@ trans: 2 a 1
 
 def test_realize_regular_routes(files, capsys):
     """``realize regular`` writes realize_shortlex's NFH: the ∃∀∃ chain on
-    an infinite L, and realize_regular's bytes on a finite L."""
+    an infinite L, and realize_finite's bytes on the words of a finite L."""
     write, tmp = files
     written = {}
     for name, text in (("acyclic", ACYCLIC_DFA), ("a_plus", A_PLUS_DFA)):
@@ -261,8 +262,37 @@ def test_realize_regular_routes(files, capsys):
         written[name] = out.read_text()
         assert written[name] == render_nfh(realize_shortlex(parse_nfa(text)))
     capsys.readouterr()
-    assert written["acyclic"] == render_nfh(realize_regular(parse_nfa(ACYCLIC_DFA)))
+    assert written["acyclic"] == render_nfh(realize_finite(words("a", "ab", "b"),
+                                                          {"a", "b"}))
     assert written["a_plus"].startswith("quantifiers: E x1 A x2 E x3\n")
+
+
+def _all_words_dfa(n):
+    """DFA text for (a|b)^n, whose 2^n words are its simple-path words."""
+    lines = ["type: dfa", "alphabet: a b",
+             "states: " + " ".join(str(i) for i in range(n + 1)),
+             "initial: 0", f"accepting: {n}"]
+    lines += [f"trans: {i} {s} {i + 1}" for i in range(n) for s in "ab"]
+    return "\n".join(lines) + "\n"
+
+
+def test_realize_regular_finite_refusals(files, capsys):
+    """A finite L keeps the simple-path refusals: more than 32 words, and
+    the empty language.  32 words realize with two variables."""
+    write, tmp = files
+    out = tmp / "out.nfh"
+    assert run(["realize", "regular", write("six.dfa", _all_words_dfa(6)),
+                "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "cap exceeded: 64 simple-path words exceed the cap 32\n"
+    empty = write("empty.dfa", "type: dfa\nalphabet: a b\nstates: s0 s1\n"
+                               "initial: s0\naccepting: s1\ntrans: s1 a s0\n")
+    assert run(["realize", "regular", empty, "-o", str(out)]) == 64
+    assert capsys.readouterr().err == "error: the language is empty\n"
+    assert not out.exists()
+    assert run(["realize", "regular", write("five.dfa", _all_words_dfa(5)),
+                "-o", str(out)]) == 0
+    assert parse_nfh(out.read_text()).prefix.render() == "A x E y"
 
 
 def test_realize_regular_on_the_roadmap_dfa(files):

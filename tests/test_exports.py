@@ -28,6 +28,8 @@ union word_automaton
 REFERENCE_ROUTES = {
     "bar_hillel": "the independent route that tests check cfg_intersect_empty against",
     "derive_bounded": "the derivation enumerator that tests read grammar languages from",
+    "realize_regular": "the paper's pumping construction that tests check "
+                       "`realize regular` against",
 }
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import hyperlang.nfh as nfh_module
-from hyperlang.core import QuantifierPrefix, TrackLetter, as_word
+from hyperlang.core import QuantifierPrefix, as_word
 from hyperlang.errors import EmptyLanguage, UniverseTooLarge
 from hyperlang.nfa import Nfa, with_var, word_automaton
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe

@@ -1,10 +1,7 @@
 """PCP instances and the two hypergrammar reduction encoders."""
 
-import pytest
-
 from hyperlang.cfg import derive_bounded
 from hyperlang.cfhg import finite_member
-from hyperlang.core import as_word
 from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
                            pcp_encode_forall, solution_language)
 

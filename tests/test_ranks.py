@@ -2,7 +2,7 @@
 
 import random
 
-from hyperlang.cfg import Cfg, cleanup, derive_bounded
+from hyperlang.cfg import Cfg, derive_bounded
 from hyperlang.core import HWord, is_synchronous
 from hyperlang.ranks import compute_ranks, is_ranked, letter_pads
 

@@ -7,6 +7,7 @@ import pytest
 
 from hyperlang.core import QuantifierPrefix, as_word, pad_to_sync
 from hyperlang.errors import CapExceeded, NotPrefixClosed
+from hyperlang.formats import render_nfh
 from hyperlang.nfa import (Dfa, Nfa, nfa_language, nfa_member, trim, with_var,
                            word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
@@ -83,7 +84,7 @@ def test_ordered_finite_cycle():
 
 def _finite_relation(pairs, symbols):
     """A 2-track NFA accepting exactly the given (u, v) word pairs."""
-    from hyperlang.nfa import absorb_pad, compose_free, union_all
+    from hyperlang.nfa import compose_free, union_all
     parts = []
     for u, v in pairs:
         parts.append(compose_free(
@@ -137,11 +138,11 @@ def test_successors_exact_partitions_domain():
             assert not (b1 & b2)
 
 
-def _random_dfa(rng, cyclic):
-    """A DFA over {a, b} with 2-3 states and a non-empty language; acyclic
-    ones only move to higher-numbered states."""
+def _random_dfa(rng, cyclic, max_states=3):
+    """A DFA over {a, b} with 2 to ``max_states`` states and a non-empty
+    language; acyclic ones only move to higher-numbered states."""
     while True:
-        n = rng.randint(2, 3)
+        n = rng.randint(2, max_states)
         states = [str(i) for i in range(n)]
         delta = {(q, s, str(rng.randrange(n) if cyclic else rng.randint(i + 1, n - 1)))
                  for i, q in enumerate(states) for s in "ab"
@@ -357,8 +358,8 @@ def test_shortlex_successor_matches_enumeration():
 
 
 def test_realize_shortlex_routes():
-    """An infinite L gets the ∃∀∃ chain from its least word; a finite L
-    keeps the pumping construction."""
+    """An infinite L gets the ∃∀∃ chain from its least word; a finite L is
+    realized as the finite language of its words."""
     n = realize_shortlex(ROADMAP_DFA)
     assert n.prefix.render() == "E x1 A x2 E x3"
     x1, x2, x3 = n.prefix.variables
@@ -368,8 +369,19 @@ def test_realize_shortlex_routes():
     assert not nfa_member(n.underlying, skip)
     d = Dfa({"a", "b"}, {"0", "1", "2"}, "0", {"2"},
             {("0", "a", "1"), ("1", "b", "2")})
-    assert realize_shortlex(d).underlying.transitions == \
-        realize_regular(d).underlying.transitions
+    assert render_nfh(realize_shortlex(d)) == \
+        render_nfh(realize_finite(words("ab"), {"a", "b"}))
+
+
+def test_finite_routes_are_exact_on_generated_dfas():
+    """On generated finite languages, ``realize_shortlex`` and the pumping
+    ``realize_regular`` both realize exactly {L}."""
+    rng = random.Random(31)
+    for _ in range(120):
+        d = _random_dfa(rng, cyclic=False, max_states=4)
+        expected = {frozenset("".join(w) for w in shortlex_words(d, 3))}
+        assert probe_strings(realize_shortlex(d), 3) == expected, d.transitions
+        assert probe_strings(realize_regular(d), 3) == expected, d.transitions
 
 
 def test_caps_name_their_stage():
