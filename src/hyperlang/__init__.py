@@ -11,11 +11,10 @@ from .core import (HWord, QuantifierPrefix, TrackLetter, is_synchronous,
                    pad_to_sync, strip_hash, tracks_of)
 from .cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
                   derive_bounded, to_cnf)
-from .cfhg import (Cfhg, cfhg_empty, exists_empty, exists_regular_member,
-                   finite_member, regular_member, sync_forall_empty)
+from .cfhg import Cfhg, cfhg_empty, finite_member, regular_member
 from .errors import (CapExceeded, EmptyLanguage, HyperlangError, NotCnf,
-                     NotPrefixClosed, NotRanked, ParseError, Undecidable,
-                     UniverseTooLarge, UnknownLetter, VarClash, WrongPrefix)
+                     NotPrefixClosed, ParseError, Undecidable,
+                     UniverseTooLarge, UnknownLetter, VarClash)
 from .nfa import (Dfa, Nfa, compose_free, compose_sync, determinize, difference,
                   nfa_member, pad_anywhere, pad_suffix, project, union,
                   word_automaton)

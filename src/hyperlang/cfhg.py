@@ -26,7 +26,7 @@ from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
                   derives_span, to_cnf)
 from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
                    evaluate, finite_language, nonempty_subsets, pad_to_sync)
-from .errors import NotRanked, Undecidable, WrongPrefix
+from .errors import Undecidable
 from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
 
@@ -54,7 +54,10 @@ class Cfhg:
         return self.prefix.variables
 
     def ranked(self) -> bool:
-        return is_ranked(self.underlying).ranked
+        """Is the underlying grammar ranked?  Computed once per grammar."""
+        if "_ranked" not in self.__dict__:
+            object.__setattr__(self, "_ranked", is_ranked(self.underlying).ranked)
+        return self._ranked
 
 
 def emptiness_route(prefix: QuantifierPrefix) -> str:
@@ -67,27 +70,6 @@ def emptiness_route(prefix: QuantifierPrefix) -> str:
     if "AE" in qs:
         return "forallexists"
     return "sync" if "E" not in qs[1:] else "emptinessexistsforall"
-
-
-def exists_empty(g: Cfhg) -> bool:
-    """Emptiness for ∃* prefixes (and a single ∀): reduces to CFG emptiness."""
-    if emptiness_route(g.prefix) != "exists":
-        raise WrongPrefix("exists_empty handles ∃* and single-quantifier prefixes")
-    return cfg_empty(g.underlying)
-
-
-def exists_regular_member(g: Cfhg, a: Nfa) -> bool:
-    """Is L(a) in the hyperlanguage of an ∃^k grammar?
-
-    True iff some k-tuple of #-padded words of L(a) is derived, i.e. the
-    underlying grammar meets the k-fold free product of pad-closed copies
-    of the automaton.
-    """
-    if any(q != "E" for q in g.prefix.quantifiers):
-        raise WrongPrefix("regular membership is only decidable for ∃* prefixes")
-    padded = pad_anywhere(a)
-    joint = track_product([with_var(padded, v) for v in g.vars])
-    return not cfg_intersect_empty(to_cnf(g.underlying), joint)
 
 
 def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple]:
@@ -159,34 +141,23 @@ def diagonal_restriction(g: Cfhg) -> Cfg:
     return cleanup(Cfg(g.underlying.variables, g.underlying.start, rules))
 
 
-def sync_forall_empty(g: Cfhg) -> bool:
-    """Emptiness of a ranked ∀*/∃∀* grammar: a language exists iff a singleton
-    does, so it suffices to check the diagonal restriction for emptiness."""
-    # a single quantifier routes to exists_empty but is also a ∀* prefix
-    if len(g.prefix.entries) > 1 and emptiness_route(g.prefix) != "sync":
-        raise WrongPrefix("sync_forall_empty handles ∀* and ∃∀* prefixes")
-    if not g.ranked():
-        raise NotRanked("the diagonal reduction is only sound for ranked grammars")
-    return cfg_empty(diagonal_restriction(g))
-
-
 def cfhg_empty(g: Cfhg) -> bool:
-    """Emptiness with routing to the applicable decision procedure.
+    """Emptiness, decided on the prefix's ``emptiness_route``.
 
-    Raises ``Undecidable`` (naming the relevant result) for the prefix
-    classes where no procedure exists.
+    An ∃* prefix or a single quantifier reduces to CFG emptiness.  A ranked
+    ∀*/∃∀* grammar has a member iff it has a singleton member, so its
+    diagonal restriction decides.  Every other case raises ``Undecidable``
+    naming the result that applies.
     """
     route = emptiness_route(g.prefix)
     if route == "exists":
-        return exists_empty(g)
+        return cfg_empty(g.underlying)
     if route == "sync":
-        try:
-            return sync_forall_empty(g)
-        except NotRanked:
+        if not g.ranked():
             raise Undecidable(
                 "undecforall",
-                "emptiness of ∀*/∃∀*-CFHG is undecidable for non-ranked grammars"
-            ) from None
+                "emptiness of ∀*/∃∀*-CFHG is undecidable for non-ranked grammars")
+        return cfg_empty(diagonal_restriction(g))
     if route == "emptinessexistsforall":
         raise Undecidable(
             route, "emptiness of ∃*∀*-CFHG is undecidable even for ranked grammars")
@@ -196,14 +167,19 @@ def cfhg_empty(g: Cfhg) -> bool:
 
 
 def regular_member(g: Cfhg, a: Nfa) -> bool:
-    """Regular-language membership, defined only for ∃* prefixes."""
-    try:
-        return exists_regular_member(g, a)
-    except WrongPrefix:
+    """Is L(a) in the hyperlanguage?  Decided for ∃^k prefixes only.
+
+    True iff some k-tuple of #-padded words of L(a) is derived, i.e. the
+    underlying grammar meets the k-fold free product of pad-closed copies
+    of the automaton.
+    """
+    if "A" in g.prefix.quantifiers:
         raise Undecidable(
             "forallsyncundec",
-            "regular membership for grammars with a ∀ quantifier is undecidable"
-        ) from None
+            "regular membership for grammars with a ∀ quantifier is undecidable")
+    padded = pad_anywhere(a)
+    joint = track_product([with_var(padded, v) for v in g.vars])
+    return not cfg_intersect_empty(to_cnf(g.underlying), joint)
 
 
 def bounded_nonempty_witness(g: Cfhg, max_len: int,
@@ -219,8 +195,9 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int,
     """
     universe = bounded_universe(g.symbols, max_len, universe_cap, "witness-search")
     leaf = _membership_leaf(g, False)
-    quantifiers = "".join(g.prefix.quantifiers)
-    most = None if "AE" in quantifiers else max(1, quantifiers.count("E"))
+    quantifiers = g.prefix.quantifiers
+    most = (None if emptiness_route(g.prefix) == "forallexists"
+            else max(1, quantifiers.count("E")))
     for words in nonempty_subsets(universe, most):
         if evaluate(quantifiers, words, leaf):
             return frozenset(words)

@@ -19,7 +19,7 @@ from .errors import (CapExceeded, HyperlangError, ParseError, Undecidable,
 from .formats import (parse_cfhg, parse_language, parse_nfa, parse_nfh,
                       parse_pcp, rank_report, render_cfhg, render_nfh,
                       render_violation)
-from .nfa import Dfa, determinize, trim
+from .nfa import Dfa, Nfa, determinize, trim
 from .nfh import nfh_accepts, nfh_hyperlanguage_probe
 from .pcp import pcp_encode_exists_forall, pcp_encode_forall
 from .ranks import is_ranked
@@ -118,10 +118,15 @@ def _write(path: str, text: str):
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _as_dfa(a) -> Dfa:
+def _read_base_automaton(path: str) -> Nfa:
+    a = parse_nfa(_read(path))
     if a.is_track:
         raise _UsageError("expected an automaton over the base alphabet "
                           "(no 'vars:' line)")
+    return a
+
+
+def _as_dfa(a: Nfa) -> Dfa:
     if isinstance(a, Dfa):
         return a
     # a subset state is named by its sorted members, which hold no space, so
@@ -196,13 +201,13 @@ def _run_realize(args, report: _Report):
             raise _UsageError(str(exc)) from exc
         n = realize_ordered(spec)
     elif args.verb == "prefix-closed":
-        dfa = _as_dfa(parse_nfa(_read(args.dfa_file)))
+        dfa = _as_dfa(_read_base_automaton(args.dfa_file))
         if args.route == "fast":
             n = realize_prefix_closed_fast(dfa)
         else:
             n = realize_partially_ordered(prefix_closed_relation(dfa))
     else:
-        n = realize_shortlex(_as_dfa(parse_nfa(_read(args.dfa_file))))
+        n = realize_shortlex(_as_dfa(_read_base_automaton(args.dfa_file)))
     _write(args.output, render_nfh(n))
     report.note("output", args.output, f"wrote {args.output}")
 
@@ -227,8 +232,7 @@ def _run_cfhg(args, report: _Report):
         words = parse_language(_read(args.lang_file))
         report.verdict(finite_member(g, words))
     elif args.verb == "member-regular":
-        a = parse_nfa(_read(args.nfa_file))
-        report.verdict(regular_member(g, a))
+        report.verdict(regular_member(g, _read_base_automaton(args.nfa_file)))
     elif args.verb == "ranks":
         report.body(rank_report(g))
     else:

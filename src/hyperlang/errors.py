@@ -37,14 +37,6 @@ class AlphabetMismatch(HyperlangError):
     """Grammar and automaton operate over different alphabets."""
 
 
-class WrongPrefix(HyperlangError):
-    """A decision procedure was invoked with an unsupported quantifier prefix."""
-
-
-class NotRanked(HyperlangError):
-    """A procedure restricted to ranked (synchronous) grammars got an unranked one."""
-
-
 class ParseError(HyperlangError):
     """A text artifact (automaton, grammar, language, or tile file) failed to parse."""
 

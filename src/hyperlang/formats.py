@@ -95,6 +95,8 @@ def parse_nfa(text: str) -> Nfa:
         raise ParseError(f"missing or bad 'type:' line (got {kind!r})")
     if not alphabet:
         raise ParseError("missing 'alphabet:' line")
+    if vars_ is None and PAD in alphabet:
+        raise ParseError(f"the pad symbol {PAD!r} is not a letter of a base automaton")
     try:
         if vars_ is None:
             trans = {(q, letter, p) for q, letter, p in transitions}
@@ -260,9 +262,12 @@ def render_cfhg(g: Cfhg) -> str:
 
 
 def parse_language(text: str) -> list[Word]:
-    """One word per line; ``eps`` denotes the empty word."""
+    """One word per line; ``eps`` denotes the empty word.  The pad symbol
+    ``#`` is not a word symbol."""
     words = []
     for line in _lines(text):
+        if PAD in line:
+            raise ParseError(f"word {line!r} holds the pad symbol {PAD!r}")
         words.append(() if line == "eps" else as_word(line))
     if not words:
         raise ParseError("the language file lists no words")

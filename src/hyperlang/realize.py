@@ -47,6 +47,8 @@ class OrderedLanguageSpec:
     def __post_init__(self):
         if self.successor.vars != ("x", "y"):
             raise ValueError("successor automaton must be over variables (x, y)")
+        if PAD in self.first_word:
+            raise ValueError(f"the first word holds the pad symbol {PAD!r}")
 
 
 @dataclass(frozen=True)

@@ -197,14 +197,14 @@ def random_track_grammar(rng, var_names=("x1", "x2"), symbols=("a", "b")):
     return Cfg(frozenset(variables), "V0", frozenset(rules))
 
 
-def random_ranked_grammars(count, seed=7):
+def random_ranked_grammars(count, seed=7, var_names=("x1", "x2")):
     """Random track grammars filtered down to ranked, cleaned ones."""
     from hyperlang.cfg import cfg_empty, cleanup
     from hyperlang.ranks import is_ranked
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        g = cleanup(random_track_grammar(rng))
+        g = cleanup(random_track_grammar(rng, var_names))
         if not cfg_empty(g) and is_ranked(g).ranked:
             out.append(g)
     return out

@@ -24,7 +24,7 @@ import time
 
 from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
                            derive_bounded, to_cnf)
-from hyperlang.cfhg import finite_member, sync_forall_empty
+from hyperlang.cfhg import cfhg_empty, finite_member
 from hyperlang.cli import run
 from hyperlang.core import HWord, as_word, is_synchronous, pad_to_sync
 from hyperlang.nfa import (Dfa, Nfa, compose_free, compose_sync, determinize,
@@ -197,12 +197,12 @@ def test_criterion_09_companion_reversed_indices(pcp_fixture):
 
 def test_criterion_10_sync_forall_emptiness(robot_diagonal,
                                             mixed_letter_grammar):
-    assert not sync_forall_empty(robot_diagonal)
+    assert not cfhg_empty(robot_diagonal)
     from hyperlang.cfhg import diagonal_restriction
     cnf = to_cnf(diagonal_restriction(robot_diagonal))
     witness = pad_to_sync({"x1": as_word("ccca"), "x2": as_word("ccca")})
     assert cyk_member(cnf, witness)
-    assert sync_forall_empty(mixed_letter_grammar)
+    assert cfhg_empty(mixed_letter_grammar)
 
 
 def test_criterion_11_oracle_suites(anbn):

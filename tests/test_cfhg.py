@@ -6,16 +6,14 @@ import random
 import pytest
 
 import hyperlang.cfhg as cfhg_module
-from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cyk_member,
-                           derive_bounded, to_cnf)
+from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup,
+                           cyk_member, derive_bounded, to_cnf)
 from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
-                            diagonal_restriction, exists_empty,
-                            exists_regular_member, finite_member,
-                            regular_member, sync_forall_empty)
+                            diagonal_restriction, finite_member,
+                            regular_member)
 from hyperlang.core import (HWord, QuantifierPrefix, as_word, pad_to_sync,
                             strip_hash, tracks_of)
-from hyperlang.errors import (EmptyLanguage, NotRanked, Undecidable,
-                              WrongPrefix)
+from hyperlang.errors import EmptyLanguage, Undecidable
 from hyperlang.nfa import (Nfa, pad_anywhere, track_product, with_var,
                            word_automaton)
 from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
@@ -35,31 +33,26 @@ def _exists_pair_grammar():
 
 def test_exists_empty():
     g = _exists_pair_grammar()
-    assert not exists_empty(g)
+    assert not cfhg_empty(g)
     dead = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("E x"),
                 Cfg(frozenset({"V0"}), "V0",
                     frozenset({("V0", (letter(("x",), "a"), "V0"))})))
-    assert exists_empty(dead)
+    assert cfhg_empty(dead)
 
 
 def test_exists_empty_single_forall(g1_forall):
     # one ∀ quantifier reduces to plain grammar emptiness
-    assert exists_empty(g1_forall) == cfg_empty(g1_forall.underlying)
-    assert not exists_empty(g1_forall)
-
-
-def test_exists_empty_wrong_prefix(robot_diagonal):
-    with pytest.raises(WrongPrefix):
-        exists_empty(robot_diagonal)
+    assert cfhg_empty(g1_forall) == cfg_empty(g1_forall.underlying)
+    assert not cfhg_empty(g1_forall)
 
 
 def test_exists_regular_member():
     g = _exists_pair_grammar()
     ab = Nfa({"a", "b"}, {"0", "1"}, {"0"}, {"1"},
              {("0", "a", "1"), ("0", "b", "1")})
-    assert exists_regular_member(g, ab)
+    assert regular_member(g, ab)
     c_only = word_automaton(as_word("c"))
-    assert not exists_regular_member(
+    assert not regular_member(
         Cfhg(g.symbols | {"c"}, g.prefix, g.underlying), c_only)
 
 
@@ -71,9 +64,9 @@ def test_exists_regular_member_single_var():
                             ("V0", (letter(v, "a"), letter(v, "b")))})))
     astar_bstar = Nfa({"a", "b"}, {"p", "q"}, {"p"}, {"p", "q"},
                       {("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")})
-    assert exists_regular_member(g, astar_bstar)
+    assert regular_member(g, astar_bstar)
     only_a = Nfa({"a", "b"}, {"p"}, {"p"}, {"p"}, {("p", "a", "p")})
-    assert not exists_regular_member(g, only_a)
+    assert not regular_member(g, only_a)
 
 
 def test_finite_member_robot(g1_forall):
@@ -112,28 +105,31 @@ def test_diagonal_restriction(robot_diagonal, mixed_letter_grammar):
 
 
 def test_sync_forall_empty(robot_diagonal, mixed_letter_grammar):
-    assert not sync_forall_empty(robot_diagonal)
-    assert sync_forall_empty(mixed_letter_grammar)
+    assert not cfhg_empty(robot_diagonal)
+    assert cfhg_empty(mixed_letter_grammar)
 
 
 def test_sync_forall_empty_exists_forall(robot_diagonal, mixed_letter_grammar):
     ea = Cfhg(robot_diagonal.symbols, QuantifierPrefix.parse("E x1 A x2"),
               robot_diagonal.underlying)
-    assert not sync_forall_empty(ea)
+    assert not cfhg_empty(ea)
     ea_mixed = Cfhg(mixed_letter_grammar.symbols,
                     QuantifierPrefix.parse("E x1 A x2"),
                     mixed_letter_grammar.underlying)
-    assert sync_forall_empty(ea_mixed)
+    assert cfhg_empty(ea_mixed)
 
 
 def test_sync_forall_empty_guards(tile_grammar_cfhg, robot_diagonal):
-    with pytest.raises(NotRanked):
-        sync_forall_empty(tile_grammar_cfhg)
+    # the diagonal decides neither an unranked ∀* grammar nor a ∀ before an ∃
+    with pytest.raises(Undecidable) as err:
+        cfhg_empty(tile_grammar_cfhg)
+    assert err.value.reason == "undecforall"
     bad_prefix = Cfhg(robot_diagonal.symbols,
                       QuantifierPrefix.parse("A x1 E x2"),
                       robot_diagonal.underlying)
-    with pytest.raises(WrongPrefix):
-        sync_forall_empty(bad_prefix)
+    with pytest.raises(Undecidable) as err:
+        cfhg_empty(bad_prefix)
+    assert err.value.reason == "forallexists"
 
 
 def test_sync_forall_witness_singleton(robot_diagonal):
@@ -211,21 +207,73 @@ def _route_grammar(prefix, ranked):
     ("A x A y E z", True, "forallexists"),
 ])
 def test_cfhg_empty_route(monkeypatch, prefix, ranked, expected):
-    """The procedure cfhg_empty dispatches to, or the reason it refuses."""
-    routes = []
-    for name, route in (("exists_empty", "exists"), ("sync_forall_empty", "sync")):
-        def spy(g, original=getattr(cfhg_module, name), route=route):
-            routes.append(route)
-            return original(g)
+    """The procedure cfhg_empty runs, or the reason it refuses: ``exists``
+    tests the grammar itself for emptiness, ``sync`` its diagonal."""
+    calls = []
+    for name in ("cfg_empty", "diagonal_restriction"):
+        def spy(arg, original=getattr(cfhg_module, name), name=name):
+            calls.append(name)
+            return original(arg)
         monkeypatch.setattr(cfhg_module, name, spy)
     g = _route_grammar(prefix, ranked)
     assert is_ranked(g.underlying).ranked == ranked
+    routes = {("cfg_empty",): "exists",
+              ("diagonal_restriction", "cfg_empty"): "sync"}
     try:
         cfhg_empty(g)
-        got = routes
+        got = routes[tuple(calls)]
     except Undecidable as exc:
-        got = [exc.reason]
-    assert got == [expected]
+        assert calls == []
+        got = exc.reason
+    assert got == expected
+
+
+def _shortest_word(g, max_len=8):
+    """A shortest word that ``g`` derives, searched up to ``max_len``."""
+    for n in range(max_len + 1):
+        derived = derive_bounded(g, n)
+        if derived:
+            return min(derived, key=lambda w: (len(w), repr(w)))
+    raise AssertionError(f"no word of length ≤ {max_len}")
+
+
+def test_router_agrees_with_search_and_membership():
+    """``cfhg_empty`` on generated grammars, ranked and unranked, under every
+    prefix of one to three variables: a member found by the witness search
+    rules out an empty verdict, and a non-empty verdict on a ∀*/∃∀* prefix
+    is borne out by the singleton of the diagonal restriction's shortest
+    word, which ``finite_member`` must accept."""
+    rng = random.Random(31)
+    found = diagonal_members = 0
+    for n in (1, 2, 3):
+        v = tuple(f"x{i + 1}" for i in range(n))
+        unranked = []
+        # a one-track letter holds no pad, so every one-variable grammar is ranked
+        while n > 1 and len(unranked) < 3:
+            g = cleanup(random_track_grammar(rng, v))
+            if not cfg_empty(g) and not is_ranked(g).ranked:
+                unranked.append(g)
+        grammars = random_ranked_grammars(5, seed=n, var_names=v) + unranked
+        for quantifiers in itertools.product("AE", repeat=n):
+            prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
+            # ∀* and ∃∀*, where the diagonal decides a ranked grammar
+            sync = n > 1 and "E" not in quantifiers[1:]
+            for grammar in grammars:
+                g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+                try:
+                    empty = cfhg_empty(g)
+                except Undecidable:
+                    empty = None
+                if bounded_nonempty_witness(g, 2) is not None:
+                    found += 1
+                    assert empty is not True, (quantifiers, grammar.rules)
+                if sync and empty is False:
+                    diagonal = diagonal_restriction(g)
+                    assert not cfg_empty(diagonal), (quantifiers, grammar.rules)
+                    word = tuple(t.symbols[0] for t in _shortest_word(diagonal))
+                    assert finite_member(g, [word]), (quantifiers, grammar.rules)
+                    diagonal_members += 1
+    assert found and diagonal_members
 
 
 def _reference_witness(g, max_len):

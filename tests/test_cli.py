@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import hyperlang
+import hyperlang.ranks as ranks_module
 from hyperlang.cfhg import finite_member
 from hyperlang.cli import run
 from hyperlang.errors import CapExceeded, UnknownLetter
@@ -405,6 +406,55 @@ trans: q0 c q0
 """)
     assert run(["cfhg", "member-regular", write("g.cfhg", ROBOT), nfa]) == 2
     assert "forallsyncundec" in capsys.readouterr().out
+
+
+def test_cfhg_member_regular_refuses_a_track_automaton(files, capsys):
+    write, _ = files
+    nfa = write("t.nfa", EXISTS_A_NFH.replace("quantifiers: E x\n", ""))
+    assert run(["cfhg", "member-regular", write("g.cfhg", EXISTS_A_CFHG), nfa]) == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("usage error: expected an automaton over the base "
+                       "alphabet (no 'vars:' line)\n")
+
+
+@pytest.mark.parametrize("verb, text, code, message", [
+    ("finite", "a#\nb\n", 65, "parse error: word 'a#' holds the pad symbol '#'"),
+    ("regular", "type: dfa\nalphabet: a #\nstates: s0 s1\ninitial: s0\n"
+                "accepting: s1\ntrans: s0 # s1\n", 65,
+     "parse error: the pad symbol '#' is not a letter of a base automaton"),
+    ("ordered", None, 64, "usage error: the first word holds the pad symbol '#'"),
+], ids=["finite", "regular", "ordered"])
+def test_realize_refuses_the_pad_symbol(files, capsys, verb, text, code, message):
+    """'#' pads the tracks of an NFH, so no word of the input may use it."""
+    write, tmp = files
+    out = str(tmp / "out.nfh")
+    if verb == "ordered":
+        argv = ["realize", "ordered", "a#", write("s.nfa", TWO_TRACK_NFA)]
+    else:
+        argv = ["realize", verb, write("in.txt", text)]
+    assert run(argv + ["-o", out]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp / "out.nfh").exists()
+
+
+def test_cfhg_empty_bounded_computes_ranks_once(files, capsys, monkeypatch):
+    """An unranked ∀∀ grammar is checked for ranks once: the emptiness route
+    and the witness search share the verdict."""
+    write, tmp = files
+    grammar = str(tmp / "aa.cfhg")
+    run(["pcp", "encode-forall", write("t.txt", TILES), "-o", grammar])
+    capsys.readouterr()
+    calls = []
+
+    def spy(g, original=ranks_module.compute_ranks):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(ranks_module, "compute_ranks", spy)
+    assert run(["cfhg", "empty", grammar, "--bounded", "1"]) == 2
+    assert capsys.readouterr().out.startswith("UNDECIDABLE(undecforall)")
+    assert len(calls) == 1
 
 
 def test_cfhg_ranks_and_is_ranked(files, capsys):

@@ -77,6 +77,11 @@ def test_parse_nfa_errors():
                   "accepting: q0\n")
     with pytest.raises(ParseError, match="'acepting'"):
         parse_nfa(NFA_TEXT.replace("accepting:", "acepting:"))
+    with pytest.raises(ParseError, match="pad symbol"):
+        parse_nfa(NFA_TEXT.replace("alphabet: a b", "alphabet: a b #"))
+    # a track automaton reads pads on its tracks, declared or not
+    track = parse_nfa(TRACK_NFA_TEXT.replace("alphabet: a\n", "alphabet: a #\n"))
+    assert track.transitions == parse_nfa(TRACK_NFA_TEXT).transitions
 
 
 def test_nfa_round_trip():
@@ -135,6 +140,10 @@ def test_parse_language():
     assert parse_language("eps\nab\n") == [(), ("a", "b")]
     with pytest.raises(ParseError):
         parse_language("\n")
+    # '#' pads a track; as a word symbol it would meet no letter of an NFH
+    for text in ("a#\nb\n", "#\n"):
+        with pytest.raises(ParseError, match="pad symbol"):
+            parse_language(text)
 
 
 def test_language_round_trip():

@@ -122,6 +122,9 @@ FIXED_FILES = {
     "tiles.txt": "".join(f"{a} | {b}\n" for a, b in CRITERION9_TILES),
     "words.lang": "eps\na\nab\n",
     "a.lang": "a\naa\n",
+    "pad.lang": "a#\nb\n",
+    "pad.dfa": "type: dfa\nalphabet: a #\nstates: s0 s1\ninitial: s0\n"
+               "accepting: s1\ntrans: s0 # s1\n",
 }
 
 FIXED_CALLS = [
@@ -141,6 +144,9 @@ FIXED_CALLS = [
     ("encode-ea", ["pcp", "encode-ea", "tiles.txt", "-o", "out"]),
     ("member-regular-exists", ["cfhg", "member-regular", "e.cfhg", "ab.nfa"]),
     ("member-regular-forall", ["cfhg", "member-regular", "aa.cfhg", "ab.nfa"]),
+    ("member-regular-track", ["cfhg", "member-regular", "e.cfhg", "succ.nfa"]),
+    ("finite-pad", ["realize", "finite", "pad.lang", "-o", "out"]),
+    ("regular-pad", ["realize", "regular", "pad.dfa", "-o", "out"]),
     ("fig1-member", ["nfh", "member", "fig1.nfh", "a.lang"]),
     ("fig1-probe", ["nfh", "probe", "fig1.nfh", "--max-len", "2"]),
     ("probe-negative", ["nfh", "probe", "fig1.nfh", "--max-len", "-1"]),
