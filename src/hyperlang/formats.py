@@ -231,6 +231,9 @@ def parse_cfhg(text: str) -> Cfhg:
     grammar, prefix, alphabet = parse_cfg_text(text)
     if prefix is None:
         raise ParseError("missing 'quantifiers:' line")
+    if alphabet is not None and PAD in alphabet:
+        raise ParseError(f"the pad symbol {PAD!r} is not a letter of a "
+                         "hypergrammar's alphabet")
     if alphabet is None:
         symbols = set()
         for token in grammar.terminals():

@@ -116,7 +116,9 @@ def nfh_hyperlanguage_probe(n: Nfh, max_len: int,
     viable = _viable_words(universe, assignments,
                            [j for j, q in enumerate(quantifiers) if q == "A"])
 
-    # Trie walk, not core.evaluate: ~4x faster on an unpruned ∃∃ walk over 2^15 subsets.
+    # Trie walk, not core.evaluate: on an unpruned ∃∃ walk over the 2^15 subsets
+    # of {a,b}^{≤3} it is 1.6x faster when the NFH accepts few pairs (186 vs
+    # 303 ms) and 1.0x when it accepts all (170 ms; Python 3.11, 2-core VM).
     def walk(node: _Trie, depth: int, words: tuple[Word, ...]) -> bool:
         if depth == len(quantifiers):
             return node.terminal

@@ -440,52 +440,52 @@ def _shortlex_step(order: str, s: str, t: str) -> str | None:
     return order
 
 
-def _shortlex_tracks(tracks: tuple[Nfa, ...], names: tuple[str, ...],
-                     less: tuple[tuple[int, int], ...]) -> Nfa:
-    """Tightly padded track NFA over ``names`` whose track i is read by the
-    base automaton ``tracks[i]`` (pads included) and, for each (i, j) in
-    ``less``, holds a word shortlex-less than track j's."""
-    moves = [a.moves_from() for a in tracks]
-
-    def step(state):
-        qs, orders = state
-        for combo in itertools.product(*(m.get(q, ()) for m, q in zip(moves, qs))):
-            symbols = tuple(s for s, _ in combo)
-            if all(s == PAD for s in symbols):
-                continue
-            new_orders = tuple(_shortlex_step(o, symbols[i], symbols[j])
-                               for o, (i, j) in zip(orders, less))
-            if None not in new_orders:
-                yield (TrackLetter(names, symbols),
-                       (tuple(p for _, p in combo), new_orders))
-
-    initial = {(qs, ("=",) * len(less))
-               for qs in itertools.product(*(a.initial for a in tracks))}
-    states, transitions = explore(initial, step)
-    accepting = {(qs, orders) for qs, orders in states
-                 if all(q in a.accepting for q, a in zip(qs, tracks))
-                 and all(o == "<" for o in orders)}
-    symbols = frozenset().union(*(a.symbols for a in tracks))
-    return trim(Nfa(symbols, states, initial, accepting, transitions, names))
-
-
 def shortlex_successor(a: Dfa, det_cap: int = 64) -> Nfa:
     """Tightly padded track NFA over (x, y) for the shortlex successor
     within L(a): u, v ∈ L, u < v, and no word of L lies strictly between.
 
     Shortlex order is automatic (Khoussainov & Nerode 1995), so the pairs
-    with a word of L between them are the 3-track "w ∈ L ∧ u < w ∧ w < v"
-    with w projected away.  Its x- and y-tracks read any letters: the pairs
-    it is determinized against are tightly padded words of L.
+    with some w ∈ L between them need no track for w: their states run L's
+    DFA on w and keep the orders of (x, w) and (w, y).  x and y read any
+    letters, since the pairs they are subtracted from are words of L.
     """
     padded = pad_suffix(a)
+    moves = padded.moves_from()
     symbols = padded.symbols
-    anything = Nfa(symbols, {"any"}, {"any"}, {"any"},
-                   {("any", s, "any") for s in symbols})
-    less = _shortlex_tracks((padded, padded), ("x", "y"), ((0, 1),))
-    between = _shortlex_tracks((anything, padded, anything), ("x", "w", "y"),
-                               ((0, 1), (1, 2)))
-    between = _capped(project(between, "w"), det_cap, "shortlex between relation")
+    letters = {(s, t): TrackLetter(("x", "y"), (s, t))
+               for s in symbols for t in symbols}
+
+    def less_step(state):
+        qx, qy, order = state
+        for s, px in moves.get(qx, ()):
+            for t, py in moves.get(qy, ()):
+                new_order = _shortlex_step(order, s, t)
+                if new_order is not None and not s == t == PAD:
+                    yield letters[s, t], (px, py, new_order)
+
+    def between_step(state):
+        qw, xw, wy = state
+        for w, pw in moves.get(qw, ()):
+            for s in symbols:
+                new_xw = _shortlex_step(xw, s, w)
+                if new_xw is None:
+                    continue
+                for t in symbols:
+                    new_wy = _shortlex_step(wy, w, t)
+                    if new_wy is not None and not s == w == t == PAD:
+                        yield letters[s, t], (pw, new_xw, new_wy)
+
+    def relation(start, step, accepts) -> Nfa:
+        states, transitions = explore({start}, step)
+        return Nfa(symbols, states, {start},
+                   {q for q in states if accepts(q)}, transitions, ("x", "y"))
+
+    final = padded.accepting
+    less = trim(relation((a.start, a.start, "="), less_step,
+                         lambda q: q[0] in final and q[1] in final and q[2] == "<"))
+    between = _capped(relation((a.start, "=", "="), between_step,
+                               lambda q: q[0] in final and q[1] == q[2] == "<"),
+                      det_cap, "shortlex between relation")
     return trim(difference(less, between))
 
 

@@ -438,6 +438,23 @@ def test_realize_refuses_the_pad_symbol(files, capsys, verb, text, code, message
     assert not (tmp / "out.nfh").exists()
 
 
+def test_cfhg_refuses_the_pad_symbol(files, capsys):
+    """'#' in a grammar's alphabet is a parse error; the witness search would
+    otherwise count words holding it against the universe cap."""
+    write, _ = files
+    grammar = ("quantifiers: A x A y E z\nalphabet: a{}\nstart: S\n"
+               "rule: S -> [x=a,y=a,z=a]\n")
+    assert run(["cfhg", "empty", write("pad.cfhg", grammar.format(" #")),
+                "--bounded", "4"]) == 65
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("parse error: the pad symbol '#' is not a letter of a "
+                       "hypergrammar's alphabet\n")
+    assert run(["cfhg", "empty", write("a.cfhg", grammar.format("")),
+                "--bounded", "4"]) == 2
+    assert "witness: {a}" in capsys.readouterr().out
+
+
 def test_cfhg_empty_bounded_computes_ranks_once(files, capsys, monkeypatch):
     """An unranked ∀∀ grammar is checked for ranks once: the emptiness route
     and the witness search share the verdict."""

@@ -134,6 +134,10 @@ def test_parse_cfhg_errors():
         parse_cfhg("start: V0\nrule: V0 -> [x=a]\n")  # missing quantifiers
     with pytest.raises(ParseError):
         parse_cfhg("quantifiers: E x\nrule: V0 -> [x=a]\n")  # missing start
+    # '#' pads a track; no word of a member language holds it
+    with pytest.raises(ParseError, match="pad symbol '#' is not a letter"):
+        parse_cfhg("quantifiers: E x\nalphabet: a #\nstart: V0\n"
+                   "rule: V0 -> [x=a]\n")
 
 
 def test_parse_language():

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from hyperlang.core import QuantifierPrefix, as_word, pad_to_sync
+from hyperlang.core import PAD, QuantifierPrefix, TrackLetter, as_word, pad_to_sync
 from hyperlang.errors import CapExceeded, NotPrefixClosed
-from hyperlang.formats import render_nfh
-from hyperlang.nfa import (Dfa, Nfa, nfa_language, nfa_member, trim, with_var,
+from hyperlang.formats import render_nfa, render_nfh
+from hyperlang.nfa import (Dfa, Nfa, difference, explore, nfa_language,
+                           nfa_member, pad_suffix, project, trim, with_var,
                            word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
-                               _least_word, _successor_counts,
+                               _capped, _least_word, _shortlex_step,
+                               _successor_counts,
                                _successor_product, prefix_closed_relation,
                                realize_finite, realize_ordered,
                                realize_partially_ordered,
@@ -384,13 +386,93 @@ def test_finite_routes_are_exact_on_generated_dfas():
         assert probe_strings(realize_regular(d), 3) == expected, d.transitions
 
 
+def _reference_shortlex_tracks(tracks, names, less):
+    """The three-track construction ``shortlex_successor`` once used: track i
+    is read by ``tracks[i]`` (pads included) and, for each (i, j) in
+    ``less``, holds a word shortlex-less than track j's."""
+    moves = [a.moves_from() for a in tracks]
+
+    def step(state):
+        qs, orders = state
+        for combo in itertools.product(*(m.get(q, ()) for m, q in zip(moves, qs))):
+            symbols = tuple(s for s, _ in combo)
+            if all(s == PAD for s in symbols):
+                continue
+            new_orders = tuple(_shortlex_step(o, symbols[i], symbols[j])
+                               for o, (i, j) in zip(orders, less))
+            if None not in new_orders:
+                yield (TrackLetter(names, symbols),
+                       (tuple(p for _, p in combo), new_orders))
+
+    initial = {(qs, ("=",) * len(less))
+               for qs in itertools.product(*(a.initial for a in tracks))}
+    states, transitions = explore(initial, step)
+    accepting = {(qs, orders) for qs, orders in states
+                 if all(q in a.accepting for q, a in zip(qs, tracks))
+                 and all(o == "<" for o in orders)}
+    symbols = frozenset().union(*(a.symbols for a in tracks))
+    return trim(Nfa(symbols, states, initial, accepting, transitions, names))
+
+
+def _reference_shortlex_successor(a, det_cap=64):
+    """The shortlex successor with "some w of L lies between x and y" built
+    on a third track w and projected away."""
+    padded = pad_suffix(a)
+    symbols = padded.symbols
+    anything = Nfa(symbols, {"any"}, {"any"}, {"any"},
+                   {("any", s, "any") for s in symbols})
+    less = _reference_shortlex_tracks((padded, padded), ("x", "y"), ((0, 1),))
+    between = _reference_shortlex_tracks((anything, padded, anything),
+                                         ("x", "w", "y"), ((0, 1), (1, 2)))
+    between = _capped(project(between, "w"), det_cap, "shortlex between relation")
+    return trim(difference(less, between))
+
+
+def _shortlex_outcome(build, d, det_cap):
+    try:
+        return render_nfa(build(d, det_cap))
+    except CapExceeded as e:
+        return f"CapExceeded: {e}"
+
+
+def test_shortlex_successor_matches_three_track_reference():
+    """On generated DFAs of 1-4 states over 1-3 symbols, the successor
+    renders as the three-track reference does, or refuses with the same
+    message, at the default cap and at a small one."""
+    rng = random.Random(41)
+    refusals = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        symbols = "abc"[:rng.randint(1, 3)]
+        states = [str(i) for i in range(n)]
+        delta = {(q, s, str(rng.randrange(n))) for q in states for s in symbols
+                 if rng.random() < 0.7}
+        accepting = {q for q in states if rng.random() < 0.5}
+        d = Dfa(set(symbols), states, "0", accepting, delta)
+        for det_cap in (64, rng.randint(1, 30)):
+            expected = _shortlex_outcome(_reference_shortlex_successor, d, det_cap)
+            assert _shortlex_outcome(shortlex_successor, d, det_cap) == expected, \
+                (sorted(delta), sorted(accepting), det_cap)
+            refusals += expected.startswith("CapExceeded")
+    assert refusals >= 8
+
+
 def test_caps_name_their_stage():
     with pytest.raises(CapExceeded, match=r"^successor count 2: determinization "
                                           r"input has 66 states \(cap 64\)$"):
         realize_regular(ROADMAP_DFA)
     with pytest.raises(CapExceeded, match=r"^shortlex between relation: "
-                                          r"determinization input has \d+ states"):
+                                          r"determinization input has 23 states "
+                                          r"\(cap 4\)$"):
         shortlex_successor(ROADMAP_DFA, det_cap=4)
+    # a: i -> i+1 mod 8, b: i -> 0, accepting {7}
+    ring = Dfa({"a", "b"}, {str(i) for i in range(8)}, "0", {"7"},
+               {(str(i), "a", str((i + 1) % 8)) for i in range(8)}
+               | {(str(i), "b", "0") for i in range(8)})
+    with pytest.raises(CapExceeded, match=r"^shortlex between relation: "
+                                          r"determinization input has 73 states "
+                                          r"\(cap 64\)$"):
+        shortlex_successor(ring)
 
 
 # --- order containment ----------------------------------------------------------

@@ -111,6 +111,18 @@ trans: s0 a s0
 trans: s0 b s1
 """
 
+
+def ring_dfa(n: int) -> str:
+    """a: i -> i+1 mod n, b: i -> 0, accepting {n-1}.  Its shortlex
+    successor grows with n, past that of any workload DFA; at n = 8 the
+    between relation exceeds the default det_cap."""
+    trans = "".join(f"trans: s{i} a s{(i + 1) % n}\ntrans: s{i} b s0\n"
+                    for i in range(n))
+    return (f"type: dfa\nalphabet: a b\n"
+            f"states: {' '.join(f's{i}' for i in range(n))}\ninitial: s0\n"
+            f"accepting: s{n - 1}\n{trans}")
+
+
 FIXED_FILES = {
     "npc.nfa": NOT_PREFIX_CLOSED_NFA,
     "pc.nfa": PREFIX_CLOSED_NFA,
@@ -125,6 +137,8 @@ FIXED_FILES = {
     "pad.lang": "a#\nb\n",
     "pad.dfa": "type: dfa\nalphabet: a #\nstates: s0 s1\ninitial: s0\n"
                "accepting: s1\ntrans: s0 # s1\n",
+    "ring5.dfa": ring_dfa(5),
+    "ring8.dfa": ring_dfa(8),
 }
 
 FIXED_CALLS = [
@@ -147,6 +161,8 @@ FIXED_CALLS = [
     ("member-regular-track", ["cfhg", "member-regular", "e.cfhg", "succ.nfa"]),
     ("finite-pad", ["realize", "finite", "pad.lang", "-o", "out"]),
     ("regular-pad", ["realize", "regular", "pad.dfa", "-o", "out"]),
+    ("ring5-regular", ["realize", "regular", "ring5.dfa", "-o", "out"]),
+    ("ring8-regular", ["realize", "regular", "ring8.dfa", "-o", "out"]),
     ("fig1-member", ["nfh", "member", "fig1.nfh", "a.lang"]),
     ("fig1-probe", ["nfh", "probe", "fig1.nfh", "--max-len", "2"]),
     ("probe-negative", ["nfh", "probe", "fig1.nfh", "--max-len", "-1"]),
