@@ -5,7 +5,9 @@ strings (base alphabet, possibly including the pad marker ``#``) or
 ``TrackLetter`` values over a fixed variable tuple.
 
 The product and subset constructions share one worklist, ``explore``: each
-supplies only the moves of a state and its acceptance test.
+supplies only the moves of a state and its acceptance test, and gets back
+the trimmed automaton, whose every state is reachable and reaches an
+accepting one.
 """
 
 from __future__ import annotations
@@ -135,20 +137,27 @@ def nfa_member(a: Nfa, w) -> bool:
 
 
 def explore(initial: Iterable[Hashable],
-            step: Callable[[Hashable], Iterable[tuple]]) -> tuple[set, set]:
-    """The states reachable from ``initial`` and the transitions between
-    them, where ``step(state)`` yields the state's (letter, target) moves."""
-    states = set(initial)
-    stack = list(states)
-    transitions = set()
-    while stack:
-        state = stack.pop()
+            step: Callable[[Hashable], Iterable[tuple]],
+            accepts: Callable[[Hashable], bool],
+            symbols: Iterable[str], vars=None) -> Nfa:
+    """The trimmed automaton of the states reachable from ``initial``, where
+    ``step(state)`` yields the state's (letter, target) moves: only the
+    states that reach one for which ``accepts`` holds are kept.  With none,
+    it is one dead state, with no initial one."""
+    initial = set(initial)
+    into: dict = {}
+
+    def targets(state):
         for letter, target in step(state):
-            transitions.add((state, letter, target))
-            if target not in states:
-                states.add(target)
-                stack.append(target)
-    return states, transitions
+            into.setdefault(target, []).append((state, letter))
+            yield target
+
+    accepting = {q for q in closure(initial, targets) if accepts(q)}
+    # every move into a kept state comes from a kept state
+    keep = closure(accepting, lambda q: (p for p, _ in into.get(q, ())))
+    transitions = {(p, letter, q) for q in keep for p, letter in into.get(q, ())}
+    return Nfa(symbols, keep or {"__dead__"}, initial & keep, accepting,
+               transitions, vars)
 
 
 def fresh_state(states: Container, tag: str) -> tuple:
@@ -166,18 +175,9 @@ def reachable(a: Nfa, start: Iterable) -> frozenset:
 
 def trim(a: Nfa) -> Nfa:
     """Restrict to states that are reachable and can reach an accepting state."""
-    fwd = reachable(a, a.initial)
-    back: dict = {}
-    for q, _, p in a.transitions:
-        if q in fwd:
-            back.setdefault(p, set()).add(q)
-    keep = frozenset(closure(a.accepting & fwd, lambda q: back.get(q, ())))
-    return Nfa(a.symbols,
-               keep or {"__dead__"},
-               a.initial & keep,
-               a.accepting & keep,
-               {(q, l, p) for q, l, p in a.transitions if q in keep and p in keep},
-               a.vars)
+    moves = a.moves_from()
+    return explore(a.initial, lambda q: moves.get(q, ()), a.accepting.__contains__,
+                   a.symbols, a.vars)
 
 
 def word_automaton(w, symbols=None) -> Nfa:
@@ -291,16 +291,13 @@ def track_product(parts: Sequence[Nfa]) -> Nfa:
             yield (TrackLetter(joint_vars, tuple(s for l, _ in combo for s in l.symbols)),
                    tuple(p for _, p in combo))
 
-    initial = set(itertools.product(*(p.initial for p in parts)))
-    states, transitions = explore(initial, step)
-    accepting = _all_accepting(states, parts)
-    return Nfa(symbols, states, initial, accepting, transitions, joint_vars)
+    return explore(itertools.product(*(p.initial for p in parts)), step,
+                   lambda joint: _all_accepting(joint, parts), symbols, joint_vars)
 
 
-def _all_accepting(states, parts: Sequence[Nfa]) -> set:
-    """The product states whose every component accepts in its operand."""
-    return {joint for joint in states
-            if all(q in part.accepting for q, part in zip(joint, parts))}
+def _all_accepting(joint: tuple, parts: Sequence[Nfa]) -> bool:
+    """Whether every component of a product state accepts in its operand."""
+    return all(q in part.accepting for q, part in zip(joint, parts))
 
 
 def compose_free(*parts: Nfa) -> Nfa:
@@ -309,7 +306,7 @@ def compose_free(*parts: Nfa) -> Nfa:
     Accepts an HWord iff each operand accepts its own tracks once their
     trailing pads are stripped.
     """
-    return trim(track_product([pad_closure(p) for p in parts]))
+    return track_product([pad_closure(p) for p in parts])
 
 
 def compose_sync(*parts: Nfa, track_vars: Sequence[str]) -> Nfa:
@@ -334,10 +331,8 @@ def compose_sync(*parts: Nfa, track_vars: Sequence[str]) -> Nfa:
                 for combo in itertools.product(*targets):
                     yield joint_letter, combo
 
-    initial = set(itertools.product(*(p.initial for p in parts)))
-    states, transitions = explore(initial, step)
-    accepting = _all_accepting(states, parts)
-    return Nfa(symbols, states, initial, accepting, transitions, joint_vars)
+    return explore(itertools.product(*(p.initial for p in parts)), step,
+                   lambda joint: _all_accepting(joint, parts), symbols, joint_vars)
 
 
 def union(a1: Nfa, a2: Nfa) -> Nfa:
@@ -372,16 +367,15 @@ def difference(a1: Nfa, a2: Nfa) -> Nfa:
         for letter, q2 in moves1.get(q, []):
             yield letter, (q2, a2.step(subset, letter))
 
-    initial = {(q, a2.initial) for q in a1.initial}
-    states, transitions = explore(initial, step)
-    accepting = {(q, subset) for q, subset in states
-                 if q in a1.accepting and not subset & a2.accepting}
-    return Nfa(a1.symbols | a2.symbols, states, initial, accepting, transitions,
-               a1.vars)
+    return explore({(q, a2.initial) for q in a1.initial}, step,
+                   lambda state: state[0] in a1.accepting
+                   and a2.accepting.isdisjoint(state[1]),
+                   a1.symbols | a2.symbols, a1.vars)
 
 
 def determinize(a: Nfa) -> Dfa:
-    """Subset construction over the letters that actually occur in ``a``."""
+    """Trimmed subset construction over the letters that actually occur in
+    ``a``; a DFA of its start subset alone when ``a`` accepts nothing."""
     letters = a.letters()
 
     def step(subset):
@@ -391,9 +385,10 @@ def determinize(a: Nfa) -> Dfa:
                 yield letter, nxt
 
     start = frozenset(a.initial)
-    states, transitions = explore({start}, step)
-    accepting = {s for s in states if s & a.accepting}
-    return Dfa(a.symbols, states, start, accepting, transitions, a.vars)
+    d = explore({start}, step, lambda s: not a.accepting.isdisjoint(s), a.symbols,
+                a.vars)
+    return Dfa(d.symbols, d.states if d.initial else {start}, start, d.accepting,
+               d.transitions, d.vars)
 
 
 def project(a: Nfa, drop: str) -> Nfa:

@@ -94,7 +94,10 @@ def realize_ordered(spec: OrderedLanguageSpec, alphabet=None) -> Nfh:
         {s for s in spec.successor.symbols if s != PAD}
     first = with_var(word_automaton(spec.first_word, symbols), "x1")
     chain = rename_vars(spec.successor, {"x": "x2", "y": "x3"})
-    underlying = absorb_pad(compose_free(first, chain))
+    composed = compose_free(first, chain)
+    if not composed.accepting:
+        raise EmptyLanguage("the successor relation is empty")
+    underlying = absorb_pad(composed)
     prefix = QuantifierPrefix((("E", "x1"), ("A", "x2"), ("E", "x3")))
     return Nfh(frozenset(symbols), prefix, underlying)
 
@@ -128,13 +131,10 @@ def _successor_product(relation: Nfa, i: int) -> Nfa:
 
     initial = {(combo, frozenset())
                for combo in itertools.product(closed.initial, repeat=i)}
-    states, transitions = explore(initial, step)
-    accepting = {
-        (copies, seen) for (copies, seen) in states
-        if seen == all_pairs and all(q in closed.accepting for q in copies)
-    }
-    return trim(Nfa(closed.symbols, states, initial, accepting, transitions,
-                    joint_vars))
+    return explore(initial, step,
+                   lambda state: state[1] == all_pairs
+                   and all(q in closed.accepting for q in state[0]),
+                   closed.symbols, joint_vars)
 
 
 def successors_ge(product: Nfa) -> Nfa:
@@ -147,9 +147,8 @@ def successors_ge(product: Nfa) -> Nfa:
 
 
 def _capped(a: Nfa, det_cap: int, stage: str) -> Nfa:
-    """``a`` trimmed, to be determinized; ``CapExceeded`` naming ``stage`` if
-    it has more than ``det_cap`` states."""
-    a = trim(a)
+    """``a``, a trim automaton to be determinized; ``CapExceeded`` naming
+    ``stage`` if it has more than ``det_cap`` states."""
     if len(a.states) > det_cap:
         raise CapExceeded(f"{stage}: determinization input has {len(a.states)} "
                           f"states (cap {det_cap})")
@@ -159,8 +158,7 @@ def _capped(a: Nfa, det_cap: int, stage: str) -> Nfa:
 def successors_exact(at_least: Nfa, more: Nfa, i: int, det_cap: int = 64) -> Nfa:
     """Words with exactly i successors: those of ``at_least`` (at least i)
     not in ``more`` (at least i+1)."""
-    more = _capped(more, det_cap, f"successor count {i}")
-    return trim(difference(at_least, more))
+    return difference(at_least, _capped(more, det_cap, f"successor count {i}"))
 
 
 def _successor_counts(relation: Nfa, k: int, det_cap: int) -> Iterator[tuple[Nfa, Nfa]]:
@@ -192,12 +190,9 @@ def _constrain_track(a: Nfa, var: str, base: Nfa) -> Nfa:
             for b2 in moves_base.get((b, letter[var]), ()):
                 yield letter, (q2, b2)
 
-    initial = {(q, b) for q in a.initial for b in base.initial}
-    states, transitions = explore(initial, step)
-    accepting = {(q, b) for (q, b) in states
-                 if q in a.accepting and b in base.accepting}
-    return trim(Nfa(a.symbols | base.symbols, states, initial, accepting,
-                    transitions, a.vars))
+    return explore({(q, b) for q in a.initial for b in base.initial}, step,
+                   lambda state: state[0] in a.accepting and state[1] in base.accepting,
+                   a.symbols | base.symbols, a.vars)
 
 
 def _extend_diagonal(a: Nfa, source: str, new_vars: tuple[str, ...]) -> Nfa:
@@ -228,7 +223,7 @@ def realize_partially_ordered(spec: PartialOrderSpec, det_cap: int = 64) -> Nfh:
         b_i = _constrain_track(product, "z", pad_suffix(exact))
         b_i = _extend_diagonal(b_i, "z", y_names[i:])
         if b_i.accepting:
-            parts.append(trim(compose_free(a_u, b_i)))
+            parts.append(compose_free(a_u, b_i))
     if not parts:
         raise EmptyLanguage("no word of the relation's domain has 1..k successors")
     underlying = absorb_pad(union_all(parts))
@@ -393,12 +388,9 @@ def _pump_component(a: Dfa, p, cycle: Word) -> Nfa:
             if q == p:
                 yield from pump_steps(q, 0, ())
 
-    initial = ("walk", a.start, frozenset({a.start}))
-    states, transitions = explore({initial}, step)
-    accepting = {s for s in states
-                 if s[0] == "pump" and s[1] is None and s[2] == n and not s[3]}
-    return trim(Nfa(a.symbols | {PAD}, states, {initial}, accepting, transitions,
-                    ("x", "y")))
+    return explore({("walk", a.start, frozenset({a.start}))}, step,
+                   lambda s: s[0] == "pump" and s[1] is None and s[2] == n and not s[3],
+                   a.symbols | {PAD}, ("x", "y"))
 
 
 def regular_relation(a: Dfa, path_cap: int = 32, cycle_cap: int = 32) -> PartialOrderSpec:
@@ -475,18 +467,15 @@ def shortlex_successor(a: Dfa, det_cap: int = 64) -> Nfa:
                     if new_wy is not None and not s == w == t == PAD:
                         yield letters[s, t], (pw, new_xw, new_wy)
 
-    def relation(start, step, accepts) -> Nfa:
-        states, transitions = explore({start}, step)
-        return Nfa(symbols, states, {start},
-                   {q for q in states if accepts(q)}, transitions, ("x", "y"))
-
     final = padded.accepting
-    less = trim(relation((a.start, a.start, "="), less_step,
-                         lambda q: q[0] in final and q[1] in final and q[2] == "<"))
-    between = _capped(relation((a.start, "=", "="), between_step,
-                               lambda q: q[0] in final and q[1] == q[2] == "<"),
+    less = explore({(a.start, a.start, "=")}, less_step,
+                   lambda q: q[0] in final and q[1] in final and q[2] == "<",
+                   symbols, ("x", "y"))
+    between = _capped(explore({(a.start, "=", "=")}, between_step,
+                              lambda q: q[0] in final and q[1] == q[2] == "<",
+                              symbols, ("x", "y")),
                       det_cap, "shortlex between relation")
-    return trim(difference(less, between))
+    return difference(less, between)
 
 
 def _least_word(a: Dfa) -> Word:

@@ -133,6 +133,14 @@ trans: q0 [x=b,y=a] q1
     capsys.readouterr()
     assert run(["nfh", "probe", out, "--max-len", "1"]) == 0
     assert capsys.readouterr().out.strip() == "{a,b}"
+    # a relation that accepts nothing orders no language
+    empty = write("empty.nfa", "type: nfa\nalphabet: a b\nvars: x y\n"
+                               "states: q0 q1\ninitial: q0\n"
+                               "trans: q0 [x=a,y=b] q1\n")
+    os.remove(out)
+    assert run(["realize", "ordered", "eps", empty, "-o", out]) == 64
+    assert capsys.readouterr().err == "error: the successor relation is empty\n"
+    assert not os.path.exists(out)
 
 
 def test_realize_prefix_closed_routes(files, capsys):
@@ -291,6 +299,14 @@ def test_realize_regular_finite_refusals(files, capsys):
     assert run(["realize", "regular", empty, "-o", str(out)]) == 64
     assert capsys.readouterr().err == "error: the language is empty\n"
     assert not out.exists()
+    # an NFA is determinized first, and its subset DFA accepts nothing too
+    empty_nfa = write("empty.nfa", "type: nfa\nalphabet: a b\nstates: s0 s1\n"
+                                   "initial: s0\ntrans: s0 a s1\n")
+    for verb in (["regular"], ["prefix-closed", "--route", "fast"],
+                 ["prefix-closed", "--route", "relation"]):
+        assert run(["realize", *verb, empty_nfa, "-o", str(out)]) == 64
+        assert capsys.readouterr().err == "error: the language is empty\n"
+        assert not out.exists()
     assert run(["realize", "regular", write("five.dfa", _all_words_dfa(5)),
                 "-o", str(out)]) == 0
     assert parse_nfh(out.read_text()).prefix.render() == "A x E y"

@@ -1,4 +1,5 @@
-"""The public API: the exact export set, and no export without a caller."""
+"""The public API: the exact export set, and no export or definition that
+nothing in ``src`` reads."""
 
 import ast
 from pathlib import Path
@@ -23,12 +24,18 @@ strip_hash successors_exact successors_ge to_cnf tracks_of union
 word_automaton
 """.split()
 
-# exports kept although nothing in ``src`` uses them
-REFERENCE_ROUTES = {
+# functions, classes and methods kept although nothing in ``src`` reads them
+UNREAD = {
     "bar_hillel": "the independent route that tests check cfg_intersect_empty against",
     "derive_bounded": "the derivation enumerator that tests read grammar languages from",
     "realize_regular": "the paper's pumping construction that tests check "
                        "`realize regular` against",
+    "relation_pairs": "the enumeration that tests read a relation's pairs from",
+    "render_language": "the inverse of parse_language, checked by a round trip",
+    "solution_language": "the member language that tests check the PCP encodings "
+                         "accept",
+    "PcpInstance.of": "the constructor from tile pairs that the PCP fixtures use",
+    "_Parser.error": "the argparse hook that turns a usage error into exit 64",
 }
 
 
@@ -56,4 +63,25 @@ def _used_names() -> set[str]:
 
 def test_every_export_has_a_src_caller():
     dead = set(hyperlang.__all__) - _used_names()
-    assert dead == set(REFERENCE_ROUTES)
+    assert dead == set(UNREAD) & set(hyperlang.__all__)
+
+
+def _definitions() -> dict[str, str]:
+    """Qualified name -> name of every module-level function and class of the
+    package, and of every method but the dunders, which Python calls."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (isinstance(method, ast.FunctionDef)
+                            and not method.name.startswith("__")):
+                        found[f"{node.name}.{method.name}"] = method.name
+    return found
+
+
+def test_every_definition_has_a_src_reader():
+    used = _used_names()
+    assert {q for q, name in _definitions().items() if name not in used} == set(UNREAD)

@@ -159,14 +159,16 @@ def test_determinize_preserves_language():
     random NFAs and words up to length 4: determinize keeps the language,
     compose_sync accepts the common words, difference the words of the first
     only, and the product of pad-closed one-track copies accepts exactly the
-    padded pairs."""
+    padded pairs.  Each of them is already trim."""
     rng = random.Random(11)
     other = random.Random(13)
     for _ in range(20):
         a, b = _random_nfa(rng), _random_nfa(other)
         words_a, words_b = nfa_language(a, 4), nfa_language(b, 4)
-        assert base_words(a, 4) == base_words(determinize(a), 4)
-        assert nfa_language(difference(a, b), 4) == words_a - words_b
+        det = determinize(a)
+        assert base_words(a, 4) == base_words(det, 4)
+        diff = difference(a, b)
+        assert nfa_language(diff, 4) == words_a - words_b
         sync = compose_sync(a, b, track_vars=("x", "y"))
         assert ({tuple(l.symbols for l in h) for h in nfa_language(sync, 4)}
                 == {tuple((s, s) for s in w) for w in words_a & words_b})
@@ -174,6 +176,16 @@ def test_determinize_preserves_language():
                                  pad_closure(with_var(b, "y"))])
         assert ({tuple(l.symbols for l in h) for h in nfa_language(product, 4)}
                 == _padded_pairs(words_a, words_b, 4))
+        # a DFA keeps its start subset, alone when the language is empty
+        start = frozenset(a.initial)
+        assert _parts(det) == (_parts(trim(det)) if det.accepting else
+                               ({start}, {start}, set(), set()))
+        for built in (diff, sync, product):
+            assert _parts(built) == _parts(trim(built))
+
+
+def _parts(a):
+    return a.states, a.initial, a.accepting, a.transitions
 
 
 def test_complement_is_exact_complement():

@@ -406,12 +406,11 @@ def _reference_shortlex_tracks(tracks, names, less):
 
     initial = {(qs, ("=",) * len(less))
                for qs in itertools.product(*(a.initial for a in tracks))}
-    states, transitions = explore(initial, step)
-    accepting = {(qs, orders) for qs, orders in states
-                 if all(q in a.accepting for q, a in zip(qs, tracks))
-                 and all(o == "<" for o in orders)}
     symbols = frozenset().union(*(a.symbols for a in tracks))
-    return trim(Nfa(symbols, states, initial, accepting, transitions, names))
+    return explore(initial, step,
+                   lambda state: all(q in a.accepting for q, a in zip(state[0], tracks))
+                   and all(o == "<" for o in state[1]),
+                   symbols, names)
 
 
 def _reference_shortlex_successor(a, det_cap=64):

@@ -80,6 +80,25 @@ trans: q0 [x=#,y=a] q2
 trans: q2 [x=#,y=a] q3
 """
 
+# Two tracks and no accepting state: a successor relation that is empty.
+EMPTY_SUCCESSOR = """\
+type: nfa
+alphabet: a b
+vars: x y
+states: q0 q1
+initial: q0
+trans: q0 [x=a,y=b] q1
+"""
+
+# No accepting state: its subset DFA accepts nothing either.
+EMPTY_NFA = """\
+type: nfa
+alphabet: a b
+states: s0 s1
+initial: s0
+trans: s0 a s1
+"""
+
 FIG1_NFH = """\
 quantifiers: A x E y
 type: nfa
@@ -127,6 +146,8 @@ FIXED_FILES = {
     "npc.nfa": NOT_PREFIX_CLOSED_NFA,
     "pc.nfa": PREFIX_CLOSED_NFA,
     "succ.nfa": EVEN_BLOCKS_SUCCESSOR,
+    "empty-succ.nfa": EMPTY_SUCCESSOR,
+    "empty.nfa": EMPTY_NFA,
     "fig1.nfh": FIG1_NFH,
     "e.cfhg": EXISTS_CFHG,
     "aa.cfhg": forall_cfhg_text(CRITERION9_TILES),
@@ -151,6 +172,11 @@ FIXED_CALLS = [
                      "-o", "out"]),
     ("pc-regular", ["realize", "regular", "pc.nfa", "-o", "out"]),
     ("ordered", ["realize", "ordered", "eps", "succ.nfa", "-o", "out"]),
+    ("ordered-empty", ["realize", "ordered", "eps", "empty-succ.nfa", "-o", "out"]),
+    ("empty-fast", ["realize", "prefix-closed", "empty.nfa", "-o", "out"]),
+    ("empty-relation", ["realize", "prefix-closed", "empty.nfa", "--route",
+                        "relation", "-o", "out"]),
+    ("empty-regular", ["realize", "regular", "empty.nfa", "-o", "out"]),
     ("ordered-wrong-kind", ["realize", "ordered", "a", "pc.nfa", "-o", "out"]),
     ("regular-track", ["realize", "regular", "succ.nfa", "-o", "out"]),
     ("finite", ["realize", "finite", "words.lang", "-o", "out"]),
