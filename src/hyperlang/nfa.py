@@ -168,11 +168,6 @@ def fresh_state(states: Container, tag: str) -> tuple:
     return (tag, i)
 
 
-def reachable(a: Nfa, start: Iterable) -> frozenset:
-    moves = a.moves_from()
-    return frozenset(closure(start, lambda q: (p for _, p in moves.get(q, ()))))
-
-
 def trim(a: Nfa) -> Nfa:
     """Restrict to states that are reachable and can reach an accepting state."""
     moves = a.moves_from()

@@ -8,9 +8,12 @@ finite languages (∀∃), ordered languages (∃∀∃), partially ordered lang
 A general regular L has two constructions.  ``realize_shortlex`` orders an
 infinite L by its shortlex successor, a synchronous relation, and realizes
 it as an ordered language (∃∀∃); it realizes a finite L as the finite
-language of its words (∀∃).  ``realize_regular`` is the paper's
-construction: it pumps the DFA's simple cycles and counts each word's
-successors (∃^m ∀ ∃^k).
+language of its words (∀∃).  The successor is built directly from L's
+length sets, the states with a word of each length into F, with no subset
+construction: the radix successor of a rational language is a finite union
+of sequential functions (Angrand & Sakarovitch, RAIRO-ITA 44, 2010).
+``realize_regular`` is the paper's construction: it pumps the DFA's simple
+cycles and counts each word's successors (∃^m ∀ ∃^k).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, compose_free, compose_sync, difference,
                   elim_pad, explore, fresh_state, pad_closure, pad_suffix,
-                  project, reachable, rename_vars, to_base, trim, union_all,
-                  with_var, word_automaton)
+                  project, rename_vars, to_base, trim, union_all, with_var,
+                  word_automaton)
 from .nfh import Nfh, accepted_assignments
 
 
@@ -418,92 +421,84 @@ def realize_regular(a: Dfa, path_cap: int = 32, cycle_cap: int = 32,
 
 # --- the shortlex successor ----------------------------------------------------
 
-def _shortlex_step(order: str, s: str, t: str) -> str | None:
-    """The shortlex order ("<", "=" or ">") of two padded words u, v after
-    the letters (s, t), given their order before them; None once u is the
-    longer, so that u > v whatever follows.  Pads are trailing, so the word
-    that pads first is the shorter."""
-    if t == PAD:
-        return order if s == PAD else None
-    if s == PAD:
-        return "<"
-    if order == "=" and s != t:
-        return "<" if s < t else ">"
-    return order
+def _length_sets(a: Dfa, det_cap: int = 64) -> tuple[dict, list[frozenset], int]:
+    """L's length sets on its trimmed DFA: S_0 = F, and S_{m+1} the states
+    with a move into S_m, which have a word of length m + 1 into F.  The
+    sequence is a lasso: returns the moves (each state's in letter order),
+    the distinct sets S_0..S_{l-1}, and the index at which S_l repeats.  A
+    finite L has at most |Q| + 1 sets, so ``CapExceeded``, past that many
+    or ``det_cap`` if more, refuses only an infinite L."""
+    t = trim(a)
+    moves = {q: sorted(m) for q, m in t.moves_from().items()}  # one move per letter
+    cap = max(det_cap, len(t.states) + 1)
+    sets = [t.accepting]
+    index = {t.accepting: 0}
+    while True:
+        pre = frozenset(q for q, m in moves.items() if any(p in sets[-1] for _, p in m))
+        if pre in index:
+            return moves, sets, index[pre]
+        if len(sets) == cap:
+            raise CapExceeded(f"shortlex length sets: more than {cap} distinct "
+                              f"sets (cap {cap})")
+        index[pre] = len(sets)
+        sets.append(pre)
 
 
 def shortlex_successor(a: Dfa, det_cap: int = 64) -> Nfa:
     """Tightly padded track NFA over (x, y) for the shortlex successor
     within L(a): u, v ∈ L, u < v, and no word of L lies strictly between.
 
-    Shortlex order is automatic (Khoussainov & Nerode 1995), so the pairs
-    with some w ∈ L between them need no track for w: their states run L's
-    DFA on w and keep the orders of (x, w) and (w, y).  x and y read any
-    letters, since the pairs they are subtracted from are words of L.
+    The radix successor of a rational language is a finite union of
+    sequential functions (Angrand & Sakarovitch, RAIRO-ITA 44, 2010), read
+    here off ``_length_sets``.  A track guesses the lasso index of the
+    letters it has left and counts it down; only the right guess reaches 0
+    as the track ends.  If |v| = |u|, they share a prefix, then split at
+    letters b < c, c the least letter above b into the set of the rest;
+    after that u reads the greatest letter into it and v the least.
+    Otherwise u is the greatest word of its length n and v the least of the
+    next length of L, n + d, where the index of n, u's first guess, fixes d.
     """
-    padded = pad_suffix(a)
-    moves = padded.moves_from()
-    symbols = padded.symbols
-    letters = {(s, t): TrackLetter(("x", "y"), (s, t))
-               for s in symbols for t in symbols}
+    moves, sets, loop = _length_sets(a, det_cap)
+    size = len(sets)
 
-    def less_step(state):
-        qx, qy, order = state
-        for s, px in moves.get(qx, ()):
-            for t, py in moves.get(qy, ()):
-                new_order = _shortlex_step(order, s, t)
-                if new_order is not None and not s == t == PAD:
-                    yield letters[s, t], (px, py, new_order)
+    def index(m):
+        return m if m < size else loop + (m - loop) % (size - loop)
 
-    def between_step(state):
-        qw, xw, wy = state
-        for w, pw in moves.get(qw, ()):
-            for s in symbols:
-                new_xw = _shortlex_step(xw, s, w)
-                if new_xw is None:
-                    continue
-                for t in symbols:
-                    new_wy = _shortlex_step(wy, w, t)
-                    if new_wy is not None and not s == w == t == PAD:
-                        yield letters[s, t], (pw, new_xw, new_wy)
+    pred = {i: [j for j in range(size) if index(j + 1) == i] for i in range(size)}
+    gap = {i: next((d for d in range(1, size + 1) if a.start in sets[index(i + d)]),
+                   None) for i in range(size)}
+    symbols = a.symbols | {PAD}
+    letters = {(s, t): TrackLetter(("x", "y"), (s, t)) for s in symbols for t in symbols}
 
-    final = padded.accepting
-    less = explore({(a.start, a.start, "=")}, less_step,
-                   lambda q: q[0] in final and q[1] in final and q[2] == "<",
+    def into(q, i):
+        """q's (letter, target) moves into S_i, in letter order."""
+        return [(s, p) for s, p in moves.get(q, ()) if p in sets[i]]
+
+    def step(state):
+        if state[0] == "eq":  # a shared prefix with index i left on both tracks
+            _, q, i = state
+            for j in pred[i]:
+                options = into(q, j)
+                for s, p in options:
+                    yield letters[s, s], ("eq", p, j)
+                for (b, pb), (c, pc) in zip(options, options[1:]):
+                    yield letters[b, c], ("apart", pb, j, pc, 0)
+            return
+        # x greatest, y least with d more letters left; qx None once x ended
+        _, qx, i, qy, d = state
+        for j in pred[i] if qx is not None else ():
+            xs, ys = into(qx, j), into(qy, index(j + d))
+            if xs and ys:
+                yield letters[xs[-1][0], ys[0][0]], ("apart", xs[-1][1], j, ys[0][1], d)
+        ys = into(qy, index(d - 1)) if i == 0 and d else ()
+        if ys:
+            yield letters[PAD, ys[0][0]], ("apart", None, 0, ys[0][1], d - 1)
+
+    starts = [i for i in range(size) if a.start in sets[i]]
+    initial = [("eq", a.start, i) for i in starts]
+    initial += [("apart", a.start, i, a.start, gap[i]) for i in starts if gap[i]]
+    return explore(initial, step, lambda q: q[0] == "apart" and q[2] == q[4] == 0,
                    symbols, ("x", "y"))
-    between = _capped(explore({(a.start, "=", "=")}, between_step,
-                              lambda q: q[0] in final and q[1] == q[2] == "<",
-                              symbols, ("x", "y")),
-                      det_cap, "shortlex between relation")
-    return difference(less, between)
-
-
-def _least_word(a: Dfa) -> Word:
-    """The shortlex-least word of L(a).  Breadth first with the letters in
-    order, each state is first reached by its least word."""
-    moves = a.moves_from()
-    access = {a.start: ()}
-    frontier = [a.start]
-    while frontier:
-        for q in frontier:
-            if q in a.accepting:
-                return access[q]
-        reached = []
-        for q in frontier:
-            for s, p in sorted(moves.get(q, ())):  # one move per letter
-                if p not in access:
-                    access[p] = access[q] + (s,)
-                    reached.append(p)
-        frontier = reached
-    raise EmptyLanguage("the language is empty")
-
-
-def _is_infinite(a: Nfa) -> bool:
-    """True iff L(a) is infinite: the trimmed automaton has a cycle."""
-    t = trim(a)
-    moves = t.moves_from()
-    return any(q in reachable(t, (p for _, p in moves.get(q, ())))
-               for q in t.states)
 
 
 def realize_shortlex(a: Dfa) -> Nfh:
@@ -511,8 +506,15 @@ def realize_shortlex(a: Dfa) -> Nfh:
     word exists, and every word demands its shortlex successor within L,
     which is total there and chains L's words in order.  A finite L, whose
     greatest word has no successor, is ``realize_finite`` on its words (∀∃):
-    its trimmed DFA is acyclic, so they are the simple-path words."""
-    if not _is_infinite(a):
+    its trimmed DFA is acyclic, so they are the simple-path words.  L is
+    infinite iff a set of the lasso's loop holds the start state; its least
+    word reads the least letters down from the least length that does."""
+    moves, sets, loop = _length_sets(a)
+    lengths = [m for m, s in enumerate(sets) if a.start in s]
+    if not lengths or lengths[-1] < loop:
         return realize_finite(_simple_paths(a), a.symbols - {PAD})
-    return realize_ordered(OrderedLanguageSpec(_least_word(a),
-                                               shortlex_successor(a)))
+    least, q = (), a.start
+    for m in range(lengths[0], 0, -1):
+        s, q = next((s, p) for s, p in moves[q] if p in sets[m - 1])
+        least += (s,)
+    return realize_ordered(OrderedLanguageSpec(least, shortlex_successor(a)))

@@ -1,19 +1,17 @@
 """Singleton-hyperlanguage realizability constructions."""
 
-import itertools
 import random
 
 import pytest
 
 from hyperlang.core import PAD, QuantifierPrefix, TrackLetter, as_word, pad_to_sync
 from hyperlang.errors import CapExceeded, NotPrefixClosed
-from hyperlang.formats import render_nfa, render_nfh
+from hyperlang.formats import render_nfh
 from hyperlang.nfa import (Dfa, Nfa, difference, explore, nfa_language,
-                           nfa_member, pad_suffix, project, trim, with_var,
+                           nfa_member, pad_suffix, trim, with_var,
                            word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
-                               _capped, _least_word, _shortlex_step,
                                _successor_counts,
                                _successor_product, prefix_closed_relation,
                                realize_finite, realize_ordered,
@@ -328,17 +326,33 @@ ROADMAP_DFA = Dfa({"a", "b"}, {"0", "1", "2"}, "0", {"1", "2"},
                    ("0", "b", "0")})
 
 
+def _within(a, max_len):
+    """``a`` restricted to words of length ≤ max_len, trimmed, so that an
+    enumeration walks only the prefixes of such words."""
+    moves = a.moves_from()
+    return explore({(q, 0) for q in a.initial},
+                   lambda s: ((l, (p, s[1] + 1)) for l, p in moves.get(s[0], ())
+                              if s[1] < max_len),
+                   lambda s: s[0] in a.accepting, a.symbols, a.vars)
+
+
 def shortlex_words(d, max_len):
     """The words of L(d) up to max_len, in shortlex order."""
-    return [w for n in range(max_len + 1)
-            for w in itertools.product(sorted(d.symbols), repeat=n)
-            if nfa_member(d, w)]
+    return sorted(nfa_language(_within(d, max_len), max_len),
+                  key=lambda w: (len(w), w))
+
+
+def shortlex_pairs(d, max_len):
+    """The shortlex successor's pairs of words of length ≤ max_len, by
+    enumeration."""
+    return relation_pairs(_within(shortlex_successor(d), max_len), max_len)
 
 
 def test_shortlex_successor_matches_enumeration():
     """On generated infinite languages, the relation is the shortlex-next
     pairs of L up to length 5, a function, and chains the least word
-    through all of L up to length 5."""
+    through all of L up to length 5; ``realize_shortlex`` starts the chain
+    at that word."""
     rng = random.Random(23)
     dfas = [ROADMAP_DFA]
     while len(dfas) < 31:
@@ -348,15 +362,18 @@ def test_shortlex_successor_matches_enumeration():
             dfas.append(d)
     for d in dfas:
         language = shortlex_words(d, 5)
-        relation = shortlex_successor(d)
-        pairs = relation_pairs(relation, 5)
+        pairs = shortlex_pairs(d, 5)
         assert pairs == set(zip(language, language[1:])), d.transitions
-        least = _least_word(d)
-        reached = {least}
+        reached = {language[0]}
         for u, v in sorted(pairs, key=lambda p: (len(p[0]), p[0])):
             if u in reached:
                 reached.add(v)
         assert reached == set(language)
+        n = realize_shortlex(d)
+        x1, x2, x3 = n.prefix.variables
+        for first, accepted in zip(language[:2], (True, False)):
+            h = pad_to_sync({x1: first, x2: language[0], x3: language[1]})
+            assert nfa_member(n.underlying, h) == accepted, d.transitions
 
 
 def test_realize_shortlex_routes():
@@ -386,92 +403,134 @@ def test_finite_routes_are_exact_on_generated_dfas():
         assert probe_strings(realize_regular(d), 3) == expected, d.transitions
 
 
-def _reference_shortlex_tracks(tracks, names, less):
-    """The three-track construction ``shortlex_successor`` once used: track i
-    is read by ``tracks[i]`` (pads included) and, for each (i, j) in
-    ``less``, holds a word shortlex-less than track j's."""
-    moves = [a.moves_from() for a in tracks]
-
-    def step(state):
-        qs, orders = state
-        for combo in itertools.product(*(m.get(q, ()) for m, q in zip(moves, qs))):
-            symbols = tuple(s for s, _ in combo)
-            if all(s == PAD for s in symbols):
-                continue
-            new_orders = tuple(_shortlex_step(o, symbols[i], symbols[j])
-                               for o, (i, j) in zip(orders, less))
-            if None not in new_orders:
-                yield (TrackLetter(names, symbols),
-                       (tuple(p for _, p in combo), new_orders))
-
-    initial = {(qs, ("=",) * len(less))
-               for qs in itertools.product(*(a.initial for a in tracks))}
-    symbols = frozenset().union(*(a.symbols for a in tracks))
-    return explore(initial, step,
-                   lambda state: all(q in a.accepting for q, a in zip(state[0], tracks))
-                   and all(o == "<" for o in state[1]),
-                   symbols, names)
+def _shortlex_step(order, s, t):
+    """The shortlex order ("<", "=" or ">") of two padded words u, v after
+    the letters (s, t), given their order before them; None once u is the
+    longer, so that u > v whatever follows.  Pads are trailing, so the word
+    that pads first is the shorter."""
+    if t == PAD:
+        return order if s == PAD else None
+    if s == PAD:
+        return "<"
+    if order == "=" and s != t:
+        return "<" if s < t else ">"
+    return order
 
 
-def _reference_shortlex_successor(a, det_cap=64):
-    """The shortlex successor with "some w of L lies between x and y" built
-    on a third track w and projected away."""
+def _reference_shortlex_successor(a):
+    """The construction ``shortlex_successor`` once used: the pairs u < v of
+    L (``less``) minus those with a word w of L between them (``between``,
+    whose states run L's DFA on w and keep the orders of (x, w) and (w, y)),
+    by a subset construction of ``between``."""
     padded = pad_suffix(a)
+    moves = padded.moves_from()
     symbols = padded.symbols
-    anything = Nfa(symbols, {"any"}, {"any"}, {"any"},
-                   {("any", s, "any") for s in symbols})
-    less = _reference_shortlex_tracks((padded, padded), ("x", "y"), ((0, 1),))
-    between = _reference_shortlex_tracks((anything, padded, anything),
-                                         ("x", "w", "y"), ((0, 1), (1, 2)))
-    between = _capped(project(between, "w"), det_cap, "shortlex between relation")
-    return trim(difference(less, between))
+    letters = {(s, t): TrackLetter(("x", "y"), (s, t))
+               for s in symbols for t in symbols}
+
+    def less_step(state):
+        qx, qy, order = state
+        for s, px in moves.get(qx, ()):
+            for t, py in moves.get(qy, ()):
+                new_order = _shortlex_step(order, s, t)
+                if new_order is not None and not s == t == PAD:
+                    yield letters[s, t], (px, py, new_order)
+
+    def between_step(state):
+        qw, xw, wy = state
+        for w, pw in moves.get(qw, ()):
+            for s in symbols:
+                new_xw = _shortlex_step(xw, s, w)
+                if new_xw is None:
+                    continue
+                for t in symbols:
+                    new_wy = _shortlex_step(wy, w, t)
+                    if new_wy is not None and not s == w == t == PAD:
+                        yield letters[s, t], (pw, new_xw, new_wy)
+
+    final = padded.accepting
+    less = explore({(a.start, a.start, "=")}, less_step,
+                   lambda q: q[0] in final and q[1] in final and q[2] == "<",
+                   symbols, ("x", "y"))
+    between = explore({(a.start, "=", "=")}, between_step,
+                      lambda q: q[0] in final and q[1] == q[2] == "<",
+                      symbols, ("x", "y"))
+    return difference(less, between)
 
 
-def _shortlex_outcome(build, d, det_cap):
-    try:
-        return render_nfa(build(d, det_cap))
-    except CapExceeded as e:
-        return f"CapExceeded: {e}"
+def _generated_dfa(rng, min_states, max_states, max_symbols):
+    """A DFA of ``min_states`` to ``max_states`` states over 1 to
+    ``max_symbols`` symbols, each move present with probability 0.7; L may
+    be empty or finite."""
+    n = rng.randint(min_states, max_states)
+    symbols = "abc"[:rng.randint(1, max_symbols)]
+    states = [str(i) for i in range(n)]
+    delta = {(q, s, str(rng.randrange(n))) for q in states for s in symbols
+             if rng.random() < 0.7}
+    accepting = {q for q in states if rng.random() < 0.5}
+    return Dfa(set(symbols), states, "0", accepting, delta)
 
 
-def test_shortlex_successor_matches_three_track_reference():
-    """On generated DFAs of 1-4 states over 1-3 symbols, the successor
-    renders as the three-track reference does, or refuses with the same
-    message, at the default cap and at a small one."""
-    rng = random.Random(41)
-    refusals = 0
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        symbols = "abc"[:rng.randint(1, 3)]
-        states = [str(i) for i in range(n)]
-        delta = {(q, s, str(rng.randrange(n))) for q in states for s in symbols
-                 if rng.random() < 0.7}
-        accepting = {q for q in states if rng.random() < 0.5}
-        d = Dfa(set(symbols), states, "0", accepting, delta)
-        for det_cap in (64, rng.randint(1, 30)):
-            expected = _shortlex_outcome(_reference_shortlex_successor, d, det_cap)
-            assert _shortlex_outcome(shortlex_successor, d, det_cap) == expected, \
-                (sorted(delta), sorted(accepting), det_cap)
-            refusals += expected.startswith("CapExceeded")
-    assert refusals >= 8
+def _is_infinite(d):
+    """Whether L(d) has a word at least as long as d has states: then it
+    can be pumped."""
+    n, moves = len(d.states), d.moves_from()
+    return bool(explore({(d.start, 0)},
+                        lambda s: ((l, (p, min(s[1] + 1, n)))
+                                   for l, p in moves.get(s[0], ())),
+                        lambda s: s[0] in d.accepting and s[1] == n,
+                        d.symbols).accepting)
+
+
+def test_shortlex_successor_matches_less_between_reference():
+    """On 40 generated DFAs of 1-4 states over 1-3 symbols and 100 of 5-6
+    states over 1-2, the successor has the language of the ``less`` minus
+    ``between`` reference: ``difference`` both ways is empty."""
+    rng, larger = random.Random(41), random.Random(23)
+    dfas = ([_generated_dfa(rng, 1, 4, 3) for _ in range(40)]
+            + [_generated_dfa(larger, 5, 6, 2) for _ in range(100)])
+    for d in dfas:
+        relation = shortlex_successor(d)
+        reference = _reference_shortlex_successor(d)
+        assert not difference(relation, reference).accepting, d.transitions
+        assert not difference(reference, relation).accepting, d.transitions
+    assert sum(map(_is_infinite, dfas[40:])) >= 40
+
+
+def _ring(n):
+    """a: i -> i+1 mod n, b: i -> 0, accepting {n-1}; its least word is a^(n-1)."""
+    return Dfa({"a", "b"}, {str(i) for i in range(n)}, "0", {str(n - 1)},
+               {(str(i), "a", str((i + 1) % n)) for i in range(n)}
+               | {(str(i), "b", "0") for i in range(n)})
+
+
+@pytest.mark.parametrize("n", [8, 20])
+def test_ring_dfas_realize(n):
+    """The ring DFAs, whose subset construction the shortlex successor once
+    needed, are realized; their successor is the shortlex-next pairs up to
+    two letters past the least word."""
+    ring = _ring(n)
+    assert realize_shortlex(ring).prefix.render() == "E x1 A x2 E x3"
+    language = shortlex_words(ring, n + 1)
+    assert language[0] == ("a",) * (n - 1)
+    assert shortlex_pairs(ring, n + 1) == set(zip(language, language[1:]))
 
 
 def test_caps_name_their_stage():
     with pytest.raises(CapExceeded, match=r"^successor count 2: determinization "
                                           r"input has 66 states \(cap 64\)$"):
         realize_regular(ROADMAP_DFA)
-    with pytest.raises(CapExceeded, match=r"^shortlex between relation: "
-                                          r"determinization input has 23 states "
-                                          r"\(cap 4\)$"):
-        shortlex_successor(ROADMAP_DFA, det_cap=4)
-    # a: i -> i+1 mod 8, b: i -> 0, accepting {7}
-    ring = Dfa({"a", "b"}, {str(i) for i in range(8)}, "0", {"7"},
-               {(str(i), "a", str((i + 1) % 8)) for i in range(8)}
-               | {(str(i), "b", "0") for i in range(8)})
-    with pytest.raises(CapExceeded, match=r"^shortlex between relation: "
-                                          r"determinization input has 73 states "
-                                          r"\(cap 64\)$"):
-        shortlex_successor(ring)
+    # from s, a: into a 7-cycle and b: into an 11-cycle, each accepting at
+    # its entry: the length sets repeat with period 77
+    cycles = [("p", 7), ("r", 11)]
+    states = {"s"} | {f"{c}{i}" for c, k in cycles for i in range(k)}
+    moves = {("s", "a", "p0"), ("s", "b", "r0")}
+    moves |= {(f"{c}{i}", "a", f"{c}{(i + 1) % k}") for c, k in cycles for i in range(k)}
+    two_cycles = Dfa({"a", "b"}, states, "s", {"p0", "r0"}, moves)
+    with pytest.raises(CapExceeded, match=r"^shortlex length sets: more than 64 "
+                                          r"distinct sets \(cap 64\)$"):
+        realize_shortlex(two_cycles)
+    assert shortlex_successor(two_cycles, det_cap=78).accepting
 
 
 # --- order containment ----------------------------------------------------------

@@ -133,8 +133,8 @@ trans: s0 b s1
 
 def ring_dfa(n: int) -> str:
     """a: i -> i+1 mod n, b: i -> 0, accepting {n-1}.  Its shortlex
-    successor grows with n, past that of any workload DFA; at n = 8 the
-    between relation exceeds the default det_cap."""
+    successor grows with n, past that of any workload DFA: it has n + 1
+    length sets."""
     trans = "".join(f"trans: s{i} a s{(i + 1) % n}\ntrans: s{i} b s0\n"
                     for i in range(n))
     return (f"type: dfa\nalphabet: a b\n"
@@ -160,6 +160,7 @@ FIXED_FILES = {
                "accepting: s1\ntrans: s0 # s1\n",
     "ring5.dfa": ring_dfa(5),
     "ring8.dfa": ring_dfa(8),
+    "ring20.dfa": ring_dfa(20),
 }
 
 FIXED_CALLS = [
@@ -189,6 +190,7 @@ FIXED_CALLS = [
     ("regular-pad", ["realize", "regular", "pad.dfa", "-o", "out"]),
     ("ring5-regular", ["realize", "regular", "ring5.dfa", "-o", "out"]),
     ("ring8-regular", ["realize", "regular", "ring8.dfa", "-o", "out"]),
+    ("ring20-regular", ["realize", "regular", "ring20.dfa", "-o", "out"]),
     ("fig1-member", ["nfh", "member", "fig1.nfh", "a.lang"]),
     ("fig1-probe", ["nfh", "probe", "fig1.nfh", "--max-len", "2"]),
     ("probe-negative", ["nfh", "probe", "fig1.nfh", "--max-len", "-1"]),
