@@ -369,12 +369,14 @@ def derives_span(g: Cfg, letter_spans: Callable[[object], Iterable[tuple]],
     return False
 
 
-def derive_bounded(g: Cfg, n: int, cap: int = 10 ** 6) -> set:
+def derive_bounded(g: Cfg, n: int, cap: int = 10 ** 6,
+                   stage: str = "grammar") -> set:
     """All terminal words of length at most ``n``.
 
     Returned words are tuples of terminals.  Computes, per variable, the set
     of derivable words up to the bound as a monotone fixpoint; robust to unit
-    and ε cycles.
+    and ε cycles.  More than ``cap`` words over all variables raise
+    ``CapExceeded``, whose message names the search (``stage``) that asked.
     """
     langs: dict[str, set[tuple]] = {v: set() for v in g.variables}
     total = 0
@@ -394,6 +396,7 @@ def derive_bounded(g: Cfg, n: int, cap: int = 10 ** 6) -> set:
                 langs[v] |= fresh
                 total += len(fresh)
                 if total > cap:
-                    raise CapExceeded("derivation enumeration exceeded the cap")
+                    raise CapExceeded(f"{stage} derivations: more than {cap} words "
+                                      f"(cap {cap})")
                 changed = True
     return langs[g.start]

@@ -13,6 +13,10 @@ a ranked grammar by CYK on the synchronous padding, any other grammar (and
 assigned words read with pads anywhere.  A state of that reading is one
 position per word; the spans of each terminal come straight from the words,
 and no product automaton is built.
+
+The undecidable routes get a bounded witness search.  It enumerates subsets
+of Σ^{≤N}, except on a ranked ∃∃⁺∀⁺ grammar (the ∃∃∀ PCP gadget), where it
+tests the ∃ tuples that a restriction of the grammar derives.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
-                  derives_span, to_cnf)
+                  derive_bounded, derives_span, to_cnf)
 from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
                    evaluate, finite_language, nonempty_subsets, pad_to_sync)
 from .errors import Undecidable
@@ -126,19 +130,18 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
     return evaluate(g.prefix.quantifiers, words, _membership_leaf(g, force_slow))
 
 
+def _restriction(g: Cfhg, keep: Callable[[tuple[str, ...]], bool]) -> Cfg:
+    """The cleaned grammar without the rules that hold a letter whose
+    symbols ``keep`` rejects."""
+    rules = {(v, body) for v, body in g.underlying.rules
+             if all(keep(t.symbols) for t in body if isinstance(t, TrackLetter))}
+    return cleanup(Cfg(g.underlying.variables, g.underlying.start, rules))
+
+
 def diagonal_restriction(g: Cfhg) -> Cfg:
     """Drop every rule whose letters assign the variables different symbols
     (or a pad); what remains derives exactly the all-identical assignments."""
-
-    def diagonal(body) -> bool:
-        for token in body:
-            if isinstance(token, TrackLetter):
-                if PAD in token.symbols or len(set(token.symbols)) != 1:
-                    return False
-        return True
-
-    rules = {(v, body) for v, body in g.underlying.rules if diagonal(body)}
-    return cleanup(Cfg(g.underlying.variables, g.underlying.start, rules))
+    return _restriction(g, lambda s: PAD not in s and len(set(s)) == 1)
 
 
 def cfhg_empty(g: Cfhg) -> bool:
@@ -186,19 +189,61 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int,
                              universe_cap: int = 20):
     """Search for a member language over Σ^{≤max_len}; None if none is found.
 
-    Evidence only — a miss does not decide emptiness.  One memoised leaf
-    serves every subset, since a leaf's verdict does not depend on it.  Under
-    an ∃^m∀* prefix the ∃ choices of a member S form a member within S (each
-    ∀ then ranges over fewer words), and for m = 0 so does S's lowest word;
-    so the first member in mask order has at most max(1, m) words, and only
-    those subsets are tried.  A prefix with ∀ before ∃ tries every subset.
+    Evidence only — a miss does not decide emptiness.  Returns the first
+    member in the bit-mask order of ``nonempty_subsets`` over
+    ``bounded_universe``.  Under an ∃^m∀* prefix that member is set(x̄) for
+    its own ∃ choices x̄: set(x̄) is a member within it (each ∀ then ranges
+    over fewer words; for m = 0 its lowest word is), and no larger in mask
+    order.  So only the subsets of at most max(1, m) words are tried; a ∀
+    before an ∃ tries every subset.  One memoised leaf serves them all, and
+    the universe may hold at most ``universe_cap`` words.
+
+    A ranked ∃∃⁺∀⁺ grammar is searched without the universe.  With every ∀
+    variable bound to x₁, the synchronous padding of (x̄, x₁, …, x₁) is
+    derived, since the leaf of a ranked grammar is CYK on it, and each of its
+    letters gives every ∀ track the x₁ track's symbol.  So the grammar
+    restricted to such letters derives it too: the sets set(x̄) read off the
+    restriction's tuples up to ``max_len`` hold the first member, and they
+    are tested in mask order.  More than 10⁴ derived words raise
+    ``CapExceeded``.
     """
+    if max_len < 0:
+        raise ValueError(f"the length bound must be at least 0, not {max_len}")
+    route = emptiness_route(g.prefix)
+    if route == "emptinessexistsforall" and g.ranked():
+        return _guided_witness(g, max_len)
     universe = bounded_universe(g.symbols, max_len, universe_cap, "witness-search")
     leaf = _membership_leaf(g, False)
     quantifiers = g.prefix.quantifiers
-    most = (None if emptiness_route(g.prefix) == "forallexists"
-            else max(1, quantifiers.count("E")))
+    most = None if route == "forallexists" else max(1, quantifiers.count("E"))
     for words in nonempty_subsets(universe, most):
         if evaluate(quantifiers, words, leaf):
             return frozenset(words)
+    return None
+
+
+def _guided_witness(g: Cfhg, max_len: int):
+    """``bounded_nonempty_witness`` on a ranked ∃∃⁺∀⁺ grammar.  A set's mask
+    is compared through its words' universe indices, greatest first, so the
+    2^index bits are never built."""
+    quantifiers = g.prefix.quantifiers
+    m = quantifiers.count("E")
+    restricted = _restriction(g, lambda s: all(c == s[0] for c in s[m:]))
+    digit = {s: i + 1 for i, s in enumerate(sorted(g.symbols))}
+
+    def index(w: Word) -> int:
+        """w's place in the universe: w read in bijective base |Σ|."""
+        value = 0
+        for s in w:
+            value = value * len(digit) + digit[s]
+        return value
+
+    derived = derive_bounded(restricted, max_len, 10 ** 4, "witness-search")
+    candidates = {frozenset(tuple(t.symbols[i] for t in letters if t.symbols[i] != PAD)
+                            for i in range(m)) for letters in derived}
+    leaf = None
+    for words in sorted(candidates, key=lambda c: sorted(map(index, c), reverse=True)):
+        leaf = leaf or _membership_leaf(g, False)
+        if evaluate(quantifiers, sorted(words, key=index), leaf):
+            return words
     return None

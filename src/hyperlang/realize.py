@@ -458,7 +458,11 @@ def shortlex_successor(a: Dfa, det_cap: int = 64) -> Nfa:
     Otherwise u is the greatest word of its length n and v the least of the
     next length of L, n + d, where the index of n, u's first guess, fixes d.
     """
-    moves, sets, loop = _length_sets(a, det_cap)
+    return _successor_on_lasso(a, *_length_sets(a, det_cap))
+
+
+def _successor_on_lasso(a: Dfa, moves: dict, sets: list[frozenset], loop: int) -> Nfa:
+    """``shortlex_successor`` of ``a``, given the lasso of ``_length_sets(a)``."""
     size = len(sets)
 
     def index(m):
@@ -517,4 +521,5 @@ def realize_shortlex(a: Dfa) -> Nfh:
     for m in range(lengths[0], 0, -1):
         s, q = next((s, p) for s, p in moves[q] if p in sets[m - 1])
         least += (s,)
-    return realize_ordered(OrderedLanguageSpec(least, shortlex_successor(a)))
+    return realize_ordered(OrderedLanguageSpec(least,
+                                               _successor_on_lasso(a, moves, sets, loop)))

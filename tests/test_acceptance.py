@@ -24,7 +24,7 @@ import time
 
 from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
                            derive_bounded, to_cnf)
-from hyperlang.cfhg import cfhg_empty, finite_member
+from hyperlang.cfhg import bounded_nonempty_witness, cfhg_empty, finite_member
 from hyperlang.cli import run
 from hyperlang.core import HWord, as_word, is_synchronous, pad_to_sync
 from hyperlang.nfa import (Dfa, Nfa, compose_free, compose_sync, determinize,
@@ -187,6 +187,8 @@ def test_criterion_09_exists_forall_gadget(pcp_fixture):
     for force_slow in (False, True):
         assert finite_member(g, member, force_slow=force_slow)
         assert not finite_member(g, forward, force_slow=force_slow)
+    # the grammar is ranked, so the witness search reaches the member's length
+    assert bounded_nonempty_witness(g, 13) == member
 
 
 def test_criterion_09_companion_reversed_indices(pcp_fixture):

@@ -179,6 +179,14 @@ def test_bounded_nonempty_witness(robot_diagonal, tile_grammar_cfhg):
     assert finite_member(robot_diagonal, got)
     # the tile grammar's shortest member word is the 9-letter solution word
     assert bounded_nonempty_witness(tile_grammar_cfhg, 2) is None
+    # a ranked ∃∃∀ grammar deriving only ε: its member {ε} lies at length
+    # 0, and, as on the enumerating route, a negative bound is refused
+    eps = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("E x1 E x2 A x3"),
+               Cfg(frozenset({"V0"}), "V0", frozenset({("V0", ())})))
+    assert bounded_nonempty_witness(eps, 0) == {()}
+    for g in (tile_grammar_cfhg, eps):
+        with pytest.raises(ValueError):
+            bounded_nonempty_witness(g, -1)
 
 
 def _route_grammar(prefix, ranked):
@@ -342,9 +350,11 @@ def test_bounded_witness_equals_reference_on_generated_grammars():
 
 
 def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
-    """On the ∃∃∀ criterion-9 encoding at length 1 (7 words, no member) only
-    the 28 languages of at most two words are evaluated; the same grammar
-    under ∀∃∃ still walks all 127 non-empty subsets."""
+    """The ∃∃∀ criterion-9 encoding is ranked, so the search evaluates each
+    set {x1, x2} of a tuple (x1, x2, x1) the grammar derives once, and no
+    other language: none at length 1, the top words' sets at length 5 (no
+    member).  The same grammar under ∀∃∃ still walks all 127 non-empty
+    subsets of the 7 words of length at most 1."""
     tried = []
 
     def spy(quantifiers, words, leaf, original=cfhg_module.evaluate):
@@ -354,12 +364,66 @@ def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
     monkeypatch.setattr(cfhg_module, "evaluate", spy)
     g = pcp_encode_exists_forall(pcp_fixture)
     assert bounded_nonempty_witness(g, 1) is None
-    assert len(tried) <= 28 and max(map(len, tried)) == 2
+    assert tried == []
+    assert bounded_nonempty_witness(g, 5) is None
+    derived = set()
+    for w in derive_bounded(g.underlying, 5):
+        x1, x2, x3 = zip(*(t.symbols for t in w))
+        if x3 == x1:
+            derived.add(frozenset({strip_hash(x1), strip_hash(x2)}))
+    assert len(tried) == len(derived) > 0
+    assert {frozenset(words) for words in tried} == derived
     tried.clear()
     forall_first = Cfhg(g.symbols, QuantifierPrefix.parse("A x1 E x2 E x3"),
                         g.underlying)
     assert bounded_nonempty_witness(forall_first, 1) is None
     assert len(tried) == 127
+
+
+def _planted_ranked_grammar(rng, prefix):
+    """A grammar V0 -> t over synchronous tuples t of words of length at
+    most 2 over {a, b}: for one to three random ∃ choices x̄, most of the
+    tuples (x̄, f) for f mapping the ∀ variables into x̄, so set(x̄) is often
+    a member."""
+    v = prefix.variables
+    m = prefix.quantifiers.count("E")
+    words = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    rules = set()
+    for _ in range(rng.randint(1, 3)):
+        chosen = [rng.choice(words) for _ in range(m)]
+        for f in itertools.product(chosen, repeat=len(v) - m):
+            if rng.random() < 0.8:
+                rules.add(("V0", pad_to_sync(dict(zip(v, chosen + list(f))), v).letters))
+    return Cfg(frozenset({"V0"}), "V0", frozenset(rules))
+
+
+def test_guided_witness_equals_reference_on_ranked_grammars(monkeypatch):
+    """On ranked ∃∃∀ and ∃∃∀∀ grammars the search reads its candidates off
+    the derived tuples and never builds the universe; it agrees with the
+    all-subsets reference on random ranked grammars and on grammars planted
+    with members, at lengths 1 and 2.  The cases include witnesses of two
+    words, which the mask order of the candidates decides."""
+    def no_universe(*args):
+        raise AssertionError("the guided route built the universe")
+
+    monkeypatch.setattr(cfhg_module, "bounded_universe", no_universe)
+    rng = random.Random(23)
+    witnesses = two_words = 0
+    for quantifiers, max_len in (("EEA", 1), ("EEA", 2), ("EEAA", 1), ("EEAA", 2)):
+        v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
+        prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
+        grammars = random_ranked_grammars(4, seed=max_len, var_names=v)
+        while len(grammars) < 12:
+            grammar = _planted_ranked_grammar(rng, prefix)
+            if grammar.rules and is_ranked(grammar).ranked:
+                grammars.append(grammar)
+        for grammar in grammars:
+            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+            expected = _reference_witness(g, max_len)
+            assert bounded_nonempty_witness(g, max_len) == expected, (quantifiers, grammar)
+            witnesses += expected is not None
+            two_words += len(expected or ()) == 2
+    assert witnesses >= 10 and two_words >= 5
 
 
 def _planted_pcp(rng):

@@ -385,6 +385,10 @@ def test_cfhg_empty_bounded_witness(files, capsys):
     text = capsys.readouterr().out
     assert "UNDECIDABLE(emptinessexistsforall)" in text
     assert "no member language found" in text
+    # the member of the solution 3,2,3,1, out of reach of any subset search
+    assert run(["cfhg", "empty", out, "--bounded", "13"]) == 2
+    assert capsys.readouterr().out.endswith(
+        "witness: {bbaabbbaa1323,ccccccccccccc}\n")
 
 
 def test_cap_errors_name_the_search(files, capsys):
@@ -393,12 +397,20 @@ def test_cap_errors_name_the_search(files, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "cap exceeded: probe universe has 63 words; cap is 20\n"
-    grammar = str(tmp / "g.cfhg")
-    run(["pcp", "encode-ea", write("t.txt", TILES), "-o", grammar])
+    # an unranked ∀∀ grammar: the search enumerates Σ^{≤5}
+    grammar = str(tmp / "aa.cfhg")
+    run(["pcp", "encode-forall", write("t.txt", TILES), "-o", grammar])
     capsys.readouterr()
-    assert run(["cfhg", "empty", grammar, "--bounded", "2"]) == 2
+    assert run(["cfhg", "empty", grammar, "--bounded", "5"]) == 2
     assert capsys.readouterr().err == \
-        "cap exceeded: witness-search universe has 43 words; cap is 20\n"
+        "cap exceeded: witness-search universe has 63 words; cap is 20\n"
+    # a ranked ∃∃∀ grammar: the search enumerates its derived tuples
+    grammar = str(tmp / "ea.cfhg")
+    run(["pcp", "encode-ea", write("t2.txt", "ab | a\nb | bb\na | ba\n"), "-o", grammar])
+    capsys.readouterr()
+    assert run(["cfhg", "empty", grammar, "--bounded", "30"]) == 2
+    assert capsys.readouterr().err == \
+        "cap exceeded: witness-search derivations: more than 10000 words (cap 10000)\n"
 
 
 def test_cfhg_member_finite(files, capsys):

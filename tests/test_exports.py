@@ -27,11 +27,12 @@ word_automaton
 # functions, classes and methods kept although nothing in ``src`` reads them
 UNREAD = {
     "bar_hillel": "the independent route that tests check cfg_intersect_empty against",
-    "derive_bounded": "the derivation enumerator that tests read grammar languages from",
     "realize_regular": "the paper's pumping construction that tests check "
                        "`realize regular` against",
     "relation_pairs": "the enumeration that tests read a relation's pairs from",
     "render_language": "the inverse of parse_language, checked by a round trip",
+    "shortlex_successor": "the successor relation alone, which tests check against "
+                          "enumeration and the less-minus-between reference",
     "solution_language": "the member language that tests check the PCP encodings "
                          "accept",
     "PcpInstance.of": "the constructor from tile pairs that the PCP fixtures use",

@@ -31,8 +31,8 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
-from gen import (CRITERION9_TILES, forall_cfhg_text, make_queries,  # noqa: E402
-                 WORKLOADS)
+from gen import (CRITERION9_TILES, ea_cfhg_text, forall_cfhg_text,  # noqa: E402
+                 make_queries, WORKLOADS)
 
 # s0 -a-> s1, s2 and s1, s2 -b-> s3: determinized, a violation's states are
 # subsets, which the NotPrefixClosed message must name the same way under
@@ -151,6 +151,9 @@ FIXED_FILES = {
     "fig1.nfh": FIG1_NFH,
     "e.cfhg": EXISTS_CFHG,
     "aa.cfhg": forall_cfhg_text(CRITERION9_TILES),
+    "ea.cfhg": ea_cfhg_text(CRITERION9_TILES),
+    # solvable (1, 3), but its derivations up to length 30 exceed the cap
+    "ea-cap.cfhg": ea_cfhg_text((("ab", "a"), ("b", "bb"), ("a", "ba"))),
     "ab.nfa": A_STAR_B_NFA,
     "tiles.txt": "".join(f"{a} | {b}\n" for a, b in CRITERION9_TILES),
     "words.lang": "eps\na\nab\n",
@@ -196,6 +199,8 @@ FIXED_CALLS = [
     ("probe-negative", ["nfh", "probe", "fig1.nfh", "--max-len", "-1"]),
     ("bounded", ["cfhg", "empty", "aa.cfhg", "--bounded", "1"]),
     ("bounded-negative", ["cfhg", "empty", "aa.cfhg", "--bounded", "-1"]),
+    ("ea-criterion9-bounded", ["cfhg", "empty", "ea.cfhg", "--bounded", "13"]),
+    ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
     ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
     ("bogus-verb", ["bogus"]),
 ]
