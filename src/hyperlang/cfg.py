@@ -378,6 +378,8 @@ def derive_bounded(g: Cfg, n: int, cap: int = 10 ** 6,
     and ε cycles.  More than ``cap`` words over all variables raise
     ``CapExceeded``, whose message names the search (``stage``) that asked.
     """
+    if n < 0:
+        return set()
     langs: dict[str, set[tuple]] = {v: set() for v in g.variables}
     total = 0
     changed = True

@@ -74,19 +74,36 @@ class PartialOrderSpec:
 # --- finite and ordered languages ----------------------------------------------
 
 def realize_finite(words, alphabet=None) -> Nfh:
-    """∀∃-NFH for a finite language: every word demands the cyclically next one."""
+    """∀∃-NFH for a finite language: every word demands the cyclically next one.
+    Word i of the sorted language gets a path of [x=w_i, y=w_(i+1 mod k)], the
+    shorter padded, then an all-pad letter into a final state with an all-pad
+    self-loop; the path's end and that state accept.  Fixed-width tags keep
+    the initial states in word order under ``repr``, which ``canonical`` sorts
+    by.  ``ValueError`` if a word holds the pad or a symbol outside ``alphabet``."""
     language = sorted({as_word(w) for w in words})
     if not language:
         raise EmptyLanguage("cannot realize the empty language")
-    symbols = set(alphabet) if alphabet is not None else {s for w in language for s in w}
+    used = {s for w in language for s in w}
+    symbols = set(alphabet) if alphabet is not None else set(used)
+    stray = used - (symbols - {PAD})
+    if stray:
+        raise ValueError(f"symbol {min(stray)!r} of a word is outside the alphabet")
     symbols = symbols or {"a"}
-    k = len(language)
-    parts = []
-    for i, w in enumerate(language):
-        succ = language[(i + 1) % k]
-        parts.append(compose_free(with_var(word_automaton(w, symbols), "x"),
-                                  with_var(word_automaton(succ, symbols), "y")))
-    underlying = absorb_pad(union_all(parts))
+    width = len(str(len(language) - 1))
+    all_pad = TrackLetter(("x", "y"), (PAD, PAD))
+    states, initial, accepting, transitions = set(), set(), set(), set()
+    for i, (w, s) in enumerate(zip(language, language[1:] + language[:1])):
+        n = max(len(w), len(s))
+        path = [(f"{i:0{width}d}", j) for j in range(n + 2)]
+        columns = itertools.zip_longest(w, s, fillvalue=PAD)
+        transitions.update((path[j], TrackLetter(("x", "y"), column), path[j + 1])
+                           for j, column in enumerate(columns))
+        transitions |= {(path[n], all_pad, path[-1]), (path[-1], all_pad, path[-1])}
+        states.update(path)
+        initial.add(path[0])
+        accepting |= {path[n], path[-1]}
+    underlying = Nfa(symbols | {PAD}, states, initial, accepting, transitions,
+                     ("x", "y"))
     return Nfh(frozenset(symbols), QuantifierPrefix((("A", "x"), ("E", "y"))),
                underlying)
 

@@ -126,6 +126,10 @@ def test_derive_bounded(anbn):
     assert string_language(anbn, 4) == {"ab", "aabb"}
     eps_only = Cfg(frozenset({"S"}), "S", frozenset({("S", ())}))
     assert derive_bounded(eps_only, 0) == {()}
+    # a negative bound admits no word, not even ε by an empty body
+    a_star = Cfg({"S"}, "S", [("S", ()), ("S", ("a", "S"))])
+    assert derive_bounded(a_star, -1) == set()
+    assert derive_bounded(eps_only, -1) == set()
 
 
 def test_derive_bounded_cross_check(anbn):

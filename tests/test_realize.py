@@ -1,5 +1,6 @@
 """Singleton-hyperlanguage realizability constructions."""
 
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from hyperlang.core import PAD, QuantifierPrefix, TrackLetter, as_word, pad_to_sync
 from hyperlang.errors import CapExceeded, NotPrefixClosed
 from hyperlang.formats import render_nfh
-from hyperlang.nfa import (Dfa, Nfa, difference, explore, nfa_language,
-                           nfa_member, pad_suffix, trim, with_var,
-                           word_automaton)
+from hyperlang.nfa import (Dfa, Nfa, absorb_pad, compose_free, difference,
+                           explore, nfa_language, nfa_member, pad_suffix, trim,
+                           union_all, with_var, word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
                                _successor_counts,
@@ -52,6 +53,58 @@ def test_realize_finite_eps_language():
     assert nfh_accepts(n, words("eps", "a"))
     assert not nfh_accepts(n, words("eps"))
     assert not nfh_accepts(n, words("a"))
+
+
+def test_realize_finite_rejects_symbols_outside_alphabet():
+    """A word's symbol outside the alphabet, or the pad, would give an NFH
+    that cannot read its own language."""
+    with pytest.raises(ValueError, match="'c'"):
+        realize_finite({"ab", "c"}, {"a", "b"})
+    with pytest.raises(ValueError, match="'#'"):
+        realize_finite({"a#", "b"})
+    assert nfh_accepts(realize_finite({"ab", "c"}, {"a", "b", "c"}), words("ab", "c"))
+
+
+def _reference_realize_finite(words, alphabet=None):
+    """The construction ``realize_finite`` once used: a free composition of
+    the word automata of each word and its cyclic successor, folded by
+    nested unions, whose tags sort the initial states in word order."""
+    language = sorted({as_word(w) for w in words})
+    symbols = set(alphabet) if alphabet is not None else {s for w in language for s in w}
+    symbols = symbols or {"a"}
+    parts = [compose_free(with_var(word_automaton(w, symbols), "x"),
+                          with_var(word_automaton(s, symbols), "y"))
+             for w, s in zip(language, language[1:] + language[:1])]
+    return Nfh(frozenset(symbols), QuantifierPrefix((("A", "x"), ("E", "y"))),
+               absorb_pad(union_all(parts)))
+
+
+def test_realize_finite_matches_product_reference():
+    """On 280 seeded languages, 20 of each size 1-14 over 1-3 symbols, a
+    third holding ε, half with an alphabet (sometimes with a symbol no word
+    uses), ``realize_finite`` renders the bytes of the product reference.
+    From 11 words on, this needs the initial states to sort in word order."""
+    rng = random.Random(53)
+    for t in range(280):
+        k = 1 + t % 14
+        symbols = "abc"[:rng.randint(1 if k < 6 else 2, 3)]
+        language = {""} if t % 3 == 0 else set()
+        while len(language) < k:
+            language.add("".join(rng.choice(symbols) for _ in range(rng.randint(0, 5))))
+        alphabet = None if t % 2 else set(symbols) | set(rng.choice(["", "d"]))
+        assert render_nfh(realize_finite(language, alphabet)) == \
+            render_nfh(_reference_realize_finite(language, alphabet)), (language, alphabet)
+
+
+def test_realize_finite_one_path_per_word():
+    """On {a,b}^6, 64 words, the NFH has max(|w_i|, |w_(i+1)|) + 2 states
+    per word, and of L, L minus a word and L plus a word it accepts L alone."""
+    language = [as_word("".join(w)) for w in itertools.product("ab", repeat=6)]
+    n = realize_finite(language)
+    assert len(n.underlying.states) == 64 * (6 + 2)
+    assert nfh_accepts(n, language)
+    assert not nfh_accepts(n, language[1:])
+    assert not nfh_accepts(n, language + [as_word("abababa")])
 
 
 # --- ordered languages ----------------------------------------------------------

@@ -142,6 +142,15 @@ def ring_dfa(n: int) -> str:
             f"accepting: s{n - 1}\n{trans}")
 
 
+def blocks_dfa(n: int) -> str:
+    """(a|b)^n: s_i -a,b-> s_(i+1), accepting s_n.  Its 2^n words are all
+    simple-path words, at the ``path_cap`` of 32 for n = 5."""
+    trans = "".join(f"trans: s{i} {s} s{i + 1}\n" for i in range(n) for s in "ab")
+    return (f"type: dfa\nalphabet: a b\n"
+            f"states: {' '.join(f's{i}' for i in range(n + 1))}\ninitial: s0\n"
+            f"accepting: s{n}\n{trans}")
+
+
 FIXED_FILES = {
     "npc.nfa": NOT_PREFIX_CLOSED_NFA,
     "pc.nfa": PREFIX_CLOSED_NFA,
@@ -158,12 +167,16 @@ FIXED_FILES = {
     "tiles.txt": "".join(f"{a} | {b}\n" for a, b in CRITERION9_TILES),
     "words.lang": "eps\na\nab\n",
     "a.lang": "a\naa\n",
+    # 12 words: the realized NFH's bytes depend on its initial states
+    # sorting in word order past the tenth word
+    "twelve.lang": "a\nb\naa\nab\nba\nbb\naaa\naab\naba\nabb\nbaa\nbab\n",
     "pad.lang": "a#\nb\n",
     "pad.dfa": "type: dfa\nalphabet: a #\nstates: s0 s1\ninitial: s0\n"
                "accepting: s1\ntrans: s0 # s1\n",
     "ring5.dfa": ring_dfa(5),
     "ring8.dfa": ring_dfa(8),
     "ring20.dfa": ring_dfa(20),
+    "blocks5.dfa": blocks_dfa(5),
 }
 
 FIXED_CALLS = [
@@ -184,6 +197,8 @@ FIXED_CALLS = [
     ("ordered-wrong-kind", ["realize", "ordered", "a", "pc.nfa", "-o", "out"]),
     ("regular-track", ["realize", "regular", "succ.nfa", "-o", "out"]),
     ("finite", ["realize", "finite", "words.lang", "-o", "out"]),
+    ("finite-twelve", ["realize", "finite", "twelve.lang", "-o", "out"]),
+    ("blocks5-regular", ["realize", "regular", "blocks5.dfa", "-o", "out"]),
     ("encode-forall", ["pcp", "encode-forall", "tiles.txt", "-o", "out"]),
     ("encode-ea", ["pcp", "encode-ea", "tiles.txt", "-o", "out"]),
     ("member-regular-exists", ["cfhg", "member-regular", "e.cfhg", "ab.nfa"]),
