@@ -20,6 +20,8 @@ from .core import TrackLetter, closure
 from .errors import AlphabetMismatch, CapExceeded, NotCnf
 from .nfa import Nfa
 
+DERIVATION_CAP = 10 ** 4  # words derive_bounded derives over all variables
+
 
 class _CnfIndex(NamedTuple):
     """The rules of a CNF grammar, indexed for the membership engines."""
@@ -369,13 +371,12 @@ def derives_span(g: Cfg, letter_spans: Callable[[object], Iterable[tuple]],
     return False
 
 
-def derive_bounded(g: Cfg, n: int, cap: int = 10 ** 6,
-                   stage: str = "grammar") -> set:
+def derive_bounded(g: Cfg, n: int, stage: str = "grammar") -> set:
     """All terminal words of length at most ``n``.
 
     Returned words are tuples of terminals.  Computes, per variable, the set
     of derivable words up to the bound as a monotone fixpoint; robust to unit
-    and ε cycles.  More than ``cap`` words over all variables raise
+    and ε cycles.  More than ``DERIVATION_CAP`` words over all variables raise
     ``CapExceeded``, whose message names the search (``stage``) that asked.
     """
     if n < 0:
@@ -397,8 +398,8 @@ def derive_bounded(g: Cfg, n: int, cap: int = 10 ** 6,
             if fresh:
                 langs[v] |= fresh
                 total += len(fresh)
-                if total > cap:
-                    raise CapExceeded(f"{stage} derivations: more than {cap} words "
-                                      f"(cap {cap})")
+                if total > DERIVATION_CAP:
+                    raise CapExceeded(f"{stage} derivations: more than {DERIVATION_CAP} "
+                                      f"words (cap {DERIVATION_CAP})")
                 changed = True
     return langs[g.start]

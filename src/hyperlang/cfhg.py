@@ -185,8 +185,7 @@ def regular_member(g: Cfhg, a: Nfa) -> bool:
     return not cfg_intersect_empty(to_cnf(g.underlying), joint)
 
 
-def bounded_nonempty_witness(g: Cfhg, max_len: int,
-                             universe_cap: int = 20):
+def bounded_nonempty_witness(g: Cfhg, max_len: int):
     """Search for a member language over Σ^{≤max_len}; None if none is found.
 
     Evidence only — a miss does not decide emptiness.  Returns the first
@@ -196,7 +195,7 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int,
     over fewer words; for m = 0 its lowest word is), and no larger in mask
     order.  So only the subsets of at most max(1, m) words are tried; a ∀
     before an ∃ tries every subset.  One memoised leaf serves them all, and
-    the universe may hold at most ``universe_cap`` words.
+    the universe may hold at most ``core.UNIVERSE_CAP`` words.
 
     A ranked ∃∃⁺∀⁺ grammar is searched without the universe.  With every ∀
     variable bound to x₁, the synchronous padding of (x̄, x₁, …, x₁) is
@@ -204,15 +203,15 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int,
     letters gives every ∀ track the x₁ track's symbol.  So the grammar
     restricted to such letters derives it too: the sets set(x̄) read off the
     restriction's tuples up to ``max_len`` hold the first member, and they
-    are tested in mask order.  More than 10⁴ derived words raise
-    ``CapExceeded``.
+    are tested in mask order.  More than ``cfg.DERIVATION_CAP`` derived
+    words raise ``CapExceeded``.
     """
     if max_len < 0:
         raise ValueError(f"the length bound must be at least 0, not {max_len}")
     route = emptiness_route(g.prefix)
     if route == "emptinessexistsforall" and g.ranked():
         return _guided_witness(g, max_len)
-    universe = bounded_universe(g.symbols, max_len, universe_cap, "witness-search")
+    universe = bounded_universe(g.symbols, max_len, "witness-search")
     leaf = _membership_leaf(g, False)
     quantifiers = g.prefix.quantifiers
     most = None if route == "forallexists" else max(1, quantifiers.count("E"))
@@ -238,7 +237,7 @@ def _guided_witness(g: Cfhg, max_len: int):
             value = value * len(digit) + digit[s]
         return value
 
-    derived = derive_bounded(restricted, max_len, 10 ** 4, "witness-search")
+    derived = derive_bounded(restricted, max_len, "witness-search")
     candidates = {frozenset(tuple(t.symbols[i] for t in letters if t.symbols[i] != PAD)
                             for i in range(m)) for letters in derived}
     leaf = None

@@ -23,6 +23,8 @@ from .errors import EmptyLanguage, UniverseTooLarge, UnknownLetter
 
 PAD = "#"
 
+UNIVERSE_CAP = 20  # words a bounded universe may hold
+
 Word = tuple[str, ...]
 
 
@@ -202,18 +204,17 @@ def evaluate(quantifiers: Sequence[str], words: Sequence[Word],
     return walk(())
 
 
-def bounded_universe(symbols: Iterable[str], max_len: int, universe_cap: int,
-                     stage: str) -> list[Word]:
+def bounded_universe(symbols: Iterable[str], max_len: int, stage: str) -> list[Word]:
     """All words of length ≤ ``max_len``, shortest first, in sorted symbol
-    order; more than ``universe_cap`` of them raise ``UniverseTooLarge``,
+    order; more than ``UNIVERSE_CAP`` of them raise ``UniverseTooLarge``,
     whose message names the search (``stage``) that asked."""
     if max_len < 0:
         raise ValueError(f"the length bound must be at least 0, not {max_len}")
     ordered = sorted(symbols)
     size = sum(len(ordered) ** i for i in range(max_len + 1))
-    if size > universe_cap:
+    if size > UNIVERSE_CAP:
         raise UniverseTooLarge(
-            f"{stage} universe has {size} words; cap is {universe_cap}")
+            f"{stage} universe has {size} words; cap is {UNIVERSE_CAP}")
     universe: list[Word] = [()]
     frontier: list[Word] = [()]
     for _ in range(max_len):

@@ -117,23 +117,20 @@ def parse_nfa(text: str) -> Nfa:
 
 def render_nfa(a: Nfa) -> str:
     kind = "dfa" if isinstance(a, Dfa) else "nfa"
-    a = canonical(a)
+    names = canonical(a)
     lines = [f"type: {kind}",
              "alphabet: " + " ".join(sorted(s for s in a.symbols if s != PAD))]
     if a.is_track:
         lines.append("vars: " + " ".join(a.vars))
-    lines.append("states: " + " ".join(sorted(a.states, key=_state_key)))
-    lines.append("initial: " + " ".join(sorted(a.initial, key=_state_key)))
-    lines.append("accepting: " + " ".join(sorted(a.accepting, key=_state_key)))
-    for q, letter, p in sorted(a.transitions, key=repr):
+    lines.append("states: " + " ".join(names.values()))
+    lines.append("initial: " + " ".join(n for q, n in names.items() if q in a.initial))
+    lines.append("accepting: " + " ".join(n for q, n in names.items()
+                                          if q in a.accepting))
+    renamed = ((names[q], letter, names[p]) for q, letter, p in a.transitions)
+    for q, letter, p in sorted(renamed, key=repr):
         token = letter.render() if a.is_track else letter
         lines.append(f"trans: {q} {token} {p}")
     return "\n".join(lines) + "\n"
-
-
-def _state_key(q: str) -> int:
-    """The index of a canonical state name ``q<i>``."""
-    return int(q[1:])
 
 
 def parse_nfh(text: str) -> Nfh:

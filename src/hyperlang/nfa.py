@@ -462,8 +462,9 @@ def nfa_language(a: Nfa, max_len: int) -> set:
     return results
 
 
-def canonical(a: Nfa) -> Nfa:
-    """Rename states to ``q0..qn`` in a deterministic breadth-first order."""
+def canonical(a: Nfa) -> dict:
+    """Canonical state names: ``{state: "q<i>"}`` in a deterministic
+    breadth-first order, unreached states last."""
     moves = a.moves_from()
     order: list = []
     seen = set()
@@ -482,10 +483,4 @@ def canonical(a: Nfa) -> Nfa:
         frontier = nxt
     for q in sorted(a.states - seen, key=repr):
         order.append(q)
-    names = {q: f"q{i}" for i, q in enumerate(order)}
-    return Nfa(a.symbols,
-               {names[q] for q in a.states},
-               {names[q] for q in a.initial},
-               {names[q] for q in a.accepting},
-               {(names[q], l, names[p]) for q, l, p in a.transitions},
-               a.vars)
+    return {q: f"q{i}" for i, q in enumerate(order)}

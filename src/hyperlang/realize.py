@@ -30,6 +30,10 @@ from .nfa import (Dfa, Nfa, absorb_pad, compose_free, compose_sync, difference,
                   word_automaton)
 from .nfh import Nfh, accepted_assignments
 
+DET_CAP = 64  # states of a determinization input; the shortlex lasso's sets
+PATH_CAP = 32  # simple-path words of the pumping route
+CYCLE_CAP = 32  # simple cycles of the pumping route
+
 
 # --- relations over word pairs -------------------------------------------------
 
@@ -79,13 +83,14 @@ def realize_finite(words, alphabet=None) -> Nfh:
     shorter padded, then an all-pad letter into a final state with an all-pad
     self-loop; the path's end and that state accept.  Fixed-width tags keep
     the initial states in word order under ``repr``, which ``canonical`` sorts
-    by.  ``ValueError`` if a word holds the pad or a symbol outside ``alphabet``."""
+    by.  ``ValueError`` if a word holds the pad or a symbol outside ``alphabet``,
+    whose pad, if any, is not a symbol of the NFH."""
     language = sorted({as_word(w) for w in words})
     if not language:
         raise EmptyLanguage("cannot realize the empty language")
     used = {s for w in language for s in w}
-    symbols = set(alphabet) if alphabet is not None else set(used)
-    stray = used - (symbols - {PAD})
+    symbols = (set(alphabet) if alphabet is not None else set(used)) - {PAD}
+    stray = used - symbols
     if stray:
         raise ValueError(f"symbol {min(stray)!r} of a word is outside the alphabet")
     symbols = symbols or {"a"}
@@ -108,10 +113,9 @@ def realize_finite(words, alphabet=None) -> Nfh:
                underlying)
 
 
-def realize_ordered(spec: OrderedLanguageSpec, alphabet=None) -> Nfh:
+def realize_ordered(spec: OrderedLanguageSpec) -> Nfh:
     """∃∀∃-NFH for an ordered language: a chain reaction from the first word."""
-    symbols = set(alphabet) if alphabet is not None else \
-        {s for s in spec.successor.symbols if s != PAD}
+    symbols = {s for s in spec.successor.symbols if s != PAD}
     first = with_var(word_automaton(spec.first_word, symbols), "x1")
     chain = rename_vars(spec.successor, {"x": "x2", "y": "x3"})
     composed = compose_free(first, chain)
@@ -166,22 +170,22 @@ def successors_ge(product: Nfa) -> Nfa:
     return elim_pad(to_base(joint))
 
 
-def _capped(a: Nfa, det_cap: int, stage: str) -> Nfa:
+def _capped(a: Nfa, stage: str) -> Nfa:
     """``a``, a trim automaton to be determinized; ``CapExceeded`` naming
-    ``stage`` if it has more than ``det_cap`` states."""
-    if len(a.states) > det_cap:
+    ``stage`` if it has more than ``DET_CAP`` states."""
+    if len(a.states) > DET_CAP:
         raise CapExceeded(f"{stage}: determinization input has {len(a.states)} "
-                          f"states (cap {det_cap})")
+                          f"states (cap {DET_CAP})")
     return a
 
 
-def successors_exact(at_least: Nfa, more: Nfa, i: int, det_cap: int = 64) -> Nfa:
+def successors_exact(at_least: Nfa, more: Nfa, i: int) -> Nfa:
     """Words with exactly i successors: those of ``at_least`` (at least i)
     not in ``more`` (at least i+1)."""
-    return difference(at_least, _capped(more, det_cap, f"successor count {i}"))
+    return difference(at_least, _capped(more, f"successor count {i}"))
 
 
-def _successor_counts(relation: Nfa, k: int, det_cap: int) -> Iterator[tuple[Nfa, Nfa]]:
+def _successor_counts(relation: Nfa, k: int) -> Iterator[tuple[Nfa, Nfa]]:
     """(P_i, the words with exactly i successors) for i = 1..k, building each
     product once; P_{i+1} is built when count i is asked for, before its cap
     check.  No word has more successors than i once none has i, so the
@@ -193,7 +197,7 @@ def _successor_counts(relation: Nfa, k: int, det_cap: int) -> Iterator[tuple[Nfa
             return
         next_product = _successor_product(relation, i + 1)
         more = successors_ge(next_product)
-        yield product, successors_exact(at_least, more, i, det_cap)
+        yield product, successors_exact(at_least, more, i)
         product, at_least = next_product, more
 
 
@@ -227,7 +231,7 @@ def _extend_diagonal(a: Nfa, source: str, new_vars: tuple[str, ...]) -> Nfa:
     return Nfa(a.symbols, a.states, a.initial, a.accepting, transitions, joint_vars)
 
 
-def realize_partially_ordered(spec: PartialOrderSpec, det_cap: int = 64) -> Nfh:
+def realize_partially_ordered(spec: PartialOrderSpec) -> Nfh:
     """∃^m ∀ ∃^k NFH: minimal words exist, and every word demands its successors."""
     k = spec.max_successors
     symbols = {s for s in spec.relation.symbols if s != PAD}
@@ -238,7 +242,7 @@ def realize_partially_ordered(spec: PartialOrderSpec, det_cap: int = 64) -> Nfh:
                          for w, x in zip(spec.minimal_words, x_names)))
 
     parts = []
-    counts = _successor_counts(spec.relation, k, det_cap)
+    counts = _successor_counts(spec.relation, k)
     for i, (product, exact) in enumerate(counts, 1):
         b_i = _constrain_track(product, "z", pad_suffix(exact))
         b_i = _extend_diagonal(b_i, "z", y_names[i:])
@@ -331,10 +335,10 @@ def realize_prefix_closed_fast(a: Dfa) -> Nfh:
 
 # --- general regular languages -------------------------------------------------
 
-def _simple_paths(a: Dfa, path_cap: int = 32) -> list[Word]:
+def _simple_paths(a: Dfa) -> list[Word]:
     """Words reaching accepting states along simple paths from the start
     state: all of L when L is finite.  Refuses an empty L, and more than
-    ``path_cap`` words."""
+    ``PATH_CAP`` words."""
     out: list[Word] = []
     moves = a.moves_from()
 
@@ -349,8 +353,8 @@ def _simple_paths(a: Dfa, path_cap: int = 32) -> list[Word]:
     words = sorted(set(out))
     if not words:
         raise EmptyLanguage("the language is empty")
-    if len(words) > path_cap:
-        raise CapExceeded(f"{len(words)} simple-path words exceed the cap {path_cap}")
+    if len(words) > PATH_CAP:
+        raise CapExceeded(f"{len(words)} simple-path words exceed the cap {PATH_CAP}")
     return words
 
 
@@ -413,12 +417,12 @@ def _pump_component(a: Dfa, p, cycle: Word) -> Nfa:
                    a.symbols | {PAD}, ("x", "y"))
 
 
-def regular_relation(a: Dfa, path_cap: int = 32, cycle_cap: int = 32) -> PartialOrderSpec:
+def regular_relation(a: Dfa) -> PartialOrderSpec:
     """Cycle-pumping successor relation of a regular language (plus reflexivity)."""
-    paths = _simple_paths(a, path_cap)
+    paths = _simple_paths(a)
     cycles = _simple_cycles(a)
-    if len(cycles) > cycle_cap:
-        raise CapExceeded(f"{len(cycles)} simple cycles exceed the cap {cycle_cap}")
+    if len(cycles) > CYCLE_CAP:
+        raise CapExceeded(f"{len(cycles)} simple cycles exceed the cap {CYCLE_CAP}")
     parts = [compose_sync(a, a, track_vars=("x", "y"))]
     for q, c in cycles:
         component = _pump_component(a, q, c)
@@ -429,25 +433,23 @@ def regular_relation(a: Dfa, path_cap: int = 32, cycle_cap: int = 32) -> Partial
     return PartialOrderSpec(tuple(paths), relation, k)
 
 
-def realize_regular(a: Dfa, path_cap: int = 32, cycle_cap: int = 32,
-                    det_cap: int = 64) -> Nfh:
+def realize_regular(a: Dfa) -> Nfh:
     """∃^m ∀ ∃^k NFH for a regular language, via the cycle-pumping relation."""
-    return realize_partially_ordered(regular_relation(a, path_cap, cycle_cap),
-                                     det_cap)
+    return realize_partially_ordered(regular_relation(a))
 
 
 # --- the shortlex successor ----------------------------------------------------
 
-def _length_sets(a: Dfa, det_cap: int = 64) -> tuple[dict, list[frozenset], int]:
+def _length_sets(a: Dfa) -> tuple[dict, list[frozenset], int]:
     """L's length sets on its trimmed DFA: S_0 = F, and S_{m+1} the states
     with a move into S_m, which have a word of length m + 1 into F.  The
     sequence is a lasso: returns the moves (each state's in letter order),
     the distinct sets S_0..S_{l-1}, and the index at which S_l repeats.  A
     finite L has at most |Q| + 1 sets, so ``CapExceeded``, past that many
-    or ``det_cap`` if more, refuses only an infinite L."""
+    or ``DET_CAP`` if more, refuses only an infinite L."""
     t = trim(a)
     moves = {q: sorted(m) for q, m in t.moves_from().items()}  # one move per letter
-    cap = max(det_cap, len(t.states) + 1)
+    cap = max(DET_CAP, len(t.states) + 1)
     sets = [t.accepting]
     index = {t.accepting: 0}
     while True:
@@ -461,7 +463,7 @@ def _length_sets(a: Dfa, det_cap: int = 64) -> tuple[dict, list[frozenset], int]
         sets.append(pre)
 
 
-def shortlex_successor(a: Dfa, det_cap: int = 64) -> Nfa:
+def shortlex_successor(a: Dfa) -> Nfa:
     """Tightly padded track NFA over (x, y) for the shortlex successor
     within L(a): u, v ∈ L, u < v, and no word of L lies strictly between.
 
@@ -475,7 +477,7 @@ def shortlex_successor(a: Dfa, det_cap: int = 64) -> Nfa:
     Otherwise u is the greatest word of its length n and v the least of the
     next length of L, n + d, where the index of n, u's first guess, fixes d.
     """
-    return _successor_on_lasso(a, *_length_sets(a, det_cap))
+    return _successor_on_lasso(a, *_length_sets(a))
 
 
 def _successor_on_lasso(a: Dfa, moves: dict, sets: list[frozenset], loop: int) -> Nfa:
@@ -533,7 +535,7 @@ def realize_shortlex(a: Dfa) -> Nfh:
     moves, sets, loop = _length_sets(a)
     lengths = [m for m, s in enumerate(sets) if a.start in s]
     if not lengths or lengths[-1] < loop:
-        return realize_finite(_simple_paths(a), a.symbols - {PAD})
+        return realize_finite(_simple_paths(a), a.symbols)
     least, q = (), a.start
     for m in range(lengths[0], 0, -1):
         s, q = next((s, p) for s, p in moves[q] if p in sets[m - 1])

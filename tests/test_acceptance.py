@@ -90,7 +90,7 @@ def test_criterion_03_prefix_closed_routes_agree():
 
 def test_criterion_04_regular_relation_desk_scale():
     d = Dfa({"a"}, {"0", "1"}, "0", {"1"}, {("0", "a", "1"), ("1", "a", "1")})
-    spec = regular_relation(d, path_cap=4, cycle_cap=4)
+    spec = regular_relation(d)
     pairs = {("".join(u), "".join(v))
              for u, v in relation_pairs(spec.relation, 4)}
     pumping = {("a", "aa"), ("aa", "aaa"), ("aaa", "aaaa")}

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import hyperlang.core as core_module
 import hyperlang.nfh as nfh_module
 from hyperlang.core import QuantifierPrefix, as_word
 from hyperlang.errors import EmptyLanguage, UniverseTooLarge
@@ -53,6 +54,18 @@ def test_probe_forall_singleton():
     assert {frozenset(language_strings(l)) for l in got} == {frozenset({"a"})}
 
 
+def test_probe_without_variables():
+    """With no variables the quantifier tree is one leaf, the empty
+    assignment: the probe accepts every language or none."""
+    for accepting in (set(), {"q"}):
+        underlying = Nfa({"a", "#"}, {"q"}, {"q"}, accepting, set(), ())
+        n = Nfh(frozenset({"a"}), QuantifierPrefix(()), underlying)
+        expected = {frozenset(l) for l in (words("eps"), words("a"), words("eps", "a"))
+                    if nfh_accepts(n, l)}
+        assert nfh_hyperlanguage_probe(n, 1) == expected
+        assert len(expected) == 3 * len(accepting)
+
+
 def test_probe_fig1_empty(fig1_nfh):
     assert nfh_hyperlanguage_probe(fig1_nfh, 3) == frozenset()
 
@@ -62,6 +75,15 @@ def test_probe_universe_guard(fig1_nfh):
         nfh_hyperlanguage_probe(fig1_nfh, 25)
     with pytest.raises(ValueError):
         nfh_hyperlanguage_probe(fig1_nfh, -1)
+
+
+def test_probe_universe_cap_is_a_constant(monkeypatch):
+    """{a,b}^{≤4} has 31 words: refused at the cap of 20, answered at 31."""
+    n = realize_finite({"ab", "ba"})
+    with pytest.raises(UniverseTooLarge, match=r"^probe universe has 31 words; cap is 20$"):
+        nfh_hyperlanguage_probe(n, 4)
+    monkeypatch.setattr(core_module, "UNIVERSE_CAP", 31)
+    assert nfh_hyperlanguage_probe(n, 4) == {frozenset(words("ab", "ba"))}
 
 
 def _random_forall_nfh(rng):

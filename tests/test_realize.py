@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from hyperlang.core import PAD, QuantifierPrefix, TrackLetter, as_word, pad_to_sync
+import hyperlang.realize as realize_module
+from hyperlang.core import (PAD, QuantifierPrefix, TrackLetter, as_word,
+                            bounded_universe, pad_to_sync)
 from hyperlang.errors import CapExceeded, NotPrefixClosed
-from hyperlang.formats import render_nfh
+from hyperlang.formats import parse_nfh, render_nfh
 from hyperlang.nfa import (Dfa, Nfa, absorb_pad, compose_free, difference,
                            explore, nfa_language, nfa_member, pad_suffix, trim,
                            union_all, with_var, word_automaton)
@@ -63,6 +65,17 @@ def test_realize_finite_rejects_symbols_outside_alphabet():
     with pytest.raises(ValueError, match="'#'"):
         realize_finite({"a#", "b"})
     assert nfh_accepts(realize_finite({"ab", "c"}, {"a", "b", "c"}), words("ab", "c"))
+
+
+def test_realize_finite_drops_the_pad_of_its_alphabet():
+    """The pad of a given alphabet is no symbol of the NFH: the text format
+    cannot carry it, and the probe would count pad words toward its cap."""
+    n = realize_finite({"a"}, {"a", PAD})
+    assert n.symbols == {"a"}
+    again = parse_nfh(render_nfh(n))
+    assert again.symbols == n.symbols and render_nfh(again) == render_nfh(n)
+    assert bounded_universe(n.symbols, 1, "probe") == [(), ("a",)]
+    assert probe_strings(n, 1) == {frozenset({"a"})}
 
 
 def _reference_realize_finite(words, alphabet=None):
@@ -223,7 +236,7 @@ def test_successor_counting_matches_enumeration():
         successors: dict = {}
         for u, v in relation_pairs(spec.relation, 3 + n):
             successors.setdefault(u, set()).add(v)
-        counts = _successor_counts(spec.relation, spec.max_successors, 64)
+        counts = _successor_counts(spec.relation, spec.max_successors)
         for i, (_, exact) in enumerate(counts, 1):
             expected = {u for u, vs in successors.items()
                         if len(u) <= 3 and len(vs) == i}
@@ -373,7 +386,7 @@ def test_realize_regular_underlying_successor_step():
 # --- the shortlex successor -------------------------------------------------------
 
 # 0-a->1, 1-b->2, 2-a->1, 0-b->0 accepting {1, 2}: the pumping route exceeds
-# the default det_cap on it
+# DET_CAP on it
 ROADMAP_DFA = Dfa({"a", "b"}, {"0", "1", "2"}, "0", {"1", "2"},
                   {("0", "a", "1"), ("1", "b", "2"), ("2", "a", "1"),
                    ("0", "b", "0")})
@@ -569,7 +582,7 @@ def test_ring_dfas_realize(n):
     assert shortlex_pairs(ring, n + 1) == set(zip(language, language[1:]))
 
 
-def test_caps_name_their_stage():
+def test_caps_name_their_stage(monkeypatch):
     with pytest.raises(CapExceeded, match=r"^successor count 2: determinization "
                                           r"input has 66 states \(cap 64\)$"):
         realize_regular(ROADMAP_DFA)
@@ -583,7 +596,8 @@ def test_caps_name_their_stage():
     with pytest.raises(CapExceeded, match=r"^shortlex length sets: more than 64 "
                                           r"distinct sets \(cap 64\)$"):
         realize_shortlex(two_cycles)
-    assert shortlex_successor(two_cycles, det_cap=78).accepting
+    monkeypatch.setattr(realize_module, "DET_CAP", 78)
+    assert shortlex_successor(two_cycles).accepting
 
 
 # --- order containment ----------------------------------------------------------

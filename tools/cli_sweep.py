@@ -112,6 +112,18 @@ trans: u0 [x=#,y=a] u1
 trans: u1 [x=#,y=a] u1
 """
 
+# Over {a, b}: its probe universe outgrows the cap at --max-len 4 (31 words).
+AB_NFH = """\
+quantifiers: E x
+type: nfa
+alphabet: a b
+vars: x
+states: q0 q1
+initial: q0
+accepting: q1
+trans: q0 [x=a] q1
+"""
+
 EXISTS_CFHG = """\
 quantifiers: E x
 alphabet: a b
@@ -144,11 +156,24 @@ def ring_dfa(n: int) -> str:
 
 def blocks_dfa(n: int) -> str:
     """(a|b)^n: s_i -a,b-> s_(i+1), accepting s_n.  Its 2^n words are all
-    simple-path words, at the ``path_cap`` of 32 for n = 5."""
+    simple-path words, at ``realize.PATH_CAP``, 32, for n = 5."""
     trans = "".join(f"trans: s{i} {s} s{i + 1}\n" for i in range(n) for s in "ab")
     return (f"type: dfa\nalphabet: a b\n"
             f"states: {' '.join(f's{i}' for i in range(n + 1))}\ninitial: s0\n"
             f"accepting: s{n}\n{trans}")
+
+
+def two_cycles_dfa(m: int, n: int) -> str:
+    """From s, a: into a cycle of m a-moves, b: into one of n, each accepting
+    at its entry.  The length sets repeat with period lcm(m, n), 77 for 7 and
+    11, past ``realize.DET_CAP``, 64."""
+    cycles = [(f"{c}{i}", f"{c}{(i + 1) % k}") for c, k in (("p", m), ("r", n))
+              for i in range(k)]
+    trans = "trans: s a p0\ntrans: s b r0\n"
+    trans += "".join(f"trans: {q} a {p}\n" for q, p in cycles)
+    return (f"type: dfa\nalphabet: a b\n"
+            f"states: s {' '.join(q for q, _ in cycles)}\ninitial: s\n"
+            f"accepting: p0 r0\n{trans}")
 
 
 FIXED_FILES = {
@@ -158,6 +183,7 @@ FIXED_FILES = {
     "empty-succ.nfa": EMPTY_SUCCESSOR,
     "empty.nfa": EMPTY_NFA,
     "fig1.nfh": FIG1_NFH,
+    "ab.nfh": AB_NFH,
     "e.cfhg": EXISTS_CFHG,
     "aa.cfhg": forall_cfhg_text(CRITERION9_TILES),
     "ea.cfhg": ea_cfhg_text(CRITERION9_TILES),
@@ -177,6 +203,8 @@ FIXED_FILES = {
     "ring8.dfa": ring_dfa(8),
     "ring20.dfa": ring_dfa(20),
     "blocks5.dfa": blocks_dfa(5),
+    "blocks6.dfa": blocks_dfa(6),
+    "cycles-7-11.dfa": two_cycles_dfa(7, 11),
 }
 
 FIXED_CALLS = [
@@ -216,6 +244,11 @@ FIXED_CALLS = [
     ("bounded-negative", ["cfhg", "empty", "aa.cfhg", "--bounded", "-1"]),
     ("ea-criterion9-bounded", ["cfhg", "empty", "ea.cfhg", "--bounded", "13"]),
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
+    # one refusal per cap
+    ("probe-universe-cap", ["nfh", "probe", "ab.nfh", "--max-len", "4"]),
+    ("witness-universe-cap", ["cfhg", "empty", "aa.cfhg", "--bounded", "5"]),
+    ("path-cap", ["realize", "regular", "blocks6.dfa", "-o", "out"]),
+    ("lasso-cap", ["realize", "regular", "cycles-7-11.dfa", "-o", "out"]),
     ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
     ("bogus-verb", ["bogus"]),
 ]
