@@ -12,7 +12,7 @@ from .core import (HWord, QuantifierPrefix, TrackLetter, is_synchronous,
 from .cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
                   derive_bounded, to_cnf)
 from .cfhg import Cfhg, cfhg_empty, finite_member, regular_member
-from .errors import (CapExceeded, EmptyLanguage, HyperlangError, NotCnf,
+from .errors import (CapExceeded, EmptyLanguage, HyperlangError,
                      NotPrefixClosed, ParseError, Undecidable,
                      UniverseTooLarge, UnknownLetter, VarClash)
 from .nfa import (Dfa, Nfa, compose_free, compose_sync, determinize, difference,

@@ -4,38 +4,40 @@ A rule body is a tuple mixing terminals and variable names.  Variables are
 plain strings listed in ``Cfg.variables``; anything else in a body is a
 terminal (a base symbol string or a ``TrackLetter``).
 
-The membership engines share one index of a CNF grammar's rules (terminal →
-heads, left child → (right child, head), right child → (left child, head)),
-built and checked for CNF once and cached on the ``Cfg``.  ``cyk_member``
-fills its table through it; ``derives_span`` runs the semi-naive span
-fixpoint behind ``cfg_intersect_empty`` and behind the pad-anywhere
-membership leaf of ``cfhg``, which builds no product automaton.
+The membership engines need no CNF: they share one index of the grammar
+in binary normal form (Lange & Leiß, *To CNF or not to CNF?*, 2009), built
+once per grammar and cached on the ``Cfg``.  ``cyk_member`` fills its
+table through it; ``derives_span`` runs the semi-naive span fixpoint behind
+``cfg_intersect_empty`` and the pad-anywhere membership leaf of ``cfhg``.
+``to_cnf`` serves the reference route ``bar_hillel``.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .core import TrackLetter, closure
-from .errors import AlphabetMismatch, CapExceeded, NotCnf
+from .errors import AlphabetMismatch, CapExceeded
 from .nfa import Nfa
 
 DERIVATION_CAP = 10 ** 4  # words derive_bounded derives over all variables
 
 
-class _CnfIndex(NamedTuple):
-    """The rules of a CNF grammar, indexed for the membership engines."""
+class _Index(NamedTuple):
+    """A grammar in binary normal form, indexed for the membership engines."""
 
-    by_terminal: dict  # terminal -> heads of its rules A -> a
-    by_left: dict      # B -> (C, A) for each rule A -> B C
-    by_right: dict     # C -> (B, A) for each rule A -> B C
-    start_eps: bool    # whether start -> ε is a rule
+    up: dict         # terminal a -> up[a] of its stand-in, which includes it
+    by_left: dict    # B -> (C, up[A]) for each binary rule A -> B C
+    by_right: dict   # C -> (B, up[A]) for each binary rule A -> B C
+    start_eps: bool  # whether the start symbol is nullable
 
 
 class Cfg:
     """An immutable context-free grammar."""
 
-    __slots__ = ("variables", "start", "rules", "_cnf")
+    __slots__ = ("variables", "start", "rules", "_index")
 
     def __init__(self, variables: Iterable[str], start: str, rules: Iterable[tuple]):
         self.variables = frozenset(variables)
@@ -46,7 +48,7 @@ class Cfg:
         for v, body in self.rules:
             if v not in self.variables:
                 raise ValueError(f"rule head {v!r} is not a declared variable")
-        self._cnf = None  # the rule index of a CNF grammar, built on first use
+        self._index = None  # the binary-normal-form index, built on first use
 
     def is_variable(self, token) -> bool:
         return isinstance(token, str) and token in self.variables
@@ -137,37 +139,15 @@ def cleanup(g: Cfg) -> Cfg:
     return Cfg(reach, start, [(v, body) for v, body in rules if v in reach])
 
 
-def is_cnf(g: Cfg) -> bool:
-    for v, body in g.rules:
-        if not body:
-            if v != g.start:
-                return False
-        elif len(body) == 1:
-            if g.is_variable(body[0]):
-                return False
-        elif len(body) == 2:
-            if not (g.is_variable(body[0]) and g.is_variable(body[1])):
-                return False
-        else:
-            return False
-    return True
-
-
 def to_cnf(g: Cfg) -> Cfg:
     """Chomsky normal form: rules A→BC, A→a, and at most start→ε."""
     g = cleanup(g)
 
     variables = set(g.variables)
-    # names only accumulate, so each base resumes where its last probe ended
-    tried: dict[str, int] = {}
+    counter = itertools.count()
 
     def fresh(base: str) -> str:
-        i = tried.get(base, 0)
-        name = f"{base}_{i}" if i else base
-        while name in variables:
-            i += 1
-            name = f"{base}_{i}"
-        tried[base] = i
+        name = next(n for n in (f"{base}_{i}" for i in counter) if n not in variables)
         variables.add(name)
         return name
 
@@ -210,8 +190,7 @@ def to_cnf(g: Cfg) -> Cfg:
             non_unit.setdefault(v, []).append(body)
     result: set[tuple] = set()
     for v in variables:
-        # a variable with no unit rule is its own unit closure
-        for w in closure({v}, lambda u: units.get(u, ())) if v in units else (v,):
+        for w in closure({v}, lambda u: units.get(u, ())):
             result.update((v, body) for body in non_unit.get(w, ()))
 
     # Every variable still derives what it did, so all stay productive; the
@@ -220,39 +199,59 @@ def to_cnf(g: Cfg) -> Cfg:
     return Cfg(reach, g.start, [(v, body) for v, body in result if v in reach])
 
 
-def _cnf_index(g: Cfg, caller: str) -> _CnfIndex:
-    """The rules of a CNF grammar indexed by terminal, left child and right
-    child; built and checked once per grammar.  A grammar not in CNF raises
-    ``NotCnf`` naming ``caller``."""
-    index = g._cnf
-    if index is None:
-        index = False
-        if is_cnf(g):
-            by_terminal: dict = {}
-            by_left: dict = {}
-            by_right: dict = {}
-            for v, body in g.rules:
-                if len(body) == 1:
-                    by_terminal.setdefault(body[0], []).append(v)
-                elif len(body) == 2:
-                    by_left.setdefault(body[0], []).append((body[1], v))
-                    by_right.setdefault(body[1], []).append((body[0], v))
-            index = _CnfIndex(by_terminal, by_left, by_right, (g.start, ()) in g.rules)
-        g._cnf = index
-    if index is False:
-        raise NotCnf(f"{caller} requires a grammar in Chomsky normal form")
-    return index
+def _index(g: Cfg) -> _Index:
+    """The grammar's binary-normal-form index, built once per grammar.
+
+    Bodies longer than two are split into chains through fresh links.  A
+    link, and the stand-in that bodies hold for a terminal, is an
+    ``object()``: it equals no variable or terminal, and hashes fast.  A ⇒ y
+    is a unit step when A → y, or A → y z or A → z y with z nullable;
+    ``up[y]`` is every symbol that unit-derives y, y included."""
+    if g._index is not None:
+        return g._index
+    rules: list[tuple] = []  # (head, body) with at most two symbols
+    leaves: dict = {}        # terminal -> the stand-in that bodies hold
+    for v, body in g.rules:
+        body = [t if t in g.variables else leaves.setdefault(t, object()) for t in body]
+        while len(body) > 2:
+            link = object()
+            rules.append((link, (body[-2], body[-1])))
+            body[-2:] = [link]
+        rules.append((v, tuple(body)))
+    nullable: set = set()
+    if any(not body for _, body in g.rules):
+        heads = {v for v, _ in rules}
+        nullable = _productive([r for r in rules if heads.issuperset(r[1])], heads)
+    parents: dict = {}  # y -> the heads A with a unit step A ⇒ y
+    for v, body in rules:
+        if len(body) == 1:
+            parents.setdefault(body[0], []).append(v)
+        elif len(body) == 2 and nullable:
+            for y, z in (body, body[::-1]):
+                if z in nullable:
+                    parents.setdefault(y, []).append(v)
+    up = {y: frozenset(closure({y}, lambda s: parents.get(s, ()))) for y in parents}
+    by_left, by_right = {}, {}
+    for v, body in rules:
+        if len(body) == 2:
+            (b, c), heads = body, up.get(v) or frozenset((v,))
+            by_left.setdefault(b, []).append((c, heads))
+            by_right.setdefault(c, []).append((b, heads))
+    g._index = _Index({t: up.get(leaf) or frozenset((leaf,)) for t, leaf in leaves.items()},
+                      by_left, by_right, g.start in nullable)
+    return g._index
 
 
 def cyk_member(g: Cfg, w) -> bool:
-    """CYK table membership for a CNF grammar; ``w`` is a sequence of terminals."""
-    index = _cnf_index(g, "cyk_member")
+    """CYK membership of the terminal sequence ``w``, for any grammar; each
+    cell holds every symbol that derives its factor, by unit steps too."""
+    index = _index(g)
     word = list(w.letters) if hasattr(w, "letters") else list(w)
     n = len(word)
     if n == 0:
         return index.start_eps
     by_left = index.by_left
-    table = [[set(index.by_terminal.get(letter, ())) for letter in word]]
+    table = [[index.up.get(letter, ()) for letter in word]]
     for span in range(2, n + 1):
         row = []
         for i in range(n - span + 1):
@@ -262,17 +261,18 @@ def cyk_member(g: Cfg, w) -> bool:
                 if not right:
                     continue
                 for b in table[split - 1][i]:
-                    for c, v in by_left.get(b, ()):
+                    for c, heads in by_left.get(b, ()):
                         if c in right:
-                            cell.add(v)
+                            cell |= heads
             row.append(cell)
         table.append(row)
     return g.start in table[n - 1][0]
 
 
 def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
-    """Grammar for L(g) ∩ L(a), with triple-indexed variables (p, V, q)."""
-    _cnf_index(g, "bar_hillel")
+    """Grammar for L(g) ∩ L(a), with triple-indexed variables (p, V, q),
+    built on the CNF of ``g``."""
+    g = to_cnf(g)
     grammar_terminals = g.terminals()
     track_terms = [t for t in grammar_terminals if isinstance(t, TrackLetter)]
     if track_terms and not a.is_track:
@@ -316,9 +316,8 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
 
 
 def cfg_intersect_empty(g: Cfg, a: Nfa) -> bool:
-    """True iff L(g) ∩ L(a) = ∅, for a CNF grammar, without materializing
-    the full Bar-Hillel product."""
-    _cnf_index(g, "cfg_intersect_empty")
+    """True iff L(g) ∩ L(a) = ∅, without materializing the Bar-Hillel
+    product."""
     by_letter: dict = {}
     for q, l, p in a.transitions:
         by_letter.setdefault(l, []).append((q, p))
@@ -328,22 +327,21 @@ def cfg_intersect_empty(g: Cfg, a: Nfa) -> bool:
 
 def derives_span(g: Cfg, letter_spans: Callable[[object], Iterable[tuple]],
                  sources: Collection, targets: Collection) -> bool:
-    """Does the CNF grammar derive a word that takes some source to some
-    target?  ``letter_spans(a)`` lists the pairs (p, q) that terminal ``a``
-    takes p to.
+    """Does the grammar derive a word that takes some source to some target?
+    ``letter_spans(a)`` lists the pairs (p, q) that terminal ``a`` takes p to.
 
     Semi-naive least fixpoint (Bancilhon & Ramakrishnan, 1986) of the
-    relation "variable V derives a word taking p to q": each new span is
-    joined once, through the rule index, with the spans already found for
-    its sibling, and the search stops at the first start span from a source
-    to a target.
+    relation "symbol X derives a non-empty word taking p to q": a terminal's
+    spans seed its ``up`` set, each new span is joined once with the spans
+    found for its sibling into the ``up`` set of the rule's head, and the
+    search stops at the first start span from a source to a target.
     """
-    index = _cnf_index(g, "derives_span")
+    index = _index(g)
     if index.start_eps and any(p in targets for p in sources):
         return True
     by_left, by_right, start = index.by_left, index.by_right, g.start
-    ends: dict = {v: {} for v in g.variables}    # V -> p -> {q}
-    begins: dict = {v: {} for v in g.variables}  # V -> q -> {p}
+    ends: dict = defaultdict(dict)    # X -> p -> {q}
+    begins: dict = defaultdict(dict)  # X -> q -> {p}
     work: list[tuple] = []
 
     def add(v, p, q):
@@ -353,21 +351,23 @@ def derives_span(g: Cfg, letter_spans: Callable[[object], Iterable[tuple]],
             begins[v].setdefault(q, set()).add(p)
             work.append((v, p, q))
 
-    for letter, heads in index.by_terminal.items():
+    for letter, symbols in index.up.items():
         spans = letter_spans(letter)
-        for v in heads:
+        for v in symbols:
             for p, q in spans:
                 add(v, p, q)
     while work:
         v, p, q = work.pop()
         if v == start and p in sources and q in targets:
             return True
-        for c, head in by_left.get(v, ()):
+        for c, heads in by_left.get(v, ()):
             for r in tuple(ends[c].get(q, ())):
-                add(head, p, r)
-        for b, head in by_right.get(v, ()):
+                for head in heads:
+                    add(head, p, r)
+        for b, heads in by_right.get(v, ()):
             for o in tuple(begins[b].get(p, ())):
-                add(head, o, q)
+                for head in heads:
+                    add(head, o, q)
     return False
 
 

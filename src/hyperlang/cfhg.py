@@ -6,13 +6,14 @@ emptiness are polynomial; ∀*/∃∀* emptiness is decidable for ranked grammar
 via diagonal restriction; finite-language membership is decidable for every
 prefix; everything else raises a structured ``Undecidable``.
 
-Finite-language membership compiles the grammar to CNF once and decides
-each leaf of the quantifier tree (one word per variable) with that grammar:
-a ranked grammar by CYK on the synchronous padding, any other grammar (and
-``force_slow``) by the span fixpoint of ``cfg.derives_span`` over the
-assigned words read with pads anywhere.  A state of that reading is one
-position per word; the spans of each terminal come straight from the words,
-and no product automaton is built.
+Finite-language membership decides each leaf of the quantifier tree (one
+word per variable) on the grammar's binary-normal-form index, which ``cfg``
+builds once per grammar with no CNF: a ranked grammar by CYK on the
+synchronous padding, any other grammar (and ``force_slow``) by the span
+fixpoint of ``cfg.derives_span`` over the assigned words read with pads
+anywhere.  A state of that reading is one position per word; the spans of
+each terminal come straight from the words, and no product automaton is
+built.
 
 The undecidable routes get a bounded witness search.  It enumerates subsets
 of Σ^{≤N}, except on a ranked ∃∃⁺∀⁺ grammar (the ∃∃∀ PCP gadget), where it
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
-                  derive_bounded, derives_span, to_cnf)
+                  derive_bounded, derives_span)
 from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
                    evaluate, finite_language, nonempty_subsets, pad_to_sync)
 from .errors import Undecidable
@@ -101,18 +102,18 @@ def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple
 
 def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], bool]:
     """The memoised leaf of the quantifier tree: is some #-padding of the
-    assignment derived?  Compiles the grammar once, for any number of trees."""
-    cnf = to_cnf(g.underlying)
+    assignment derived?"""
+    grammar = g.underlying
     order = g.vars
     if not force_slow and g.ranked():
         def leaf(assignment: tuple[Word, ...]) -> bool:
-            return cyk_member(cnf, pad_to_sync(dict(zip(order, assignment)), order))
+            return cyk_member(grammar, pad_to_sync(dict(zip(order, assignment)), order))
     else:
         def leaf(assignment: tuple[Word, ...]) -> bool:
             # the start state (code 0) has every word at position 0; the end
             # state has every word read through, the highest code
             end = math.prod(len(w) + 1 for w in assignment) - 1
-            return derives_span(cnf, lambda letter: _word_spans(assignment, letter),
+            return derives_span(grammar, lambda letter: _word_spans(assignment, letter),
                                 (0,), (end,))
     return functools.cache(leaf)
 
@@ -182,7 +183,7 @@ def regular_member(g: Cfhg, a: Nfa) -> bool:
             "regular membership for grammars with a ∀ quantifier is undecidable")
     padded = pad_anywhere(a)
     joint = track_product([with_var(padded, v) for v in g.vars])
-    return not cfg_intersect_empty(to_cnf(g.underlying), joint)
+    return not cfg_intersect_empty(g.underlying, joint)
 
 
 def bounded_nonempty_witness(g: Cfhg, max_len: int):

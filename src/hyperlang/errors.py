@@ -29,10 +29,6 @@ class CapExceeded(HyperlangError):
     """A configured size cap was exceeded during a construction."""
 
 
-class NotCnf(HyperlangError):
-    """A grammar operation requiring Chomsky normal form got a non-CNF grammar."""
-
-
 class AlphabetMismatch(HyperlangError):
     """Grammar and automaton operate over different alphabets."""
 

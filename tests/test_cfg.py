@@ -1,13 +1,11 @@
 """Grammar engine: cleanup, CNF, emptiness, CYK, Bar-Hillel, enumeration."""
 
+import itertools
 import random
 
-import pytest
-
 from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cfg_intersect_empty,
-                           cleanup, cyk_member, derive_bounded, is_cnf, to_cnf)
+                           cleanup, cyk_member, derive_bounded, to_cnf)
 from hyperlang.core import HWord, as_word
-from hyperlang.errors import NotCnf
 from hyperlang.nfa import Nfa
 
 from conftest import random_base_grammar
@@ -15,6 +13,20 @@ from conftest import random_base_grammar
 
 def string_language(g, n):
     return {"".join(w) for w in derive_bounded(g, n)}
+
+
+def is_cnf(g):
+    """Rules A→BC, A→a, and at most start→ε."""
+    for v, body in g.rules:
+        if len(body) == 2:
+            if not all(g.is_variable(t) for t in body):
+                return False
+        elif len(body) == 1:
+            if g.is_variable(body[0]):
+                return False
+        elif body or v != g.start:
+            return False
+    return True
 
 
 def test_cleanup_removes_unreachable(anbn):
@@ -84,13 +96,19 @@ def test_cyk_member(anbn):
     cnf = to_cnf(anbn)
     assert cyk_member(cnf, as_word("aabb"))
     assert not cyk_member(cnf, as_word("abab"))
-    with pytest.raises(NotCnf):
-        cyk_member(anbn, as_word("ab"))
+    # the raw grammar needs no CNF and gives the same verdicts
+    assert cyk_member(anbn, as_word("aabb"))
+    assert not cyk_member(anbn, as_word("abab"))
+    # a nullable start that occurs in bodies
+    dyck = Cfg({"S"}, "S", [("S", ("a", "S", "b")), ("S", ()), ("S", ("S", "S"))])
+    for w in ("", "ab", "aabb", "abab", "aabbab"):
+        assert cyk_member(dyck, as_word(w))
+    for w in ("a", "ba", "aab", "abba"):
+        assert not cyk_member(dyck, as_word(w))
 
 
 def test_cyk_agrees_with_enumeration():
     rng = random.Random(4)
-    import itertools
     universe = ["".join(p) for n in range(4)
                 for p in itertools.product("ab", repeat=n)]
     for _ in range(20):
@@ -169,4 +187,46 @@ def test_intersect_empty_equals_bar_hillel():
         got = cfg_intersect_empty(cnf, a)
         assert got == cfg_empty(bar_hillel(cnf, a)), (cnf.rules, a.transitions)
         verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def _raw_grammar(rng):
+    """A random grammar with all that ``to_cnf`` removes: ε-rules, a
+    nullable start occurring in bodies, unit cycles, useless variables
+    (X never derives a word, Y is never reached), and bodies of 3–4
+    symbols mixing terminals and variables."""
+    pool = ["a", "b", "S", "T", "U", "X"]
+    rules = {("X", ("a", "X")), ("Y", ("b",))}
+    for _ in range(rng.randint(2, 6)):
+        body = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+        rules.add((rng.choice("STU"), body))
+    for head in "STU":
+        if rng.random() < 0.4:
+            rules.add((head, ()))
+        if rng.random() < 0.3:
+            rules.add((head, (rng.choice("STU"),)))
+        if rng.random() < 0.5:
+            rules.add((head, (rng.choice("ab"),)))
+    if rng.random() < 0.3:
+        rules |= {("S", ("T",)), ("T", ("U",)), ("U", ("S",))}
+    return Cfg({"S", "T", "U", "X", "Y"}, "S", rules)
+
+
+def test_binary_normal_form_engines_on_raw_grammars():
+    """``cyk_member`` and ``cfg_intersect_empty`` on raw grammars against
+    their CNF, enumeration and the Bar-Hillel product of the CNF."""
+    rng = random.Random(20)
+    universe = [w for n in range(5) for w in itertools.product("ab", repeat=n)]
+    verdicts = set()
+    for _ in range(120):
+        g = _raw_grammar(rng)
+        cnf = to_cnf(g)
+        derived = derive_bounded(g, 4)
+        for w in universe:
+            got = cyk_member(g, w)
+            assert got == cyk_member(cnf, w) == (w in derived), (g.rules, w)
+            verdicts.add(got)
+        a = _random_nfa(rng)
+        assert cfg_intersect_empty(g, a) == cfg_empty(bar_hillel(g, a)), \
+            (g.rules, a.transitions)
     assert verdicts == {True, False}

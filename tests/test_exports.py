@@ -10,7 +10,7 @@ SRC = Path(hyperlang.__file__).parent
 
 # the sorted ``hyperlang.__all__``; a change to the public API changes this list
 EXPORTS = """
-CapExceeded Cfg Cfhg Dfa EmptyLanguage HWord HyperlangError Nfa Nfh NotCnf
+CapExceeded Cfg Cfhg Dfa EmptyLanguage HWord HyperlangError Nfa Nfh
 NotPrefixClosed OrderedLanguageSpec ParseError PartialOrderSpec PcpInstance
 QuantifierPrefix RankTable TrackLetter Undecidable UniverseTooLarge
 UnknownLetter VarClash bar_hillel cfg_empty cfhg_empty cleanup compose_free
