@@ -4,12 +4,12 @@ A rule body is a tuple mixing terminals and variable names.  Variables are
 plain strings listed in ``Cfg.variables``; anything else in a body is a
 terminal (a base symbol string or a ``TrackLetter``).
 
-The membership engines need no CNF: they share one index of the grammar
-in binary normal form (Lange & Leiß, *To CNF or not to CNF?*, 2009), built
-once per grammar and cached on the ``Cfg``.  ``cyk_member`` fills its
-table through it; ``derives_span`` runs the semi-naive span fixpoint behind
-``cfg_intersect_empty`` and the pad-anywhere membership leaf of ``cfhg``.
-``to_cnf`` serves the reference route ``bar_hillel``.
+Membership needs no CNF: its one engine, the semi-naive span fixpoint
+``derives_span``, runs on the grammar's binary-normal-form index (Lange &
+Leiß, *To CNF or not to CNF?*, 2009), built once and cached on the ``Cfg``.
+It serves ``cfg_intersect_empty``, the pad-anywhere leaf of ``cfhg`` and
+``cyk_member``: the span fixpoint on a word read as a chain.  ``to_cnf``
+serves the reference route ``bar_hillel``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ DERIVATION_CAP = 10 ** 4  # words derive_bounded derives over all variables
 
 
 class _Index(NamedTuple):
-    """A grammar in binary normal form, indexed for the membership engines."""
+    """A grammar in binary normal form, indexed for the span fixpoint."""
 
     up: dict         # terminal a -> up[a] of its stand-in, which includes it
     by_left: dict    # B -> (C, up[A]) for each binary rule A -> B C
@@ -243,30 +243,13 @@ def _index(g: Cfg) -> _Index:
 
 
 def cyk_member(g: Cfg, w) -> bool:
-    """CYK membership of the terminal sequence ``w``, for any grammar; each
-    cell holds every symbol that derives its factor, by unit steps too."""
-    index = _index(g)
-    word = list(w.letters) if hasattr(w, "letters") else list(w)
-    n = len(word)
-    if n == 0:
-        return index.start_eps
-    by_left = index.by_left
-    table = [[index.up.get(letter, ()) for letter in word]]
-    for span in range(2, n + 1):
-        row = []
-        for i in range(n - span + 1):
-            cell: set = set()
-            for split in range(1, span):
-                right = table[span - split - 1][i + split]
-                if not right:
-                    continue
-                for b in table[split - 1][i]:
-                    for c, heads in by_left.get(b, ()):
-                        if c in right:
-                            cell |= heads
-            row.append(cell)
-        table.append(row)
-    return g.start in table[n - 1][0]
+    """Membership of the terminal sequence ``w``, for any grammar: the span
+    fixpoint on ``w`` read as a chain, letter i taking position i to i + 1."""
+    word = tuple(w.letters if hasattr(w, "letters") else w)
+    spans: dict = {}
+    for i, letter in enumerate(word):
+        spans.setdefault(letter, []).append((i, i + 1))
+    return derives_span(g, lambda letter: spans.get(letter, ()), (0,), (len(word),))
 
 
 def bar_hillel(g: Cfg, a: Nfa) -> Cfg:

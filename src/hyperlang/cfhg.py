@@ -7,13 +7,13 @@ via diagonal restriction; finite-language membership is decidable for every
 prefix; everything else raises a structured ``Undecidable``.
 
 Finite-language membership decides each leaf of the quantifier tree (one
-word per variable) on the grammar's binary-normal-form index, which ``cfg``
-builds once per grammar with no CNF: a ranked grammar by CYK on the
-synchronous padding, any other grammar (and ``force_slow``) by the span
-fixpoint of ``cfg.derives_span`` over the assigned words read with pads
-anywhere.  A state of that reading is one position per word; the spans of
-each terminal come straight from the words, and no product automaton is
-built.
+word per variable) by the span fixpoint of ``cfg.derives_span`` on the
+grammar's binary-normal-form index, which ``cfg`` builds once per grammar
+with no CNF: a ranked grammar by the span fixpoint on the synchronous
+padding read as a chain, any other grammar (and ``force_slow``) over the
+assigned words read with pads anywhere.  A state of that reading is one
+position per word; the spans of each terminal come straight from the
+words, and no product automaton is built.
 
 The undecidable routes get a bounded witness search.  It enumerates subsets
 of Σ^{≤N}, except on a ranked ∃∃⁺∀⁺ grammar (the ∃∃∀ PCP gadget), where it
@@ -123,9 +123,9 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
 
     Walks the quantifier decision tree over word assignments.  A leaf asks
     whether some #-padding of the assignment is derived: for ranked grammars
-    the synchronous padding is the only one, so a CYK check suffices; in
-    general (and with ``force_slow``) the leaf runs the span fixpoint of
-    ``derives_span`` over the pad-anywhere readings of the assigned words.
+    the synchronous padding is the only one, so the span fixpoint on the
+    synchronous padding read as a chain suffices; in general (and with
+    ``force_slow``) it runs over the pad-anywhere readings of the words.
     """
     words = finite_language(language, g.symbols)
     return evaluate(g.prefix.quantifiers, words, _membership_leaf(g, force_slow))
@@ -200,12 +200,12 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
 
     A ranked ∃∃⁺∀⁺ grammar is searched without the universe.  With every ∀
     variable bound to x₁, the synchronous padding of (x̄, x₁, …, x₁) is
-    derived, since the leaf of a ranked grammar is CYK on it, and each of its
-    letters gives every ∀ track the x₁ track's symbol.  So the grammar
-    restricted to such letters derives it too: the sets set(x̄) read off the
-    restriction's tuples up to ``max_len`` hold the first member, and they
-    are tested in mask order.  More than ``cfg.DERIVATION_CAP`` derived
-    words raise ``CapExceeded``.
+    derived (a ranked leaf runs the span fixpoint on the synchronous padding
+    read as a chain), and each of its letters gives every ∀ track the x₁
+    track's symbol.  So the grammar restricted to such letters derives it
+    too: the sets set(x̄) read off the restriction's tuples up to
+    ``max_len`` hold the first member, and they are tested in mask order.
+    More than ``cfg.DERIVATION_CAP`` derived words raise ``CapExceeded``.
     """
     if max_len < 0:
         raise ValueError(f"the length bound must be at least 0, not {max_len}")

@@ -1,4 +1,5 @@
-"""Grammar engine: cleanup, CNF, emptiness, CYK, Bar-Hillel, enumeration."""
+"""Grammar engine: cleanup, CNF, emptiness, membership (the span fixpoint
+on a word read as a chain), Bar-Hillel, enumeration."""
 
 import itertools
 import random
@@ -6,7 +7,7 @@ import random
 from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cfg_intersect_empty,
                            cleanup, cyk_member, derive_bounded, to_cnf)
 from hyperlang.core import HWord, as_word
-from hyperlang.nfa import Nfa
+from hyperlang.nfa import Nfa, word_automaton
 
 from conftest import random_base_grammar
 
@@ -105,6 +106,33 @@ def test_cyk_member(anbn):
         assert cyk_member(dyck, as_word(w))
     for w in ("a", "ba", "aab", "abba"):
         assert not cyk_member(dyck, as_word(w))
+    # long words, against a balance counter: random Dyck words, each with
+    # one letter flipped and rotated by one letter (balanced counts, but a
+    # prefix closes more than it opens)
+    rng = random.Random(21)
+    for n in (20, 40, 80):
+        opened = closed = 0
+        word = ""
+        while closed < n // 2:
+            if opened < n // 2 and (opened == closed or rng.random() < 0.5):
+                word, opened = word + "a", opened + 1
+            else:
+                word, closed = word + "b", closed + 1
+        i = rng.randrange(n)
+        flipped = word[:i] + "ab"[word[i] == "a"] + word[i + 1:]
+        for w in (word, flipped, word[1:] + word[0]):
+            assert cyk_member(dyck, as_word(w)) == _balanced(w), w
+    assert _balanced(word) and not _balanced(flipped)
+
+
+def _balanced(w):
+    """Is ``w`` a Dyck word over a (open) and b (close)?"""
+    depth = 0
+    for s in w:
+        depth += 1 if s == "a" else -1
+        if depth < 0:
+            return False
+    return depth == 0
 
 
 def test_cyk_agrees_with_enumeration():
@@ -214,19 +242,27 @@ def _raw_grammar(rng):
 
 def test_binary_normal_form_engines_on_raw_grammars():
     """``cyk_member`` and ``cfg_intersect_empty`` on raw grammars against
-    their CNF, enumeration and the Bar-Hillel product of the CNF."""
-    rng = random.Random(20)
-    universe = [w for n in range(5) for w in itertools.product("ab", repeat=n)]
-    verdicts = set()
+    their CNF, enumeration and the Bar-Hillel product of the CNF; on one
+    short word per grammar, ``cyk_member`` also against the emptiness of
+    the grammar's Bar-Hillel product with the word's automaton, a route
+    that shares no code with the span fixpoint."""
+    rng, pick = random.Random(20), random.Random(21)
+    universe = [w for n in range(6) for w in itertools.product("ab", repeat=n)]
+    short = universe[:7]  # the words of at most 2 letters
+    verdicts, product_verdicts = set(), set()
     for _ in range(120):
         g = _raw_grammar(rng)
         cnf = to_cnf(g)
-        derived = derive_bounded(g, 4)
+        derived = derive_bounded(g, 5)
         for w in universe:
             got = cyk_member(g, w)
             assert got == cyk_member(cnf, w) == (w in derived), (g.rules, w)
             verdicts.add(got)
+        w = pick.choice(short)
+        got = cyk_member(g, w)
+        assert got == (not cfg_empty(bar_hillel(g, word_automaton(w, "ab")))), (g.rules, w)
+        product_verdicts.add(got)
         a = _random_nfa(rng)
         assert cfg_intersect_empty(g, a) == cfg_empty(bar_hillel(g, a)), \
             (g.rules, a.transitions)
-    assert verdicts == {True, False}
+    assert verdicts == product_verdicts == {True, False}

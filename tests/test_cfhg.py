@@ -444,7 +444,8 @@ def _flip(rng, word):
 
 def test_cyk_route_equals_slow_route():
     """On ranked grammars the synchronous padding is the only one derived, so
-    the CYK leaf and the pad-anywhere leaf must give every verdict alike:
+    the ranked leaf (the span fixpoint on the synchronous padding read as a
+    chain) and the pad-anywhere leaf must give every verdict alike:
     random ranked two-track grammars under every two-variable prefix, on
     languages of derived tracks and short words, and the ∃∃∀ encodings
     (ranked by design) of planted PCP instances, on the solution language,

@@ -14,8 +14,9 @@ The calls: every query of the three benchmark workloads (``perfbench/gen.py``)
 for each seed, in text and ``--json``; on every workload grammar ``cfhg
 empty``, ``ranks`` and ``is-ranked``; on every workload NFH ``nfh probe``;
 on every realize DFA both ``realize prefix-closed`` routes and ``realize
-regular``; and the verbs no workload runs, on fixed inputs below.  Calls
-run in-process, in a scratch directory, with file names relative to it.
+regular``; and, on fixed inputs below, the verbs no workload runs and the
+ranked membership leaf on criterion 9's 13-letter words.  Calls run
+in-process, in a scratch directory, with file names relative to it.
 """
 
 from __future__ import annotations
@@ -192,6 +193,10 @@ FIXED_FILES = {
     "ab.nfa": A_STAR_B_NFA,
     "tiles.txt": "".join(f"{a} | {b}\n" for a, b in CRITERION9_TILES),
     "words.lang": "eps\na\nab\n",
+    # criterion 9's member: the solution 3 2 3 1, its indices reversed behind
+    # the top word, and the all-c word; then the same with one letter flipped
+    "ea-member.lang": "bbaabbbaa1323\nccccccccccccc\n",
+    "ea-flipped.lang": "bbaabbbab1323\nccccccccccccc\n",
     "a.lang": "a\naa\n",
     # 12 words: the realized NFH's bytes depend on its initial states
     # sorting in word order past the tenth word
@@ -244,6 +249,8 @@ FIXED_CALLS = [
     ("bounded-negative", ["cfhg", "empty", "aa.cfhg", "--bounded", "-1"]),
     ("ea-criterion9-bounded", ["cfhg", "empty", "ea.cfhg", "--bounded", "13"]),
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
+    ("ea-criterion9-member", ["cfhg", "member-finite", "ea.cfhg", "ea-member.lang"]),
+    ("ea-criterion9-flipped", ["cfhg", "member-finite", "ea.cfhg", "ea-flipped.lang"]),
     # one refusal per cap
     ("probe-universe-cap", ["nfh", "probe", "ab.nfh", "--max-len", "4"]),
     ("witness-universe-cap", ["cfhg", "empty", "aa.cfhg", "--bounded", "5"]),
