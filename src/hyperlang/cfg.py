@@ -54,12 +54,7 @@ class Cfg:
         return isinstance(token, str) and token in self.variables
 
     def terminals(self) -> frozenset:
-        out = set()
-        for _, body in self.rules:
-            for token in body:
-                if not self.is_variable(token):
-                    out.add(token)
-        return frozenset(out)
+        return frozenset(t for _, body in self.rules for t in body) - self.variables
 
 
 def _productive(rules: Iterable[tuple], variables) -> set[str]:

@@ -11,9 +11,11 @@ word per variable) by the span fixpoint of ``cfg.derives_span`` on the
 grammar's binary-normal-form index, which ``cfg`` builds once per grammar
 with no CNF: a ranked grammar by the span fixpoint on the synchronous
 padding read as a chain, any other grammar (and ``force_slow``) over the
-assigned words read with pads anywhere.  A state of that reading is one
-position per word; the spans of each terminal come straight from the
-words, and no product automaton is built.
+assigned words read with pads anywhere.  The ranked leaf looks its columns
+up among the grammar's letters and rejects a column that is none of them.
+A state of the pad-anywhere reading is one position per word; the spans of
+each terminal come straight from the words, and no product automaton is
+built.
 
 The undecidable routes get a bounded witness search.  It enumerates subsets
 of Σ^{≤N}, except on a ranked ∃∃⁺∀⁺ grammar (the ∃∃∀ PCP gadget), where it
@@ -25,12 +27,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable
 
 from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
                   derive_bounded, derives_span)
 from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
-                   evaluate, finite_language, nonempty_subsets, pad_to_sync)
+                   evaluate, finite_language, nonempty_subsets)
 from .errors import Undecidable
 from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
@@ -102,12 +105,15 @@ def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple
 
 def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], bool]:
     """The memoised leaf of the quantifier tree: is some #-padding of the
-    assignment derived?"""
+    assignment derived?  A ranked leaf maps each column of the synchronous
+    padding to the grammar's letter with those symbols, or to None (False)."""
     grammar = g.underlying
-    order = g.vars
     if not force_slow and g.ranked():
+        letters = {t.symbols: t for t in grammar.terminals()}
+
         def leaf(assignment: tuple[Word, ...]) -> bool:
-            return cyk_member(grammar, pad_to_sync(dict(zip(order, assignment)), order))
+            word = [letters.get(c) for c in zip_longest(*assignment, fillvalue=PAD)]
+            return all(word) and cyk_member(grammar, word)
     else:
         def leaf(assignment: tuple[Word, ...]) -> bool:
             # the start state (code 0) has every word at position 0; the end
@@ -124,8 +130,10 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
     Walks the quantifier decision tree over word assignments.  A leaf asks
     whether some #-padding of the assignment is derived: for ranked grammars
     the synchronous padding is the only one, so the span fixpoint on the
-    synchronous padding read as a chain suffices; in general (and with
-    ``force_slow``) it runs over the pad-anywhere readings of the words.
+    synchronous padding read as a chain suffices, and a padding with a
+    column that is no letter of the grammar is rejected before it; in
+    general (and with ``force_slow``) it runs over the pad-anywhere readings
+    of the words.
     """
     words = finite_language(language, g.symbols)
     return evaluate(g.prefix.quantifiers, words, _membership_leaf(g, force_slow))

@@ -50,8 +50,9 @@ class TrackLetter:
     """A single letter of the joint alphabet: one symbol (or ``#``) per variable.
 
     Letters are hashed in every engine loop, their text is the sort key of
-    rules and transitions and their pad set feeds the rank analysis, so each
-    is computed at most once per letter."""
+    rules and transitions and their pad set names a rank table's letter
+    entries, so each is computed at most once per letter.  The rank
+    analysis itself reads pad masks off the symbols."""
 
     vars: tuple[str, ...]
     symbols: tuple[str, ...]

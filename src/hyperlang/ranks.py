@@ -5,14 +5,18 @@ terminals and variables).  The left rank of one collects the word variables
 that every derivation from it pads at its left boundary (alternatives
 intersect); the right rank collects those that some derivation pads at its
 right boundary (alternatives accumulate).  A grammar is ranked when no rule
-can place a pad-producing symbol before a letter-producing one.
+can place a pad-producing symbol before a letter-producing one.  Ranks and
+the check run on bit masks, one bit per track; sets of track names are built
+only for the rank table, when read, and for violations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import and_, or_
 
-from .core import TrackLetter, closure
+from .core import PAD, TrackLetter, closure
 from .cfg import Cfg
 
 
@@ -25,56 +29,70 @@ def letter_pads(token) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class RankTable:
-    """Final left and right ranks per variable and right-hand side."""
+    """Final ranks: ``masks`` maps every variable and terminal to its left and
+    right rank masks (a terminal's are its pad mask), ``bits`` each track to
+    its bit.  ``left`` and ``right``, the name sets of every variable and
+    right-hand side, are built when first read."""
 
-    left: dict
-    right: dict
+    g: Cfg
+    masks: tuple[dict, dict]
+    bits: dict
 
-    def symbol_left(self, g: Cfg, token) -> frozenset[str]:
-        return self.left[token] if g.is_variable(token) else letter_pads(token)
+    def names(self, mask: int) -> frozenset[str]:
+        return frozenset(v for v, bit in self.bits.items() if mask & bit)
 
-    def symbol_right(self, g: Cfg, token) -> frozenset[str]:
-        return self.right[token] if g.is_variable(token) else letter_pads(token)
+    def _side(self, end: int) -> dict:
+        """One side's name sets; a body takes its boundary symbol's."""
+        rank = {v: self.names(self.masks[end][v]) for v in self.g.variables}
+        for _, body in self.g.rules:
+            if body:
+                t = body[end]
+                rank[body] = rank[t] if self.g.is_variable(t) else letter_pads(t)
+        return rank
+
+    left = cached_property(lambda self: self._side(0))
+    right = cached_property(lambda self: self._side(-1))
 
 
-def _variable_ranks(g: Cfg, end: int) -> dict:
-    """The rank of every variable on one side: ``end`` is 0 for L, -1 for R.
+def _variable_ranks(g: Cfg, end: int, pads: dict) -> dict:
+    """The rank mask of every variable on one side: ``end`` is 0 for L, -1 for R.
 
     rank(V) combines the ranks of the boundary symbols of V's non-empty
-    bodies, a letter's rank being its pad set.  Across alternatives the left
-    rank is a guarantee (every derivation pads these tracks), so alternatives
-    intersect, starting from all tracks; the right rank is a possibility, so
-    alternatives accumulate, starting from ∅.  A variable that reaches no
-    letter along boundaries (no rule, only ε rules, a letterless cycle) keeps
-    ∅.  A worklist (Kildall, 1973) recomputes a variable only when one of its
+    bodies, a letter's rank being its pad mask (``pads``).  Across
+    alternatives the left rank is a guarantee (every derivation pads these
+    tracks), so alternatives intersect (``&``), starting from every track a
+    boundary letter pads; the right rank is a possibility, so alternatives
+    accumulate (``|``), starting from 0.  A variable that reaches no letter
+    along boundaries (no rule, only ε rules, a letterless cycle) keeps 0.  A
+    worklist (Kildall, 1973) recomputes a variable only when one of its
     boundary variables changed, and a rank changes at most |tracks| + 1 times.
     """
-    combine = frozenset.intersection if end == 0 else frozenset.union
+    combine = and_ if end == 0 else or_
     letters: dict = {v: [] for v in g.variables}  # V -> its boundary letters' pads
     inner: dict = {v: [] for v in g.variables}    # V -> its boundary variables
     bounded_by: dict = {}  # W -> the variables with a body bounded by W
     for v, body in g.rules:
         if body:
             token = body[end]
-            if g.is_variable(token):
+            pad = pads.get(token)
+            if pad is None:
                 inner[v].append(token)
                 bounded_by.setdefault(token, []).append(v)
             else:
-                letters[v].append(letter_pads(token))
+                letters[v].append(pad)
     live = closure([v for v in g.variables if letters[v]],
                    lambda w: bounded_by.get(w, ()))
     # every padded track: as high as a live left rank can be
-    start = (frozenset().union(*(p for pads in letters.values() for p in pads))
-             if end == 0 else frozenset())
-    rank = dict.fromkeys(g.variables, frozenset())
+    start = reduce(or_, (p for ps in letters.values() for p in ps), 0) if end == 0 else 0
+    rank = dict.fromkeys(g.variables, 0)
     for v in live:
-        rank[v] = combine(start, *letters[v])
+        rank[v] = reduce(combine, letters[v], start)
     queued = live
     work = list(queued)
     while work:
         v = work.pop()
         queued.discard(v)
-        new = combine(rank[v], *(rank[w] for w in inner[v]))
+        new = reduce(combine, (rank[w] for w in inner[v]), rank[v])
         if new != rank[v]:
             rank[v] = new
             for u in bounded_by.get(v, ()):
@@ -85,17 +103,15 @@ def _variable_ranks(g: Cfg, end: int) -> dict:
 
 
 def compute_ranks(g: Cfg) -> RankTable:
-    """Left and right ranks of every variable and right-hand side; a body's
-    rank is the rank of its boundary symbol."""
-    sides = []
-    for end in (0, -1):
-        rank = _variable_ranks(g, end)
-        for _, body in g.rules:
-            if body:
-                token = body[end]
-                rank[body] = rank[token] if g.is_variable(token) else letter_pads(token)
-        sides.append(rank)
-    return RankTable(*sides)
+    """The left and right rank masks of every variable and terminal, a
+    terminal's being its pad mask over the tracks' bits."""
+    bits: dict = {}
+    pads = {t: sum(bits.setdefault(v, 1 << len(bits))
+                   for v, s in zip(t.vars, t.symbols) if s == PAD)
+            if isinstance(t, TrackLetter) and PAD in t.symbols else 0
+            for t in g.terminals()}
+    return RankTable(g, tuple({**pads, **_variable_ranks(g, end, pads)}
+                              for end in (0, -1)), bits)
 
 
 @dataclass(frozen=True)
@@ -110,16 +126,17 @@ class RankedVerdict:
 
 
 def is_ranked(g: Cfg, table: RankTable | None = None) -> RankedVerdict:
-    """Check R(γ_i) ⊆ L(γ_{i+1}) for every adjacent pair of every rule body."""
+    """Check R(γ_i) ⊆ L(γ_{i+1}), on masks r & ~l == 0, for every adjacent
+    pair of every rule body."""
     if table is None:
         table = compute_ranks(g)
+    left, right = table.masks
     violations = []
     for v, body in g.rules:
-        for i in range(len(body) - 1):
-            r = table.symbol_right(g, body[i])
-            l = table.symbol_left(g, body[i + 1])
-            if not r <= l:
-                violations.append(((v, body), i, r, l))
+        for i, (a, b) in enumerate(zip(body, body[1:])):
+            r, l = right[a], left[b]
+            if r & ~l:
+                violations.append(((v, body), i, table.names(r), table.names(l)))
     # rules in text order; a rule's violations stay in position order
     violations.sort(key=lambda violation: repr(violation[0]))
     return RankedVerdict(tuple(violations))

@@ -449,7 +449,10 @@ def test_cyk_route_equals_slow_route():
     random ranked two-track grammars under every two-variable prefix, on
     languages of derived tracks and short words, and the ∃∃∀ encodings
     (ranked by design) of planted PCP instances, on the solution language,
-    its forward-order and one-letter-flipped variants."""
+    its forward-order and one-letter-flipped variants.  Some leaves pad to a
+    column that no rule has, which the ranked leaf rejects without the
+    fixpoint, and a ranked ε grammar is checked on {ε}, a leaf with no
+    columns."""
     rng = random.Random(5)
     short = [as_word("".join(p)) for n in range(3)
              for p in itertools.product("ab", repeat=n)]
@@ -468,13 +471,27 @@ def test_cyk_route_equals_slow_route():
         word, cs = sorted(solution_language(instance, solution))
         forward = word[:len(word) - len(solution)] + tuple(map(str, solution))
         cases += [(g, [word, cs]), (g, [forward, cs]), (g, [_flip(rng, word), cs])]
+    v = ("x1", "x2")
+    eps = Cfg(frozenset({"S"}), "S", frozenset({("S", ()),
+                                                ("S", (letter(v, "a", "b"), "S"))}))
+    for q1, q2 in itertools.product("AE", repeat=2):
+        g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse(f"{q1} x1 {q2} x2"), eps)
+        cases += [(g, [()]), (g, [(), ("a",)])]
     verdicts = set()
+    kinds = dict.fromkeys(("foreign column", "eps on {eps}"), 0)
     for g, language in cases:
         fast = finite_member(g, language)
         assert fast == finite_member(g, language, force_slow=True), \
             (g.underlying.rules, g.prefix.render(), language)
         verdicts.add(fast)
+        letters = {t.symbols for t in g.underlying.terminals()}
+        kinds["foreign column"] += g.ranked() and any(
+            c not in letters for words in itertools.product(language, repeat=len(g.vars))
+            for c in itertools.zip_longest(*words, fillvalue="#"))
+        kinds["eps on {eps}"] += (language == [()] and g.ranked()
+                                  and () in derive_bounded(g.underlying, 0))
     assert verdicts == {True, False}
+    assert min(kinds.values()) > 0, kinds
 
 
 def _product_leaf(g, assignment):

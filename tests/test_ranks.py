@@ -156,15 +156,34 @@ def _reference_ranks(g):
     return table
 
 
+def _reference_violations(g, left, right):
+    """The pairs R(γ_i) ⊄ L(γ_{i+1}) on the reference ranks, a terminal's
+    ranks being its pad set: rules in text order, positions in order."""
+    def rank(side, t):
+        return side[t] if g.is_variable(t) else letter_pads(t)
+
+    return tuple(((v, body), i, rank(right, body[i]), rank(left, body[i + 1]))
+                 for v, body in sorted(g.rules, key=repr)
+                 for i in range(len(body) - 1)
+                 if not rank(right, body[i]) <= rank(left, body[i + 1]))
+
+
 def test_ranks_match_their_reachability_definition():
+    """The rank table and the ranked check's violations (rule, position, R
+    and L, in order) against the reachability definition."""
     rng = random.Random(5)
     shapes = dict.fromkeys(("eps", "rule-less", "letterless cycle", "base"), 0)
+    verdicts = set()
     for _ in range(300):
         g = _rank_grammar(rng)
         left, right = _reference_ranks(g)
         table = compute_ranks(g)
         assert table.left == left, sorted(g.rules, key=repr)
         assert table.right == right, sorted(g.rules, key=repr)
+        verdict = is_ranked(g)
+        assert verdict.violations == _reference_violations(g, left, right), \
+            sorted(g.rules, key=repr)
+        verdicts.add(verdict.ranked)
         succ = _boundaries(g, 0)
         shapes["eps"] += any(not body for _, body in g.rules)
         shapes["rule-less"] += any(not any(u == v for u, _ in g.rules)
@@ -175,3 +194,4 @@ def test_ranks_match_their_reachability_definition():
             for v in g.variables)
         shapes["base"] += "c" in g.terminals()
     assert min(shapes.values()) >= 20, shapes
+    assert verdicts == {True, False}

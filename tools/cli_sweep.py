@@ -15,8 +15,9 @@ for each seed, in text and ``--json``; on every workload grammar ``cfhg
 empty``, ``ranks`` and ``is-ranked``; on every workload NFH ``nfh probe``;
 on every realize DFA both ``realize prefix-closed`` routes and ``realize
 regular``; and, on fixed inputs below, the verbs no workload runs and the
-ranked membership leaf on criterion 9's 13-letter words.  Calls run
-in-process, in a scratch directory, with file names relative to it.
+ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
+language whose synchronous padding holds a column that no rule has.  Calls
+run in-process, in a scratch directory, with file names relative to it.
 """
 
 from __future__ import annotations
@@ -197,6 +198,10 @@ FIXED_FILES = {
     # the top word, and the all-c word; then the same with one letter flipped
     "ea-member.lang": "bbaabbbaa1323\nccccccccccccc\n",
     "ea-flipped.lang": "bbaabbbab1323\nccccccccccccc\n",
+    "eps.lang": "eps\n",
+    # (ab, ab, ab) pads to the columns (a, a, a) and (b, b, b), which no rule
+    # of ea.cfhg has: every letter gives x2 a c
+    "ab.lang": "ab\n",
     "a.lang": "a\naa\n",
     # 12 words: the realized NFH's bytes depend on its initial states
     # sorting in word order past the tenth word
@@ -251,6 +256,8 @@ FIXED_CALLS = [
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
     ("ea-criterion9-member", ["cfhg", "member-finite", "ea.cfhg", "ea-member.lang"]),
     ("ea-criterion9-flipped", ["cfhg", "member-finite", "ea.cfhg", "ea-flipped.lang"]),
+    ("ea-member-eps", ["cfhg", "member-finite", "ea.cfhg", "eps.lang"]),
+    ("ea-member-no-letter", ["cfhg", "member-finite", "ea.cfhg", "ab.lang"]),
     # one refusal per cap
     ("probe-universe-cap", ["nfh", "probe", "ab.nfh", "--max-len", "4"]),
     ("witness-universe-cap", ["cfhg", "empty", "aa.cfhg", "--bounded", "5"]),
