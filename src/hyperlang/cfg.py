@@ -37,7 +37,7 @@ class _Index(NamedTuple):
 class Cfg:
     """An immutable context-free grammar."""
 
-    __slots__ = ("variables", "start", "rules", "_index")
+    __slots__ = ("variables", "start", "rules", "_index", "_terminals")
 
     def __init__(self, variables: Iterable[str], start: str, rules: Iterable[tuple]):
         self.variables = frozenset(variables)
@@ -48,13 +48,16 @@ class Cfg:
         for v, body in self.rules:
             if v not in self.variables:
                 raise ValueError(f"rule head {v!r} is not a declared variable")
-        self._index = None  # the binary-normal-form index, built on first use
+        self._index = self._terminals = None  # the index and terminals, built on first use
 
     def is_variable(self, token) -> bool:
         return isinstance(token, str) and token in self.variables
 
     def terminals(self) -> frozenset:
-        return frozenset(t for _, body in self.rules for t in body) - self.variables
+        if self._terminals is None:
+            self._terminals = (frozenset(t for _, body in self.rules for t in body)
+                               - self.variables)
+        return self._terminals
 
 
 def _productive(rules: Iterable[tuple], variables) -> set[str]:

@@ -14,8 +14,7 @@ import sys
 from .cfhg import (bounded_nonempty_witness, cfhg_empty, finite_member,
                    regular_member)
 from .core import render_word
-from .errors import (CapExceeded, HyperlangError, ParseError, Undecidable,
-                     UniverseTooLarge)
+from .errors import CapExceeded, HyperlangError, ParseError, Undecidable
 from .formats import (parse_cfhg, parse_language, parse_nfa, parse_nfh,
                       parse_pcp, rank_report, render_cfhg, render_nfh,
                       render_violation)
@@ -286,7 +285,7 @@ def run(argv) -> int:
     except Undecidable as exc:
         report.undecidable(exc.reason, str(exc))
         return report.emit()
-    except (CapExceeded, UniverseTooLarge) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_UNDECIDABLE
     except HyperlangError as exc:

@@ -17,16 +17,16 @@ class EmptyLanguage(HyperlangError):
     """An operation that requires a non-empty language received an empty one."""
 
 
-class UniverseTooLarge(HyperlangError):
-    """The requested probe universe exceeds the exhaustive-search guard."""
-
-
 class NotPrefixClosed(HyperlangError):
     """The given DFA does not recognize a prefix-closed language."""
 
 
 class CapExceeded(HyperlangError):
     """A configured size cap was exceeded during a construction."""
+
+
+class UniverseTooLarge(CapExceeded):
+    """The requested probe universe exceeds ``core.UNIVERSE_CAP``."""
 
 
 class AlphabetMismatch(HyperlangError):

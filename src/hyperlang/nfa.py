@@ -7,7 +7,8 @@ strings (base alphabet, possibly including the pad marker ``#``) or
 The product and subset constructions share one worklist, ``explore``: each
 supplies only the moves of a state and its acceptance test, and gets back
 the trimmed automaton, whose every state is reachable and reaches an
-accepting one.
+accepting one.  ``pad_suffix`` is the one trailing-pad closure, of base and
+track automata, and ``relabel`` the one rewrite of letters into track letters.
 """
 
 from __future__ import annotations
@@ -186,16 +187,14 @@ def word_automaton(w, symbols=None) -> Nfa:
 
 
 def pad_suffix(a: Nfa) -> Nfa:
-    """Close a base-alphabet NFA under trailing pads: the language times ``#*``."""
-    if a.is_track:
-        raise ValueError("pad_suffix expects a base-alphabet automaton")
+    """Close an NFA under trailing pads: the language times ``#*`` on a base
+    automaton, times the all-pad letter's star on a track automaton."""
+    pad = TrackLetter(a.vars, (PAD,) * len(a.vars)) if a.is_track else PAD
     pad_state = fresh_state(a.states, "pad")
-    transitions = set(a.transitions)
-    for q in a.accepting:
-        transitions.add((q, PAD, pad_state))
-    transitions.add((pad_state, PAD, pad_state))
+    transitions = a.transitions | {(q, pad, pad_state)
+                                   for q in a.accepting | {pad_state}}
     return Nfa(a.symbols | {PAD}, a.states | {pad_state}, a.initial,
-               a.accepting | {pad_state}, transitions)
+               a.accepting | {pad_state}, transitions, a.vars)
 
 
 def pad_anywhere(a: Nfa) -> Nfa:
@@ -208,40 +207,27 @@ def pad_anywhere(a: Nfa) -> Nfa:
     return Nfa(a.symbols | {PAD}, a.states, a.initial, a.accepting, transitions)
 
 
+def relabel(a: Nfa, vars: tuple, f: Callable) -> Nfa:
+    """``a`` as a track automaton over ``vars``: each letter l becomes
+    ``TrackLetter(vars, f(l))``; states and alphabet stay."""
+    transitions = {(q, TrackLetter(vars, f(letter)), p)
+                   for q, letter, p in a.transitions}
+    return Nfa(a.symbols, a.states, a.initial, a.accepting, transitions, vars)
+
+
 def with_var(a: Nfa, var: str) -> Nfa:
     """Lift a base-alphabet NFA to a one-track automaton on variable ``var``."""
     if a.is_track:
         raise ValueError("with_var expects a base-alphabet automaton")
-    transitions = {
-        (q, TrackLetter((var,), (s,)), p) for q, s, p in a.transitions
-    }
-    return Nfa(a.symbols, a.states, a.initial, a.accepting, transitions, (var,))
+    return relabel(a, (var,), lambda s: (s,))
 
 
 def rename_vars(a: Nfa, mapping: Mapping[str, str]) -> Nfa:
     """Rename track variables; names absent from ``mapping`` are kept."""
     if not a.is_track:
         raise ValueError("rename_vars expects a track automaton")
-    new_vars = tuple(mapping.get(v, v) for v in a.vars)
-    transitions = {
-        (q, TrackLetter(new_vars, letter.symbols), p)
-        for q, letter, p in a.transitions
-    }
-    return Nfa(a.symbols, a.states, a.initial, a.accepting, transitions, new_vars)
-
-
-def pad_closure(a: Nfa) -> Nfa:
-    """Close a track automaton under trailing all-pad letters."""
-    if not a.is_track:
-        raise ValueError("pad_closure expects a track automaton")
-    all_pad = TrackLetter(a.vars, (PAD,) * len(a.vars))
-    pad_state = fresh_state(a.states, "pad")
-    transitions = set(a.transitions)
-    for q in a.accepting:
-        transitions.add((q, all_pad, pad_state))
-    transitions.add((pad_state, all_pad, pad_state))
-    return Nfa(a.symbols | {PAD}, a.states | {pad_state}, a.initial,
-               a.accepting | {pad_state}, transitions, a.vars)
+    return relabel(a, tuple(mapping.get(v, v) for v in a.vars),
+                   lambda letter: letter.symbols)
 
 
 def absorb_pad(a: Nfa) -> Nfa:
@@ -287,12 +273,8 @@ def track_product(parts: Sequence[Nfa]) -> Nfa:
                    tuple(p for _, p in combo))
 
     return explore(itertools.product(*(p.initial for p in parts)), step,
-                   lambda joint: _all_accepting(joint, parts), symbols, joint_vars)
-
-
-def _all_accepting(joint: tuple, parts: Sequence[Nfa]) -> bool:
-    """Whether every component of a product state accepts in its operand."""
-    return all(q in part.accepting for q, part in zip(joint, parts))
+                   lambda joint: all(q in p.accepting for q, p in zip(joint, parts)),
+                   symbols, joint_vars)
 
 
 def compose_free(*parts: Nfa) -> Nfa:
@@ -301,33 +283,22 @@ def compose_free(*parts: Nfa) -> Nfa:
     Accepts an HWord iff each operand accepts its own tracks once their
     trailing pads are stripped.
     """
-    return track_product([pad_closure(p) for p in parts])
+    return track_product([pad_suffix(p) for p in parts])
 
 
 def compose_sync(*parts: Nfa, track_vars: Sequence[str]) -> Nfa:
-    """Synchronized composition: all operands read the same word, letter by letter."""
+    """Synchronized composition, the diagonal of the operands' track product."""
     if len(parts) != len(track_vars):
         raise ValueError("one variable name per operand is required")
     for part in parts:
         if part.is_track:
             raise ValueError("compose_sync expects base-alphabet operands")
-    joint_vars = tuple(track_vars)
-    symbols = frozenset().union(*(p.symbols for p in parts))
-    moves = [p.moves_from() for p in parts]
-
-    def step(joint):
-        by_letter: dict = {}
-        for i, q in enumerate(joint):
-            for letter, p in moves[i].get(q, []):
-                by_letter.setdefault(letter, [set() for _ in parts])[i].add(p)
-        for letter, targets in by_letter.items():
-            if all(targets):
-                joint_letter = TrackLetter(joint_vars, (letter,) * len(parts))
-                for combo in itertools.product(*targets):
-                    yield joint_letter, combo
-
-    return explore(itertools.product(*(p.initial for p in parts)), step,
-                   lambda joint: _all_accepting(joint, parts), symbols, joint_vars)
+    product = track_product([with_var(p, v) for p, v in zip(parts, track_vars)])
+    moves = product.moves_from()
+    return explore(product.initial,
+                   lambda q: ((l, p) for l, p in moves.get(q, ())
+                              if len(set(l.symbols)) == 1),
+                   product.accepting.__contains__, product.symbols, product.vars)
 
 
 def union(a1: Nfa, a2: Nfa) -> Nfa:
@@ -393,11 +364,8 @@ def project(a: Nfa, drop: str) -> Nfa:
     keep = tuple(v for v in a.vars if v != drop)
     if not keep:
         raise ValueError("cannot project away the last variable; use to_base")
-    transitions = {
-        (q, TrackLetter(keep, tuple(s for v, s in letter.items() if v != drop)), p)
-        for q, letter, p in a.transitions
-    }
-    return Nfa(a.symbols, a.states, a.initial, a.accepting, transitions, keep)
+    i = a.vars.index(drop)
+    return relabel(a, keep, lambda letter: letter.symbols[:i] + letter.symbols[i + 1:])
 
 
 def to_base(a: Nfa) -> Nfa:

@@ -25,9 +25,8 @@ from typing import Iterator
 from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, compose_free, compose_sync, difference,
-                  elim_pad, explore, fresh_state, pad_closure, pad_suffix,
-                  project, rename_vars, to_base, trim, union_all, with_var,
-                  word_automaton)
+                  elim_pad, explore, fresh_state, pad_suffix, project, relabel,
+                  rename_vars, to_base, trim, union_all, with_var, word_automaton)
 from .nfh import Nfh, accepted_assignments
 
 DET_CAP = 64  # states of a determinization input; the shortlex lasso's sets
@@ -39,7 +38,7 @@ CYCLE_CAP = 32  # simple cycles of the pumping route
 
 def relation_pairs(relation: Nfa, max_len: int) -> set[tuple[Word, Word]]:
     """All related (x, y) pairs with both words of length ≤ max_len, by enumeration."""
-    return accepted_assignments(absorb_pad(pad_closure(relation)), max_len)
+    return accepted_assignments(absorb_pad(pad_suffix(relation)), max_len)
 
 
 # --- specs ---------------------------------------------------------------------
@@ -134,7 +133,7 @@ def _successor_product(relation: Nfa, i: int) -> Nfa:
 
     States are (per-copy states, set of index pairs already seen distinct).
     """
-    closed = pad_closure(relation)
+    closed = pad_suffix(relation)
     pairs = list(itertools.combinations(range(i), 2))
     all_pairs = frozenset(frozenset(p) for p in pairs)
     by_x: dict = {}
@@ -223,12 +222,8 @@ def _extend_diagonal(a: Nfa, source: str, new_vars: tuple[str, ...]) -> Nfa:
     """Add tracks that copy the ``source`` track letter for letter."""
     if not new_vars:
         return a
-    joint_vars = a.vars + new_vars
-    transitions = {
-        (q, TrackLetter(joint_vars, letter.symbols + (letter[source],) * len(new_vars)), p)
-        for q, letter, p in a.transitions
-    }
-    return Nfa(a.symbols, a.states, a.initial, a.accepting, transitions, joint_vars)
+    return relabel(a, a.vars + new_vars,
+                   lambda letter: letter.symbols + (letter[source],) * len(new_vars))
 
 
 def realize_partially_ordered(spec: PartialOrderSpec) -> Nfh:

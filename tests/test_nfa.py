@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from hyperlang.core import PAD, HWord, as_word, pad_to_sync, strip_hash
+from hyperlang.core import (PAD, HWord, TrackLetter, as_word, pad_to_sync,
+                            strip_hash)
 from hyperlang.errors import UnknownLetter, VarClash
 from hyperlang.nfa import (Nfa, compose_free, compose_sync, determinize,
                            difference, nfa_language, nfa_member, pad_anywhere,
-                           pad_closure, pad_suffix, project, rename_vars,
-                           track_product, trim, union, with_var, word_automaton)
+                           pad_suffix, project, rename_vars, track_product, trim,
+                           union, with_var, word_automaton)
 
 from conftest import hword
 
@@ -48,6 +49,21 @@ def test_pad_suffix():
     for w in ("a", "a#", "a##"):
         assert nfa_member(a, as_word(w))
     assert not nfa_member(a, as_word("#a"))
+
+
+def test_pad_suffix_on_tracks():
+    """On a two-track automaton the closure accepts exactly its words
+    followed by any number of all-pad letters."""
+    pair = track_product([with_var(union(word_automaton(as_word("a")),
+                                         word_automaton(as_word("ab"))), "x"),
+                          with_var(union(word_automaton(as_word("b")),
+                                         word_automaton(as_word("ab"))), "y")])
+    words = nfa_language(pair, 5)
+    assert {tuple(l.symbols for l in w) for w in words} == {
+        (("a", "b"),), (("a", "a"), ("b", "b"))}
+    all_pad = TrackLetter(("x", "y"), (PAD, PAD))
+    assert nfa_language(pad_suffix(pair), 5) == {
+        w + (all_pad,) * n for w in words for n in range(6 - len(w))}
 
 
 def test_pad_anywhere():
@@ -172,8 +188,8 @@ def test_determinize_preserves_language():
         sync = compose_sync(a, b, track_vars=("x", "y"))
         assert ({tuple(l.symbols for l in h) for h in nfa_language(sync, 4)}
                 == {tuple((s, s) for s in w) for w in words_a & words_b})
-        product = track_product([pad_closure(with_var(a, "x")),
-                                 pad_closure(with_var(b, "y"))])
+        product = track_product([pad_suffix(with_var(a, "x")),
+                                 pad_suffix(with_var(b, "y"))])
         assert ({tuple(l.symbols for l in h) for h in nfa_language(product, 4)}
                 == _padded_pairs(words_a, words_b, 4))
         # a DFA keeps its start subset, alone when the language is empty
