@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 
 from .cfhg import (bounded_nonempty_witness, cfhg_empty, finite_member,
@@ -107,12 +109,19 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write(path: str, text: str):
+    """Write over ``path`` from its start, then cut a regular file to length:
+    not atomic, but it spares the costly truncate-to-zero of a full file."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8",
+                  opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as handle:
             handle.write(text)
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 

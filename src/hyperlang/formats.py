@@ -261,6 +261,12 @@ def render_cfhg(g: Cfhg) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_word(text: str) -> Word:
+    """A word as ``render_word`` writes it: symbol tokens, or one character per symbol."""
+    tokens = text.split()
+    return tuple(tokens) if len(tokens) > 1 else as_word("".join(tokens))
+
+
 def parse_language(text: str) -> list[Word]:
     """One word per line; ``eps`` denotes the empty word.  The pad symbol
     ``#`` is not a word symbol."""
@@ -268,7 +274,7 @@ def parse_language(text: str) -> list[Word]:
     for line in _lines(text):
         if PAD in line:
             raise ParseError(f"word {line!r} holds the pad symbol {PAD!r}")
-        words.append(() if line == "eps" else as_word(line))
+        words.append(() if line == "eps" else _parse_word(line))
     if not words:
         raise ParseError("the language file lists no words")
     return words
@@ -285,7 +291,7 @@ def parse_pcp(text: str) -> PcpInstance:
         if "|" not in line:
             raise ParseError(f"expected 'top | bottom', got {line!r}")
         top, bottom = line.split("|", 1)
-        tiles.append((as_word(top.strip()), as_word(bottom.strip())))
+        tiles.append((_parse_word(top), _parse_word(bottom)))
     if not tiles:
         raise ParseError("the tile file lists no tiles")
     try:

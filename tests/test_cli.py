@@ -584,6 +584,67 @@ def test_deterministic_output(files, capsys):
     assert (tmp / "a.cfhg").read_text() == (tmp / "b.cfhg").read_text()
 
 
+def test_output_is_overwritten_in_place(files, capsys):
+    """``-o`` writes over an existing file and cuts it to the new length: a
+    longer or a shorter old file ends up holding a fresh run's bytes."""
+    write, tmp = files
+    lang = write("l.txt", "eps\na\nab\n")
+    fresh = tmp / "fresh.nfh"
+    assert run(["realize", "finite", lang, "-o", str(fresh)]) == 0
+    expected = fresh.read_bytes()
+    for name, old in (("longer.nfh", expected + b"x" * 4096), ("shorter.nfh", b"q\n")):
+        out = tmp / name
+        out.write_bytes(old)
+        assert run(["realize", "finite", lang, "-o", str(out)]) == 0
+        assert out.read_bytes() == expected, name
+    # a device is written but not truncated, which it would refuse
+    assert run(["realize", "finite", lang, "-o", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_output_mode_and_write_errors(files, capsys):
+    """A created output gets the mode ``open(path, "w")`` gives it, under the
+    umask; an output that cannot be opened is a usage error."""
+    write, tmp = files
+    lang = write("l.txt", "a\n")
+    umask = os.umask(0o002)
+    try:
+        assert run(["realize", "finite", lang, "-o", str(tmp / "made.nfh")]) == 0
+        with open(tmp / "plain.nfh", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    assert (tmp / "made.nfh").stat().st_mode == (tmp / "plain.nfh").stat().st_mode
+    capsys.readouterr()
+    for out in (tmp, tmp / "no-such-dir" / "o.nfh"):
+        assert run(["realize", "finite", lang, "-o", str(out)]) == 64
+        assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}: ")
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(files, capsys):
+    write, tmp = files
+    bad = tmp / "bad.nfh"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (["nfh", "member", str(bad), write("a.lang", "a\n")],
+                 ["realize", "finite", str(bad), "-o", str(tmp / "o.nfh")]):
+        assert run(argv) == 65, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {bad} is not UTF-8 text: "), err
+
+
+def test_realize_finite_on_multi_character_symbols(files, capsys):
+    """A language line with spaces lists symbol tokens: no space becomes a
+    symbol, and the written NFH parses and accepts the language."""
+    write, tmp = files
+    lang, out = write("l.txt", "a b c\nab c\n"), str(tmp / "o.nfh")
+    assert run(["realize", "finite", lang, "-o", out]) == 0
+    assert parse_nfh((tmp / "o.nfh").read_text()).symbols == \
+        frozenset({"a", "ab", "b", "c"})
+    capsys.readouterr()
+    assert run(["nfh", "member", out, lang]) == 0
+    assert run(["nfh", "probe", out, "--max-len", "1"]) == 0
+
+
 def test_out_of_alphabet_word_is_unknown_letter(files, capsys):
     # the ∃ tree could stop at 'a' before it reaches 'z': the verdict must not
     # depend on the order of the words

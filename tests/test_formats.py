@@ -153,11 +153,16 @@ def test_parse_language():
 def test_language_round_trip():
     text = render_language([(), ("a",), ("a", "b")])
     assert parse_language(text) == [(), ("a",), ("a", "b")]
+    # words with a multi-character symbol are written as symbol tokens
+    multi = [("a", "b1"), ("ab", "c"), ("ab", "c", "d"), ("b",), ("b", "c")]
+    assert render_language(multi) == "a b1\nab c\nab c d\nb\nbc\n"
+    assert parse_language(render_language(multi)) == multi
 
 
 def test_parse_pcp():
-    inst = parse_pcp("a | baa\nab | aa\n")
-    assert inst.tiles == ((("a",), ("b", "a", "a")), (("a", "b"), ("a", "a")))
+    inst = parse_pcp("a | baa\nab | aa\nab c | x1 \n")
+    assert inst.tiles == ((("a",), ("b", "a", "a")), (("a", "b"), ("a", "a")),
+                          (("ab", "c"), ("x", "1")))
     with pytest.raises(ParseError):
         parse_pcp("ab aa\n")
     with pytest.raises(ParseError):

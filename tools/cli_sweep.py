@@ -18,6 +18,9 @@ regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
 language whose synchronous padding holds a column that no rule has.  Calls
 run in-process, in a scratch directory, with file names relative to it.
+Each call's output is deleted before it runs, unless the call's own files
+provide it: ``finite-over-stale`` writes over a file longer than any output,
+and must leave the bytes that ``finite`` writes.
 """
 
 from __future__ import annotations
@@ -215,6 +218,8 @@ FIXED_FILES = {
     "blocks5.dfa": blocks_dfa(5),
     "blocks6.dfa": blocks_dfa(6),
     "cycles-7-11.dfa": two_cycles_dfa(7, 11),
+    # longer than any output of the sweep (ring20-regular writes 74,197 bytes)
+    "stale.nfh": "#! an earlier output\n" * 8192,
 }
 
 FIXED_CALLS = [
@@ -236,6 +241,7 @@ FIXED_CALLS = [
     ("regular-track", ["realize", "regular", "succ.nfa", "-o", "out"]),
     ("finite", ["realize", "finite", "words.lang", "-o", "out"]),
     ("finite-twelve", ["realize", "finite", "twelve.lang", "-o", "out"]),
+    ("finite-over-stale", ["realize", "finite", "words.lang", "-o", "stale.nfh"]),
     ("blocks5-regular", ["realize", "regular", "blocks5.dfa", "-o", "out"]),
     ("encode-forall", ["pcp", "encode-forall", "tiles.txt", "-o", "out"]),
     ("encode-ea", ["pcp", "encode-ea", "tiles.txt", "-o", "out"]),
@@ -282,9 +288,15 @@ def digest(data: str | None) -> str:
     return "-" if data is None else hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def call(cli, argv: list[str], output: str | None) -> str:
-    """Run one call in the current directory; its exit code and digests."""
-    if output is not None and os.path.exists(output):
+def call(cli, argv: list[str], files: dict[str, str]) -> str:
+    """Write ``files`` and run one call in the current directory; its exit
+    code and digests.  An output that ``files`` does not provide is deleted
+    first, so that a file the call leaves is one it wrote."""
+    for name, text in files.items():
+        with open(name, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    output = argv[argv.index("-o") + 1] if "-o" in argv else None
+    if output is not None and output not in files and os.path.exists(output):
         os.remove(output)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -342,13 +354,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)
         for call_id, argv, files in all_calls(args.seeds):
-            for name, text in files.items():
-                with open(name, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            output = argv[argv.index("-o") + 1] if "-o" in argv else None
             for mode in ("text", "json"):
                 full = argv if mode == "text" else ["--json", *argv]
-                print(f"{call_id}/{mode} {call(cli, full, output)}")
+                print(f"{call_id}/{mode} {call(cli, full, files)}")
         os.chdir(HERE)
     return 0
 
