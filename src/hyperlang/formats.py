@@ -30,14 +30,32 @@ def _lines(text: str) -> list[str]:
     return out
 
 
-def _fields(lines: list[str]) -> list[tuple[str, str]]:
-    out = []
-    for line in lines:
+def _fields(text: str, kind: str, keys) -> dict[str, list[str]]:
+    """Each key's values in line order.  A line with no colon, then the first
+    key outside ``keys``, raises ``ParseError``."""
+    fields = {key: [] for key in keys}
+    unknown = []
+    for line in _lines(text):
         if ":" not in line:
             raise ParseError(f"expected 'key: value', got {line!r}")
         key, value = line.split(":", 1)
-        out.append((key.strip(), value.strip()))
-    return out
+        key = key.strip()
+        if key in fields:
+            fields[key].append(value.strip())
+        else:
+            unknown.append(key)
+    if unknown:
+        raise ParseError(f"unknown {kind} field {unknown[0]!r}")
+    return fields
+
+
+def _prefix(fields: dict[str, list[str]]) -> QuantifierPrefix | None:
+    """The last ``quantifiers:`` value, or None; every value must parse."""
+    try:
+        prefixes = [QuantifierPrefix.parse(v) for v in fields["quantifiers"]]
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return prefixes[-1] if prefixes else None
 
 
 def parse_track_letter(token: str, var_order) -> TrackLetter:
@@ -61,36 +79,28 @@ def parse_track_letter(token: str, var_order) -> TrackLetter:
                        tuple(assignment[v] for v in var_order))
 
 
+_AUTOMATON_KEYS = ("type", "alphabet", "vars", "states", "initial", "accepting", "trans")
+
+
 def parse_nfa(text: str) -> Nfa:
     """Parse the NFA/DFA text format."""
-    fields = _fields(_lines(text))
-    kind = None
-    alphabet: list[str] = []
-    vars_: tuple[str, ...] | None = None
-    states: list[str] = []
-    initial: list[str] = []
-    accepting: list[str] = []
+    return _automaton(_fields(text, "automaton", _AUTOMATON_KEYS))
+
+
+def _automaton(fields: dict[str, list[str]]) -> Nfa:
     transitions = []
-    for key, value in fields:
-        if key == "type":
-            kind = value
-        elif key == "alphabet":
-            alphabet = value.split()
-        elif key == "vars":
-            vars_ = tuple(value.split())
-        elif key == "states":
-            states = value.split()
-        elif key == "initial":
-            initial = value.split()
-        elif key == "accepting":
-            accepting = value.split()
-        elif key == "trans":
-            parts = value.split()
-            if len(parts) != 3:
-                raise ParseError(f"bad transition line {value!r}")
-            transitions.append(tuple(parts))
-        else:
-            raise ParseError(f"unknown automaton field {key!r}")
+    for value in fields["trans"]:
+        parts = value.split()
+        if len(parts) != 3:
+            raise ParseError(f"bad transition line {value!r}")
+        transitions.append(parts)
+    last = {key: values[-1] for key, values in fields.items() if values}
+    kind = last.get("type")
+    alphabet = last.get("alphabet", "").split()
+    states = last.get("states", "").split()
+    initial = last.get("initial", "").split()
+    accepting = last.get("accepting", "").split()
+    vars_ = tuple(last["vars"].split()) if "vars" in last else None
     if kind not in ("nfa", "dfa"):
         raise ParseError(f"missing or bad 'type:' line (got {kind!r})")
     if not alphabet:
@@ -99,7 +109,7 @@ def parse_nfa(text: str) -> Nfa:
         raise ParseError(f"the pad symbol {PAD!r} is not a letter of a base automaton")
     try:
         if vars_ is None:
-            trans = {(q, letter, p) for q, letter, p in transitions}
+            trans = set(map(tuple, transitions))
         else:
             trans = {(q, parse_track_letter(letter, vars_), p)
                      for q, letter, p in transitions}
@@ -109,8 +119,6 @@ def parse_nfa(text: str) -> Nfa:
                 raise ParseError("a DFA needs exactly one initial state")
             return Dfa(symbols, states, initial[0], accepting, trans, vars_)
         return Nfa(symbols, states, initial, accepting, trans, vars_)
-    except ParseError:
-        raise
     except (ValueError, KeyError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -134,22 +142,12 @@ def render_nfa(a: Nfa) -> str:
 
 
 def parse_nfh(text: str) -> Nfh:
-    """NFH file: the NFA format plus a ``quantifiers:`` header."""
-    lines = _lines(text)
-    prefix = None
-    rest = []
-    for line in lines:
-        key = line.split(":", 1)[0].strip()
-        if key == "quantifiers":
-            try:
-                prefix = QuantifierPrefix.parse(line.split(":", 1)[1].strip())
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
-        else:
-            rest.append(line)
+    """NFH file: the NFA format plus a ``quantifiers:`` line."""
+    fields = _fields(text, "automaton", ("quantifiers", *_AUTOMATON_KEYS))
+    prefix = _prefix(fields)
     if prefix is None:
         raise ParseError("missing 'quantifiers:' line")
-    underlying = parse_nfa("\n".join(rest))
+    underlying = _automaton(fields)
     if underlying.vars is None:
         raise ParseError("an NFH underlying automaton needs a 'vars:' line")
     try:
@@ -180,33 +178,21 @@ def _parse_rule_body(tokens: list[str], vars_, letters: dict):
 def parse_cfg_text(text: str):
     """Parse the grammar format; returns (Cfg, quantifier prefix or None,
     declared alphabet or None)."""
-    fields = _fields(_lines(text))
-    start = None
-    prefix = None
-    alphabet = None
-    vars_: tuple[str, ...] | None = None
-    raw_rules: list[tuple[str, list[str]]] = []
-    for key, value in fields:
-        if key == "start":
-            start = value
-        elif key == "quantifiers":
-            try:
-                prefix = QuantifierPrefix.parse(value)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
-        elif key == "alphabet":
-            alphabet = value.split()
-        elif key == "vars":
-            vars_ = tuple(value.split())
-        elif key == "rule":
-            if "->" not in value:
-                raise ParseError(f"bad rule line {value!r}")
-            head, body = value.split("->", 1)
-            raw_rules.append((head.strip(), body.split()))
-        else:
-            raise ParseError(f"unknown grammar field {key!r}")
+    fields = _fields(text, "grammar",
+                     ("start", "quantifiers", "alphabet", "vars", "rule"))
+    prefix = _prefix(fields)
+    raw_rules = []
+    for value in fields["rule"]:
+        if "->" not in value:
+            raise ParseError(f"bad rule line {value!r}")
+        head, body = value.split("->", 1)
+        raw_rules.append((head.strip(), body.split()))
+    last = {key: values[-1] for key, values in fields.items() if values}
+    start = last.get("start")
     if start is None:
         raise ParseError("missing 'start:' line")
+    alphabet = last["alphabet"].split() if "alphabet" in last else None
+    vars_ = tuple(last["vars"].split()) if "vars" in last else None
     if vars_ is None and prefix is not None:
         vars_ = prefix.variables
     heads = {h for h, _ in raw_rules} | {start}
@@ -231,15 +217,9 @@ def parse_cfhg(text: str) -> Cfhg:
     if alphabet is not None and PAD in alphabet:
         raise ParseError(f"the pad symbol {PAD!r} is not a letter of a "
                          "hypergrammar's alphabet")
-    if alphabet is None:
-        symbols = set()
-        for token in grammar.terminals():
-            if isinstance(token, TrackLetter):
-                symbols |= {s for s in token.symbols if s != PAD}
-            else:
-                raise ParseError(f"terminal {token!r} is not a track letter; "
-                                 "hypergrammars need bracketed terminals")
-        alphabet = sorted(symbols)
+    if alphabet is None:  # Cfhg refuses a terminal that is not a track letter
+        alphabet = {s for t in grammar.terminals() if isinstance(t, TrackLetter)
+                    for s in t.symbols} - {PAD}
     try:
         return Cfhg(frozenset(alphabet), prefix, grammar)
     except ValueError as exc:

@@ -30,7 +30,7 @@ from .nfa import (Dfa, Nfa, absorb_pad, compose_free, compose_sync, difference,
 from .nfh import Nfh, accepted_assignments
 
 DET_CAP = 64  # states of a determinization input; the shortlex lasso's sets
-PATH_CAP = 32  # simple-path words of the pumping route
+PATH_CAP = 32  # words of a finite L; simple-path words of the pumping route
 CYCLE_CAP = 32  # simple cycles of the pumping route
 
 
@@ -519,21 +519,38 @@ def _successor_on_lasso(a: Dfa, moves: dict, sets: list[frozenset], loop: int) -
                    symbols, ("x", "y"))
 
 
+def _lasso_words(moves: dict, sets: list[frozenset], q, m: int) -> Iterator[Word]:
+    """The words of length m < len(sets) from q into F, in letter order: each
+    move into S_(m-1) of the lasso of ``_length_sets`` starts at least one."""
+    if m == 0:
+        yield ()
+        return
+    for s, p in moves.get(q, ()):
+        if p in sets[m - 1]:
+            yield from ((s,) + w for w in _lasso_words(moves, sets, p, m - 1))
+
+
 def realize_shortlex(a: Dfa) -> Nfh:
     """NFH for a regular language.  On an infinite L, ∃∀∃: its shortlex-least
     word exists, and every word demands its shortlex successor within L,
     which is total there and chains L's words in order.  A finite L, whose
-    greatest word has no successor, is ``realize_finite`` on its words (∀∃):
-    its trimmed DFA is acyclic, so they are the simple-path words.  L is
-    infinite iff a set of the lasso's loop holds the start state; its least
-    word reads the least letters down from the least length that does."""
+    greatest word has no successor, is ``realize_finite`` on its words (∀∃),
+    counted against ``PATH_CAP`` before they are read.  L is infinite iff a
+    set of the lasso's loop holds the start; its least word is the first one
+    of its least length."""
     moves, sets, loop = _length_sets(a)
     lengths = [m for m, s in enumerate(sets) if a.start in s]
-    if not lengths or lengths[-1] < loop:
-        return realize_finite(_simple_paths(a), a.symbols)
-    least, q = (), a.start
-    for m in range(lengths[0], 0, -1):
-        s, q = next((s, p) for s, p in moves[q] if p in sets[m - 1])
-        least += (s,)
-    return realize_ordered(OrderedLanguageSpec(least,
-                                               _successor_on_lasso(a, moves, sets, loop)))
+    if not lengths:
+        raise EmptyLanguage("the language is empty")
+    if lengths[-1] >= loop:
+        least = next(_lasso_words(moves, sets, a.start, lengths[0]))
+        return realize_ordered(OrderedLanguageSpec(
+            least, _successor_on_lasso(a, moves, sets, loop)))
+    counts, total = dict.fromkeys(sets[0], 1), 0  # words per state, by length
+    for _ in sets:
+        total += counts.get(a.start, 0)
+        counts = {q: sum(counts.get(p, 0) for _, p in ms) for q, ms in moves.items()}
+    if total > PATH_CAP:
+        raise CapExceeded(f"{total} simple-path words exceed the cap {PATH_CAP}")
+    return realize_finite([w for m in lengths
+                           for w in _lasso_words(moves, sets, a.start, m)], a.symbols)

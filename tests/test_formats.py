@@ -1,8 +1,11 @@
 """Text formats: parse/render round trips and error reporting."""
 
+import random
+
 import pytest
 
-from hyperlang.core import as_word
+from hyperlang.cfhg import Cfhg
+from hyperlang.core import QuantifierPrefix, as_word
 from hyperlang.errors import ParseError
 from hyperlang.formats import (parse_cfhg, parse_language, parse_nfa,
                                parse_nfh, parse_pcp, parse_track_letter,
@@ -10,9 +13,14 @@ from hyperlang.formats import (parse_cfhg, parse_language, parse_nfa,
                                render_nfa, render_nfh)
 from hyperlang.nfa import Dfa, nfa_member
 from hyperlang.nfh import nfh_accepts
-from hyperlang.pcp import pcp_encode_forall
+from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
+                           pcp_encode_forall)
+from hyperlang.realize import (prefix_closed_relation, realize_finite,
+                               realize_prefix_closed_fast, realize_shortlex,
+                               shortlex_successor)
 
-from conftest import words
+from conftest import (random_prefix_closed_dfa, random_ranked_grammars,
+                      random_track_grammar, words)
 
 NFA_TEXT = """\
 type: nfa
@@ -138,6 +146,91 @@ def test_parse_cfhg_errors():
     with pytest.raises(ParseError, match="pad symbol '#' is not a letter"):
         parse_cfhg("quantifiers: E x\nalphabet: a #\nstart: V0\n"
                    "rule: V0 -> [x=a]\n")
+
+
+def test_nfh_quantifier_line_may_come_last():
+    n = parse_nfh(TRACK_NFA_TEXT + "quantifiers: A x E y\n")
+    assert render_nfh(n) == render_nfh(parse_nfh(NFH_TEXT))
+
+
+def test_repeated_field_takes_its_last_value():
+    a = parse_nfa("type: nfa\n" + NFA_TEXT.replace("type: nfa", "type: dfa")
+                  + "alphabet: a b c\n")
+    assert isinstance(a, Dfa)
+    assert a.symbols == {"a", "b", "c"}
+    n = parse_nfh("quantifiers: E x E y\n" + NFH_TEXT)
+    assert n.prefix.render() == "A x E y"
+    g = parse_cfhg("start: V1\n" + CFHG_TEXT)
+    assert g.underlying.start == "V0"
+
+
+@pytest.mark.parametrize("parse,text,kind", [
+    (parse_nfa, NFA_TEXT, "automaton"),
+    (parse_nfh, NFH_TEXT, "automaton"),
+    (parse_cfhg, CFHG_TEXT, "grammar"),
+])
+def test_reader_messages(parse, text, kind):
+    """A line with no colon, and an unknown field, each with its message;
+    the colon is checked on every line first."""
+    with pytest.raises(ParseError) as err:
+        parse(text + "bogus\n")
+    assert str(err.value) == "expected 'key: value', got 'bogus'"
+    with pytest.raises(ParseError) as err:
+        parse("colour: red\n" + text)
+    assert str(err.value) == f"unknown {kind} field 'colour'"
+    with pytest.raises(ParseError) as err:
+        parse("colour: red\n" + text + "bogus\n")
+    assert str(err.value) == "expected 'key: value', got 'bogus'"
+
+
+def test_nfh_malformed_line_before_bad_prefix():
+    with pytest.raises(ParseError) as err:
+        parse_nfh(NFH_TEXT.replace("A x E y", "A x Q y") + "bogus\n")
+    assert str(err.value) == "expected 'key: value', got 'bogus'"
+
+
+def test_bare_cfhg_terminal_is_named():
+    for alphabet in ("", "alphabet: a c\n"):
+        with pytest.raises(ParseError) as err:
+            parse_cfhg(alphabet + CFHG_TEXT.replace("[x=a]", "a"))
+        assert str(err.value) == "terminal 'a' is not a track letter over ('x',)"
+
+
+def _round_trips(render, parse, obj):
+    text = render(obj)
+    return render(parse(text)) == text
+
+
+def test_generated_round_trips():
+    """render → parse → render gives the same bytes on seeded automata,
+    NFHs and grammars."""
+    rng = random.Random(5)
+    dfas = [random_prefix_closed_dfa(rng, 5) for _ in range(12)]
+    looped = [Dfa(d.symbols, d.states, d.start, d.accepting,
+                  d.transitions | {(max(d.states), "a", max(d.states))})
+              for d in dfas]
+    automata = dfas + [shortlex_successor(d) for d in dfas + looped]
+    automata += [prefix_closed_relation(d).relation for d in dfas[:4]]
+    for a in automata:
+        assert _round_trips(render_nfa, parse_nfa, a), a.transitions
+    nfhs = [realize_shortlex(d) for d in dfas + looped]
+    nfhs += [realize_prefix_closed_fast(d) for d in dfas + looped]
+    nfhs += [realize_finite(words("", "ab", "b"), {"a", "b", "c"})]
+    for n in nfhs:
+        assert _round_trips(render_nfh, parse_nfh, n)
+    prefix = QuantifierPrefix.parse("A x1 E x2")
+    grammars = [random_track_grammar(rng) for _ in range(20)]
+    grammars += random_ranked_grammars(10, seed=11)
+    cfhgs = [Cfhg(frozenset("ab"), prefix, g) for g in grammars]
+    for _ in range(6):
+        tiles = tuple(tuple(as_word("".join(rng.choice("ab")
+                                            for _ in range(rng.randint(1, 3))))
+                            for _ in "tb")
+                      for _ in range(rng.randint(1, 3)))
+        instance = PcpInstance(tiles)
+        cfhgs += [pcp_encode_forall(instance), pcp_encode_exists_forall(instance)]
+    for g in cfhgs:
+        assert _round_trips(render_cfhg, parse_cfhg, g)
 
 
 def test_parse_language():

@@ -2,20 +2,21 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 import hyperlang.realize as realize_module
 from hyperlang.core import (PAD, QuantifierPrefix, TrackLetter, as_word,
                             bounded_universe, pad_to_sync)
-from hyperlang.errors import CapExceeded, NotPrefixClosed
+from hyperlang.errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from hyperlang.formats import parse_nfh, render_nfh
 from hyperlang.nfa import (Dfa, Nfa, absorb_pad, compose_free, difference,
                            explore, nfa_language, nfa_member, pad_suffix, trim,
                            union_all, with_var, word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
-                               _successor_counts,
+                               _simple_paths, _successor_counts,
                                _successor_product, prefix_closed_relation,
                                realize_finite, realize_ordered,
                                realize_partially_ordered,
@@ -468,6 +469,62 @@ def test_finite_routes_are_exact_on_generated_dfas():
         assert probe_strings(realize_shortlex(d), 3) == expected, d.transitions
         assert probe_strings(realize_regular(d), 3) == expected, d.transitions
 
+
+
+def _dead_region_dfa(n):
+    """L = {a}: s -a-> f, and s -b-> a dead region of n states, in which d_i
+    moves on a, b, c, d to the next four; its simple paths grow
+    exponentially with n, though no word of L enters it."""
+    dead = {(f"d{i}", s, f"d{(i + j + 1) % n}")
+            for i in range(n) for j, s in enumerate("abcd")}
+    return Dfa(set("abcd"), {"s", "f"} | {f"d{i}" for i in range(n)}, "s", {"f"},
+               {("s", "a", "f"), ("s", "b", "d0")} | dead)
+
+
+def test_realize_shortlex_finite_language_ignores_a_dead_region():
+    """A finite L's words come off the trimmed lasso, so a dead region of 18
+    states costs no path walk; the NFH is that of the trimmed DFA."""
+    d = _dead_region_dfa(18)
+    started = time.perf_counter()
+    n = realize_shortlex(d)
+    assert time.perf_counter() - started < 0.5
+    trimmed = Dfa(set("abcd"), {"s", "f"}, "s", {"f"}, {("s", "a", "f")})
+    assert render_nfh(n) == render_nfh(realize_shortlex(trimmed))
+
+
+def _outcome(build):
+    """The rendered NFH ``build`` returns, or the type and text of its error."""
+    try:
+        return render_nfh(build())
+    except (CapExceeded, EmptyLanguage) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _forward_dfa(rng, n):
+    """A DFA of n states over a, b, c whose moves only go forward, each
+    present with probability 0.8: L is finite, and may pass the path cap."""
+    states = [str(i) for i in range(n)]
+    delta = {(states[i], s, states[rng.randrange(i + 1, n)])
+             for i in range(n - 1) for s in "abc" if rng.random() < 0.8}
+    accepting = {q for q in states if rng.random() < 0.4}
+    return Dfa(set("abc"), states, "0", accepting, delta)
+
+
+def test_finite_lasso_words_are_the_simple_path_words():
+    """On generated DFAs of finite or empty L, ``realize_shortlex`` writes
+    the bytes, or raises the refusal, of ``realize_finite`` on the
+    simple-path words, the word count of the cap's message included."""
+    rng = random.Random(43)
+    dfas = [d for d in (_generated_dfa(rng, 1, 6, 3) for _ in range(200))
+            if not _is_infinite(d)]
+    dfas += [_forward_dfa(rng, rng.randint(2, 8)) for _ in range(100)]
+    outcomes = set()
+    for d in dfas:
+        got = _outcome(lambda: realize_shortlex(d))
+        assert got == _outcome(lambda: realize_finite(_simple_paths(d), d.symbols)), \
+            d.transitions
+        outcomes.add(got[0] if isinstance(got, tuple) else "nfh")
+    assert outcomes == {"nfh", "CapExceeded", "EmptyLanguage"}
 
 def _shortlex_step(order, s, t):
     """The shortlex order ("<", "=" or ">") of two padded words u, v after

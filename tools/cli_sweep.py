@@ -16,7 +16,9 @@ empty``, ``ranks`` and ``is-ranked``; on every workload NFH ``nfh probe``;
 on every realize DFA both ``realize prefix-closed`` routes and ``realize
 regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
-language whose synchronous padding holds a column that no rule has.  Calls
+language whose synchronous padding holds a column that no rule has; an NFH
+whose quantifier line comes last, a grammar with a bare terminal, and a
+finite L whose DFA holds a dead region with many simple paths.  Calls
 run in-process, in a scratch directory, with file names relative to it.
 Each call's output is deleted before it runs, unless the call's own files
 provide it: ``finite-over-stale`` writes over a file longer than any output,
@@ -168,6 +170,18 @@ def blocks_dfa(n: int) -> str:
             f"accepting: s{n}\n{trans}")
 
 
+def dead_region_dfa(n: int) -> str:
+    """L = {a}: s -a-> f, and s -b-> a dead region of n states, in which d_i
+    moves on a, b, c, d to the next four.  No word of L enters the region,
+    whose simple paths grow exponentially with n."""
+    trans = "trans: s a f\ntrans: s b d0\n" + "".join(
+        f"trans: d{i} {s} d{(i + j + 1) % n}\n" for i in range(n)
+        for j, s in enumerate("abcd"))
+    return (f"type: dfa\nalphabet: a b c d\n"
+            f"states: s f {' '.join(f'd{i}' for i in range(n))}\ninitial: s\n"
+            f"accepting: f\n{trans}")
+
+
 def two_cycles_dfa(m: int, n: int) -> str:
     """From s, a: into a cycle of m a-moves, b: into one of n, each accepting
     at its entry.  The length sets repeat with period lcm(m, n), 77 for 7 and
@@ -188,8 +202,13 @@ FIXED_FILES = {
     "empty-succ.nfa": EMPTY_SUCCESSOR,
     "empty.nfa": EMPTY_NFA,
     "fig1.nfh": FIG1_NFH,
+    # the same NFH with its quantifier line last
+    "fig1-last.nfh": FIG1_NFH.replace("quantifiers: A x E y\n", "")
+                     + "quantifiers: A x E y\n",
     "ab.nfh": AB_NFH,
     "e.cfhg": EXISTS_CFHG,
+    # a bare terminal, which no hypergrammar accepts
+    "bare.cfhg": "quantifiers: A x\nstart: V0\nrule: V0 -> [x=a] V0\nrule: V0 -> a\n",
     "aa.cfhg": forall_cfhg_text(CRITERION9_TILES),
     "ea.cfhg": ea_cfhg_text(CRITERION9_TILES),
     # solvable (1, 3), but its derivations up to length 30 exceed the cap
@@ -218,6 +237,7 @@ FIXED_FILES = {
     "blocks5.dfa": blocks_dfa(5),
     "blocks6.dfa": blocks_dfa(6),
     "cycles-7-11.dfa": two_cycles_dfa(7, 11),
+    "dead12.dfa": dead_region_dfa(12),
     # longer than any output of the sweep (ring20-regular writes 74,197 bytes)
     "stale.nfh": "#! an earlier output\n" * 8192,
 }
@@ -253,7 +273,9 @@ FIXED_CALLS = [
     ("ring5-regular", ["realize", "regular", "ring5.dfa", "-o", "out"]),
     ("ring8-regular", ["realize", "regular", "ring8.dfa", "-o", "out"]),
     ("ring20-regular", ["realize", "regular", "ring20.dfa", "-o", "out"]),
+    ("dead-region-regular", ["realize", "regular", "dead12.dfa", "-o", "out"]),
     ("fig1-member", ["nfh", "member", "fig1.nfh", "a.lang"]),
+    ("fig1-quantifiers-last", ["nfh", "member", "fig1-last.nfh", "a.lang"]),
     ("fig1-probe", ["nfh", "probe", "fig1.nfh", "--max-len", "2"]),
     ("probe-negative", ["nfh", "probe", "fig1.nfh", "--max-len", "-1"]),
     ("bounded", ["cfhg", "empty", "aa.cfhg", "--bounded", "1"]),
@@ -264,6 +286,7 @@ FIXED_CALLS = [
     ("ea-criterion9-flipped", ["cfhg", "member-finite", "ea.cfhg", "ea-flipped.lang"]),
     ("ea-member-eps", ["cfhg", "member-finite", "ea.cfhg", "eps.lang"]),
     ("ea-member-no-letter", ["cfhg", "member-finite", "ea.cfhg", "ab.lang"]),
+    ("bare-terminal", ["cfhg", "member-finite", "bare.cfhg", "a.lang"]),
     # one refusal per cap
     ("probe-universe-cap", ["nfh", "probe", "ab.nfh", "--max-len", "4"]),
     ("witness-universe-cap", ["cfhg", "empty", "aa.cfhg", "--bounded", "5"]),
