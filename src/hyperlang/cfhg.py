@@ -48,8 +48,14 @@ class Cfhg:
     underlying: Cfg
 
     def __post_init__(self):
+        try:
+            self._check_terminals(self.underlying.terminals())
+        except ValueError:  # set order varies with the hash seed: use repr order
+            self._check_terminals(sorted(self.underlying.terminals(), key=repr))
+
+    def _check_terminals(self, terminals):
         order = self.prefix.variables
-        for token in self.underlying.terminals():
+        for token in terminals:
             if not isinstance(token, TrackLetter) or token.vars != order:
                 raise ValueError(
                     f"terminal {token!r} is not a track letter over {order}")

@@ -3,6 +3,11 @@
 Exit codes: 0 = TRUE/success, 1 = FALSE, 2 = undecidable or cap exceeded,
 64 = usage error, 65 = parse error.  ``--json`` switches the output to a
 machine-readable document with a versioned schema.
+
+An argv ``[--json] GROUP VERB ...`` with a known verb is parsed by that
+verb's parser alone, the one that reads it inside the full parser too, so
+usage errors stay the same; any other argv (help above a verb, ``--js``, an
+unknown group or verb) needs the full parser, which lists the choices.
 """
 
 from __future__ import annotations
@@ -45,62 +50,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[tuple[str, str], _Parser]]:
     parser = _Parser(prog="hyperlang",
                      description="Regular and context-free hyperlanguage toolkit")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     sub = parser.add_subparsers(dest="group", required=True)
+    groups = {group: sub.add_parser(group).add_subparsers(dest="verb", required=True)
+              for group in ("nfh", "realize", "cfhg", "pcp")}
+    verbs = {}
 
-    nfh = sub.add_parser("nfh").add_subparsers(dest="verb", required=True)
-    member = nfh.add_parser("member")
+    def verb(group: str, name: str) -> _Parser:
+        verbs[group, name] = groups[group].add_parser(name)
+        return verbs[group, name]
+
+    member = verb("nfh", "member")
     member.add_argument("nfh_file")
     member.add_argument("lang_file")
-    probe = nfh.add_parser("probe")
+    probe = verb("nfh", "probe")
     probe.add_argument("nfh_file")
     probe.add_argument("--max-len", type=int, required=True)
 
-    realize = sub.add_parser("realize").add_subparsers(dest="verb", required=True)
-    finite = realize.add_parser("finite")
+    finite = verb("realize", "finite")
     finite.add_argument("lang_file")
     finite.add_argument("-o", "--output", required=True)
-    ordered = realize.add_parser("ordered")
+    ordered = verb("realize", "ordered")
     ordered.add_argument("first_word", help="the minimal word ('eps' for empty)")
     ordered.add_argument("successor_file", help="NFA over vars x y computing f")
     ordered.add_argument("-o", "--output", required=True)
-    prefix_closed = realize.add_parser("prefix-closed")
+    prefix_closed = verb("realize", "prefix-closed")
     prefix_closed.add_argument("dfa_file")
     prefix_closed.add_argument("--route", choices=["fast", "relation"],
                                default="fast")
     prefix_closed.add_argument("-o", "--output", required=True)
-    regular = realize.add_parser("regular")
+    regular = verb("realize", "regular")
     regular.add_argument("dfa_file")
     regular.add_argument("-o", "--output", required=True)
 
-    cfhg = sub.add_parser("cfhg").add_subparsers(dest="verb", required=True)
-    empty = cfhg.add_parser("empty")
+    empty = verb("cfhg", "empty")
     empty.add_argument("cfhg_file")
     empty.add_argument("--bounded", type=int, default=None,
                        help="also search for a member language up to this length")
-    mf = cfhg.add_parser("member-finite")
+    mf = verb("cfhg", "member-finite")
     mf.add_argument("cfhg_file")
     mf.add_argument("lang_file")
-    mr = cfhg.add_parser("member-regular")
+    mr = verb("cfhg", "member-regular")
     mr.add_argument("cfhg_file")
     mr.add_argument("nfa_file")
-    ranks = cfhg.add_parser("ranks")
+    ranks = verb("cfhg", "ranks")
     ranks.add_argument("cfhg_file")
-    ir = cfhg.add_parser("is-ranked")
+    ir = verb("cfhg", "is-ranked")
     ir.add_argument("cfhg_file")
 
-    pcp = sub.add_parser("pcp").add_subparsers(dest="verb", required=True)
-    ef = pcp.add_parser("encode-forall")
+    ef = verb("pcp", "encode-forall")
     ef.add_argument("pcp_file")
     ef.add_argument("-o", "--output", required=True)
-    ea = pcp.add_parser("encode-ea")
+    ea = verb("pcp", "encode-ea")
     ea.add_argument("pcp_file")
     ea.add_argument("-o", "--output", required=True)
-    return parser
+    return parser, verbs
 
 
 def _read(path: str) -> str:
@@ -264,12 +272,22 @@ def _run_pcp(args, report: _Report):
 
 # Built once per process: argparse keeps no state between ``parse_args``
 # calls, and building its ~20 parsers costs more than a membership query.
-_PARSER = _build_parser()
+_PARSER, _VERBS = _build_parser()
+
+
+def _parse(argv) -> argparse.Namespace:
+    json_flag = "--json" in argv[:1]
+    group_verb = tuple(argv[json_flag:json_flag + 2])
+    if group_verb not in _VERBS:
+        return _PARSER.parse_args(argv)
+    args = _VERBS[group_verb].parse_args(argv[json_flag + 2:])
+    args.json, (args.group, args.verb) = json_flag, group_verb
+    return args
 
 
 def run(argv) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         if any((getattr(args, bound, None) or 0) < 0 for bound in ("max_len", "bounded")):
             raise _UsageError("a length bound must be at least 0")
     except _UsageError as exc:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import hyperlang
+import hyperlang.cli as cli
 import hyperlang.ranks as ranks_module
 from hyperlang.cfhg import finite_member
 from hyperlang.cli import run
@@ -574,6 +575,68 @@ def test_usage_and_parse_errors(files, capsys):
         assert out.err == "usage error: a length bound must be at least 0\n"
 
 
+def _verb_calls(write, tmp):
+    """A valid argv after GROUP VERB, for every verb."""
+    nfh, lang = write("f.nfh", FIG1), write("l.txt", "a\n")
+    dfa, tiles = write("d.dfa", PREFIX_CLOSED_DFA), write("t.txt", TILES)
+    grammar, succ = write("e.cfhg", EXISTS_A_CFHG), write("s.nfa", TWO_TRACK_NFA)
+    out = ["-o", str(tmp / "out")]
+    return {
+        ("nfh", "member"): [nfh, lang],
+        ("nfh", "probe"): [nfh, "--max-len", "1"],
+        ("realize", "finite"): [lang, *out],
+        ("realize", "ordered"): ["eps", succ, *out],
+        ("realize", "prefix-closed"): [dfa, "--route", "relation", *out],
+        ("realize", "regular"): [dfa, *out],
+        ("cfhg", "empty"): [grammar, "--bounded", "1"],
+        ("cfhg", "member-finite"): [grammar, lang],
+        ("cfhg", "member-regular"): [grammar, dfa],
+        ("cfhg", "ranks"): [grammar],
+        ("cfhg", "is-ranked"): [grammar],
+        ("pcp", "encode-forall"): [tiles, *out],
+        ("pcp", "encode-ea"): [tiles, *out],
+    }
+
+
+def _outcome(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # -h prints the help and exits
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_verb_parser_route_matches_the_full_parser(files, capsys, monkeypatch):
+    """``[--json] GROUP VERB ...`` goes through the verb's own parser; the
+    full parser gives the same exit code, stdout and stderr on it, usage
+    errors and help included."""
+    write, tmp = files
+    calls = _verb_calls(write, tmp)
+    assert set(calls) == set(cli._VERBS)
+    bad = {"--max-len": ["x", "-1"], "--bounded": ["x", "-1"], "--route": ["slow"]}
+    argvs = []
+    for (group, verb), tail in calls.items():
+        tails = [tail, [], [*tail, "--bogus"], [*tail, "--json"], ["-h"],
+                 [*tail, "-o"] if "-o" in tail else tail[:1]]
+        tails += [[*tail[:tail.index(option) + 1], value]
+                  for option, values in bad.items() if option in tail
+                  for value in values]
+        argvs += [[*json_flag, group, verb, *rest]
+                  for json_flag in ([], ["--json"]) for rest in tails]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_PARSER", None)  # every argv takes the verb's parser
+        fast = [_outcome(argv, capsys) for argv in argvs]
+        namespaces = [vars(cli._parse([group, verb, *tail]))
+                      for (group, verb), tail in calls.items()]
+    monkeypatch.setattr(cli, "_VERBS", {})
+    for argv, got in zip(argvs, fast):
+        assert got == _outcome(argv, capsys), argv
+    assert namespaces == [vars(cli._parse([group, verb, *tail]))
+                          for (group, verb), tail in calls.items()]
+    assert {code for code, _, _ in fast} >= {0, 64, ("SystemExit", 0)}
+
+
 def test_deterministic_output(files, capsys):
     write, tmp = files
     tiles = write("t.txt", TILES)
@@ -690,6 +753,8 @@ def test_cli_calls_share_no_state(files, capsys):
     capsys.readouterr()
     sequence = [
         ["cfhg", "empty", grammar, "--bounded", "1"],
+        ["cfhg", "empty", grammar, "--bounded", "x"],
+        ["cfhg", "empty", grammar, "--json"],
         ["cfhg", "empty", grammar],
         ["--json", "nfh", "member", nfh, lang],
         ["nfh", "member", nfh, lang],
@@ -705,8 +770,9 @@ def test_cli_calls_share_no_state(files, capsys):
         out = capsys.readouterr()
         in_process.append((code, out.out, out.err))
     assert in_process[0][1].count("\n") == 2  # verdict and witness lines
-    assert in_process[1][1].count("\n") == 1  # the verdict alone
-    assert in_process[6][0] == 64
+    assert [code for code, _, _ in in_process[1:3]] == [64, 64]
+    assert in_process[3][1].count("\n") == 1  # the verdict alone
+    assert in_process[8][0] == 64
     written = {name: (tmp / name).read_text()
                for name in ("relation.nfh", "fast.nfh")}
     fresh = _fresh_runs(sequence)

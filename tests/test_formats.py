@@ -1,9 +1,13 @@
 """Text formats: parse/render round trips and error reporting."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hyperlang
 from hyperlang.cfhg import Cfhg
 from hyperlang.core import QuantifierPrefix, as_word
 from hyperlang.errors import ParseError
@@ -194,6 +198,29 @@ def test_bare_cfhg_terminal_is_named():
         with pytest.raises(ParseError) as err:
             parse_cfhg(alphabet + CFHG_TEXT.replace("[x=a]", "a"))
         assert str(err.value) == "terminal 'a' is not a track letter over ('x',)"
+
+
+def test_terminal_messages_are_seed_independent():
+    """A grammar with several bad terminals names the same one under every
+    hash seed: the first in repr order, not in set order."""
+    grammars = {
+        "quantifiers: A x\nstart: V0\nrule: V0 -> a V0\nrule: V0 -> b\n":
+            "terminal 'a' is not a track letter over ('x',)",
+        "quantifiers: A x\nalphabet: a\nstart: V0\nrule: V0 -> [x=c] V0\n"
+        "rule: V0 -> [x=d]\nrule: V0 -> [x=e]\n": "symbol 'c' outside the alphabet",
+    }
+    script = ("import sys\nfrom hyperlang.formats import parse_cfhg\n"
+              "for text in sys.argv[1:]:\n"
+              "    try:\n        parse_cfhg(text)\n"
+              "    except Exception as exc:\n        print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlang.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-c", script, *grammars],
+                              stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src,
+                                       PYTHONHASHSEED=str(seed)))
+             for seed in range(6)]
+    expected = "".join(f"{message}\n" for message in grammars.values())
+    assert [p.communicate()[0] for p in procs] == [expected] * 6
 
 
 def _round_trips(render, parse, obj):

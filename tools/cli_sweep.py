@@ -18,8 +18,10 @@ regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
 language whose synchronous padding holds a column that no rule has; an NFH
 whose quantifier line comes last, a grammar with a bare terminal, and a
-finite L whose DFA holds a dead region with many simple paths.  Calls
-run in-process, in a scratch directory, with file names relative to it.
+finite L whose DFA holds a dead region with many simple paths; and usage
+errors on both parse routes (``-h`` raises ``SystemExit``, so it is not
+among them).  Calls run in-process, in a scratch directory, with file names
+relative to it.
 Each call's output is deleted before it runs, unless the call's own files
 provide it: ``finite-over-stale`` writes over a file longer than any output,
 and must leave the bytes that ``finite`` writes.
@@ -294,6 +296,12 @@ FIXED_CALLS = [
     ("lasso-cap", ["realize", "regular", "cycles-7-11.dfa", "-o", "out"]),
     ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
     ("bogus-verb", ["bogus"]),
+    # usage errors: through the verb's own parser, then through the full one
+    ("json-after-verb", ["cfhg", "empty", "aa.cfhg", "--json"]),
+    ("unknown-option", ["nfh", "probe", "fig1.nfh", "--max-len", "2", "--bogus"]),
+    ("missing-positional", ["cfhg", "member-finite", "ea.cfhg"]),
+    ("bare-group", ["cfhg"]),
+    ("abbreviated-json", ["--js", "cfhg", "ranks", "e.cfhg"]),
 ]
 
 
