@@ -243,7 +243,7 @@ def _index(g: Cfg) -> _Index:
 def cyk_member(g: Cfg, w) -> bool:
     """Membership of the terminal sequence ``w``, for any grammar: the span
     fixpoint on ``w`` read as a chain, letter i taking position i to i + 1."""
-    word = tuple(w.letters if hasattr(w, "letters") else w)
+    word = tuple(w)
     spans: dict = {}
     for i, letter in enumerate(word):
         spans.setdefault(letter, []).append((i, i + 1))

@@ -1,9 +1,10 @@
 """Words, track letters, word assignments, and the quantifier layer.
 
-A k-variable word assignment is stored as an ``HWord``: a sequence of
+A k-variable word assignment is read as a track word: a plain tuple of
 ``TrackLetter`` values, each mapping every word variable to a base symbol or
 to the pad marker ``#``.  Shorter words are padded at the end with ``#`` so
-that all tracks have equal length.
+that all tracks have equal length: a track that has read ``#`` reads only
+``#`` after it, and no letter is all pad.
 
 NFH and CFHG membership share one semantics: the quantifier prefix binds each
 variable to a word of a finite language and an engine (``leaf``) decides every
@@ -93,28 +94,6 @@ class TrackLetter:
 
 
 @dataclass(frozen=True)
-class HWord:
-    """A finite sequence of track letters, all over the same variables."""
-
-    vars: tuple[str, ...]
-    letters: tuple[TrackLetter, ...]
-
-    def __post_init__(self):
-        for letter in self.letters:
-            if letter.vars != self.vars:
-                raise ValueError("all letters of an HWord must share one variable set")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def render(self) -> str:
-        return "".join(letter.render() for letter in self.letters) or "eps"
-
-
-@dataclass(frozen=True)
 class QuantifierPrefix:
     """A quantifier per word variable, in variable order.  'E' = exists, 'A' = forall."""
 
@@ -152,31 +131,20 @@ def strip_hash(w: str | Sequence[str]) -> Word:
     return tuple(s for s in as_word(w) if s != PAD)
 
 
-def tracks_of(h: HWord) -> dict[str, Word]:
-    """Split an HWord back into its per-variable padded tracks."""
-    return {
-        v: tuple(letter[v] for letter in h.letters) for v in h.vars
-    }
-
-
-def is_synchronous(h: HWord) -> bool:
-    """True iff every track has its pad markers only as a suffix."""
-    for w in tracks_of(h).values():
-        seen_pad = False
-        for s in w:
-            if s == PAD:
-                seen_pad = True
-            elif seen_pad:
-                return False
-    return True
+def is_synchronous(letters: Sequence[TrackLetter]) -> bool:
+    """True iff every track of the letter sequence has its pad markers only
+    as a suffix."""
+    return all(set(track[track.index(PAD):]) == {PAD}
+               for track in zip(*(l.symbols for l in letters)) if PAD in track)
 
 
 def pad_to_sync(assignment: Mapping[str, str | Sequence[str]],
-                var_order: Sequence[str] | None = None) -> HWord:
-    """Right-pad the assigned words with ``#`` to equal length and zip them."""
+                var_order: Sequence[str] | None = None) -> tuple[TrackLetter, ...]:
+    """Right-pad the assigned words with ``#`` to equal length and zip them
+    into the track word's letters."""
     order = tuple(var_order) if var_order is not None else tuple(assignment)
     columns = zip_longest(*(as_word(assignment[v]) for v in order), fillvalue=PAD)
-    return HWord(order, tuple(TrackLetter(order, c) for c in columns))
+    return tuple(TrackLetter(order, c) for c in columns)
 
 
 def finite_language(language: Iterable, symbols: frozenset[str]) -> list[Word]:

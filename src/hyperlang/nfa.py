@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
 
-from .core import PAD, HWord, TrackLetter, as_word, closure
+from .core import PAD, TrackLetter, as_word, closure
 from .errors import UnknownLetter, VarClash
 
 
@@ -113,12 +113,7 @@ class Dfa(Nfa):
 
 def _word_letters(a: Nfa, w) -> list:
     """Normalize membership input to a letter sequence, validating the alphabet."""
-    if not a.is_track:
-        letters = list(as_word(w))
-    elif isinstance(w, HWord):
-        letters = list(w.letters)
-    else:
-        letters = list(w)
+    letters = list(w)  # a base word's string splits into its symbols
     for letter in letters:
         try:
             a._check_letter(letter)
@@ -128,7 +123,7 @@ def _word_letters(a: Nfa, w) -> list:
 
 
 def nfa_member(a: Nfa, w) -> bool:
-    """Subset-state run of ``a`` on one word (base word or HWord/letter sequence)."""
+    """Subset-state run of ``a`` on one word (base word or track-letter sequence)."""
     current = a.initial
     for letter in _word_letters(a, w):
         current = a.step(current, letter)
@@ -280,7 +275,7 @@ def track_product(parts: Sequence[Nfa]) -> Nfa:
 def compose_free(*parts: Nfa) -> Nfa:
     """Free composition: run all operands simultaneously, padding each with ``#``.
 
-    Accepts an HWord iff each operand accepts its own tracks once their
+    Accepts a track word iff each operand accepts its own tracks once their
     trailing pads are stripped.
     """
     return track_product([pad_suffix(p) for p in parts])

@@ -2,19 +2,20 @@
 
 An NFH accepts *languages*, not words: the quantifier prefix ranges over the
 words of a candidate language, and the underlying automaton checks the joint
-padded word assignment.  Only finite-language membership is implemented here.
+padded word assignment.  Implemented here: membership of a finite language,
+and the probe, which lists every accepted language of words up to a length.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .core import (HWord, QuantifierPrefix, Word, bounded_universe, evaluate,
-                   finite_language, is_synchronous, nonempty_subsets,
-                   pad_to_sync, strip_hash)
-from .nfa import Nfa, nfa_language, nfa_member
+from .core import (PAD, QuantifierPrefix, Word, bounded_universe, evaluate,
+                   finite_language, nonempty_subsets)
+from .nfa import Nfa, nfa_member
 
 
 @dataclass(frozen=True)
@@ -26,13 +27,11 @@ class Nfh:
     underlying: Nfa
 
     def __post_init__(self):
+        if PAD in self.symbols:
+            raise ValueError(f"the pad marker {PAD!r} is no symbol of an NFH")
         if self.underlying.vars != self.prefix.variables:
             raise ValueError("quantifier prefix must cover the underlying variables"
                              f" {self.underlying.vars} in order")
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.prefix.variables
 
 
 def nfh_accepts(n: Nfh, language: Iterable) -> bool:
@@ -41,29 +40,52 @@ def nfh_accepts(n: Nfh, language: Iterable) -> bool:
     ``language`` is a finite, non-empty collection of words over the NFH's
     alphabet.  Each quantifier binds its variable to a word of the language;
     a fully bound assignment is checked by right-padding all words to equal
-    length and running the underlying automaton.
+    length and running the underlying automaton.  Each column of the padding
+    is looked up among the automaton's letters by symbol tuple, and a column
+    that is none of them rejects the leaf before the run.
     """
     words = finite_language(language, n.symbols)
-    order = n.vars
+    letters = {l.symbols: l for l in n.underlying.letters()}
 
     @functools.cache
     def leaf(assignment: tuple[Word, ...]) -> bool:
-        return nfa_member(n.underlying, pad_to_sync(dict(zip(order, assignment)), order))
+        word = [letters.get(c) for c in zip_longest(*assignment, fillvalue=PAD)]
+        return all(word) and nfa_member(n.underlying, word)
 
     return evaluate(n.prefix.quantifiers, words, leaf)
 
 
 def accepted_assignments(underlying: Nfa, max_len: int) -> set[tuple[Word, ...]]:
-    """All synchronous accepted HWords of length ≤ max_len, as stripped track tuples."""
-    order = underlying.vars
-    found: set[tuple[Word, ...]] = set()
-    for letters in nfa_language(underlying, max_len):
-        h = HWord(order, tuple(letters))
-        if not is_synchronous(h):
-            continue
-        if letters and letters[-1].is_all_pad():
-            continue
-        found.add(tuple(strip_hash(tuple(l[v] for l in letters)) for v in order))
+    """The stripped tracks of every accepted well-padded track word of at most
+    ``max_len`` letters: each track pads only at its end, and no letter is
+    all pad.
+
+    A breadth-first walk over (stripped tracks → state set): at depth d a
+    track whose word is shorter than d has ended.  A letter is taken only if
+    it gives a symbol to some track and to no ended one, both read as bit
+    masks over the tracks.  The depth and the stripped tracks fix the padded
+    prefix, so no two prefixes share an entry.
+    """
+    def accepted(frontier: dict) -> set[tuple[Word, ...]]:
+        return {t for t, states in frontier.items() if states & underlying.accepting}
+
+    moves = underlying.moves_from()
+    reads = {l: sum(1 << i for i, s in enumerate(l.symbols) if s != PAD)
+             for l in underlying.letters()}
+    frontier = {((),) * len(underlying.vars): underlying.initial}
+    found = accepted(frontier)
+    for depth in range(max_len):
+        step: dict[tuple[Word, ...], set] = {}
+        for tracks, states in frontier.items():
+            ended = sum(1 << i for i, t in enumerate(tracks) if len(t) < depth)
+            for q in states:
+                for letter, p in moves.get(q, ()):
+                    if reads[letter] and not reads[letter] & ended:
+                        read = tuple(t if s == PAD else t + (s,)
+                                     for s, t in zip(letter.symbols, tracks))
+                        step.setdefault(read, set()).add(p)
+        frontier = step
+        found |= accepted(frontier)
     return found
 
 

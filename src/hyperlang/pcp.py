@@ -56,7 +56,7 @@ def pcp_encode_forall(instance: PcpInstance) -> Cfhg:
     vars = ("x1", "x2")
     rules = set()
     for a, b in instance.tiles:
-        chunk = pad_to_sync({"x1": a, "x2": b}, vars).letters
+        chunk = pad_to_sync({"x1": a, "x2": b}, vars)
         rules.add(("V0", chunk + ("V0",)))
         rules.add(("V0", chunk))
     grammar = Cfg({"V0"}, "V0", rules)
@@ -80,13 +80,12 @@ def pcp_encode_exists_forall(instance: PcpInstance) -> Cfhg:
     rules.add(("V0", ("V2",)))
     for i, (a, b) in enumerate(instance.tiles):
         idx = index_symbols[i]
-        a_chunk = pad_to_sync({"x1": a, "x2": ("c",) * len(a), "x3": a},
-                              vars).letters
+        a_chunk = pad_to_sync({"x1": a, "x2": ("c",) * len(a), "x3": a}, vars)
         a_idx = (TrackLetter(vars, (idx, "c", idx)),)
         rules.add(("V1", a_chunk + ("V1",) + a_idx))
         rules.add(("V1", a_chunk + a_idx))
         cs = ("c",) * len(b)
-        b_chunk = pad_to_sync({"x1": b, "x2": cs, "x3": cs}, vars).letters
+        b_chunk = pad_to_sync({"x1": b, "x2": cs, "x3": cs}, vars)
         b_idx = (TrackLetter(vars, (idx, "c", "c")),)
         rules.add(("V2", b_chunk + ("V2",) + b_idx))
         rules.add(("V2", b_chunk + b_idx))

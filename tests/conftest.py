@@ -7,7 +7,7 @@ import pytest
 
 from hyperlang.cfg import Cfg
 from hyperlang.cfhg import Cfhg
-from hyperlang.core import HWord, QuantifierPrefix, TrackLetter, as_word
+from hyperlang.core import QuantifierPrefix, TrackLetter, as_word
 from hyperlang.nfa import Dfa, Nfa
 from hyperlang.nfh import Nfh
 from hyperlang.pcp import PcpInstance
@@ -18,11 +18,11 @@ def letter(var_names, *symbols):
 
 
 def hword(tracks):
-    """The HWord whose tracks are the given equal-length padded words (pads
-    may stand anywhere)."""
+    """The track word, a tuple of letters, whose tracks are the given
+    equal-length padded words (pads may stand anywhere)."""
     order = tuple(tracks)
     columns = zip(*(as_word(w) for w in tracks.values()))
-    return HWord(order, tuple(TrackLetter(order, c) for c in columns))
+    return tuple(TrackLetter(order, c) for c in columns)
 
 
 def words(*strings):

@@ -26,7 +26,7 @@ from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
                            derive_bounded, to_cnf)
 from hyperlang.cfhg import bounded_nonempty_witness, cfhg_empty, finite_member
 from hyperlang.cli import run
-from hyperlang.core import HWord, as_word, is_synchronous, pad_to_sync
+from hyperlang.core import as_word, is_synchronous, pad_to_sync
 from hyperlang.nfa import (Dfa, Nfa, compose_free, compose_sync, determinize,
                            difference, nfa_language, nfa_member, with_var,
                            word_automaton)
@@ -154,7 +154,7 @@ def test_criterion_07_ranked_implies_synchronous(pumping_grammar):
     for g in grammars:
         for w in derive_bounded(g, 6):
             if w:
-                assert is_synchronous(HWord(w[0].vars, tuple(w))), (g.rules, w)
+                assert is_synchronous(w), (g.rules, w)
 
 
 def test_criterion_08_finite_membership(g1_forall, tile_grammar_cfhg):

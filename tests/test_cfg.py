@@ -6,7 +6,7 @@ import random
 
 from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cfg_intersect_empty,
                            cleanup, cyk_member, derive_bounded, to_cnf)
-from hyperlang.core import HWord, as_word
+from hyperlang.core import as_word
 from hyperlang.nfa import Nfa, word_automaton
 
 from conftest import random_base_grammar
@@ -193,7 +193,7 @@ def test_track_letter_grammar(tile_grammar_cfhg):
         [("b", "b"), ("b", "b"), ("a", "#")],
     )
     cnf = to_cnf(g)
-    assert cyk_member(cnf, HWord(("x1", "x2"), tuple(shortest)))
+    assert cyk_member(cnf, tuple(shortest))
 
 
 def _random_nfa(rng):

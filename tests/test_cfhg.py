@@ -11,8 +11,7 @@ from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup,
 from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
                             diagonal_restriction, finite_member,
                             regular_member)
-from hyperlang.core import (HWord, QuantifierPrefix, as_word, pad_to_sync,
-                            strip_hash, tracks_of)
+from hyperlang.core import QuantifierPrefix, as_word, pad_to_sync, strip_hash
 from hyperlang.errors import EmptyLanguage, Undecidable
 from hyperlang.nfa import (Nfa, pad_anywhere, track_product, with_var,
                            word_automaton)
@@ -393,7 +392,7 @@ def _planted_ranked_grammar(rng, prefix):
         chosen = [rng.choice(words) for _ in range(m)]
         for f in itertools.product(chosen, repeat=len(v) - m):
             if rng.random() < 0.8:
-                rules.add(("V0", pad_to_sync(dict(zip(v, chosen + list(f))), v).letters))
+                rules.add(("V0", pad_to_sync(dict(zip(v, chosen + list(f))), v)))
     return Cfg(frozenset({"V0"}), "V0", frozenset(rules))
 
 
@@ -459,7 +458,7 @@ def test_cyk_route_equals_slow_route():
     cases = []
     for grammar in random_ranked_grammars(10, seed=13):
         derived = {strip_hash(track) for w in derive_bounded(grammar, 4)
-                   for track in tracks_of(HWord(("x1", "x2"), w)).values()}
+                   for track in zip(*(l.symbols for l in w))}
         pool = sorted(derived | set(short))
         for q1, q2 in itertools.product("AE", repeat=2):
             g = Cfhg(frozenset({"a", "b"}),
@@ -515,7 +514,7 @@ def test_sparse_leaf_equals_product_leaf():
         instance = PcpInstance.of(*tiles)
         for g in (pcp_encode_forall(instance), pcp_encode_exists_forall(instance)):
             leaf = cfhg_module._membership_leaf(g, True)
-            derived = [tuple(strip_hash(t) for t in tracks_of(HWord(g.vars, w)).values())
+            derived = [tuple(strip_hash(t) for t in zip(*(l.symbols for l in w)))
                        for w in sorted(derive_bounded(g.underlying, 5), key=len)]
             symbols = sorted(g.symbols)
             noise = [tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))

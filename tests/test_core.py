@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperlang.core import (PAD, QuantifierPrefix, as_word, is_synchronous,
-                            pad_to_sync, render_word, strip_hash, tracks_of)
+                            pad_to_sync, render_word, strip_hash)
 
 from conftest import hword, letter
 
@@ -25,19 +25,13 @@ def test_strip_hash_removes_only_pad(w):
     assert len(strip_hash(w)) <= len(w)
 
 
-def test_tracks_of_round_trip():
-    tracks = {"x": as_word("a#"), "y": as_word("ab")}
-    assert tracks_of(hword(tracks)) == tracks
-    assert tracks_of(hword({"x": (), "y": ()})) == {"x": (), "y": ()}
-
-
 @given(st.dictionaries(st.sampled_from("xyz"), plain_words, min_size=1))
 def test_pad_to_sync_properties(assignment):
     h = pad_to_sync(assignment)
     assert is_synchronous(h)
     longest = max(len(w) for w in assignment.values())
-    assert len(h.letters) == longest
-    recovered = {v: strip_hash(w) for v, w in tracks_of(h).items()}
+    assert len(h) == longest
+    recovered = {v: strip_hash(tuple(l[v] for l in h)) for v in assignment}
     assert recovered == assignment
 
 
@@ -45,13 +39,15 @@ def test_is_synchronous():
     assert is_synchronous(hword({"x": "ab#", "y": "abb"}))
     assert not is_synchronous(hword({"x": "a#b"}))
     assert is_synchronous(hword({"x1": "a##", "x2": "baa"}))
+    assert not is_synchronous(hword({"x": "abb", "y": "a#b"}))
+    assert is_synchronous(())
 
 
 def test_pad_to_sync_examples():
     h = pad_to_sync({"x": as_word("aa"), "y": as_word("abb")})
-    assert tracks_of(h) == {"x": as_word("aa#"), "y": as_word("abb")}
-    assert tracks_of(pad_to_sync({"x": as_word("a")})) == {"x": as_word("a")}
-    assert pad_to_sync({"x": (), "y": ()}).letters == ()
+    assert h == hword({"x": "aa#", "y": "abb"})
+    assert pad_to_sync({"x": as_word("a")}) == hword({"x": "a"})
+    assert pad_to_sync({"x": (), "y": ()}) == ()
 
 
 def test_track_letter_rendering():

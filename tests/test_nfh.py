@@ -7,9 +7,10 @@ import pytest
 
 import hyperlang.core as core_module
 import hyperlang.nfh as nfh_module
-from hyperlang.core import QuantifierPrefix, as_word
+from hyperlang.core import (QuantifierPrefix, as_word, is_synchronous,
+                            pad_to_sync, strip_hash)
 from hyperlang.errors import EmptyLanguage, UniverseTooLarge
-from hyperlang.nfa import Nfa, with_var, word_automaton
+from hyperlang.nfa import Nfa, nfa_language, nfa_member, with_var, word_automaton
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import realize_finite
 
@@ -32,6 +33,14 @@ def test_realize_finite_roundtrip():
     n = realize_finite({"ab", "ba"})
     assert nfh_accepts(n, words("ab", "ba"))
     assert not nfh_accepts(n, words("ab"))
+
+
+def test_pad_is_no_nfh_symbol():
+    """An alphabet holding the pad marker is refused: a word holding it would
+    be read as its own stripped word, and the probe would never list it."""
+    m = realize_finite(["a"], {"a"})
+    with pytest.raises(ValueError, match="pad marker"):
+        Nfh(frozenset({"a", "#"}), m.prefix, m.underlying)
 
 
 def test_empty_language_rejected(fig1_nfh):
@@ -175,3 +184,50 @@ def test_pruned_probe_equals_membership(monkeypatch):
                 elif expected and walked[-1] < len(universe):
                     pruned_and_accepting += 1
     assert pruned_and_accepting > 0
+
+
+def _filtered_assignments(underlying, max_len):
+    """The enumerate-then-filter reading: every accepted letter sequence, kept
+    when each track pads only at its end and its last letter is not all pad."""
+    return {tuple(strip_hash(tuple(l[v] for l in letters)) for v in underlying.vars)
+            for letters in nfa_language(underlying, max_len)
+            if is_synchronous(letters) and not (letters and letters[-1].is_all_pad())}
+
+
+def test_well_padded_walk_and_leaf_match_the_references(monkeypatch):
+    """On random 1-3-track NFAs whose letters include the all-pad one and pads
+    that a later letter of the same track could follow: the well-padded walk
+    equals the enumerate-then-filter reference at max_len 0-3, and the
+    nfh_accepts leaf equals nfa_member on the pad_to_sync letters on every
+    assignment of words of length at most 2."""
+    leaves = []
+
+    def spy(quantifiers, words, leaf, original=nfh_module.evaluate):
+        leaves.append(leaf)
+        return original(quantifiers, words, leaf)
+
+    monkeypatch.setattr(nfh_module, "evaluate", spy)
+    short = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    rng = random.Random(27)
+    filtered_out = 0
+    for k in (1, 2, 3):
+        v = tuple(f"x{i + 1}" for i in range(k))
+        pool = [letter(v, *t) for t in itertools.product("ab#", repeat=k)]
+        for _ in range(12):
+            states = [f"q{i}" for i in range(rng.randint(1, 3))]
+            delta = {(rng.choice(states), rng.choice(pool), rng.choice(states))
+                     for _ in range(rng.randint(2, len(pool) + 4))}
+            accepting = {q for q in states if rng.random() < 0.6}
+            underlying = Nfa({"a", "b", "#"}, states, {states[0]}, accepting, delta, v)
+            for max_len in range(4):
+                expected = _filtered_assignments(underlying, max_len)
+                assert nfh_module.accepted_assignments(underlying, max_len) == expected
+            filtered_out += len(nfa_language(underlying, 3)) > len(expected)
+            n = Nfh(frozenset({"a", "b"}), QuantifierPrefix(tuple(("E", x) for x in v)),
+                    underlying)
+            nfh_accepts(n, [()])
+            leaf = leaves[-1]
+            for assignment in itertools.product(short, repeat=k):
+                padded = pad_to_sync(dict(zip(v, assignment)), v)
+                assert leaf(assignment) == nfa_member(underlying, padded), assignment
+    assert filtered_out > 0

@@ -3,7 +3,7 @@
 import random
 
 from hyperlang.cfg import Cfg, derive_bounded
-from hyperlang.core import HWord, is_synchronous
+from hyperlang.core import is_synchronous
 from hyperlang.ranks import compute_ranks, is_ranked, letter_pads
 
 from conftest import letter, random_ranked_grammars, tile_grammar
@@ -72,8 +72,7 @@ def test_random_ranked_grammars_derive_synchronous_words():
     for g in random_ranked_grammars(20):
         for w in derive_bounded(g, 6):
             if w:
-                h = HWord(w[0].vars, tuple(w))
-                assert is_synchronous(h), (g.rules, w)
+                assert is_synchronous(w), (g.rules, w)
 
 
 def test_rank_violation_reports_positions(pumping_grammar):

@@ -17,11 +17,12 @@ on every realize DFA both ``realize prefix-closed`` routes and ``realize
 regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
 language whose synchronous padding holds a column that no rule has; an NFH
-whose quantifier line comes last, a grammar with a bare terminal, and a
-finite L whose DFA holds a dead region with many simple paths; and usage
-errors on both parse routes (``-h`` raises ``SystemExit``, so it is not
-among them).  Calls run in-process, in a scratch directory, with file names
-relative to it.
+whose quantifier line comes last, one whose automaton pads a track inside
+a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, a grammar
+with a bare terminal, and a finite L whose DFA holds a dead region with
+many simple paths; and usage errors on both parse routes (``-h`` raises
+``SystemExit``, so it is not among them).  Calls run in-process, in a
+scratch directory, with file names relative to it.
 Each call's output is deleted before it runs, unless the call's own files
 provide it: ``finite-over-stale`` writes over a file longer than any output,
 and must leave the bytes that ``finite`` writes.
@@ -133,6 +134,42 @@ accepting: q1
 trans: q0 [x=a] q1
 """
 
+# R = {(a, b), (b, a), (a, ba), (b, aa)} read well padded, so the probe
+# accepts only {a, b}.  Its other paths are badly padded: x pads and then
+# reads b (q2 -> q3), and an all-pad letter stands inside a word (q1 -> q4,
+# then q4 -> q3); a reading that kept them would accept {ab, ba}, {aa, bb}
+# and their unions with {a, b} too.
+MID_PAD_NFH = """\
+quantifiers: A x E y
+type: nfa
+alphabet: a b
+vars: x y
+states: q0 q1 q2 q3 q4
+initial: q0
+accepting: q1 q2 q3
+trans: q0 [x=a,y=b] q1
+trans: q0 [x=b,y=a] q1
+trans: q1 [x=#,y=a] q2
+trans: q2 [x=b,y=#] q3
+trans: q1 [x=#,y=#] q4
+trans: q4 [x=a,y=b] q3
+"""
+
+# R = {(eps, eps, eps), (eps, a, b), (eps, b, a), (a, eps, a)} under
+# E x1 A x2 E x3: the probe accepts {eps} and {eps, a, b}.
+EAE_NFH = """\
+quantifiers: E x1 A x2 E x3
+type: nfa
+alphabet: a b
+vars: x1 x2 x3
+states: p0 p1 p2
+initial: p0
+accepting: p0 p1 p2
+trans: p0 [x1=#,x2=a,x3=b] p1
+trans: p0 [x1=#,x2=b,x3=a] p1
+trans: p0 [x1=a,x2=#,x3=a] p2
+"""
+
 EXISTS_CFHG = """\
 quantifiers: E x
 alphabet: a b
@@ -208,6 +245,8 @@ FIXED_FILES = {
     "fig1-last.nfh": FIG1_NFH.replace("quantifiers: A x E y\n", "")
                      + "quantifiers: A x E y\n",
     "ab.nfh": AB_NFH,
+    "mid-pad.nfh": MID_PAD_NFH,
+    "eae.nfh": EAE_NFH,
     "e.cfhg": EXISTS_CFHG,
     # a bare terminal, which no hypergrammar accepts
     "bare.cfhg": "quantifiers: A x\nstart: V0\nrule: V0 -> [x=a] V0\nrule: V0 -> a\n",
@@ -223,6 +262,9 @@ FIXED_FILES = {
     "ea-member.lang": "bbaabbbaa1323\nccccccccccccc\n",
     "ea-flipped.lang": "bbaabbbab1323\nccccccccccccc\n",
     "eps.lang": "eps\n",
+    "eps-a-b.lang": "eps\na\nb\n",
+    # accepted only if the badly padded paths of mid-pad.nfh were read
+    "ab-ba.lang": "ab\nba\n",
     # (ab, ab, ab) pads to the columns (a, a, a) and (b, b, b), which no rule
     # of ea.cfhg has: every letter gives x2 a c
     "ab.lang": "ab\n",
@@ -279,6 +321,10 @@ FIXED_CALLS = [
     ("fig1-member", ["nfh", "member", "fig1.nfh", "a.lang"]),
     ("fig1-quantifiers-last", ["nfh", "member", "fig1-last.nfh", "a.lang"]),
     ("fig1-probe", ["nfh", "probe", "fig1.nfh", "--max-len", "2"]),
+    ("mid-pad-probe", ["nfh", "probe", "mid-pad.nfh", "--max-len", "2"]),
+    ("mid-pad-member", ["nfh", "member", "mid-pad.nfh", "ab-ba.lang"]),
+    ("eae-probe", ["nfh", "probe", "eae.nfh", "--max-len", "2"]),
+    ("eae-member", ["nfh", "member", "eae.nfh", "eps-a-b.lang"]),
     ("probe-negative", ["nfh", "probe", "fig1.nfh", "--max-len", "-1"]),
     ("bounded", ["cfhg", "empty", "aa.cfhg", "--bounded", "1"]),
     ("bounded-negative", ["cfhg", "empty", "aa.cfhg", "--bounded", "-1"]),
