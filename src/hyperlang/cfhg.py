@@ -19,7 +19,8 @@ built.
 
 The undecidable routes get a bounded witness search.  It enumerates subsets
 of Σ^{≤N}, except on a ranked ∃∃⁺∀⁺ grammar (the ∃∃∀ PCP gadget), where it
-tests the ∃ tuples that a restriction of the grammar derives.
+tests the ∃ tuples that a restriction of the grammar derives; on an
+unranked grammar it looks each assignment up in ``derived_assignments``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import add
 from typing import Callable
 
-from .cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup, cyk_member,
-                  derive_bounded, derives_span)
+from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cleanup,
+                  cyk_member, derive_bounded, derives_span)
 from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
                    evaluate, finite_language, nonempty_subsets)
-from .errors import Undecidable
+from .errors import CapExceeded, Undecidable
 from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
 
@@ -109,12 +111,22 @@ def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple
     return [(p, p + step) for p in starts]
 
 
+def _without_all_pad(g: Cfhg, grammar: Cfg) -> Cfg:
+    """``grammar`` with g's all-pad letter erased: if ranked, its synchronous paddings."""
+    pad = TrackLetter(g.vars, (PAD,) * len(g.vars))
+    if pad not in grammar.terminals():
+        return grammar
+    return Cfg(grammar.variables, grammar.start,
+               {(v, tuple(t for t in body if t != pad)) for v, body in grammar.rules})
+
+
 def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], bool]:
     """The memoised leaf of the quantifier tree: is some #-padding of the
     assignment derived?  A ranked leaf maps each column of the synchronous
     padding to the grammar's letter with those symbols, or to None (False)."""
     grammar = g.underlying
     if not force_slow and g.ranked():
+        grammar = _without_all_pad(g, grammar)
         letters = {t.symbols: t for t in grammar.terminals()}
 
         def leaf(assignment: tuple[Word, ...]) -> bool:
@@ -132,15 +144,8 @@ def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], 
 
 def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
     """Is the finite language a member of the grammar's hyperlanguage?
-
-    Walks the quantifier decision tree over word assignments.  A leaf asks
-    whether some #-padding of the assignment is derived: for ranked grammars
-    the synchronous padding is the only one, so the span fixpoint on the
-    synchronous padding read as a chain suffices, and a padding with a
-    column that is no letter of the grammar is rejected before it; in
-    general (and with ``force_slow``) it runs over the pad-anywhere readings
-    of the words.
-    """
+    Walks the quantifier tree over word assignments; a leaf asks whether
+    some #-padding of the assignment is derived (module docstring)."""
     words = finite_language(language, g.symbols)
     return evaluate(g.prefix.quantifiers, words, _membership_leaf(g, force_slow))
 
@@ -154,9 +159,9 @@ def _restriction(g: Cfhg, keep: Callable[[tuple[str, ...]], bool]) -> Cfg:
 
 
 def diagonal_restriction(g: Cfhg) -> Cfg:
-    """Drop every rule whose letters assign the variables different symbols
-    (or a pad); what remains derives exactly the all-identical assignments."""
-    return _restriction(g, lambda s: PAD not in s and len(set(s)) == 1)
+    """Keep the rules whose letters are all one symbol or all pad; what
+    remains derives exactly the all-identical assignments."""
+    return _restriction(g, lambda s: len(set(s)) == 1)
 
 
 def cfhg_empty(g: Cfhg) -> bool:
@@ -200,6 +205,30 @@ def regular_member(g: Cfhg, a: Nfa) -> bool:
     return not cfg_intersect_empty(g.underlying, joint)
 
 
+def derived_assignments(g: Cfhg, n: int, sets: dict | None = None) -> dict[str, set]:
+    """Per variable, the tuples of stripped tracks, at most ``n`` symbols
+    each, that it derives: the least fixpoint of componentwise concatenation
+    over the rules, extending ``sets`` of a smaller bound in place.  Past
+    ``cfg.DERIVATION_CAP`` tuples of a variable, ``CapExceeded``."""
+    grammar = g.underlying
+    sets = sets or {v: set() for v in grammar.variables}
+    pieces = {t: {tuple(() if s == PAD else (s,) for s in t.symbols)}
+              for t in grammar.terminals()}
+    size = -1
+    while size < (size := sum(map(len, sets.values()))):  # the sets only grow
+        for v, body in grammar.rules:
+            combos = {((),) * len(g.vars)}
+            for token in body:
+                parts = sets[token] if grammar.is_variable(token) else pieces[token]
+                combos = {t for c in combos for p in parts
+                          for t in (tuple(map(add, c, p)),)
+                          if max(map(len, t), default=0) <= n}
+            sets[v] |= combos
+            if len(sets[v]) > DERIVATION_CAP:
+                raise CapExceeded(f"witness-search: over {DERIVATION_CAP} derived tuples")
+    return sets
+
+
 def bounded_nonempty_witness(g: Cfhg, max_len: int):
     """Search for a member language over Σ^{≤max_len}; None if none is found.
 
@@ -209,17 +238,20 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
     its own ∃ choices x̄: set(x̄) is a member within it (each ∀ then ranges
     over fewer words; for m = 0 its lowest word is), and no larger in mask
     order.  So only the subsets of at most max(1, m) words are tried; a ∀
-    before an ∃ tries every subset.  One memoised leaf serves them all, and
-    the universe may hold at most ``core.UNIVERSE_CAP`` words.
+    before an ∃ tries every subset; the universe holds at most
+    ``core.UNIVERSE_CAP`` words.  On an unranked grammar the leaf is a
+    lookup in ``derived_assignments`` up to the subset's longest word,
+    which mask order never lowers (the universe is shortlex); past its cap,
+    and on a ranked grammar, one memoised leaf serves them all.
 
     A ranked ∃∃⁺∀⁺ grammar is searched without the universe.  With every ∀
     variable bound to x₁, the synchronous padding of (x̄, x₁, …, x₁) is
-    derived (a ranked leaf runs the span fixpoint on the synchronous padding
-    read as a chain), and each of its letters gives every ∀ track the x₁
-    track's symbol.  So the grammar restricted to such letters derives it
-    too: the sets set(x̄) read off the restriction's tuples up to
-    ``max_len`` hold the first member, and they are tested in mask order.
-    More than ``cfg.DERIVATION_CAP`` derived words raise ``CapExceeded``.
+    derived, up to trailing all-pad letters, and each of its letters gives
+    every ∀ track the x₁ track's symbol.  So the grammar restricted to such
+    letters, its all-pad letter erased, derives it too: the sets set(x̄)
+    read off the restriction's tuples up to ``max_len`` hold the first
+    member, and they are tested in mask order.  More than
+    ``cfg.DERIVATION_CAP`` derived words raise ``CapExceeded``.
     """
     if max_len < 0:
         raise ValueError(f"the length bound must be at least 0, not {max_len}")
@@ -227,10 +259,17 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
     if route == "emptinessexistsforall" and g.ranked():
         return _guided_witness(g, max_len)
     universe = bounded_universe(g.symbols, max_len, "witness-search")
-    leaf = _membership_leaf(g, False)
+    leaf = _membership_leaf(g, False) if g.ranked() else None
+    sets, bound = None, max_len if leaf else -1  # unranked: tuples derived up to bound
     quantifiers = g.prefix.quantifiers
     most = None if route == "forallexists" else max(1, quantifiers.count("E"))
     for words in nonempty_subsets(universe, most):
+        if len(words[-1]) > bound:  # words[-1] is the longest
+            try:
+                sets = derived_assignments(g, bound := len(words[-1]), sets)
+                leaf = sets[g.underlying.start].__contains__
+            except CapExceeded:  # too many tuples: the fixpoint per assignment
+                leaf, bound = _membership_leaf(g, False), max_len
         if evaluate(quantifiers, words, leaf):
             return frozenset(words)
     return None
@@ -242,7 +281,8 @@ def _guided_witness(g: Cfhg, max_len: int):
     2^index bits are never built."""
     quantifiers = g.prefix.quantifiers
     m = quantifiers.count("E")
-    restricted = _restriction(g, lambda s: all(c == s[0] for c in s[m:]))
+    restricted = _without_all_pad(
+        g, _restriction(g, lambda s: all(c == s[0] for c in s[m:])))
     digit = {s: i + 1 for i, s in enumerate(sorted(g.symbols))}
 
     def index(w: Word) -> int:

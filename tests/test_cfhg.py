@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import hyperlang.cfg as cfg_module
 import hyperlang.cfhg as cfhg_module
 from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup,
                            cyk_member, derive_bounded, to_cnf)
@@ -12,7 +13,7 @@ from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
                             diagonal_restriction, finite_member,
                             regular_member)
 from hyperlang.core import QuantifierPrefix, as_word, pad_to_sync, strip_hash
-from hyperlang.errors import EmptyLanguage, Undecidable
+from hyperlang.errors import CapExceeded, EmptyLanguage, Undecidable
 from hyperlang.nfa import (Nfa, pad_anywhere, track_product, with_var,
                            word_automaton)
 from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
@@ -283,16 +284,42 @@ def test_router_agrees_with_search_and_membership():
     assert found and diagonal_members
 
 
-def _reference_witness(g, max_len):
+def _reference_witness(g, max_len, most=None, force_slow=False):
     """The search as first defined: finite_member on every non-empty subset of
-    the shortest-first, sorted-symbol universe, in bit-mask order."""
+    the shortest-first, sorted-symbol universe, in bit-mask order; with
+    ``most``, only on the subsets of at most that many words."""
     universe = [w for n in range(max_len + 1)
                 for w in itertools.product(sorted(g.symbols), repeat=n)]
     for mask in range(1, 1 << len(universe)):
+        if most is not None and mask.bit_count() > most:
+            continue
         language = [w for i, w in enumerate(universe) if mask >> i & 1]
-        if finite_member(g, language):
+        if finite_member(g, language, force_slow):
             return frozenset(language)
     return None
+
+
+def _padded_grammar(rng, v, symbols="ab"):
+    """A random grammar over every letter of ``v``, the all-pad one
+    included, with ε rules and a variable, V2, that has no rule."""
+    pool = [letter(v, *c) for c in itertools.product(symbols + "#", repeat=len(v))]
+    variables = ["V0", "V1", "V2"]
+    rules = {("V1", (letter(v, *"#" * len(v)),))}
+    for head in ("V0", "V1"):
+        for _ in range(rng.randint(1, 3)):
+            rules.add((head, tuple(rng.choice(pool + variables)
+                                   for _ in range(rng.randint(0, 3)))))
+        rules.add((head, (rng.choice(pool),)))
+    return Cfg(frozenset(variables), "V0", frozenset(rules))
+
+
+def _unranked_grammars(rng, v, count, symbols="ab"):
+    grammars = []
+    while len(grammars) < count:
+        g = _padded_grammar(rng, v, symbols)
+        if not is_ranked(g).ranked:
+            grammars.append(g)
+    return grammars
 
 
 def _forall_letter_pairs_grammar():
@@ -304,9 +331,18 @@ def _forall_letter_pairs_grammar():
                 Cfg(frozenset({"V0"}), "V0", frozenset(rules)))
 
 
-def test_bounded_witness_equals_reference(robot_diagonal, tile_grammar_cfhg,
-                                          pcp_fixture, pumping_grammar,
-                                          mixed_letter_grammar):
+def test_bounded_witness_equals_reference(monkeypatch, robot_diagonal,
+                                          tile_grammar_cfhg, pcp_fixture,
+                                          pumping_grammar, mixed_letter_grammar):
+    """The search against the reference on fixtures, and on generated
+    unranked grammars under prefixes of two and three variables at bounds 1
+    to 3, where it looks each assignment up among the derived tuples and
+    never runs the span fixpoint.  At bound 3 the reference tries only the
+    languages of at most max(1, m) words under ∃^m∀*, whose first member is
+    the first of all (checked at bound 2 on generated grammars below), and
+    a ∀∃ prefix runs on a one-symbol alphabet.  The cases include a miss at
+    bound 3 and witnesses shorter than the bound, so the derivation grows
+    with the candidates and stops early."""
     # the ∃ cases with several member languages pin the mask order; the ∀*
     # cases try single words only (m = 0), and their first member is not
     # universe[0] or does not exist
@@ -316,6 +352,133 @@ def test_bounded_witness_equals_reference(robot_diagonal, tile_grammar_cfhg,
              (_forall_letter_pairs_grammar(), 2), (mixed_letter_grammar, 2)]
     for g, max_len in cases:
         assert bounded_nonempty_witness(g, max_len) == _reference_witness(g, max_len)
+
+    fixpoints = []
+    for module in (cfhg_module, cfg_module):
+        def spy(*args, original=module.derives_span):
+            fixpoints.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, "derives_span", spy)
+    rng = random.Random(29)
+    kinds = dict.fromkeys(("miss at 3", "shorter than the bound"), 0)
+    for quantifiers, symbols in (("AA", "ab"), ("EA", "ab"), ("AE", "ab"),
+                                 ("AE", "a"), ("EAA", "ab"), ("AEE", "a")):
+        v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
+        prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
+        most = None if "AE" in quantifiers else max(1, quantifiers.count("E"))
+        for grammar in _unranked_grammars(rng, v, 3, symbols):
+            g = Cfhg(frozenset(symbols), prefix, grammar)
+            for max_len in (1, 2, 3) if most or len(symbols) == 1 else (1, 2):
+                fixpoints.clear()
+                got = bounded_nonempty_witness(g, max_len)
+                assert fixpoints == [], (quantifiers, grammar.rules)
+                assert got == _reference_witness(g, max_len, most), \
+                    (quantifiers, max_len, grammar.rules)
+                kinds["miss at 3"] += got is None and max_len == 3
+                kinds["shorter than the bound"] += (got is not None
+                                                    and max(map(len, got)) < max_len)
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_derived_assignments_equal_sparse_leaf():
+    """The derived tuples at bound 2 against the pad-anywhere leaf, on every
+    assignment over Σ^{≤2}, for generated unranked grammars of one to three
+    tracks with ε rules, all-pad letters and a variable that has no rule;
+    the tuples grown from bound 1 equal those derived at bound 2 at once."""
+    rng = random.Random(37)
+    short = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    verdicts = set()
+    for k, count in ((1, 6), (2, 5), (3, 2)):
+        v = tuple(f"x{i + 1}" for i in range(k))
+        prefix = QuantifierPrefix(tuple(zip("A" * k, v)))
+        for grammar in _unranked_grammars(rng, v, count):
+            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+            derive = cfhg_module.derived_assignments
+            derived = derive(g, 2)
+            assert derive(g, 2, derive(g, 1)) == derived
+            leaf = cfhg_module._membership_leaf(g, True)
+            for assignment in itertools.product(short, repeat=k):
+                got = assignment in derived[grammar.start]
+                assert got == leaf(assignment), (grammar.rules, assignment)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_ranked_shortcuts_read_a_trailing_all_pad_block():
+    """A ranked grammar derives all-pad letters only as a trailing block,
+    which pads every track alike: S -> [a,a][#,#] under ∀x∀y derives the
+    tracks (a, a), so {a} is a member, and the guided ∃∃∀ search finds it
+    at bound 1 on three tracks.  On generated ranked grammars that
+    hold an all-pad letter, under ∀∀, ∃∀, ∃∃∀ and ∀∀∀, the ranked leaf
+    agrees with the pad-anywhere leaf, the search with the reference on the
+    pad-anywhere leaf, and ``cfhg_empty`` with the search and the diagonal."""
+    v = ("x", "y")
+    g = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("A x A y"),
+             Cfg({"S"}, "S", {("S", (letter(v, "a", "a"), letter(v, "#", "#")))}))
+    assert g.ranked() and not cfhg_empty(g)
+    assert finite_member(g, [("a",)]) and finite_member(g, [("a",)], force_slow=True)
+    assert bounded_nonempty_witness(g, 1) == {("a",)}
+    # the guided ∃∃∀ search bounds the tracks, not the trailing block
+    v = ("x", "y", "z")
+    g = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("E x E y A z"),
+             Cfg({"S"}, "S", {("S", (letter(v, *"aaa"), letter(v, *"###")))}))
+    assert g.ranked() and bounded_nonempty_witness(g, 1) == {("a",)}
+    rng = random.Random(41)
+    short = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    members = 0
+    for quantifiers in ("AA", "EA", "EEA", "AAA"):
+        v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
+        prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
+        pad = letter(v, *"#" * len(v))
+        grammars = []
+        while len(grammars) < 5:
+            grammar = cleanup(_padded_grammar(rng, v))
+            if pad in grammar.terminals() and is_ranked(grammar).ranked:
+                grammars.append(grammar)
+        for grammar in grammars:
+            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+            for _ in range(4):
+                language = rng.sample(short, rng.randint(1, 2))
+                assert finite_member(g, language) == \
+                    finite_member(g, language, force_slow=True), (grammar.rules, language)
+            witness = bounded_nonempty_witness(g, 2)
+            most = max(1, quantifiers.count("E"))
+            assert witness == _reference_witness(g, 2, most, True), grammar.rules
+            if quantifiers == "EEA":
+                continue
+            empty = cfhg_empty(g)
+            assert witness is None or not empty, grammar.rules
+            if not empty:
+                diagonal = diagonal_restriction(g)
+                word = strip_hash(t.symbols[0] for t in _shortest_word(diagonal))
+                assert finite_member(g, [word], force_slow=True), grammar.rules
+                members += 1
+    assert members
+
+
+def test_unranked_witness_search_past_the_derivation_cap(monkeypatch):
+    """Past ``cfg.DERIVATION_CAP`` tuples of a variable the derivation raises
+    ``CapExceeded`` naming the witness search, and the search gives the same
+    answer through the span fixpoint on each assignment."""
+    v = ("x1", "x2")
+    # x1 starts with a and x2 with b: no (w, w) is derived, so ∀∀ has no member
+    rules = {("V0", (letter(v, "a", "b"), "V1")), ("V1", ())}
+    rules |= {("V1", (t, "V1")) for t in track_letters(v)}
+    g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 A x2"),
+             Cfg({"V0", "V1"}, "V0", rules))
+    assert not g.ranked()
+    assert bounded_nonempty_witness(g, 2) is None
+    monkeypatch.setattr(cfhg_module, "DERIVATION_CAP", 10)
+    with pytest.raises(CapExceeded, match="witness-search"):
+        cfhg_module.derived_assignments(g, 2)
+    fixpoints = []
+
+    def spy(*args, original=cfhg_module.derives_span):
+        fixpoints.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cfhg_module, "derives_span", spy)
+    assert bounded_nonempty_witness(g, 2) is None and fixpoints
 
 
 def _letter_set_grammar(rng, v):

@@ -16,7 +16,9 @@ empty``, ``ranks`` and ``is-ranked``; on every workload NFH ``nfh probe``;
 on every realize DFA both ``realize prefix-closed`` routes and ``realize
 regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
-language whose synchronous padding holds a column that no rule has; an NFH
+language whose synchronous padding holds a column that no rule has; the
+witness search on unranked ∀∀ (a miss) and ∀∃ grammars, and a ranked
+grammar with a trailing all-pad letter; an NFH
 whose quantifier line comes last, one whose automaton pads a track inside
 a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, a grammar
 with a bare terminal, and a finite L whose DFA holds a dead region with
@@ -254,6 +256,18 @@ FIXED_FILES = {
     "ea.cfhg": ea_cfhg_text(CRITERION9_TILES),
     # solvable (1, 3), but its derivations up to length 30 exceed the cap
     "ea-cap.cfhg": ea_cfhg_text((("ab", "a"), ("b", "bb"), ("a", "ba"))),
+    # unranked: x starts with a and y with b, so no (w, w) is derived and
+    # ∀x∀y has no member
+    "aa-unranked-miss.cfhg": "quantifiers: A x A y\nstart: S\n"
+                             "rule: S -> [x=a,y=b] T\nrule: T -> eps\n"
+                             "rule: T -> [x=a,y=#] T\nrule: T -> [x=#,y=b] T\n",
+    # unranked, with an all-pad letter inside a word: its first member is {a, b}
+    "ae-unranked.cfhg": "quantifiers: A x E y\nstart: S\nrule: S -> [x=a,y=b]\n"
+                        "rule: S -> [x=b,y=#] [x=#,y=#] [x=#,y=a]\n"
+                        "rule: S -> [x=b,y=b] [x=b,y=#] S\n",
+    # ranked, with a trailing all-pad letter: it derives the tracks (a, a)
+    "trailing-pad.cfhg": "quantifiers: A x A y\nstart: S\n"
+                         "rule: S -> [x=a,y=a] [x=#,y=#]\n",
     "ab.nfa": A_STAR_B_NFA,
     "tiles.txt": "".join(f"{a} | {b}\n" for a, b in CRITERION9_TILES),
     "words.lang": "eps\na\nab\n",
@@ -262,6 +276,7 @@ FIXED_FILES = {
     "ea-member.lang": "bbaabbbaa1323\nccccccccccccc\n",
     "ea-flipped.lang": "bbaabbbab1323\nccccccccccccc\n",
     "eps.lang": "eps\n",
+    "one-a.lang": "a\n",
     "eps-a-b.lang": "eps\na\nb\n",
     # accepted only if the badly padded paths of mid-pad.nfh were read
     "ab-ba.lang": "ab\nba\n",
@@ -330,6 +345,10 @@ FIXED_CALLS = [
     ("bounded-negative", ["cfhg", "empty", "aa.cfhg", "--bounded", "-1"]),
     ("ea-criterion9-bounded", ["cfhg", "empty", "ea.cfhg", "--bounded", "13"]),
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
+    ("aa-unranked-miss", ["cfhg", "empty", "aa-unranked-miss.cfhg", "--bounded", "3"]),
+    ("ae-unranked", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "2"]),
+    ("trailing-pad-empty", ["cfhg", "empty", "trailing-pad.cfhg"]),
+    ("trailing-pad-member", ["cfhg", "member-finite", "trailing-pad.cfhg", "one-a.lang"]),
     ("ea-criterion9-member", ["cfhg", "member-finite", "ea.cfhg", "ea-member.lang"]),
     ("ea-criterion9-flipped", ["cfhg", "member-finite", "ea.cfhg", "ea-flipped.lang"]),
     ("ea-member-eps", ["cfhg", "member-finite", "ea.cfhg", "eps.lang"]),
