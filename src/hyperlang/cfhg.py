@@ -209,23 +209,33 @@ def derived_assignments(g: Cfhg, n: int, sets: dict | None = None) -> dict[str, 
     """Per variable, the tuples of stripped tracks, at most ``n`` symbols
     each, that it derives: the least fixpoint of componentwise concatenation
     over the rules, extending ``sets`` of a smaller bound in place.  Past
-    ``cfg.DERIVATION_CAP`` tuples of a variable, ``CapExceeded``."""
+    ``cfg.DERIVATION_CAP`` tuples of a variable, ``CapExceeded``.  Semi-naive
+    (Bancilhon & Ramakrishnan 1986): after a pass over whole sets, a rule is
+    joined at each variable with new tuples, with whole sets elsewhere."""
     grammar = g.underlying
     sets = sets or {v: set() for v in grammar.variables}
     pieces = {t: {tuple(() if s == PAD else (s,) for s in t.symbols)}
               for t in grammar.terminals()}
-    size = -1
-    while size < (size := sum(map(len, sets.values()))):  # the sets only grow
+    delta = None  # None: the first pass joins every rule over whole sets
+    while delta is None or any(delta.values()):
+        new: dict[str, set] = {v: set() for v in sets}
         for v, body in grammar.rules:
-            combos = {((),) * len(g.vars)}
-            for token in body:
-                parts = sets[token] if grammar.is_variable(token) else pieces[token]
-                combos = {t for c in combos for p in parts
-                          for t in (tuple(map(add, c, p)),)
-                          if max(map(len, t), default=0) <= n}
-            sets[v] |= combos
-            if len(sets[v]) > DERIVATION_CAP:
-                raise CapExceeded(f"witness-search: over {DERIVATION_CAP} derived tuples")
+            for i in ([None] if delta is None else
+                      [i for i, t in enumerate(body) if grammar.is_variable(t) and delta[t]]):
+                combos = {((),) * len(g.vars)}
+                for j, token in enumerate(body):
+                    parts = ((delta if j == i else sets)[token]
+                             if grammar.is_variable(token) else pieces[token])
+                    combos = {t for c in combos for p in parts
+                              for t in (tuple(map(add, c, p)),)
+                              if max(map(len, t), default=0) <= n}
+                new[v] |= combos - sets[v]
+                if len(sets[v]) + len(new[v]) > DERIVATION_CAP:
+                    raise CapExceeded(
+                        f"witness-search: over {DERIVATION_CAP} derived tuples")
+        for v, tuples in new.items():
+            sets[v] |= tuples
+        delta = new
     return sets
 
 

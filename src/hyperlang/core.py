@@ -39,9 +39,11 @@ def as_word(w: str | Sequence[str]) -> Word:
 
 
 def render_word(w: Word) -> str:
+    """``eps``, the symbols joined, or spaced when one has several characters
+    or the joined text would read ``eps``."""
     if not w:
         return "eps"
-    if all(len(s) == 1 for s in w):
+    if all(len(s) == 1 for s in w) and "".join(w) != "eps":
         return "".join(w)
     return " ".join(w)
 
@@ -163,14 +165,17 @@ def evaluate(quantifiers: Sequence[str], words: Sequence[Word],
              leaf: Callable[[tuple[Word, ...]], bool]) -> bool:
     """Decide the quantifier tree: 'E' binds its variable to some word, 'A' to
     every word, and ``leaf`` decides each full assignment."""
+    return _walk(quantifiers, words, leaf, ())
 
-    def walk(bound: tuple[Word, ...]) -> bool:
-        if len(bound) == len(quantifiers):
-            return leaf(bound)
-        branches = (walk(bound + (w,)) for w in words)
-        return any(branches) if quantifiers[len(bound)] == "E" else all(branches)
 
-    return walk(())
+def _walk(quantifiers: Sequence[str], words: Sequence[Word],
+          leaf: Callable[[tuple[Word, ...]], bool], bound: tuple[Word, ...]) -> bool:
+    """``evaluate`` below the ``bound`` words.  Not a closure calling itself:
+    that is a reference cycle, and the leaf would wait for the collector."""
+    if len(bound) == len(quantifiers):
+        return leaf(bound)
+    branches = (_walk(quantifiers, words, leaf, bound + (w,)) for w in words)
+    return any(branches) if quantifiers[len(bound)] == "E" else all(branches)
 
 
 def bounded_universe(symbols: Iterable[str], max_len: int, stage: str) -> list[Word]:

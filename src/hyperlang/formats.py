@@ -261,7 +261,17 @@ def parse_language(text: str) -> list[Word]:
 
 
 def render_language(words) -> str:
-    return "\n".join(render_word(w) for w in sorted(words)) + "\n"
+    """The words one to a line, sorted and without repeats, as
+    ``parse_language`` reads them back.  A word that no line carries (one
+    symbol of several characters, a space, ``#``) raises ``ValueError``."""
+    lines = []
+    for w in sorted(set(map(as_word, words))):
+        line = render_word(w)
+        if (_lines(line) != [line] or PAD in line
+                or (() if line == "eps" else _parse_word(line)) != w):
+            raise ValueError(f"no line of a language file carries the word {w!r}")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def parse_pcp(text: str) -> PcpInstance:

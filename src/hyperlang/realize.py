@@ -336,15 +336,13 @@ def _simple_paths(a: Dfa) -> list[Word]:
     ``PATH_CAP`` words."""
     out: list[Word] = []
     moves = a.moves_from()
-
-    def walk(q, word: Word, visited: frozenset):
+    stack = [(a.start, (), frozenset({a.start}))]  # a stack, not a closure calling itself
+    while stack:
+        q, word, visited = stack.pop()
         if q in a.accepting:
             out.append(word)
-        for s, p in sorted(moves.get(q, []), key=repr):
-            if p not in visited:
-                walk(p, word + (s,), visited | {p})
-
-    walk(a.start, (), frozenset({a.start}))
+        stack.extend((p, word + (s,), visited | {p})
+                     for s, p in moves.get(q, ()) if p not in visited)
     words = sorted(set(out))
     if not words:
         raise EmptyLanguage("the language is empty")
@@ -354,17 +352,20 @@ def _simple_paths(a: Dfa) -> list[Word]:
 
 
 def _simple_cycles(a: Dfa) -> list[tuple[object, Word]]:
-    """(state q, word c) pairs where c is read along a simple cycle at q."""
+    """(state q, word c) pairs where c is read along a simple cycle at q,
+    in depth-first order over the moves sorted by ``repr``."""
     out = []
     moves = a.moves_from()
     for q in sorted(a.states, key=repr):
-        def walk(cur, word: Word, visited: frozenset):
-            for s, p in sorted(moves.get(cur, []), key=repr):
-                if p == q:
-                    out.append((q, word + (s,)))
-                elif p not in visited and p != q:
-                    walk(p, word + (s,), visited | {p})
-        walk(q, (), frozenset({q}))
+        stack = [(q, (), frozenset({q}))]
+        while stack:
+            cur, word, visited = stack.pop()
+            if cur == q and word:  # back at q
+                out.append((q, word))
+                continue
+            stack.extend((p, word + (s,), visited | {p}) for s, p in
+                         reversed(sorted(moves.get(cur, ()), key=repr))
+                         if p == q or p not in visited)
     return out
 
 

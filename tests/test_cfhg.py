@@ -299,24 +299,26 @@ def _reference_witness(g, max_len, most=None, force_slow=False):
     return None
 
 
-def _padded_grammar(rng, v, symbols="ab"):
+def _padded_grammar(rng, v, symbols="ab", recursive=False):
     """A random grammar over every letter of ``v``, the all-pad one
-    included, with ε rules and a variable, V2, that has no rule."""
+    included, with ε rules and a variable, V2, that has no rule; if
+    ``recursive``, half of its body tokens are variables."""
     pool = [letter(v, *c) for c in itertools.product(symbols + "#", repeat=len(v))]
     variables = ["V0", "V1", "V2"]
     rules = {("V1", (letter(v, *"#" * len(v)),))}
     for head in ("V0", "V1"):
         for _ in range(rng.randint(1, 3)):
-            rules.add((head, tuple(rng.choice(pool + variables)
+            rules.add((head, tuple(rng.choice(variables if recursive and rng.random() < 0.5
+                                              else pool + variables)
                                    for _ in range(rng.randint(0, 3)))))
         rules.add((head, (rng.choice(pool),)))
     return Cfg(frozenset(variables), "V0", frozenset(rules))
 
 
-def _unranked_grammars(rng, v, count, symbols="ab"):
+def _unranked_grammars(rng, v, count, symbols="ab", recursive=False):
     grammars = []
     while len(grammars) < count:
-        g = _padded_grammar(rng, v, symbols)
+        g = _padded_grammar(rng, v, symbols, recursive)
         if not is_ranked(g).ranked:
             grammars.append(g)
     return grammars
@@ -402,6 +404,66 @@ def test_derived_assignments_equal_sparse_leaf():
                 assert got == leaf(assignment), (grammar.rules, assignment)
                 verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _naive_derived_assignments(g, n, sets=None):
+    """The derivation as first written: every rule joined over whole sets,
+    in place, until a pass adds nothing."""
+    grammar = g.underlying
+    sets = sets or {v: set() for v in grammar.variables}
+    pieces = {t: {tuple(() if s == "#" else (s,) for s in t.symbols)}
+              for t in grammar.terminals()}
+    size = -1
+    while size < (size := sum(map(len, sets.values()))):
+        for v, body in grammar.rules:
+            combos = {((),) * len(g.vars)}
+            for token in body:
+                parts = sets[token] if grammar.is_variable(token) else pieces[token]
+                combos = {t for c in combos for p in parts
+                          for t in (tuple(a + b for a, b in zip(c, p)),)
+                          if max(map(len, t), default=0) <= n}
+            sets[v] |= combos
+            if len(sets[v]) > cfhg_module.DERIVATION_CAP:
+                raise CapExceeded(
+                    f"witness-search: over {cfhg_module.DERIVATION_CAP} derived tuples")
+    return sets
+
+
+def _outcome(derive, *args):
+    try:
+        return derive(*args)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def test_semi_naive_derivation_equals_naive(monkeypatch):
+    """The semi-naive derivation against the naive fixpoint on generated
+    unranked grammars of one to four tracks, with ε bodies and all-pad
+    letters: at bounds 0-3 derived at once, grown one bound at a time, and,
+    under a low cap, raising the same ``CapExceeded`` or none."""
+    rng = random.Random(43)
+    derive = cfhg_module.derived_assignments
+    grammars = []
+    for k, count in ((1, 6), (2, 6), (3, 4), (4, 3)):
+        v = tuple(f"x{i + 1}" for i in range(k))
+        prefix = QuantifierPrefix(tuple(zip("A" * k, v)))
+        grammars += [Cfhg(frozenset({"a", "b"}), prefix, grammar)
+                     for grammar in _unranked_grammars(rng, v, count)
+                     + _unranked_grammars(rng, v, count, recursive=True)]
+    for g in grammars:
+        grown = None
+        for n in range(4):
+            expected = _naive_derived_assignments(g, n)
+            assert derive(g, n) == expected, (n, g.underlying.rules)
+            grown = derive(g, n, grown)
+            assert grown == expected, (n, g.underlying.rules)
+    monkeypatch.setattr(cfhg_module, "DERIVATION_CAP", 6)
+    refused = set()
+    for g in grammars:
+        got = _outcome(derive, g, 3)
+        assert got == _outcome(_naive_derived_assignments, g, 3), g.underlying.rules
+        refused.add(isinstance(got, str))
+    assert refused == {True, False}
 
 
 def test_ranked_shortcuts_read_a_trailing_all_pad_block():

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every verb and every verdict path."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import hyperlang
+import hyperlang.cfhg as cfhg_module
 import hyperlang.cli as cli
 import hyperlang.ranks as ranks_module
 from hyperlang.cfhg import finite_member
@@ -16,7 +18,7 @@ from hyperlang.errors import CapExceeded, UnknownLetter
 from hyperlang.formats import parse_cfhg, parse_nfa, parse_nfh, render_nfh
 from hyperlang.nfh import nfh_accepts
 from hyperlang.realize import (realize_finite, realize_regular,
-                               realize_shortlex)
+                               realize_shortlex, regular_relation)
 
 from conftest import words
 
@@ -780,3 +782,73 @@ def test_cli_calls_share_no_state(files, capsys):
         assert got == fresh[tuple(argv)], argv
     for name, text in written.items():
         assert (tmp / name).read_text() == text, name
+
+
+# unranked: ∀∀ finds no member at bound 2, ∀∃ finds {a, b}
+AA_UNRANKED = ("quantifiers: A x A y\nstart: S\nrule: S -> [x=a,y=b] T\n"
+               "rule: T -> eps\nrule: T -> [x=a,y=#] T\nrule: T -> [x=#,y=b] T\n")
+AE_UNRANKED = ("quantifiers: A x E y\nstart: S\nrule: S -> [x=a,y=b]\n"
+               "rule: S -> [x=b,y=#] [x=#,y=#] [x=#,y=a]\n"
+               "rule: S -> [x=b,y=b] [x=b,y=#] S\n")
+
+
+def test_queries_leave_nothing_for_the_cyclic_collector(files, capsys, monkeypatch):
+    """Every verb and route frees what it built by reference counting: with
+    the collector off, ``gc.collect()`` finds nothing unreachable after each
+    call, a refusal, an error or an undecidable verdict included."""
+    write, tmp = files
+    tiles, out = write("t.txt", TILES), ["-o", str(tmp / "out")]
+    forall, ea = str(tmp / "aa.cfhg"), str(tmp / "ea.cfhg")
+    run(["pcp", "encode-forall", tiles, "-o", forall])
+    run(["pcp", "encode-ea", tiles, "-o", ea])
+    nfh, robot = write("f.nfh", FIG1), write("r.cfhg", ROBOT)
+    dfa, a_plus = write("d.dfa", PREFIX_CLOSED_DFA), write("a.dfa", A_PLUS_DFA)
+    aa, ae = write("aa2.cfhg", AA_UNRANKED), write("ae.cfhg", AE_UNRANKED)
+    ab = write("ab.txt", "a\nb\n")
+    calls = [
+        ["cfhg", "member-finite", robot, write("c.txt", "ccca\n")],
+        ["cfhg", "member-finite", forall, ab],
+        ["cfhg", "empty", ea, "--bounded", "2"],
+        ["cfhg", "empty", aa, "--bounded", "2"],
+        ["--json", "cfhg", "empty", ae, "--bounded", "2"],
+        ["cfhg", "empty", robot],
+        ["cfhg", "member-regular", write("e.cfhg", EXISTS_A_CFHG), dfa],
+        ["cfhg", "ranks", forall],
+        ["cfhg", "is-ranked", forall],
+        ["nfh", "member", nfh, write("l.txt", "a\naa\n")],
+        ["nfh", "probe", nfh, "--max-len", "2"],
+        ["realize", "finite", ab, *out],
+        ["realize", "ordered", "a", write("s.nfa", TWO_TRACK_NFA), *out],
+        ["realize", "prefix-closed", dfa, *out],
+        ["realize", "prefix-closed", dfa, "--route", "relation", *out],
+        ["realize", "regular", a_plus, *out],
+        ["realize", "regular", dfa, *out],
+        ["pcp", "encode-forall", tiles, *out],
+        ["pcp", "encode-ea", tiles, *out],
+        ["nfh", "member", "no-such-file", ab],  # usage error
+        ["bogus"],
+        ["nfh", "probe", write("bad.nfh", "quantifiers: A x\ntype: nfa\n"),
+         "--max-len", "1"],  # parse error
+        ["nfh", "probe", nfh, "--max-len", "20"],  # the universe cap
+        ["realize", "regular", write("six.dfa", _all_words_dfa(6)), *out],  # path cap
+        ["cfhg", "empty", forall],  # undecidable
+        ["cfhg", "member-regular", robot, dfa],  # undecidable, raised
+    ]
+    codes = []
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            codes.append(run(argv))
+            assert gc.collect() == 0, argv
+        for build in (regular_relation, realize_regular):
+            build(parse_nfa(A_PLUS_DFA))
+            assert gc.collect() == 0, build
+        # past the derivation cap, the unranked search falls back to the span fixpoint
+        monkeypatch.setattr(cfhg_module, "DERIVATION_CAP", 2)
+        codes.append(run(["cfhg", "empty", aa, "--bounded", "2"]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert set(codes) == {0, 1, 2, 64, 65}

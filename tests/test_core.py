@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperlang.core import (PAD, QuantifierPrefix, as_word, is_synchronous,
-                            pad_to_sync, render_word, strip_hash)
+from hyperlang.core import (PAD, QuantifierPrefix, as_word, evaluate,
+                            is_synchronous, pad_to_sync, render_word, strip_hash)
 
 from conftest import hword, letter
 
@@ -72,3 +72,32 @@ def test_quantifier_prefix():
 def test_render_word():
     assert render_word(()) == "eps"
     assert render_word(as_word("ab")) == "ab"
+    # joined, these symbols would read as the empty word
+    assert render_word(as_word("eps")) == "e p s"
+    assert render_word(("ab", "c")) == "ab c"
+
+
+def test_evaluate_short_circuits():
+    """Each quantifier stops at its first deciding branch: ∃ at the first
+    accepted word, ∀ at the first rejected one, and ∃∀ after the leaves
+    counted by hand below."""
+    words = [as_word(w) for w in "abcde"]
+    calls = []
+
+    def counting(accepts):
+        def leaf(assignment):
+            calls.append("".join(map("".join, assignment)))
+            return accepts(*assignment)
+        return leaf
+
+    assert evaluate(("E",), words, counting(lambda x: x == ("c",)))
+    assert calls == ["a", "b", "c"]
+    calls.clear()
+    assert not evaluate(("A",), words, counting(lambda x: x != ("b",)))
+    assert calls == ["a", "b"]
+    # x = a: y = a holds, y = b fails; x = b: y = a fails; x = c: every y
+    # holds.  Six leaves, not the nine of a walk that does not stop
+    calls.clear()
+    assert evaluate(("E", "A"), words[:3], counting(
+        lambda x, y: (x, y) != (("b",), ("a",)) and (x == ("c",) or y != ("b",))))
+    assert calls == ["aa", "ab", "ba", "ca", "cb", "cc"]

@@ -1,7 +1,9 @@
 """Text formats: parse/render round trips and error reporting."""
 
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -277,6 +279,24 @@ def test_language_round_trip():
     multi = [("a", "b1"), ("ab", "c"), ("ab", "c", "d"), ("b",), ("b", "c")]
     assert render_language(multi) == "a b1\nab c\nab c d\nb\nbc\n"
     assert parse_language(render_language(multi)) == multi
+    # generated languages over one- and several-character symbols, e, p and
+    # s among them, read back as their sorted distinct words; a word that no
+    # line carries raises ValueError
+    rng = random.Random(31)
+    for symbols in ("eps", "abe", ("a", "ps", "eps", "e")):
+        universe = [w for n in range(4) for w in itertools.product(symbols, repeat=n)]
+        for _ in range(60):
+            language = rng.choices(universe, k=rng.randint(1, 6))
+            uncarried = sorted(w for w in language if len(w) == 1 and len(w[0]) > 1)
+            if uncarried:  # the first one in sorted order is named
+                with pytest.raises(ValueError, match=re.escape(repr(uncarried[0]))):
+                    render_language(language)
+            else:
+                assert parse_language(render_language(language)) == \
+                    sorted(set(language)), language
+    assert parse_language(render_language([("e", "p", "s")])) == [("e", "p", "s")]
+    with pytest.raises(ValueError, match=r"word \('ab',\)"):
+        render_language([("ab",)])
 
 
 def test_parse_pcp():

@@ -231,3 +231,29 @@ def test_well_padded_walk_and_leaf_match_the_references(monkeypatch):
                 padded = pad_to_sync(dict(zip(v, assignment)), v)
                 assert leaf(assignment) == nfa_member(underlying, padded), assignment
     assert filtered_out > 0
+
+
+def test_trie_walk_short_circuits(monkeypatch):
+    """The probe's trie walk stops as ``core.evaluate`` does.  Under
+    ∃x∀y∃z over {a, b, c}, accepting the triples below: x = a fails at
+    y = a, x = b holds, so x = c is never walked.  Nine calls, one per
+    trie node visited: 16 if ∃ did not stop, 13 if ∀ did not."""
+    triples = ["aba", "aca", "bac", "bbc", "bcc", "caa", "cbb", "ccc"]
+    v = ("x", "y", "z")
+    underlying = Nfa({"a", "b", "c", "#"}, {"q0", "q1"}, {"q0"}, {"q1"},
+                     {("q0", letter(v, *t), "q1") for t in triples}, v)
+    n = Nfh(frozenset("abc"), QuantifierPrefix.parse("E x A y E z"), underlying)
+    depths, roots = [], []
+
+    def spy(quantifiers, node, depth, words, original=nfh_module._trie_walk):
+        depths.append(depth)
+        if depth == 0:
+            roots.append(node)
+        return original(quantifiers, node, depth, words)
+
+    monkeypatch.setattr(nfh_module, "_trie_walk", spy)
+    abc = tuple(as_word(w) for w in "abc")
+    assert frozenset(abc) in nfh_hyperlanguage_probe(n, 1)
+    depths.clear()
+    assert spy(("E", "A", "E"), roots[0], 0, abc)
+    assert depths == [0, 1, 1, 2, 3, 2, 3, 2, 3]
