@@ -14,7 +14,7 @@ track automata, and ``relabel`` the one rewrite of letters into track letters.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Container, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Hashable, Iterable, Sequence
 
 from .core import PAD, TrackLetter, as_word, closure
 from .errors import UnknownLetter, VarClash
@@ -217,14 +217,6 @@ def with_var(a: Nfa, var: str) -> Nfa:
     return relabel(a, (var,), lambda s: (s,))
 
 
-def rename_vars(a: Nfa, mapping: Mapping[str, str]) -> Nfa:
-    """Rename track variables; names absent from ``mapping`` are kept."""
-    if not a.is_track:
-        raise ValueError("rename_vars expects a track automaton")
-    return relabel(a, tuple(mapping.get(v, v) for v in a.vars),
-                   lambda letter: letter.symbols)
-
-
 def absorb_pad(a: Nfa) -> Nfa:
     """Also accept every word whose all-pad extension is accepted.
 
@@ -234,12 +226,18 @@ def absorb_pad(a: Nfa) -> Nfa:
     """
     if not a.is_track:
         raise ValueError("absorb_pad expects a track automaton")
+    return Nfa(a.symbols, a.states, a.initial, pad_coreach(a, a.accepting),
+               a.transitions, a.vars)
+
+
+def pad_coreach(a: Nfa, targets: Iterable[Hashable]) -> set:
+    """``targets`` and the states of track automaton ``a`` from which a path
+    of all-pad letters reaches one of them."""
     pad_sources: dict = {}
     for q, letter, p in a.transitions:
         if letter.is_all_pad():
-            pad_sources.setdefault(p, set()).add(q)
-    accepting = closure(a.accepting, lambda p: pad_sources.get(p, ()))
-    return Nfa(a.symbols, a.states, a.initial, accepting, a.transitions, a.vars)
+            pad_sources.setdefault(p, []).append(q)
+    return closure(targets, lambda p: pad_sources.get(p, ()))
 
 
 def track_product(parts: Sequence[Nfa]) -> Nfa:

@@ -25,8 +25,8 @@ from typing import Iterator
 from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, compose_free, compose_sync, difference,
-                  elim_pad, explore, fresh_state, pad_suffix, project, relabel,
-                  rename_vars, to_base, trim, union_all, with_var, word_automaton)
+                  elim_pad, explore, fresh_state, pad_coreach, pad_suffix, project,
+                  relabel, to_base, trim, union_all, with_var, word_automaton)
 from .nfh import Nfh, accepted_assignments
 
 DET_CAP = 64  # states of a determinization input; the shortlex lasso's sets
@@ -55,6 +55,10 @@ class OrderedLanguageSpec:
             raise ValueError("successor automaton must be over variables (x, y)")
         if PAD in self.first_word:
             raise ValueError(f"the first word holds the pad symbol {PAD!r}")
+        stray = set(self.first_word) - self.successor.symbols
+        if stray:
+            raise ValueError(f"symbol {min(stray)!r} of the first word is outside "
+                             "the successor's alphabet")
 
 
 @dataclass(frozen=True)
@@ -112,17 +116,50 @@ def realize_finite(words, alphabet=None) -> Nfh:
                underlying)
 
 
+def _first_word_product(word: Word, a: Nfa, vars: tuple[str, ...]) -> Nfa:
+    """``absorb_pad(compose_free(with_var(word_automaton(word, symbols), "x1"),
+    b))``, with ``symbols`` the symbols of ``a`` but the pad and ``b`` the track
+    automaton ``a`` with its tracks named ``vars``, built in one ``explore``
+    over (line state, state of a) with each distinct letter built once: the
+    same states, letters and acceptance.  ``word`` holds symbols of ``a``
+    only, and no pad, so an all-pad letter moves the line only past its
+    end, and a state absorbs where the line has ended and a's state
+    reaches, over all-pad letters, an accepting state or a's pad state."""
+    line = [f"q{i}" for i in range(len(word) + 1)] + [("pad", 0)]
+    line_moves = dict(zip(line, zip(tuple(word) + (PAD, PAD), line[1:] + line[-1:])))
+    a_pad = fresh_state(a.states, "pad")
+    all_pad = (PAD,) * len(vars)
+    absorbing = pad_coreach(a, a.accepting | {a_pad})
+    moves = a.moves_from()
+    joint_vars = ("x1",) + tuple(vars)
+    letters: dict = {}
+
+    def step(state):
+        position, q = state
+        s, after = line_moves[position]
+        targets = [(letter.symbols, p) for letter, p in moves.get(q, ())]
+        if q in a.accepting or q == a_pad:
+            targets.append((all_pad, a_pad))
+        for symbols, p in targets:
+            key = (s,) + symbols
+            joint = letters.get(key)
+            if joint is None:
+                joint = letters[key] = TrackLetter(joint_vars, key)
+            yield joint, (after, p)
+
+    line_symbols = (a.symbols - {PAD}) or {"a"}  # as ``word_automaton`` has
+    return explore({(line[0], q) for q in a.initial}, step,
+                   lambda state: state[0] in line[-2:] and state[1] in absorbing,
+                   line_symbols | a.symbols | {PAD}, joint_vars)
+
+
 def realize_ordered(spec: OrderedLanguageSpec) -> Nfh:
     """∃∀∃-NFH for an ordered language: a chain reaction from the first word."""
-    symbols = {s for s in spec.successor.symbols if s != PAD}
-    first = with_var(word_automaton(spec.first_word, symbols), "x1")
-    chain = rename_vars(spec.successor, {"x": "x2", "y": "x3"})
-    composed = compose_free(first, chain)
-    if not composed.accepting:
+    underlying = _first_word_product(spec.first_word, spec.successor, ("x2", "x3"))
+    if not underlying.accepting:
         raise EmptyLanguage("the successor relation is empty")
-    underlying = absorb_pad(composed)
     prefix = QuantifierPrefix((("E", "x1"), ("A", "x2"), ("E", "x3")))
-    return Nfh(frozenset(symbols), prefix, underlying)
+    return Nfh(frozenset(spec.successor.symbols - {PAD}), prefix, underlying)
 
 
 # --- successor-counting automata -----------------------------------------------
@@ -320,12 +357,10 @@ def realize_prefix_closed_fast(a: Dfa) -> Nfh:
     component = Nfa(t.symbols | {PAD}, t.states | {final}, t.initial, {final},
                     transitions, joint_vars)
 
-    symbols = {s for s in t.symbols if s != PAD}
-    eps = with_var(word_automaton((), symbols), "x1")
-    underlying = absorb_pad(compose_free(eps, component))
+    underlying = _first_word_product((), component, joint_vars)
     prefix = QuantifierPrefix((("E", "x1"), ("A", "z"))
                               + tuple(("E", y) for y in y_names))
-    return Nfh(frozenset(symbols), prefix, underlying)
+    return Nfh(frozenset(t.symbols - {PAD}), prefix, underlying)
 
 
 # --- general regular languages -------------------------------------------------

@@ -469,6 +469,17 @@ def test_realize_refuses_the_pad_symbol(files, capsys, verb, text, code, message
     assert not (tmp / "out.nfh").exists()
 
 
+def test_realize_ordered_refuses_a_first_word_outside_the_alphabet(files, capsys):
+    """The written alphabet is the successor's: a FIRST symbol outside it
+    would be a symbol of the file but not of the NFH built in memory."""
+    write, tmp = files
+    succ = write("s.nfa", TWO_TRACK_NFA)
+    assert run(["realize", "ordered", "ac", succ, "-o", str(tmp / "out.nfh")]) == 64
+    assert capsys.readouterr().err == ("usage error: symbol 'c' of the first word "
+                                       "is outside the successor's alphabet\n")
+    assert not (tmp / "out.nfh").exists()
+
+
 def test_cfhg_refuses_the_pad_symbol(files, capsys):
     """'#' in a grammar's alphabet is a parse error; the witness search would
     otherwise count words holding it against the universe cap."""

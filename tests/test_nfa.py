@@ -9,7 +9,7 @@ from hyperlang.core import PAD, TrackLetter, as_word, pad_to_sync, strip_hash
 from hyperlang.errors import UnknownLetter, VarClash
 from hyperlang.nfa import (Nfa, compose_free, compose_sync, determinize,
                            difference, nfa_language, nfa_member, pad_anywhere,
-                           pad_suffix, project, rename_vars, track_product, trim,
+                           pad_suffix, project, relabel, track_product, trim,
                            union, with_var, word_automaton)
 
 from conftest import hword
@@ -89,7 +89,8 @@ def test_compose_free_var_clash():
     x2 = with_var(word_automaton(as_word("b")), "x")
     with pytest.raises(VarClash):
         compose_free(x1, x2)
-    assert trim(compose_free(x1, rename_vars(x2, {"x": "y"}))).accepting
+    renamed = relabel(x2, ("y",), lambda letter: letter.symbols)
+    assert trim(compose_free(x1, renamed)).accepting
 
 
 def test_compose_free_characterization():

@@ -12,8 +12,8 @@ from hyperlang.core import (PAD, QuantifierPrefix, TrackLetter, as_word,
 from hyperlang.errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from hyperlang.formats import parse_nfh, render_nfh
 from hyperlang.nfa import (Dfa, Nfa, absorb_pad, compose_free, difference,
-                           explore, nfa_language, nfa_member, pad_suffix, trim,
-                           union_all, with_var, word_automaton)
+                           explore, nfa_language, nfa_member, pad_suffix, relabel,
+                           trim, union_all, with_var, word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
                                _simple_paths, _successor_counts,
@@ -145,6 +145,65 @@ def test_ordered_finite_cycle():
                 ("0", letter(v, "b", "a"), "1")}, v)
     n = realize_ordered(OrderedLanguageSpec(("a",), succ))
     assert probe_strings(n, 1) == {frozenset({"a", "b"})}
+
+
+def _composed_first_word(word, a, track_vars):
+    """The reference for ``_first_word_product``: the line of ``word`` on x1,
+    freely composed with ``a`` on ``track_vars``, trailing pads absorbed."""
+    line = with_var(word_automaton(word, {s for s in a.symbols if s != PAD}), "x1")
+    renamed = relabel(a, track_vars, lambda l: l.symbols)
+    return absorb_pad(compose_free(line, renamed))
+
+
+def _random_track_nfa(rng):
+    """An NFA over (x, y) and {a, b} of 1-4 states, one of them sometimes
+    named ("pad", 0), whose letters include all-pad and mid-word pads; it
+    may have no accepting state."""
+    states = [str(i) for i in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        states[-1] = ("pad", 0)
+    columns = list(itertools.product("ab#", repeat=2))
+    transitions = {(q, letter(("x", "y"), *rng.choice(columns)), rng.choice(states))
+                   for q in states for _ in range(rng.randint(0, 3))}
+    accepting = {q for q in states if rng.random() < 0.4}
+    return Nfa({"a", "b", PAD}, states, rng.sample(states, min(2, len(states))),
+               accepting, transitions, ("x", "y"))
+
+
+def test_first_word_product_equals_composition(monkeypatch):
+    """``_first_word_product`` is its composed reference field for field, on
+    generated (x, y) NFAs under ε and non-empty first words, on the
+    successors that ``realize_shortlex`` chains from the least word of
+    generated infinite DFAs, and on the components of the fast prefix-closed
+    route: so every rendered byte of those routes stays the same."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(400):
+        a = _random_track_nfa(rng)
+        word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+        cases.append((word, a, rng.choice([("x2", "x3"), ("x", "y")])))
+    assert sum(not a.accepting for _, a, _ in cases) >= 50
+    assert sum(("pad", 0) in a.states for _, a, _ in cases) >= 50
+    seen = []
+    product = realize_module._first_word_product
+    monkeypatch.setattr(realize_module, "_first_word_product",
+                        lambda *args: (seen.append(args), product(*args))[1])
+    for d in [_generated_dfa(rng, 1, 5, 2) for _ in range(150)]:
+        if _is_infinite(d):
+            realize_shortlex(d)
+    for _ in range(40):
+        realize_prefix_closed_fast(random_prefix_closed_dfa(rng))
+    successors = [a for _, a, v in seen if v == ("x2", "x3")]
+    assert len(successors) >= 50
+    assert sum(v[0] == "z" for _, _, v in seen) == 40
+    cases += [(tuple(rng.choice(sorted(a.symbols - {PAD})) for _ in range(3)), a,
+               ("x2", "x3")) for a in successors]
+    for word, a, track_vars in cases + seen:
+        built = product(word, a, track_vars)
+        reference = _composed_first_word(word, a, track_vars)
+        for field in ("states", "initial", "accepting", "transitions", "symbols",
+                      "vars"):
+            assert getattr(built, field) == getattr(reference, field), (field, word, a)
 
 
 # --- successor counting ---------------------------------------------------------

@@ -20,7 +20,9 @@ language whose synchronous padding holds a column that no rule has; the
 witness search on unranked ∀∀ (a miss) and ∀∃ grammars, and a ranked
 grammar with a trailing all-pad letter; an NFH
 whose quantifier line comes last, one whose automaton pads a track inside
-a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, a grammar
+a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, ordered
+languages from a non-empty FIRST word, through a successor that ends in an
+all-pad letter, and from a FIRST word outside the alphabet, a grammar
 with a bare terminal, and a finite L whose DFA holds a dead region with
 many simple paths; and usage errors on both parse routes (``-h`` raises
 ``SystemExit``, so it is not among them).  Calls run in-process, in a
@@ -90,6 +92,21 @@ trans: q0 [x=b,y=a] q1
 trans: q1 [x=b,y=a] q0
 trans: q0 [x=#,y=a] q2
 trans: q2 [x=#,y=a] q3
+"""
+
+# f(a) = b and f(b) = a, each ending in an all-pad letter into the only
+# accepting state: the realized NFH accepts the state before it only once
+# trailing pads are absorbed.
+ALL_PAD_SUCCESSOR = """\
+type: nfa
+alphabet: a b
+vars: x y
+states: q0 q1 q2
+initial: q0
+accepting: q2
+trans: q0 [x=a,y=b] q1
+trans: q0 [x=b,y=a] q1
+trans: q1 [x=#,y=#] q2
 """
 
 # Two tracks and no accepting state: a successor relation that is empty.
@@ -241,6 +258,7 @@ FIXED_FILES = {
     "pc.nfa": PREFIX_CLOSED_NFA,
     "succ.nfa": EVEN_BLOCKS_SUCCESSOR,
     "empty-succ.nfa": EMPTY_SUCCESSOR,
+    "all-pad-succ.nfa": ALL_PAD_SUCCESSOR,
     "empty.nfa": EMPTY_NFA,
     "fig1.nfh": FIG1_NFH,
     # the same NFH with its quantifier line last
@@ -312,6 +330,10 @@ FIXED_CALLS = [
     ("pc-regular", ["realize", "regular", "pc.nfa", "-o", "out"]),
     ("ordered", ["realize", "ordered", "eps", "succ.nfa", "-o", "out"]),
     ("ordered-empty", ["realize", "ordered", "eps", "empty-succ.nfa", "-o", "out"]),
+    ("ordered-first-aa", ["realize", "ordered", "aa", "succ.nfa", "-o", "out"]),
+    ("ordered-all-pad", ["realize", "ordered", "a", "all-pad-succ.nfa", "-o", "out"]),
+    # a FIRST symbol outside the successor's alphabet
+    ("ordered-foreign-first", ["realize", "ordered", "ac", "succ.nfa", "-o", "out"]),
     ("empty-fast", ["realize", "prefix-closed", "empty.nfa", "-o", "out"]),
     ("empty-relation", ["realize", "prefix-closed", "empty.nfa", "--route",
                         "relation", "-o", "out"]),
