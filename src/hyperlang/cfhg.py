@@ -20,7 +20,8 @@ built.
 The undecidable routes get a bounded witness search.  It enumerates subsets
 of Σ^{≤N}, except on a ranked ∃∃⁺∀⁺ grammar (the ∃∃∀ PCP gadget), where it
 tests the ∃ tuples that a restriction of the grammar derives; on an
-unranked grammar it looks each assignment up in ``derived_assignments``.
+unranked grammar it derives the track tuples once at N and looks each
+assignment up among them, walking only subsets of their viable words.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable
 from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cleanup,
                   cyk_member, derive_bounded, derives_span)
 from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
-                   evaluate, finite_language, nonempty_subsets)
+                   evaluate, finite_language, nonempty_subsets, viable_words)
 from .errors import CapExceeded, Undecidable
 from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
@@ -205,15 +206,15 @@ def regular_member(g: Cfhg, a: Nfa) -> bool:
     return not cfg_intersect_empty(g.underlying, joint)
 
 
-def derived_assignments(g: Cfhg, n: int, sets: dict | None = None) -> dict[str, set]:
+def derived_assignments(g: Cfhg, n: int) -> dict[str, set]:
     """Per variable, the tuples of stripped tracks, at most ``n`` symbols
     each, that it derives: the least fixpoint of componentwise concatenation
-    over the rules, extending ``sets`` of a smaller bound in place.  Past
-    ``cfg.DERIVATION_CAP`` tuples of a variable, ``CapExceeded``.  Semi-naive
-    (Bancilhon & Ramakrishnan 1986): after a pass over whole sets, a rule is
-    joined at each variable with new tuples, with whole sets elsewhere."""
+    over the rules.  Past ``cfg.DERIVATION_CAP`` tuples of a variable,
+    ``CapExceeded``.  Semi-naive (Bancilhon & Ramakrishnan 1986): after a
+    pass over whole sets, a rule is joined at each variable with new tuples,
+    with whole sets elsewhere."""
     grammar = g.underlying
-    sets = sets or {v: set() for v in grammar.variables}
+    sets = {v: set() for v in grammar.variables}
     pieces = {t: {tuple(() if s == PAD else (s,) for s in t.symbols)}
               for t in grammar.terminals()}
     delta = None  # None: the first pass joins every rule over whole sets
@@ -250,9 +251,9 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
     order.  So only the subsets of at most max(1, m) words are tried; a ∀
     before an ∃ tries every subset; the universe holds at most
     ``core.UNIVERSE_CAP`` words.  On an unranked grammar the leaf is a
-    lookup in ``derived_assignments`` up to the subset's longest word,
-    which mask order never lowers (the universe is shortlex); past its cap,
-    and on a ranked grammar, one memoised leaf serves them all.
+    lookup in ``derived_assignments`` at max_len, over the subsets of its
+    ``core.viable_words`` only, which hold every member in mask order; past
+    its cap, and on a ranked grammar, one memoised leaf serves them all.
 
     A ranked ∃∃⁺∀⁺ grammar is searched without the universe.  With every ∀
     variable bound to x₁, the synchronous padding of (x̄, x₁, …, x₁) is
@@ -269,17 +270,19 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
     if route == "emptinessexistsforall" and g.ranked():
         return _guided_witness(g, max_len)
     universe = bounded_universe(g.symbols, max_len, "witness-search")
-    leaf = _membership_leaf(g, False) if g.ranked() else None
-    sets, bound = None, max_len if leaf else -1  # unranked: tuples derived up to bound
     quantifiers = g.prefix.quantifiers
     most = None if route == "forallexists" else max(1, quantifiers.count("E"))
+    leaf = _membership_leaf(g, False)
+    if not g.ranked():
+        try:
+            derived = derived_assignments(g, max_len)[g.underlying.start]
+        except CapExceeded:  # too many tuples: the fixpoint per assignment
+            pass
+        else:
+            leaf = derived.__contains__
+            universe = viable_words(universe, derived,
+                                    [j for j, q in enumerate(quantifiers) if q == "A"])
     for words in nonempty_subsets(universe, most):
-        if len(words[-1]) > bound:  # words[-1] is the longest
-            try:
-                sets = derived_assignments(g, bound := len(words[-1]), sets)
-                leaf = sets[g.underlying.start].__contains__
-            except CapExceeded:  # too many tuples: the fixpoint per assignment
-                leaf, bound = _membership_leaf(g, False), max_len
         if evaluate(quantifiers, words, leaf):
             return frozenset(words)
     return None

@@ -9,7 +9,8 @@ that all tracks have equal length: a track that has read ``#`` reads only
 NFH and CFHG membership share one semantics: the quantifier prefix binds each
 variable to a word of a finite language and an engine (``leaf``) decides every
 full assignment.  ``evaluate`` walks that tree; ``finite_language``,
-``bounded_universe`` and ``nonempty_subsets`` supply its languages.
+``bounded_universe`` and ``nonempty_subsets`` supply its languages, and
+``viable_words`` prunes a subset walk to the words a member can hold.
 ``closure`` is the one unlabelled graph search, shared by the automaton and
 grammar reachability walks.
 """
@@ -207,6 +208,21 @@ def nonempty_subsets(universe: Sequence[Word],
     while mask < 1 << len(universe):
         yield tuple(w for i, w in enumerate(universe) if mask >> i & 1)
         mask += 1 if mask.bit_count() < most else mask & -mask
+
+
+def viable_words(universe: Sequence[Word], assignments: set[tuple[Word, ...]],
+                 foralls: Sequence[int]) -> list[Word]:
+    """The greatest subset T of ``universe`` whose every word fills every ∀
+    position in ``foralls`` of some assignment over T, in universe order: it
+    holds every member whose leaf holds exactly on ``assignments``."""
+    viable = set(universe)
+    while foralls:
+        live = [a for a in assignments if viable.issuperset(a)]
+        kept = viable.intersection(*({a[j] for a in live} for j in foralls))
+        if kept == viable:
+            break
+        viable = kept
+    return [w for w in universe if w in viable]
 
 
 def closure(start: Iterable[Hashable],

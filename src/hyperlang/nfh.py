@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (PAD, QuantifierPrefix, Word, bounded_universe, evaluate,
-                   finite_language, nonempty_subsets)
+                   finite_language, nonempty_subsets, viable_words)
 from .nfa import Nfa, nfa_member
 
 
@@ -89,27 +89,13 @@ def accepted_assignments(underlying: Nfa, max_len: int) -> set[tuple[Word, ...]]
     return found
 
 
-def _viable_words(universe: Sequence[Word], assignments: set[tuple[Word, ...]],
-                  foralls: Sequence[int]) -> list[Word]:
-    """The greatest subset T of ``universe`` whose every word fills every ∀
-    position in ``foralls`` of some accepted assignment over T, in universe order."""
-    viable = set(universe)
-    while foralls:
-        live = [a for a in assignments if viable.issuperset(a)]
-        kept = viable.intersection(*({a[j] for a in live} for j in foralls))
-        if kept == viable:
-            break
-        viable = kept
-    return [w for w in universe if w in viable]
-
-
 def nfh_hyperlanguage_probe(n: Nfh, max_len: int) -> frozenset[frozenset[Word]]:
     """All non-empty sublanguages of Σ^{≤max_len} the NFH accepts.
 
     Each word of an accepted language fills every ∀ position of an accepted
     assignment over that language, so only subsets of the greatest word set
-    with this property are walked.  Σ^{≤max_len} may hold at most
-    ``core.UNIVERSE_CAP`` words.
+    with this property (``core.viable_words``) are walked.  Σ^{≤max_len} may
+    hold at most ``core.UNIVERSE_CAP`` words.
     """
     universe = bounded_universe(n.symbols, max_len, "probe")
     assignments = accepted_assignments(n.underlying, max_len)
@@ -122,8 +108,8 @@ def nfh_hyperlanguage_probe(n: Nfh, max_len: int) -> frozenset[frozenset[Word]]:
             node = node.setdefault(w, {})
 
     quantifiers = n.prefix.quantifiers
-    viable = _viable_words(universe, assignments,
-                           [j for j, q in enumerate(quantifiers) if q == "A"])
+    viable = viable_words(universe, assignments,
+                          [j for j, q in enumerate(quantifiers) if q == "A"])
 
     return frozenset(frozenset(words) for words in nonempty_subsets(viable)
                      if _trie_walk(quantifiers, root, 0, words))

@@ -12,7 +12,8 @@ from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup,
 from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
                             diagonal_restriction, finite_member,
                             regular_member)
-from hyperlang.core import QuantifierPrefix, as_word, pad_to_sync, strip_hash
+from hyperlang.core import (QuantifierPrefix, as_word, bounded_universe, pad_to_sync,
+                            strip_hash)
 from hyperlang.errors import CapExceeded, EmptyLanguage, Undecidable
 from hyperlang.nfa import (Nfa, pad_anywhere, track_product, with_var,
                            word_automaton)
@@ -343,8 +344,7 @@ def test_bounded_witness_equals_reference(monkeypatch, robot_diagonal,
     languages of at most max(1, m) words under ∃^m∀*, whose first member is
     the first of all (checked at bound 2 on generated grammars below), and
     a ∀∃ prefix runs on a one-symbol alphabet.  The cases include a miss at
-    bound 3 and witnesses shorter than the bound, so the derivation grows
-    with the candidates and stops early."""
+    bound 3 and witnesses shorter than the bound."""
     # the ∃ cases with several member languages pin the mask order; the ∀*
     # cases try single words only (m = 0), and their first member is not
     # universe[0] or does not exist
@@ -385,8 +385,7 @@ def test_bounded_witness_equals_reference(monkeypatch, robot_diagonal,
 def test_derived_assignments_equal_sparse_leaf():
     """The derived tuples at bound 2 against the pad-anywhere leaf, on every
     assignment over Σ^{≤2}, for generated unranked grammars of one to three
-    tracks with ε rules, all-pad letters and a variable that has no rule;
-    the tuples grown from bound 1 equal those derived at bound 2 at once."""
+    tracks with ε rules, all-pad letters and a variable that has no rule."""
     rng = random.Random(37)
     short = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
     verdicts = set()
@@ -395,9 +394,7 @@ def test_derived_assignments_equal_sparse_leaf():
         prefix = QuantifierPrefix(tuple(zip("A" * k, v)))
         for grammar in _unranked_grammars(rng, v, count):
             g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
-            derive = cfhg_module.derived_assignments
-            derived = derive(g, 2)
-            assert derive(g, 2, derive(g, 1)) == derived
+            derived = cfhg_module.derived_assignments(g, 2)
             leaf = cfhg_module._membership_leaf(g, True)
             for assignment in itertools.product(short, repeat=k):
                 got = assignment in derived[grammar.start]
@@ -406,11 +403,11 @@ def test_derived_assignments_equal_sparse_leaf():
     assert verdicts == {True, False}
 
 
-def _naive_derived_assignments(g, n, sets=None):
+def _naive_derived_assignments(g, n):
     """The derivation as first written: every rule joined over whole sets,
     in place, until a pass adds nothing."""
     grammar = g.underlying
-    sets = sets or {v: set() for v in grammar.variables}
+    sets = {v: set() for v in grammar.variables}
     pieces = {t: {tuple(() if s == "#" else (s,) for s in t.symbols)}
               for t in grammar.terminals()}
     size = -1
@@ -439,8 +436,8 @@ def _outcome(derive, *args):
 def test_semi_naive_derivation_equals_naive(monkeypatch):
     """The semi-naive derivation against the naive fixpoint on generated
     unranked grammars of one to four tracks, with ε bodies and all-pad
-    letters: at bounds 0-3 derived at once, grown one bound at a time, and,
-    under a low cap, raising the same ``CapExceeded`` or none."""
+    letters: at bounds 0-3, and, under a low cap, raising the same
+    ``CapExceeded`` or none."""
     rng = random.Random(43)
     derive = cfhg_module.derived_assignments
     grammars = []
@@ -451,12 +448,9 @@ def test_semi_naive_derivation_equals_naive(monkeypatch):
                      for grammar in _unranked_grammars(rng, v, count)
                      + _unranked_grammars(rng, v, count, recursive=True)]
     for g in grammars:
-        grown = None
         for n in range(4):
             expected = _naive_derived_assignments(g, n)
             assert derive(g, n) == expected, (n, g.underlying.rules)
-            grown = derive(g, n, grown)
-            assert grown == expected, (n, g.underlying.rules)
     monkeypatch.setattr(cfhg_module, "DERIVATION_CAP", 6)
     refused = set()
     for g in grammars:
@@ -521,7 +515,9 @@ def test_ranked_shortcuts_read_a_trailing_all_pad_block():
 def test_unranked_witness_search_past_the_derivation_cap(monkeypatch):
     """Past ``cfg.DERIVATION_CAP`` tuples of a variable the derivation raises
     ``CapExceeded`` naming the witness search, and the search gives the same
-    answer through the span fixpoint on each assignment."""
+    answer through the span fixpoint on each assignment, over the whole
+    universe: a ∀∃ grammar with a member returns the reference's witness,
+    and the walk tries {ε}, whose one word fills no ∀ position."""
     v = ("x1", "x2")
     # x1 starts with a and x2 with b: no (w, w) is derived, so ∀∀ has no member
     rules = {("V0", (letter(v, "a", "b"), "V1")), ("V1", ())}
@@ -541,6 +537,24 @@ def test_unranked_witness_search_past_the_derivation_cap(monkeypatch):
 
     monkeypatch.setattr(cfhg_module, "derives_span", spy)
     assert bounded_nonempty_witness(g, 2) is None and fixpoints
+    # x1 starts with a and x2 with b, or the other way round: {a, b} is a member
+    rules.add(("V0", (letter(v, "b", "a"), "V1")))
+    g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 E x2"),
+             Cfg({"V0", "V1"}, "V0", rules))
+    assert not g.ranked()
+    with pytest.raises(CapExceeded, match="witness-search"):
+        cfhg_module.derived_assignments(g, 2)
+    tried = []
+
+    def evaluate_spy(quantifiers, words, leaf, original=cfhg_module.evaluate):
+        tried.append(words)
+        return original(quantifiers, words, leaf)
+
+    monkeypatch.setattr(cfhg_module, "evaluate", evaluate_spy)
+    fixpoints.clear()
+    witness = bounded_nonempty_witness(g, 2)
+    assert witness == _reference_witness(g, 2) == {("a",), ("b",)}
+    assert fixpoints and tried[0] == ((),)
 
 
 def _letter_set_grammar(rng, v):
@@ -571,6 +585,63 @@ def test_bounded_witness_equals_reference_on_generated_grammars():
             more_words_than_exists += ("AE" in quantifiers
                                        and size > quantifiers.count("E"))
     assert two_word_eea and more_words_than_exists
+
+
+def _greatest_viable(g, max_len):
+    """The viable words by their definition: from Σ^{≤max_len}, drop each
+    word that fills some ∀ position of no derived tuple over the words
+    kept, until none is dropped."""
+    universe = [w for n in range(max_len + 1)
+                for w in itertools.product(sorted(g.symbols), repeat=n)]
+    derived = cfhg_module.derived_assignments(g, max_len)[g.underlying.start]
+    foralls = [j for j, q in enumerate(g.prefix.quantifiers) if q == "A"]
+    kept = set(universe)
+    while True:
+        filled = {(a[j], j) for a in itertools.product(kept, repeat=len(g.vars))
+                  if a in derived for j in foralls}
+        viable = {w for w in kept if all((w, j) in filled for j in foralls)}
+        if viable == kept:
+            return kept
+        kept = viable
+
+
+def test_pruned_witness_search_equals_unpruned(monkeypatch):
+    """On generated unranked grammars, plain and recursive, under all 14
+    prefixes of one to three variables over {a, b} at bound 2, and under ∀∃
+    and ∀∃∃ over {a} at bound 3, the search pruned to viable words returns
+    the unpruned reference's witness or miss.  Every language it evaluates
+    lies inside the viable words, and a grammar with none evaluates none."""
+    tried = []
+
+    def spy(quantifiers, words, leaf, original=cfhg_module.evaluate):
+        tried.append(words)
+        return original(quantifiers, words, leaf)
+
+    monkeypatch.setattr(cfhg_module, "evaluate", spy)
+    rng = random.Random(47)
+    cases = [("".join(q), "ab", 2)
+             for k in (1, 2, 3) for q in itertools.product("EA", repeat=k)]
+    cases += [("AE", "a", 3), ("AEE", "a", 3)]
+    kinds = dict.fromkeys(("witness", "miss", "no viable word", "pruned"), 0)
+    for quantifiers, symbols, max_len in cases:
+        v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
+        prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
+        most = None if "AE" in quantifiers else max(1, quantifiers.count("E"))
+        universe = bounded_universe(symbols, max_len, "test")
+        for recursive in (False, True):
+            for grammar in _unranked_grammars(rng, v, 2, symbols, recursive):
+                g = Cfhg(frozenset(symbols), prefix, grammar)
+                viable = _greatest_viable(g, max_len)
+                tried.clear()
+                got = bounded_nonempty_witness(g, max_len)
+                assert all(viable.issuperset(words) for words in tried), grammar.rules
+                assert viable or not tried, grammar.rules
+                assert got == _reference_witness(g, max_len, most), \
+                    (quantifiers, max_len, grammar.rules)
+                kinds["witness" if got else "miss"] += 1
+                kinds["no viable word"] += not viable
+                kinds["pruned"] += 0 < len(viable) < len(universe)
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):

@@ -17,7 +17,7 @@ on every realize DFA both ``realize prefix-closed`` routes and ``realize
 regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
 language whose synchronous padding holds a column that no rule has; the
-witness search on unranked ∀∀ (a miss) and ∀∃ grammars, and a ranked
+witness search on unranked ∀∀ and ∀∃ misses and a ∀∃ grammar, and a ranked
 grammar with a trailing all-pad letter; an NFH
 whose quantifier line comes last, one whose automaton pads a track inside
 a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, ordered
@@ -279,6 +279,11 @@ FIXED_FILES = {
     "aa-unranked-miss.cfhg": "quantifiers: A x A y\nstart: S\n"
                              "rule: S -> [x=a,y=b] T\nrule: T -> eps\n"
                              "rule: T -> [x=a,y=#] T\nrule: T -> [x=#,y=b] T\n",
+    # the same tracks under ∀x∃y: no word fills both positions, so no word is
+    # viable and there is no member
+    "ae-unranked-miss.cfhg": "quantifiers: A x E y\nstart: S\n"
+                             "rule: S -> [x=a,y=b] T\nrule: T -> eps\n"
+                             "rule: T -> [x=a,y=#] T\nrule: T -> [x=#,y=b] T\n",
     # unranked, with an all-pad letter inside a word: its first member is {a, b}
     "ae-unranked.cfhg": "quantifiers: A x E y\nstart: S\nrule: S -> [x=a,y=b]\n"
                         "rule: S -> [x=b,y=#] [x=#,y=#] [x=#,y=a]\n"
@@ -369,6 +374,7 @@ FIXED_CALLS = [
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
     ("aa-unranked-miss", ["cfhg", "empty", "aa-unranked-miss.cfhg", "--bounded", "3"]),
     ("ae-unranked", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "2"]),
+    ("ae-unranked-miss", ["cfhg", "empty", "ae-unranked-miss.cfhg", "--bounded", "3"]),
     ("trailing-pad-empty", ["cfhg", "empty", "trailing-pad.cfhg"]),
     ("trailing-pad-member", ["cfhg", "member-finite", "trailing-pad.cfhg", "one-a.lang"]),
     ("ea-criterion9-member", ["cfhg", "member-finite", "ea.cfhg", "ea-member.lang"]),
