@@ -22,7 +22,9 @@ from .core import TrackLetter, closure
 from .errors import AlphabetMismatch, CapExceeded
 from .nfa import Nfa
 
-DERIVATION_CAP = 10 ** 4  # words derive_bounded derives over all variables
+# derive_bounded counts its words over all variables, and the witness
+# search's cfhg.derived_assignments its track tuples per variable
+DERIVATION_CAP = 10 ** 4
 
 
 class _Index(NamedTuple):
@@ -352,13 +354,13 @@ def derives_span(g: Cfg, letter_spans: Callable[[object], Iterable[tuple]],
     return False
 
 
-def derive_bounded(g: Cfg, n: int, stage: str = "grammar") -> set:
+def derive_bounded(g: Cfg, n: int) -> set:
     """All terminal words of length at most ``n``.
 
     Returned words are tuples of terminals.  Computes, per variable, the set
     of derivable words up to the bound as a monotone fixpoint; robust to unit
     and ε cycles.  More than ``DERIVATION_CAP`` words over all variables raise
-    ``CapExceeded``, whose message names the search (``stage``) that asked.
+    ``CapExceeded``.
     """
     if n < 0:
         return set()
@@ -380,7 +382,7 @@ def derive_bounded(g: Cfg, n: int, stage: str = "grammar") -> set:
                 langs[v] |= fresh
                 total += len(fresh)
                 if total > DERIVATION_CAP:
-                    raise CapExceeded(f"{stage} derivations: more than {DERIVATION_CAP} "
+                    raise CapExceeded(f"grammar derivations: more than {DERIVATION_CAP} "
                                       f"words (cap {DERIVATION_CAP})")
                 changed = True
     return langs[g.start]

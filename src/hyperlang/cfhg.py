@@ -17,11 +17,11 @@ A state of the pad-anywhere reading is one position per word; the spans of
 each terminal come straight from the words, and no product automaton is
 built.
 
-The undecidable routes get a bounded witness search.  It enumerates subsets
-of Σ^{≤N}, except on a ranked ∃∃⁺∀⁺ grammar (the ∃∃∀ PCP gadget), where it
-tests the ∃ tuples that a restriction of the grammar derives; on an
-unranked grammar it derives the track tuples once at N and looks each
-assignment up among them, walking only subsets of their viable words.
+The undecidable routes get a bounded witness search over Σ^{≤N}.  It
+derives the grammar's track tuples once at N and looks each assignment up
+among them.  Under an ∃^m∀* prefix (the ∀∀ and ∃∃∀ PCP gadgets) it tests
+only the ∃ choices those tuples hold; after a ∀ before an ∃ it walks the
+subsets of their viable words.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from operator import add
 from typing import Callable
 
 from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cleanup,
-                  cyk_member, derive_bounded, derives_span)
+                  cyk_member, derives_span)
 from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
                    evaluate, finite_language, nonempty_subsets, viable_words)
 from .errors import CapExceeded, Undecidable
@@ -245,72 +245,69 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
 
     Evidence only — a miss does not decide emptiness.  Returns the first
     member in the bit-mask order of ``nonempty_subsets`` over
-    ``bounded_universe``.  Under an ∃^m∀* prefix that member is set(x̄) for
-    its own ∃ choices x̄: set(x̄) is a member within it (each ∀ then ranges
-    over fewer words; for m = 0 its lowest word is), and no larger in mask
-    order.  So only the subsets of at most max(1, m) words are tried; a ∀
-    before an ∃ tries every subset; the universe holds at most
-    ``core.UNIVERSE_CAP`` words.  On an unranked grammar the leaf is a
-    lookup in ``derived_assignments`` at max_len, over the subsets of its
-    ``core.viable_words`` only, which hold every member in mask order; past
-    its cap, and on a ranked grammar, one memoised leaf serves them all.
+    ``bounded_universe``.  The leaf is a lookup among the track tuples that
+    ``derived_assignments`` derives at max_len, exact for any grammar.
 
-    A ranked ∃∃⁺∀⁺ grammar is searched without the universe.  With every ∀
-    variable bound to x₁, the synchronous padding of (x̄, x₁, …, x₁) is
-    derived, up to trailing all-pad letters, and each of its letters gives
-    every ∀ track the x₁ track's symbol.  So the grammar restricted to such
-    letters, its all-pad letter erased, derives it too: the sets set(x̄)
-    read off the restriction's tuples up to ``max_len`` hold the first
-    member, and they are tested in mask order.  More than
-    ``cfg.DERIVATION_CAP`` derived words raise ``CapExceeded``.
+    Under an ∃^m∀* prefix that member is set(x̄) for its own ∃ choices x̄:
+    set(x̄) is a member within it (each ∀ then ranges over fewer words; for
+    m = 0 its lowest word is), and no larger in mask order.  Its tuple
+    (x̄, x₁, …, x₁) is derived, so the sets of the first max(1, m) tracks of
+    the derived tuples whose ∀ tracks all equal the first hold the first
+    member; they are tested in mask order and no universe is built.  A ∀
+    before an ∃ tries every subset of the universe's ``core.viable_words``,
+    which hold every member in mask order.
+
+    Past ``cfg.DERIVATION_CAP`` tuples one memoised leaf serves all.  A
+    ranked grammar pads (x̄, x₁, …, x₁) synchronously, each letter giving
+    every ∀ track x₁'s symbol, so the ∃^m∀* candidates are read off the
+    grammar restricted to such letters.  Past the cap again, or unranked,
+    they are the subsets of at most max(1, m) words of the universe (of
+    ``core.UNIVERSE_CAP`` words at most), as are all its subsets after a ∀.
     """
     if max_len < 0:
         raise ValueError(f"the length bound must be at least 0, not {max_len}")
-    route = emptiness_route(g.prefix)
-    if route == "emptinessexistsforall" and g.ranked():
-        return _guided_witness(g, max_len)
-    universe = bounded_universe(g.symbols, max_len, "witness-search")
     quantifiers = g.prefix.quantifiers
-    most = None if route == "forallexists" else max(1, quantifiers.count("E"))
-    leaf = _membership_leaf(g, False)
-    if not g.ranked():
+    foralls = [j for j, q in enumerate(quantifiers) if q == "A"]
+    if emptiness_route(g.prefix) != "forallexists":
+        candidates, leaf = _exists_forall_candidates(g, max_len, foralls)
+    else:
+        universe = bounded_universe(g.symbols, max_len, "witness-search")
         try:
             derived = derived_assignments(g, max_len)[g.underlying.start]
-        except CapExceeded:  # too many tuples: the fixpoint per assignment
-            pass
+        except CapExceeded:  # too many tuples: the memoised leaf per assignment
+            candidates, leaf = nonempty_subsets(universe), _membership_leaf(g, False)
         else:
+            candidates = nonempty_subsets(viable_words(universe, derived, foralls))
             leaf = derived.__contains__
-            universe = viable_words(universe, derived,
-                                    [j for j, q in enumerate(quantifiers) if q == "A"])
-    for words in nonempty_subsets(universe, most):
+    for words in candidates:
         if evaluate(quantifiers, words, leaf):
             return frozenset(words)
     return None
 
 
-def _guided_witness(g: Cfhg, max_len: int):
-    """``bounded_nonempty_witness`` on a ranked ∃∃⁺∀⁺ grammar.  A set's mask
-    is compared through its words' universe indices, greatest first, so the
-    2^index bits are never built."""
-    quantifiers = g.prefix.quantifiers
-    m = quantifiers.count("E")
-    restricted = _without_all_pad(
-        g, _restriction(g, lambda s: all(c == s[0] for c in s[m:])))
-    digit = {s: i + 1 for i, s in enumerate(sorted(g.symbols))}
+def _exists_forall_candidates(g: Cfhg, max_len: int, foralls: list[int]):
+    """The candidate languages, in mask order, and the leaf of
+    ``bounded_nonempty_witness`` under an ∃^m∀* prefix."""
+    most = max(1, len(g.vars) - len(foralls))
 
-    def index(w: Word) -> int:
-        """w's place in the universe: w read in bijective base |Σ|."""
-        value = 0
-        for s in w:
-            value = value * len(digit) + digit[s]
-        return value
+    def in_mask_order(derived: set) -> list:
+        # a set's mask, compared through its words' shortlex keys,
+        # greatest first, so the 2^index bits are never built
+        return sorted(
+            {frozenset(t[:most]) for t in derived if all(t[j] == t[0] for j in foralls)},
+            key=lambda words: sorted(((len(w), w) for w in words), reverse=True))
 
-    derived = derive_bounded(restricted, max_len, "witness-search")
-    candidates = {frozenset(tuple(t.symbols[i] for t in letters if t.symbols[i] != PAD)
-                            for i in range(m)) for letters in derived}
-    leaf = None
-    for words in sorted(candidates, key=lambda c: sorted(map(index, c), reverse=True)):
-        leaf = leaf or _membership_leaf(g, False)
-        if evaluate(quantifiers, sorted(words, key=index), leaf):
-            return words
-    return None
+    try:
+        derived = derived_assignments(g, max_len)[g.underlying.start]
+        return in_mask_order(derived), derived.__contains__
+    except CapExceeded:
+        leaf = _membership_leaf(g, False)
+    if g.ranked():
+        copies = Cfhg(g.symbols, g.prefix,
+                      _restriction(g, lambda s: all(s[j] == s[0] for j in foralls)))
+        try:
+            return in_mask_order(
+                derived_assignments(copies, max_len)[copies.underlying.start]), leaf
+        except CapExceeded:
+            pass
+    return nonempty_subsets(bounded_universe(g.symbols, max_len, "witness-search"), most), leaf

@@ -7,13 +7,14 @@ import pytest
 
 import hyperlang.cfg as cfg_module
 import hyperlang.cfhg as cfhg_module
+import hyperlang.core as core_module
 from hyperlang.cfg import (Cfg, cfg_empty, cfg_intersect_empty, cleanup,
                            cyk_member, derive_bounded, to_cnf)
 from hyperlang.cfhg import (Cfhg, bounded_nonempty_witness, cfhg_empty,
                             diagonal_restriction, finite_member,
                             regular_member)
-from hyperlang.core import (QuantifierPrefix, as_word, bounded_universe, pad_to_sync,
-                            strip_hash)
+from hyperlang.core import (QuantifierPrefix, as_word, bounded_universe, evaluate,
+                            pad_to_sync, strip_hash)
 from hyperlang.errors import CapExceeded, EmptyLanguage, Undecidable
 from hyperlang.nfa import (Nfa, pad_anywhere, track_product, with_var,
                            word_automaton)
@@ -382,25 +383,40 @@ def test_bounded_witness_equals_reference(monkeypatch, robot_diagonal,
     assert min(kinds.values()) > 0, kinds
 
 
+def _ranked_pad_grammars(rng, v, count):
+    """Generated cleaned ranked grammars that hold the all-pad letter, which
+    a ranked grammar derives only as a trailing block."""
+    pad = letter(v, *"#" * len(v))
+    grammars = []
+    while len(grammars) < count:
+        grammar = cleanup(_padded_grammar(rng, v))
+        if pad in grammar.terminals() and is_ranked(grammar).ranked:
+            grammars.append(grammar)
+    return grammars
+
+
 def test_derived_assignments_equal_sparse_leaf():
     """The derived tuples at bound 2 against the pad-anywhere leaf, on every
     assignment over Σ^{≤2}, for generated unranked grammars of one to three
-    tracks with ε rules, all-pad letters and a variable that has no rule."""
-    rng = random.Random(37)
+    tracks with ε rules, all-pad letters and a variable that has no rule;
+    and against the ranked leaf for generated ranked grammars with a
+    trailing all-pad block."""
+    rng, ranked_rng = random.Random(37), random.Random(59)
     short = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
     verdicts = set()
     for k, count in ((1, 6), (2, 5), (3, 2)):
         v = tuple(f"x{i + 1}" for i in range(k))
         prefix = QuantifierPrefix(tuple(zip("A" * k, v)))
-        for grammar in _unranked_grammars(rng, v, count):
+        for grammar in (_unranked_grammars(rng, v, count)
+                        + _ranked_pad_grammars(ranked_rng, v, count)):
             g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
             derived = cfhg_module.derived_assignments(g, 2)
-            leaf = cfhg_module._membership_leaf(g, True)
+            leaf = cfhg_module._membership_leaf(g, False)
             for assignment in itertools.product(short, repeat=k):
                 got = assignment in derived[grammar.start]
                 assert got == leaf(assignment), (grammar.rules, assignment)
-                verdicts.add(got)
-    assert verdicts == {True, False}
+                verdicts.add((g.ranked(), got))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def _naive_derived_assignments(g, n):
@@ -463,7 +479,7 @@ def test_semi_naive_derivation_equals_naive(monkeypatch):
 def test_ranked_shortcuts_read_a_trailing_all_pad_block():
     """A ranked grammar derives all-pad letters only as a trailing block,
     which pads every track alike: S -> [a,a][#,#] under ∀x∀y derives the
-    tracks (a, a), so {a} is a member, and the guided ∃∃∀ search finds it
+    tracks (a, a), so {a} is a member, and the ∃∃∀ search finds it
     at bound 1 on three tracks.  On generated ranked grammars that
     hold an all-pad letter, under ∀∀, ∃∀, ∃∃∀ and ∀∀∀, the ranked leaf
     agrees with the pad-anywhere leaf, the search with the reference on the
@@ -474,7 +490,7 @@ def test_ranked_shortcuts_read_a_trailing_all_pad_block():
     assert g.ranked() and not cfhg_empty(g)
     assert finite_member(g, [("a",)]) and finite_member(g, [("a",)], force_slow=True)
     assert bounded_nonempty_witness(g, 1) == {("a",)}
-    # the guided ∃∃∀ search bounds the tracks, not the trailing block
+    # the ∃∃∀ search bounds the tracks, not the trailing block
     v = ("x", "y", "z")
     g = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("E x E y A z"),
              Cfg({"S"}, "S", {("S", (letter(v, *"aaa"), letter(v, *"###")))}))
@@ -485,13 +501,7 @@ def test_ranked_shortcuts_read_a_trailing_all_pad_block():
     for quantifiers in ("AA", "EA", "EEA", "AAA"):
         v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
         prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
-        pad = letter(v, *"#" * len(v))
-        grammars = []
-        while len(grammars) < 5:
-            grammar = cleanup(_padded_grammar(rng, v))
-            if pad in grammar.terminals() and is_ranked(grammar).ranked:
-                grammars.append(grammar)
-        for grammar in grammars:
+        for grammar in _ranked_pad_grammars(rng, v, 5):
             g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
             for _ in range(4):
                 language = rng.sample(short, rng.randint(1, 2))
@@ -645,11 +655,12 @@ def test_pruned_witness_search_equals_unpruned(monkeypatch):
 
 
 def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
-    """The ∃∃∀ criterion-9 encoding is ranked, so the search evaluates each
-    set {x1, x2} of a tuple (x1, x2, x1) the grammar derives once, and no
-    other language: none at length 1, the top words' sets at length 5 (no
-    member).  The same grammar under ∀∃∃ still walks all 127 non-empty
-    subsets of the 7 words of length at most 1."""
+    """On the ∃∃∀ criterion-9 encoding the search evaluates each set
+    {x1, x2} of a tuple (x1, x2, x1) the grammar derives once, and no other
+    language: none at length 1, the top words' sets at length 5 (no
+    member).  The same grammar under ∀∃∃ walks every non-empty subset of
+    its viable words of length at most 1 and no other, not all 127 subsets
+    of the 7 words."""
     tried = []
 
     def spy(quantifiers, words, leaf, original=cfhg_module.evaluate):
@@ -672,23 +683,25 @@ def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
     forall_first = Cfhg(g.symbols, QuantifierPrefix.parse("A x1 E x2 E x3"),
                         g.underlying)
     assert bounded_nonempty_witness(forall_first, 1) is None
-    assert len(tried) == 127
+    viable = _greatest_viable(forall_first, 1)
+    assert all(viable.issuperset(words) for words in tried)
+    assert len(tried) == 2 ** len(viable) - 1 < 127
 
 
-def _planted_ranked_grammar(rng, prefix):
+def _planted_ranked_grammar(rng, prefix, longest=2):
     """A grammar V0 -> t over synchronous tuples t of words of length at
-    most 2 over {a, b}: for one to three random ∃ choices x̄, most of the
-    tuples (x̄, f) for f mapping the ∀ variables into x̄, so set(x̄) is often
-    a member."""
+    most ``longest`` over {a, b}: for one to three random ∃ choices x̄ (one
+    word x̄ when there is no ∃), most of the tuples (x̄, f) for f mapping the
+    ∀ variables into x̄, so set(x̄) is often a member."""
     v = prefix.variables
     m = prefix.quantifiers.count("E")
-    words = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    words = [w for n in range(longest + 1) for w in itertools.product("ab", repeat=n)]
     rules = set()
     for _ in range(rng.randint(1, 3)):
-        chosen = [rng.choice(words) for _ in range(m)]
+        chosen = [rng.choice(words) for _ in range(max(1, m))]
         for f in itertools.product(chosen, repeat=len(v) - m):
             if rng.random() < 0.8:
-                rules.add(("V0", pad_to_sync(dict(zip(v, chosen + list(f))), v)))
+                rules.add(("V0", pad_to_sync(dict(zip(v, chosen[:m] + list(f))), v)))
     return Cfg(frozenset({"V0"}), "V0", frozenset(rules))
 
 
@@ -699,7 +712,7 @@ def test_guided_witness_equals_reference_on_ranked_grammars(monkeypatch):
     with members, at lengths 1 and 2.  The cases include witnesses of two
     words, which the mask order of the candidates decides."""
     def no_universe(*args):
-        raise AssertionError("the guided route built the universe")
+        raise AssertionError("the ∃^m∀* search built the universe")
 
     monkeypatch.setattr(cfhg_module, "bounded_universe", no_universe)
     rng = random.Random(23)
@@ -719,6 +732,95 @@ def test_guided_witness_equals_reference_on_ranked_grammars(monkeypatch):
             witnesses += expected is not None
             two_words += len(expected or ()) == 2
     assert witnesses >= 10 and two_words >= 5
+
+
+def _mask_order_witness(g, max_len, most):
+    """The first member among the subsets of at most ``most`` words of
+    Σ^{≤max_len} in bit-mask order (a subset's universe indices compared
+    greatest first), through one memoised ``finite_member`` leaf."""
+    universe = [w for n in range(max_len + 1)
+                for w in itertools.product(sorted(g.symbols), repeat=n)]
+    leaf = cfhg_module._membership_leaf(g, False)
+    subsets = [c for k in range(1, most + 1)
+               for c in itertools.combinations(range(len(universe)), k)]
+    for c in sorted(subsets, key=lambda c: c[::-1]):
+        words = [universe[i] for i in c]
+        if evaluate(g.prefix.quantifiers, words, leaf):
+            return frozenset(words)
+    return None
+
+
+def test_witness_search_past_the_universe_cap(monkeypatch):
+    """Under ∀∀, ∃∀ and ∃∃∀ at bound 5 over {a, b} (63 words, past
+    ``core.UNIVERSE_CAP``), on generated ranked grammars planted with
+    members of up to 5 letters, the search builds no universe and returns
+    the witness or miss of the mask-order reference over the subsets of at
+    most max(1, m) words.  So it does on generated unranked grammars under
+    ∀∀ and ∃∀, where the reference tries the 63 single words (under ∃∃∀
+    its pad-anywhere leaf would take seconds on 2,016 sets).  On a ranked
+    grammar with a ``cfg.DERIVATION_CAP`` that its tuples pass but its
+    tuples whose ∀ tracks copy the first track do not, the search still
+    builds no universe and gives the same answer.  So it does at the real
+    caps on ∃x∃y∀z over every letter of {a, b}³, whose 37,449 tuples pass
+    ``cfg.DERIVATION_CAP``: {ε}, or {a} without the ε rule.  Under a cap
+    of 0 a ranked ∃∃∀ grammar falls back to the universe and gives the
+    same answer."""
+    universe = cfhg_module.bounded_universe
+
+    def no_universe(*args):
+        raise AssertionError("the ∃^m∀* search built the universe")
+
+    monkeypatch.setattr(cfhg_module, "bounded_universe", no_universe)
+    rng = random.Random(53)
+    kinds = dict.fromkeys(("ranked", "unranked", "miss", "two words", "past bound 3",
+                           "restricted"), 0)
+    for quantifiers in ("AA", "EA", "EEA"):
+        v = tuple(f"x{i + 1}" for i in range(len(quantifiers)))
+        prefix = QuantifierPrefix(tuple(zip(quantifiers, v)))
+        most = max(1, quantifiers.count("E"))
+        grammars = _unranked_grammars(rng, v, 2) if most == 1 else []
+        while len(grammars) < 5:
+            grammar = _planted_ranked_grammar(rng, prefix, 5)
+            if grammar.rules and is_ranked(grammar).ranked:
+                grammars.append(grammar)
+        for grammar in grammars:
+            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+            got = bounded_nonempty_witness(g, 5)
+            assert got == _mask_order_witness(g, 5, most), (quantifiers, grammar.rules)
+            kinds["ranked" if g.ranked() else "unranked"] += got is not None
+            kinds["miss"] += got is None
+            kinds["two words"] += len(got or ()) == 2
+            kinds["past bound 3"] += max(map(len, got or [()])) > 3
+            if quantifiers == "EEA" and got:
+                planted = g, got
+            derived = cfhg_module.derived_assignments(g, 5)[grammar.start]
+            copies = {t for t in derived if all(w == t[0] for w in t[len(v) - 1:])}
+            if g.ranked() and len(copies) < len(derived):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cfhg_module, "DERIVATION_CAP", len(copies))
+                    assert bounded_nonempty_witness(g, 5) == got, grammar.rules
+                kinds["restricted"] += 1
+    assert min(kinds.values()) > 0, kinds
+    v = ("x", "y", "z")
+    letters = [letter(v, *s) for s in itertools.product("ab", repeat=3)]
+    for ends, first in (({()}, ()), ({(t,) for t in letters}, ("a",))):
+        rules = {("S", (t, "S")) for t in letters} | {("S", end) for end in ends}
+        g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("E x E y A z"),
+                 Cfg(frozenset({"S"}), "S", frozenset(rules)))
+        with pytest.raises(CapExceeded):
+            cfhg_module.derived_assignments(g, 5)
+        assert bounded_nonempty_witness(g, 5) == {first}
+    g, got = planted
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return universe(*args)
+
+    monkeypatch.setattr(cfhg_module, "bounded_universe", spy)
+    monkeypatch.setattr(cfhg_module, "DERIVATION_CAP", 0)
+    monkeypatch.setattr(core_module, "UNIVERSE_CAP", 63)
+    assert bounded_nonempty_witness(g, 5) == got and built
 
 
 def _planted_pcp(rng):

@@ -400,20 +400,19 @@ def test_cap_errors_name_the_search(files, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "cap exceeded: probe universe has 63 words; cap is 20\n"
-    # an unranked ∀∀ grammar: the search enumerates Σ^{≤5}
-    grammar = str(tmp / "aa.cfhg")
-    run(["pcp", "encode-forall", write("t.txt", TILES), "-o", grammar])
-    capsys.readouterr()
+    # a ∀∃ grammar over {a, b}: the search walks the viable words of Σ^{≤5}
+    grammar = write("ae.cfhg", "quantifiers: A x E y\nstart: S\nrule: S -> [x=a,y=b]\n")
     assert run(["cfhg", "empty", grammar, "--bounded", "5"]) == 2
     assert capsys.readouterr().err == \
         "cap exceeded: witness-search universe has 63 words; cap is 20\n"
-    # a ranked ∃∃∀ grammar: the search enumerates its derived tuples
+    # a ranked ∃∃∀ grammar over 6 symbols: past the derivation cap, for
+    # it and its restriction, the search falls back to Σ^{≤30}
     grammar = str(tmp / "ea.cfhg")
     run(["pcp", "encode-ea", write("t2.txt", "ab | a\nb | bb\na | ba\n"), "-o", grammar])
     capsys.readouterr()
     assert run(["cfhg", "empty", grammar, "--bounded", "30"]) == 2
-    assert capsys.readouterr().err == \
-        "cap exceeded: witness-search derivations: more than 10000 words (cap 10000)\n"
+    assert capsys.readouterr().err == ("cap exceeded: witness-search universe has "
+                                       f"{(6 ** 31 - 1) // 5} words; cap is 20\n")
 
 
 def test_cfhg_member_finite(files, capsys):

@@ -27,6 +27,8 @@ word_automaton
 # functions, classes and methods kept although nothing in ``src`` reads them
 UNREAD = {
     "bar_hillel": "the independent route that tests check cfg_intersect_empty against",
+    "derive_bounded": "the bounded derivation that test_cfg, test_acceptance, "
+                      "test_ranks and test_pcp compare against",
     "realize_regular": "the paper's pumping construction that tests check "
                        "`realize regular` against",
     "relation_pairs": "the enumeration that tests read a relation's pairs from",

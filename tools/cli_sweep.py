@@ -17,8 +17,9 @@ on every realize DFA both ``realize prefix-closed`` routes and ``realize
 regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
 language whose synchronous padding holds a column that no rule has; the
-witness search on unranked ∀∀ and ∀∃ misses and a ∀∃ grammar, and a ranked
-grammar with a trailing all-pad letter; an NFH
+witness search on unranked ∀∀ and ∀∃ misses and a ∀∃ grammar, on
+criterion 9's ∀∀ gadget at bound 9, a ranked ∃∃∀ grammar past the
+derivation cap, and a ranked grammar with a trailing all-pad letter; an NFH
 whose quantifier line comes last, one whose automaton pads a track inside
 a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, ordered
 languages from a non-empty FIRST word, through a successor that ends in an
@@ -272,7 +273,8 @@ FIXED_FILES = {
     "bare.cfhg": "quantifiers: A x\nstart: V0\nrule: V0 -> [x=a] V0\nrule: V0 -> a\n",
     "aa.cfhg": forall_cfhg_text(CRITERION9_TILES),
     "ea.cfhg": ea_cfhg_text(CRITERION9_TILES),
-    # solvable (1, 3), but its derivations up to length 30 exceed the cap
+    # solvable (1, 3), but its derivations up to length 30 exceed the
+    # derivation cap, and the universe Σ^{≤30} the universe cap
     "ea-cap.cfhg": ea_cfhg_text((("ab", "a"), ("b", "bb"), ("a", "ba"))),
     # unranked: x starts with a and y with b, so no (w, w) is derived and
     # ∀x∀y has no member
@@ -288,6 +290,10 @@ FIXED_FILES = {
     "ae-unranked.cfhg": "quantifiers: A x E y\nstart: S\nrule: S -> [x=a,y=b]\n"
                         "rule: S -> [x=b,y=#] [x=#,y=#] [x=#,y=a]\n"
                         "rule: S -> [x=b,y=b] [x=b,y=#] S\n",
+    # ranked ∃∃∀ over every letter of {a, b}^3: its tuples up to length 5
+    # pass the derivation cap, those whose z copies x do not
+    "eea-letters.cfhg": "quantifiers: E x E y A z\nstart: S\nrule: S -> eps\n" + "".join(
+        f"rule: S -> [x={x},y={y},z={z}] S\n" for x in "ab" for y in "ab" for z in "ab"),
     # ranked, with a trailing all-pad letter: it derives the tracks (a, a)
     "trailing-pad.cfhg": "quantifiers: A x A y\nstart: S\n"
                          "rule: S -> [x=a,y=a] [x=#,y=#]\n",
@@ -371,7 +377,9 @@ FIXED_CALLS = [
     ("bounded", ["cfhg", "empty", "aa.cfhg", "--bounded", "1"]),
     ("bounded-negative", ["cfhg", "empty", "aa.cfhg", "--bounded", "-1"]),
     ("ea-criterion9-bounded", ["cfhg", "empty", "ea.cfhg", "--bounded", "13"]),
+    ("aa-criterion9-bounded", ["cfhg", "empty", "aa.cfhg", "--bounded", "9"]),
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
+    ("eea-derivation-cap", ["cfhg", "empty", "eea-letters.cfhg", "--bounded", "5"]),
     ("aa-unranked-miss", ["cfhg", "empty", "aa-unranked-miss.cfhg", "--bounded", "3"]),
     ("ae-unranked", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "2"]),
     ("ae-unranked-miss", ["cfhg", "empty", "ae-unranked-miss.cfhg", "--bounded", "3"]),
@@ -384,7 +392,7 @@ FIXED_CALLS = [
     ("bare-terminal", ["cfhg", "member-finite", "bare.cfhg", "a.lang"]),
     # one refusal per cap
     ("probe-universe-cap", ["nfh", "probe", "ab.nfh", "--max-len", "4"]),
-    ("witness-universe-cap", ["cfhg", "empty", "aa.cfhg", "--bounded", "5"]),
+    ("witness-universe-cap", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "5"]),
     ("path-cap", ["realize", "regular", "blocks6.dfa", "-o", "out"]),
     ("lasso-cap", ["realize", "regular", "cycles-7-11.dfa", "-o", "out"]),
     ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
