@@ -24,9 +24,9 @@ from typing import Iterator
 
 from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
-from .nfa import (Dfa, Nfa, absorb_pad, compose_free, compose_sync, difference,
-                  elim_pad, explore, fresh_state, pad_coreach, pad_suffix, project,
-                  relabel, to_base, trim, union_all, with_var, word_automaton)
+from .nfa import (Dfa, Nfa, absorb_pad, compose_sync, difference, elim_pad,
+                  explore, fresh_state, pad_coreach, pad_suffix, project, to_base,
+                  trim, union_all)
 from .nfh import Nfh, accepted_assignments
 
 DET_CAP = 64  # states of a determinization input; the shortlex lasso's sets
@@ -116,38 +116,40 @@ def realize_finite(words, alphabet=None) -> Nfh:
                underlying)
 
 
-def _first_word_product(word: Word, a: Nfa, vars: tuple[str, ...]) -> Nfa:
-    """``absorb_pad(compose_free(with_var(word_automaton(word, symbols), "x1"),
-    b))``, with ``symbols`` the symbols of ``a`` but the pad and ``b`` the track
-    automaton ``a`` with its tracks named ``vars``, built in one ``explore``
-    over (line state, state of a) with each distinct letter built once: the
-    same states, letters and acceptance.  ``word`` holds symbols of ``a``
-    only, and no pad, so an all-pad letter moves the line only past its
-    end, and a state absorbs where the line has ended and a's state
-    reaches, over all-pad letters, an accepting state or a's pad state."""
-    line = [f"q{i}" for i in range(len(word) + 1)] + [("pad", 0)]
-    line_moves = dict(zip(line, zip(tuple(word) + (PAD, PAD), line[1:] + line[-1:])))
+def _first_word_product(words: tuple[Word, ...], a: Nfa, vars: tuple[str, ...]) -> Nfa:
+    """``absorb_pad(compose_free(*lines, b))``, ``lines`` the word automata of
+    ``words`` on x1..xm over a's symbols but the pad and ``b`` the track
+    automaton ``a`` with its tracks named ``vars``, in one ``explore`` over
+    (line state, state of a) with each distinct letter built once.  The line
+    reads the words' padded columns, then all-pad ones: on one word, the
+    composition's states and letters.  The words hold no pad, so a state
+    absorbs where the line has ended and a's state reaches, over all-pad
+    letters, an accepting state or a's pad state."""
+    columns = list(itertools.zip_longest(*words, fillvalue=PAD))
+    columns += [(PAD,) * len(words)] * 2
+    line = [f"q{i}" for i in range(len(columns) - 1)] + [("pad", 0)]
+    line_moves = dict(zip(line, zip(columns, line[1:] + line[-1:])))
     a_pad = fresh_state(a.states, "pad")
     all_pad = (PAD,) * len(vars)
     absorbing = pad_coreach(a, a.accepting | {a_pad})
     moves = a.moves_from()
-    joint_vars = ("x1",) + tuple(vars)
+    joint_vars = tuple(f"x{i + 1}" for i in range(len(words))) + tuple(vars)
     letters: dict = {}
 
     def step(state):
         position, q = state
-        s, after = line_moves[position]
+        column, after = line_moves[position]
         targets = [(letter.symbols, p) for letter, p in moves.get(q, ())]
         if q in a.accepting or q == a_pad:
             targets.append((all_pad, a_pad))
         for symbols, p in targets:
-            key = (s,) + symbols
+            key = column + symbols
             joint = letters.get(key)
             if joint is None:
                 joint = letters[key] = TrackLetter(joint_vars, key)
             yield joint, (after, p)
 
-    line_symbols = (a.symbols - {PAD}) or {"a"}  # as ``word_automaton`` has
+    line_symbols = ((a.symbols - {PAD}) or {"a"}) | {s for w in words for s in w}
     return explore({(line[0], q) for q in a.initial}, step,
                    lambda state: state[0] in line[-2:] and state[1] in absorbing,
                    line_symbols | a.symbols | {PAD}, joint_vars)
@@ -155,7 +157,7 @@ def _first_word_product(word: Word, a: Nfa, vars: tuple[str, ...]) -> Nfa:
 
 def realize_ordered(spec: OrderedLanguageSpec) -> Nfh:
     """∃∀∃-NFH for an ordered language: a chain reaction from the first word."""
-    underlying = _first_word_product(spec.first_word, spec.successor, ("x2", "x3"))
+    underlying = _first_word_product((spec.first_word,), spec.successor, ("x2", "x3"))
     if not underlying.accepting:
         raise EmptyLanguage("the successor relation is empty")
     prefix = QuantifierPrefix((("E", "x1"), ("A", "x2"), ("E", "x3")))
@@ -166,33 +168,38 @@ def realize_ordered(spec: OrderedLanguageSpec) -> Nfh:
 
 def _successor_product(relation: Nfa, i: int) -> Nfa:
     """P_i, the joint automaton over (z, y1..yi): i relation copies sharing
-    the z-track, accepting only when all y-words are pairwise distinct.
+    the z-track, accepting only when y1 < … < yi column by column on the
+    padded words, the pad least.  Any i distinct successors can be listed so.
 
-    States are (per-copy states, set of index pairs already seen distinct).
+    States are (per-copy states, an "already apart" flag per adjacent pair);
+    a pair ordered the wrong way is pruned at its first differing column.
     """
     closed = pad_suffix(relation)
-    pairs = list(itertools.combinations(range(i), 2))
-    all_pairs = frozenset(frozenset(p) for p in pairs)
+    key = lambda s: (s != PAD, s)
+    # a pair's flag after a column (s, t) where it is not yet apart; None: pruned
+    after = {(s, t): key(s) < key(t) if key(s) <= key(t) else None
+             for s in closed.symbols for t in closed.symbols}
     by_x: dict = {}
     for q, letter, p in closed.transitions:
         by_x.setdefault(q, {}).setdefault(letter["x"], []).append((letter["y"], p))
     joint_vars = ("z",) + tuple(f"y{j + 1}" for j in range(i))
 
     def step(state):
-        copies, seen = state
+        copies, apart = state
         per_copy = [by_x.get(q, {}) for q in copies]
         for x_sym in set(per_copy[0]).intersection(*per_copy[1:]):
             for combo in itertools.product(*(moves[x_sym] for moves in per_copy)):
                 y_syms = tuple(y for y, _ in combo)
-                targets = tuple(p for _, p in combo)
-                new_seen = seen | {frozenset((j1, j2)) for j1, j2 in pairs
-                                   if y_syms[j1] != y_syms[j2]}
-                yield TrackLetter(joint_vars, (x_sym,) + y_syms), (targets, new_seen)
+                flags = tuple(done or after[pair]
+                              for done, pair in zip(apart, zip(y_syms, y_syms[1:])))
+                if None not in flags:
+                    yield (TrackLetter(joint_vars, (x_sym,) + y_syms),
+                           (tuple(p for _, p in combo), flags))
 
-    initial = {(combo, frozenset())
+    initial = {(combo, (False,) * (i - 1))
                for combo in itertools.product(closed.initial, repeat=i)}
     return explore(initial, step,
-                   lambda state: state[1] == all_pairs
+                   lambda state: all(state[1])
                    and all(q in closed.accepting for q in state[0]),
                    closed.symbols, joint_vars)
 
@@ -239,53 +246,43 @@ def _successor_counts(relation: Nfa, k: int) -> Iterator[tuple[Nfa, Nfa]]:
 
 # --- partially ordered languages -----------------------------------------------
 
-def _constrain_track(a: Nfa, var: str, base: Nfa) -> Nfa:
-    """Product of a track automaton with a base automaton run on one track."""
-    moves_a = a.moves_from()
-    moves_base = base.adjacency()
+def _count_part(product: Nfa, exact: Nfa, vars: tuple[str, ...]) -> Nfa:
+    """P_i with ``exact`` (padded) run on its z-track: z a word with exactly
+    i successors and y1..yi those successors; letters widen to ``vars`` by
+    copies of the z-symbol."""
+    base = pad_suffix(exact)
+    moves, moves_base = product.moves_from(), base.adjacency()
+    wide = {letter: TrackLetter(vars, letter.symbols
+                                + (letter["z"],) * (len(vars) - len(product.vars)))
+            for letter in product.letters()}
 
     def step(state):
         q, b = state
-        for letter, q2 in moves_a.get(q, []):
-            for b2 in moves_base.get((b, letter[var]), ()):
-                yield letter, (q2, b2)
+        for letter, q2 in moves.get(q, ()):
+            for b2 in moves_base.get((b, letter["z"]), ()):
+                yield wide[letter], (q2, b2)
 
-    return explore({(q, b) for q in a.initial for b in base.initial}, step,
-                   lambda state: state[0] in a.accepting and state[1] in base.accepting,
-                   a.symbols | base.symbols, a.vars)
-
-
-def _extend_diagonal(a: Nfa, source: str, new_vars: tuple[str, ...]) -> Nfa:
-    """Add tracks that copy the ``source`` track letter for letter."""
-    if not new_vars:
-        return a
-    return relabel(a, a.vars + new_vars,
-                   lambda letter: letter.symbols + (letter[source],) * len(new_vars))
+    return explore({(q, b) for q in product.initial for b in base.initial}, step,
+                   lambda state: state[0] in product.accepting
+                   and state[1] in base.accepting, product.symbols | base.symbols, vars)
 
 
 def realize_partially_ordered(spec: PartialOrderSpec) -> Nfh:
-    """∃^m ∀ ∃^k NFH: minimal words exist, and every word demands its successors."""
+    """∃^m ∀ ∃^k NFH: minimal words exist, and every word demands its
+    successors.  The counts' parts are united, then read with the words."""
     k = spec.max_successors
     symbols = {s for s in spec.relation.symbols if s != PAD}
     symbols |= {s for w in spec.minimal_words for s in w}
-    x_names = tuple(f"x{i + 1}" for i in range(len(spec.minimal_words)))
-    y_names = tuple(f"y{i + 1}" for i in range(k))
-    a_u = compose_free(*(with_var(word_automaton(w, symbols), x)
-                         for w, x in zip(spec.minimal_words, x_names)))
-
-    parts = []
-    counts = _successor_counts(spec.relation, k)
-    for i, (product, exact) in enumerate(counts, 1):
-        b_i = _constrain_track(product, "z", pad_suffix(exact))
-        b_i = _extend_diagonal(b_i, "z", y_names[i:])
-        if b_i.accepting:
-            parts.append(compose_free(a_u, b_i))
+    vars = ("z",) + tuple(f"y{i + 1}" for i in range(k))
+    parts = [_count_part(product, exact, vars)
+             for product, exact in _successor_counts(spec.relation, k)]
+    parts = [part for part in parts if part.accepting]
     if not parts:
         raise EmptyLanguage("no word of the relation's domain has 1..k successors")
-    underlying = absorb_pad(union_all(parts))
-    prefix = QuantifierPrefix(tuple(("E", x) for x in x_names)
-                              + (("A", "z"),)
-                              + tuple(("E", y) for y in y_names))
+    underlying = _first_word_product(spec.minimal_words, union_all(parts), vars)
+    x_names = underlying.vars[:len(spec.minimal_words)]
+    prefix = QuantifierPrefix(tuple(("E", x) for x in x_names) + (("A", "z"),)
+                              + tuple(("E", y) for y in vars[1:]))
     return Nfh(frozenset(symbols), prefix, underlying)
 
 
@@ -357,7 +354,7 @@ def realize_prefix_closed_fast(a: Dfa) -> Nfh:
     component = Nfa(t.symbols | {PAD}, t.states | {final}, t.initial, {final},
                     transitions, joint_vars)
 
-    underlying = _first_word_product((), component, joint_vars)
+    underlying = _first_word_product(((),), component, joint_vars)
     prefix = QuantifierPrefix((("E", "x1"), ("A", "z"))
                               + tuple(("E", y) for y in y_names))
     return Nfh(frozenset(t.symbols - {PAD}), prefix, underlying)

@@ -27,6 +27,8 @@ word_automaton
 # functions, classes and methods kept although nothing in ``src`` reads them
 UNREAD = {
     "bar_hillel": "the independent route that tests check cfg_intersect_empty against",
+    "compose_free": "the free composition that tests check realize's product passes "
+                    "against, and a name the benchmark's span tracer wraps in `nfa`",
     "derive_bounded": "the bounded derivation that test_cfg, test_acceptance, "
                       "test_ranks and test_pcp compare against",
     "realize_regular": "the paper's pumping construction that tests check "
@@ -44,6 +46,8 @@ UNREAD = {
     "nfa_language": "the bounded enumeration that tests compare against, and a "
                     "name the benchmark's span tracer wraps in `nfa`",
     "strip_hash": "the inverse of padding, which tests read tracks back through",
+    "word_automaton": "the line of one word, the operand of the composed references "
+                      "of realize's product passes",
 }
 
 

@@ -147,12 +147,28 @@ def test_ordered_finite_cycle():
     assert probe_strings(n, 1) == {frozenset({"a", "b"})}
 
 
-def _composed_first_word(word, a, track_vars):
-    """The reference for ``_first_word_product``: the line of ``word`` on x1,
-    freely composed with ``a`` on ``track_vars``, trailing pads absorbed."""
-    line = with_var(word_automaton(word, {s for s in a.symbols if s != PAD}), "x1")
+def _composed_first_word(words, a, track_vars):
+    """The reference for ``_first_word_product``: the lines of ``words`` on
+    x1..xm, freely composed with ``a`` on ``track_vars``, trailing pads
+    absorbed."""
+    symbols = {s for s in a.symbols if s != PAD}
+    lines = [with_var(word_automaton(w, symbols), f"x{j + 1}")
+             for j, w in enumerate(words)]
     renamed = relabel(a, track_vars, lambda l: l.symbols)
-    return absorb_pad(compose_free(line, renamed))
+    return absorb_pad(compose_free(*lines, renamed))
+
+
+def _column_line_states(a, words):
+    """``a``, a composition of the lines of ``words`` with a track automaton,
+    with each state (line states..., q) renamed (state of the longest word's
+    line, q): the column line's names, since every line reads one column per
+    step and a shorter word's line state follows from the longest's; the
+    dead state of an empty ``a`` keeps its name."""
+    longest = max(range(len(words)), key=lambda j: len(words[j]))
+    name = lambda state: (state[longest], state[-1]) if state != "__dead__" else state
+    return Nfa(a.symbols, map(name, a.states), map(name, a.initial),
+               map(name, a.accepting),
+               {(name(q), l, name(p)) for q, l, p in a.transitions}, a.vars)
 
 
 def _random_track_nfa(rng):
@@ -172,16 +188,20 @@ def _random_track_nfa(rng):
 
 def test_first_word_product_equals_composition(monkeypatch):
     """``_first_word_product`` is its composed reference field for field, on
-    generated (x, y) NFAs under ε and non-empty first words, on the
-    successors that ``realize_shortlex`` chains from the least word of
-    generated infinite DFAs, and on the components of the fast prefix-closed
-    route: so every rendered byte of those routes stays the same."""
+    generated (x, y) NFAs under one to three words, ε among them, with the
+    reference's states renamed onto the column line for more than one word;
+    on the successors that ``realize_shortlex`` chains from the least word
+    of generated infinite DFAs; on the components of the fast prefix-closed
+    route; and on the united parts of the partial-order route: so every
+    rendered byte of the one-word routes stays the same."""
     rng = random.Random(29)
     cases = []
-    for _ in range(400):
+    for t in range(400):
         a = _random_track_nfa(rng)
-        word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
-        cases.append((word, a, rng.choice([("x2", "x3"), ("x", "y")])))
+        m = 1 + t % 3
+        words_ = tuple(tuple(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+                       for _ in range(m))
+        cases.append((words_, a, rng.choice([(f"x{m + 1}", f"x{m + 2}"), ("x", "y")])))
     assert sum(not a.accepting for _, a, _ in cases) >= 50
     assert sum(("pad", 0) in a.states for _, a, _ in cases) >= 50
     seen = []
@@ -193,17 +213,23 @@ def test_first_word_product_equals_composition(monkeypatch):
             realize_shortlex(d)
     for _ in range(40):
         realize_prefix_closed_fast(random_prefix_closed_dfa(rng))
+    for _ in range(10):
+        realize_regular(_random_dfa(rng, cyclic=False))
     successors = [a for _, a, v in seen if v == ("x2", "x3")]
     assert len(successors) >= 50
-    assert sum(v[0] == "z" for _, _, v in seen) == 40
-    cases += [(tuple(rng.choice(sorted(a.symbols - {PAD})) for _ in range(3)), a,
+    assert sum(v[0] == "z" and len(w) == 1 for w, _, v in seen) >= 40
+    assert sum(len(w) > 1 for w, _, _ in seen) >= 3
+    cases += [((tuple(rng.choice(sorted(a.symbols - {PAD})) for _ in range(3)),), a,
                ("x2", "x3")) for a in successors]
-    for word, a, track_vars in cases + seen:
-        built = product(word, a, track_vars)
-        reference = _composed_first_word(word, a, track_vars)
+    for words_, a, track_vars in cases + seen:
+        built = product(words_, a, track_vars)
+        reference = _composed_first_word(words_, a, track_vars)
+        if len(words_) > 1:
+            reference = _column_line_states(reference, words_)
         for field in ("states", "initial", "accepting", "transitions", "symbols",
                       "vars"):
-            assert getattr(built, field) == getattr(reference, field), (field, word, a)
+            assert getattr(built, field) == getattr(reference, field), \
+                (field, words_, a)
 
 
 # --- successor counting ---------------------------------------------------------
@@ -301,6 +327,103 @@ def test_successor_counting_matches_enumeration():
             expected = {u for u, vs in successors.items()
                         if len(u) <= 3 and len(vs) == i}
             assert nfa_language(exact, 3) == expected, (spec, i)
+
+
+def _reference_successor_product(relation, i):
+    """The construction ``_successor_product`` once used: i relation copies
+    sharing the z-track whose y-words are pairwise distinct, over states
+    (per-copy states, set of index pairs already seen distinct)."""
+    closed = pad_suffix(relation)
+    pairs = list(itertools.combinations(range(i), 2))
+    all_pairs = frozenset(frozenset(p) for p in pairs)
+    by_x: dict = {}
+    for q, l, p in closed.transitions:
+        by_x.setdefault(q, {}).setdefault(l["x"], []).append((l["y"], p))
+    joint_vars = ("z",) + tuple(f"y{j + 1}" for j in range(i))
+
+    def step(state):
+        copies, seen = state
+        per_copy = [by_x.get(q, {}) for q in copies]
+        for x_sym in set(per_copy[0]).intersection(*per_copy[1:]):
+            for combo in itertools.product(*(moves[x_sym] for moves in per_copy)):
+                y_syms = tuple(y for y, _ in combo)
+                new_seen = seen | {frozenset((j1, j2)) for j1, j2 in pairs
+                                   if y_syms[j1] != y_syms[j2]}
+                yield (TrackLetter(joint_vars, (x_sym,) + y_syms),
+                       (tuple(p for _, p in combo), new_seen))
+
+    initial = {(combo, frozenset())
+               for combo in itertools.product(closed.initial, repeat=i)}
+    return explore(initial, step,
+                   lambda state: state[1] == all_pairs
+                   and all(q in closed.accepting for q in state[0]),
+                   closed.symbols, joint_vars)
+
+
+def _reference_realize_partially_ordered(spec):
+    """The assembly ``realize_partially_ordered`` once used: each count's
+    part (P_i run with its words on the z-track, widened by copies of z)
+    freely composed with the minimal words' lines, the compositions united,
+    then trailing pads absorbed.  With ``_successor_product`` patched to
+    the reference, it is the construction once used whole."""
+    symbols = {s for s in spec.relation.symbols if s != PAD}
+    symbols |= {s for w in spec.minimal_words for s in w}
+    x_names = tuple(f"x{j + 1}" for j in range(len(spec.minimal_words)))
+    y_names = tuple(f"y{j + 1}" for j in range(spec.max_successors))
+    lines = compose_free(*(with_var(word_automaton(w, symbols), x)
+                           for w, x in zip(spec.minimal_words, x_names)))
+    parts = []
+    counts = _successor_counts(spec.relation, spec.max_successors)
+    for i, (product, exact) in enumerate(counts, 1):
+        base = pad_suffix(exact)
+        moves = product.moves_from()
+        b_i = explore({(q, b) for q in product.initial for b in base.initial},
+                      lambda s: ((l, (q, b)) for l, q in moves.get(s[0], ())
+                                 for b in base.step({s[1]}, l["z"])),
+                      lambda s: s[0] in product.accepting and s[1] in base.accepting,
+                      product.symbols | base.symbols, product.vars)
+        b_i = relabel(b_i, ("z",) + y_names,
+                      lambda l: l.symbols + (l["z"],) * (len(y_names) - i))
+        if b_i.accepting:
+            parts.append(compose_free(lines, b_i))
+    prefix = QuantifierPrefix(tuple(("E", x) for x in x_names) + (("A", "z"),)
+                              + tuple(("E", y) for y in y_names))
+    return Nfh(frozenset(symbols), prefix, absorb_pad(union_all(parts)))
+
+
+def test_ordered_copies_equal_the_pairwise_distinct_reference(monkeypatch):
+    """On generated prefix-closed relations over 1-3 letters and pumping
+    relations of small DFAs, ``successors_ge`` of the ordered copies has the
+    language of the pairwise-distinct reference at i = 1..k+1: ``difference``
+    both ways is empty.  On those over at most 2 letters,
+    ``realize_partially_ordered`` probes as the reference construction does
+    at ``max_len`` 2, m ≥ 2 minimal words among them."""
+    rng = random.Random(61)
+    specs = []
+    for _ in range(20):  # all accepting: prefix-closed, finite or infinite
+        d = _generated_dfa(rng, 1, 3, 3)
+        specs.append(prefix_closed_relation(Dfa(d.symbols, d.states, d.start,
+                                                d.states, d.transitions)))
+    specs += [prefix_closed_relation(random_prefix_closed_dfa(rng)) for _ in range(4)]
+    for cyclic in (True, False) * 6:
+        spec = regular_relation(_random_dfa(rng, cyclic))
+        if spec.max_successors <= 3:  # k+2 relation copies: keep it small
+            specs.append(spec)
+    assert {len(spec.relation.symbols) for spec in specs} == {2, 3, 4}
+    assert {spec.max_successors for spec in specs[:20]} == {1, 2, 3}
+    for spec in specs:
+        for i in range(1, spec.max_successors + 2):
+            got = successors_ge(_successor_product(spec.relation, i))
+            reference = successors_ge(_reference_successor_product(spec.relation, i))
+            assert not difference(got, reference).accepting, (spec, i)
+            assert not difference(reference, got).accepting, (spec, i)
+    probed = [spec for spec in specs if len(spec.relation.symbols) <= 3]
+    assert any(len(spec.minimal_words) >= 2 for spec in probed)
+    built = [probe_strings(realize_partially_ordered(spec), 2) for spec in probed]
+    monkeypatch.setattr(realize_module, "_successor_product",
+                        _reference_successor_product)
+    for spec, got in zip(probed, built):
+        assert got == probe_strings(_reference_realize_partially_ordered(spec), 2), spec
 
 
 # --- prefix-closed languages ----------------------------------------------------
@@ -445,8 +568,8 @@ def test_realize_regular_underlying_successor_step():
 
 # --- the shortlex successor -------------------------------------------------------
 
-# 0-a->1, 1-b->2, 2-a->1, 0-b->0 accepting {1, 2}: the pumping route exceeds
-# DET_CAP on it
+# 0-a->1, 1-b->2, 2-a->1, 0-b->0 accepting {1, 2}: the pumping route once
+# exceeded DET_CAP on it
 ROADMAP_DFA = Dfa({"a", "b"}, {"0", "1", "2"}, "0", {"1", "2"},
                   {("0", "a", "1"), ("1", "b", "2"), ("2", "a", "1"),
                    ("0", "b", "0")})
@@ -699,9 +822,12 @@ def test_ring_dfas_realize(n):
 
 
 def test_caps_name_their_stage(monkeypatch):
-    with pytest.raises(CapExceeded, match=r"^successor count 2: determinization "
-                                          r"input has 66 states \(cap 64\)$"):
-        realize_regular(ROADMAP_DFA)
+    """The default caps build the pumping NFH of the ROADMAP DFA, and a lower
+    ``DET_CAP`` refuses it at the successor count it stops; the shortlex
+    length sets name their own cap."""
+    n = realize_regular(ROADMAP_DFA)
+    assert n.prefix.render() == "E x1 E x2 A z E y1 E y2 E y3 E y4"
+    assert len(n.underlying.states) == 42
     # from s, a: into a 7-cycle and b: into an 11-cycle, each accepting at
     # its entry: the length sets repeat with period 77
     cycles = [("p", 7), ("r", 11)]
@@ -714,6 +840,10 @@ def test_caps_name_their_stage(monkeypatch):
         realize_shortlex(two_cycles)
     monkeypatch.setattr(realize_module, "DET_CAP", 78)
     assert shortlex_successor(two_cycles).accepting
+    monkeypatch.setattr(realize_module, "DET_CAP", 20)
+    with pytest.raises(CapExceeded, match=r"^successor count 1: determinization "
+                                          r"input has 26 states \(cap 20\)$"):
+        realize_regular(ROADMAP_DFA)
 
 
 # --- order containment ----------------------------------------------------------

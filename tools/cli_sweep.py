@@ -24,9 +24,10 @@ whose quantifier line comes last, one whose automaton pads a track inside
 a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, ordered
 languages from a non-empty FIRST word, through a successor that ends in an
 all-pad letter, and from a FIRST word outside the alphabet, a grammar
-with a bare terminal, and a finite L whose DFA holds a dead region with
-many simple paths; and usage errors on both parse routes (``-h`` raises
-``SystemExit``, so it is not among them).  Calls run in-process, in a
+with a bare terminal, a finite L whose DFA holds a dead region with
+many simple paths, and the relation route on a three-letter prefix-closed
+DFA with three extensions at one state; and usage errors on both parse
+routes (``-h`` raises ``SystemExit``, so it is not among them).  Calls run in-process, in a
 scratch directory, with file names relative to it.
 Each call's output is deleted before it runs, unless the call's own files
 provide it: ``finite-over-stale`` writes over a file longer than any output,
@@ -74,6 +75,22 @@ initial: s0
 accepting: s0 s1 s2
 trans: s0 a s1
 trans: s0 a s2
+trans: s1 b s1
+trans: s2 a s0
+"""
+
+# Prefix-closed and infinite over three letters; s0 has three accepting
+# extensions, so the relation route counts successors with up to four
+# relation copies.
+PREFIX_CLOSED_3_DFA = """\
+type: dfa
+alphabet: a b c
+states: s0 s1 s2
+initial: s0
+accepting: s0 s1 s2
+trans: s0 a s1
+trans: s0 b s2
+trans: s0 c s0
 trans: s1 b s1
 trans: s2 a s0
 """
@@ -257,6 +274,7 @@ def two_cycles_dfa(m: int, n: int) -> str:
 FIXED_FILES = {
     "npc.nfa": NOT_PREFIX_CLOSED_NFA,
     "pc.nfa": PREFIX_CLOSED_NFA,
+    "pc3.dfa": PREFIX_CLOSED_3_DFA,
     "succ.nfa": EVEN_BLOCKS_SUCCESSOR,
     "empty-succ.nfa": EMPTY_SUCCESSOR,
     "all-pad-succ.nfa": ALL_PAD_SUCCESSOR,
@@ -339,6 +357,8 @@ FIXED_CALLS = [
     ("pc-relation", ["realize", "prefix-closed", "pc.nfa", "--route", "relation",
                      "-o", "out"]),
     ("pc-regular", ["realize", "regular", "pc.nfa", "-o", "out"]),
+    ("pc3-relation", ["realize", "prefix-closed", "pc3.dfa", "--route", "relation",
+                      "-o", "out"]),
     ("ordered", ["realize", "ordered", "eps", "succ.nfa", "-o", "out"]),
     ("ordered-empty", ["realize", "ordered", "eps", "empty-succ.nfa", "-o", "out"]),
     ("ordered-first-aa", ["realize", "ordered", "aa", "succ.nfa", "-o", "out"]),
