@@ -4,19 +4,17 @@ A rule body is a tuple mixing terminals and variable names.  Variables are
 plain strings listed in ``Cfg.variables``; anything else in a body is a
 terminal (a base symbol string or a ``TrackLetter``).
 
-Membership needs no CNF: its one engine, the semi-naive span fixpoint
-``derives_span``, runs on the grammar's binary-normal-form index (Lange &
-Leiß, *To CNF or not to CNF?*, 2009), built once and cached on the ``Cfg``.
-It serves ``cfg_intersect_empty``, the pad-anywhere leaf of ``cfhg`` and
-``cyk_member``: the span fixpoint on a word read as a chain.  ``to_cnf``
-serves the reference route ``bar_hillel``.
+Membership needs no CNF: its one engine, ``derives_span``, is Earley's
+method read as deduction on the grammar's binary index, built once and
+cached on the ``Cfg``.  It serves ``cfg_intersect_empty``, the pad-anywhere
+leaf of ``cfhg`` and ``cyk_member``: the span fixpoint on a word read as a
+chain.  ``to_cnf`` serves the reference route ``bar_hillel``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import Callable, Collection, Iterable
 
 from .core import TrackLetter, closure
 from .errors import AlphabetMismatch, CapExceeded
@@ -25,15 +23,6 @@ from .nfa import Nfa
 # derive_bounded counts its words over all variables, and the witness
 # search's cfhg.derived_assignments its track tuples per variable
 DERIVATION_CAP = 10 ** 4
-
-
-class _Index(NamedTuple):
-    """A grammar in binary normal form, indexed for the span fixpoint."""
-
-    up: dict         # terminal a -> up[a] of its stand-in, which includes it
-    by_left: dict    # B -> (C, up[A]) for each binary rule A -> B C
-    by_right: dict   # C -> (B, up[A]) for each binary rule A -> B C
-    start_eps: bool  # whether the start symbol is nullable
 
 
 class Cfg:
@@ -199,46 +188,24 @@ def to_cnf(g: Cfg) -> Cfg:
     return Cfg(reach, g.start, [(v, body) for v, body in result if v in reach])
 
 
-def _index(g: Cfg) -> _Index:
-    """The grammar's binary-normal-form index, built once per grammar.
-
-    Bodies longer than two are split into chains through fresh links.  A
-    link, and the stand-in that bodies hold for a terminal, is an
-    ``object()``: it equals no variable or terminal, and hashes fast.  A ⇒ y
-    is a unit step when A → y, or A → y z or A → z y with z nullable;
-    ``up[y]`` is every symbol that unit-derives y, y included."""
+def _index(g: Cfg) -> tuple[dict, dict]:
+    """The grammar's binary index, built once per grammar: head -> its
+    bodies of at most two symbols, and stand-in -> terminal.  Longer bodies
+    are split into chains through fresh links.  A link, and the stand-in that
+    bodies hold for a terminal, is an ``object()``: it equals no variable or
+    terminal, and hashes fast."""
     if g._index is not None:
         return g._index
-    rules: list[tuple] = []  # (head, body) with at most two symbols
-    leaves: dict = {}        # terminal -> the stand-in that bodies hold
+    bodies: dict = {}  # head -> its bodies of at most two symbols
+    leaves: dict = {}  # terminal -> the stand-in that bodies hold
     for v, body in g.rules:
         body = [t if t in g.variables else leaves.setdefault(t, object()) for t in body]
         while len(body) > 2:
             link = object()
-            rules.append((link, (body[-2], body[-1])))
+            bodies.setdefault(link, []).append((body[-2], body[-1]))
             body[-2:] = [link]
-        rules.append((v, tuple(body)))
-    nullable: set = set()
-    if any(not body for _, body in g.rules):
-        heads = {v for v, _ in rules}
-        nullable = _productive([r for r in rules if heads.issuperset(r[1])], heads)
-    parents: dict = {}  # y -> the heads A with a unit step A ⇒ y
-    for v, body in rules:
-        if len(body) == 1:
-            parents.setdefault(body[0], []).append(v)
-        elif len(body) == 2 and nullable:
-            for y, z in (body, body[::-1]):
-                if z in nullable:
-                    parents.setdefault(y, []).append(v)
-    up = {y: frozenset(closure({y}, lambda s: parents.get(s, ()))) for y in parents}
-    by_left, by_right = {}, {}
-    for v, body in rules:
-        if len(body) == 2:
-            (b, c), heads = body, up.get(v) or frozenset((v,))
-            by_left.setdefault(b, []).append((c, heads))
-            by_right.setdefault(c, []).append((b, heads))
-    g._index = _Index({t: up.get(leaf) or frozenset((leaf,)) for t, leaf in leaves.items()},
-                      by_left, by_right, g.start in nullable)
+        bodies.setdefault(v, []).append(tuple(body))
+    g._index = bodies, {leaf: t for t, leaf in leaves.items()}
     return g._index
 
 
@@ -308,49 +275,81 @@ def cfg_intersect_empty(g: Cfg, a: Nfa) -> bool:
                             a.initial, a.accepting)
 
 
+def _by_start(spans: Iterable[tuple]) -> dict:
+    """The pairs (p, q) grouped by p: p -> [q]."""
+    grouped: dict = {}
+    for p, q in spans:
+        grouped.setdefault(p, []).append(q)
+    return grouped
+
+
 def derives_span(g: Cfg, letter_spans: Callable[[object], Iterable[tuple]],
                  sources: Collection, targets: Collection) -> bool:
     """Does the grammar derive a word that takes some source to some target?
     ``letter_spans(a)`` lists the pairs (p, q) that terminal ``a`` takes p to.
 
-    Semi-naive least fixpoint (Bancilhon & Ramakrishnan, 1986) of the
-    relation "symbol X derives a non-empty word taking p to q": a terminal's
-    spans seed its ``up`` set, each new span is joined once with the spans
-    found for its sibling into the ``up`` set of the rule's head, and the
-    search stops at the first start span from a source to a target.
+    Earley's method (1970) read as deduction (Pereira & Warren, 1983): X is
+    predicted at p only when an item needs it there, the start first at each
+    source, and a body's leading letter is matched as it is predicted.  An
+    item (key, rest, q) has read its body up to ``rest`` from the key's
+    position to q; a new span advances every item that waits for the key, and
+    a later waiter replays the spans found.  The start at a source is bound,
+    and so is the last symbol of a bound body: its key keeps only the spans
+    that end in a target (the bound end of magic sets, Bancilhon et al. 1986),
+    so right recursion stays linear.  Each letter's spans are read once, when
+    a derivation first reaches it.
     """
-    index = _index(g)
-    if index.start_eps and any(p in targets for p in sources):
-        return True
-    by_left, by_right, start = index.by_left, index.by_right, g.start
-    ends: dict = defaultdict(dict)    # X -> p -> {q}
-    begins: dict = defaultdict(dict)  # X -> q -> {p}
+    bodies, leaves = _index(g)
+    start = g.start
+    moves: dict = {}    # stand-in -> p -> [q], read on first use
+    ends: dict = {}     # key (X, p, bound) -> {q}: the spans found for X from p
+    waiters: dict = {}  # key -> [(key, rest)]: the items that wait for it
     work: list[tuple] = []
-
-    def add(v, p, q):
-        found = ends[v].setdefault(p, set())
-        if q not in found:
-            found.add(q)
-            begins[v].setdefault(q, set()).add(p)
-            work.append((v, p, q))
-
-    for letter, symbols in index.up.items():
-        spans = letter_spans(letter)
-        for v in symbols:
-            for p, q in spans:
-                add(v, p, q)
+    push = work.append
+    for p in sources:
+        key = start, p, True
+        ends[key], waiters[key] = set(), []
+        for body in bodies.get(start, ()):
+            push((key, body, p))
     while work:
-        v, p, q = work.pop()
-        if v == start and p in sources and q in targets:
-            return True
-        for c, heads in by_left.get(v, ()):
-            for r in tuple(ends[c].get(q, ())):
-                for head in heads:
-                    add(head, p, r)
-        for b, heads in by_right.get(v, ()):
-            for o in tuple(begins[b].get(p, ())):
-                for head in heads:
-                    add(head, o, q)
+        key, rest, q = work.pop()
+        if not rest:  # a span of the key's symbol from its position to q
+            found = ends[key]
+            if q not in found:
+                if key[2]:
+                    if q not in targets:
+                        continue
+                    if key[0] == start and key[1] in sources:
+                        return True
+                found.add(q)
+                for item in waiters[key]:
+                    push((*item, q))
+            continue
+        y, rest = rest[0], rest[1:]
+        if y in leaves:
+            spans = moves.get(y)
+            if spans is None:
+                spans = moves[y] = _by_start(letter_spans(leaves[y]))
+            for r in spans.get(q, ()):
+                push((key, rest, r))
+            continue
+        child = y, q, key[2] and not rest
+        found = ends.get(child)
+        if found is not None:
+            waiters[child].append((key, rest))
+            for r in found:
+                push((key, rest, r))
+            continue
+        ends[child], waiters[child] = set(), [(key, rest)]
+        for body in bodies.get(y, ()):
+            if body and body[0] in leaves:
+                spans = moves.get(body[0])
+                if spans is None:
+                    spans = moves[body[0]] = _by_start(letter_spans(leaves[body[0]]))
+                for r in spans.get(q, ()):
+                    push((child, body[1:], r))
+            else:
+                push((child, body, q))
     return False
 
 

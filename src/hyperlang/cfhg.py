@@ -7,15 +7,14 @@ via diagonal restriction; finite-language membership is decidable for every
 prefix; everything else raises a structured ``Undecidable``.
 
 Finite-language membership decides each leaf of the quantifier tree (one
-word per variable) by the span fixpoint of ``cfg.derives_span`` on the
-grammar's binary-normal-form index, which ``cfg`` builds once per grammar
-with no CNF: a ranked grammar by the span fixpoint on the synchronous
-padding read as a chain, any other grammar (and ``force_slow``) over the
-assigned words read with pads anywhere.  The ranked leaf looks its columns
-up among the grammar's letters and rejects a column that is none of them.
-A state of the pad-anywhere reading is one position per word; the spans of
-each terminal come straight from the words, and no product automaton is
-built.
+word per variable) by ``cfg.derives_span``, Earley's method read as
+deduction on the grammar's binary index, which ``cfg`` builds once per
+grammar with no CNF: a ranked grammar on the synchronous padding read as a
+chain, any other grammar (and ``force_slow``) over the assigned words read
+with pads anywhere.  The ranked leaf looks its columns up among the
+grammar's letters and rejects a column that is none of them.  A state of
+the pad-anywhere reading is one position per word; a terminal's spans come
+straight from the words, once a derivation reaches it: no product is built.
 
 The undecidable routes get a bounded witness search over Σ^{≤N}.  It
 derives the grammar's track tuples once at N and looks each assignment up

@@ -5,7 +5,7 @@ import itertools
 import random
 
 from hyperlang.cfg import (Cfg, bar_hillel, cfg_empty, cfg_intersect_empty,
-                           cleanup, cyk_member, derive_bounded, to_cnf)
+                           cleanup, cyk_member, derive_bounded, derives_span, to_cnf)
 from hyperlang.core import as_word
 from hyperlang.nfa import Nfa, word_automaton
 
@@ -218,11 +218,13 @@ def test_intersect_empty_equals_bar_hillel():
     assert verdicts == {True, False}
 
 
-def _raw_grammar(rng):
+def _raw_grammar(rng, left=None):
     """A random grammar with all that ``to_cnf`` removes: ε-rules, a
     nullable start occurring in bodies, unit cycles, useless variables
     (X never derives a word, Y is never reached), and bodies of 3–4
-    symbols mixing terminals and variables."""
+    symbols mixing terminals and variables; with a second generator
+    ``left``, often a left-recursive body too, drawn from ``left`` alone so
+    that ``rng`` draws what it did without one."""
     pool = ["a", "b", "S", "T", "U", "X"]
     rules = {("X", ("a", "X")), ("Y", ("b",))}
     for _ in range(rng.randint(2, 6)):
@@ -237,6 +239,9 @@ def _raw_grammar(rng):
             rules.add((head, (rng.choice("ab"),)))
     if rng.random() < 0.3:
         rules |= {("S", ("T",)), ("T", ("U",)), ("U", ("S",))}
+    if left is not None and left.random() < 0.6:
+        head = left.choice("STU")
+        rules.add((head, (head, left.choice("ab"))))
     return Cfg({"S", "T", "U", "X", "Y"}, "S", rules)
 
 
@@ -245,13 +250,14 @@ def test_binary_normal_form_engines_on_raw_grammars():
     their CNF, enumeration and the Bar-Hillel product of the CNF; on one
     short word per grammar, ``cyk_member`` also against the emptiness of
     the grammar's Bar-Hillel product with the word's automaton, a route
-    that shares no code with the span fixpoint."""
-    rng, pick = random.Random(20), random.Random(21)
+    that shares no code with the span fixpoint.  Most grammars hold a
+    left-recursive body."""
+    rng, pick, left = random.Random(20), random.Random(21), random.Random(22)
     universe = [w for n in range(6) for w in itertools.product("ab", repeat=n)]
     short = universe[:7]  # the words of at most 2 letters
     verdicts, product_verdicts = set(), set()
     for _ in range(120):
-        g = _raw_grammar(rng)
+        g = _raw_grammar(rng, left)
         cnf = to_cnf(g)
         derived = derive_bounded(g, 5)
         for w in universe:
@@ -266,3 +272,38 @@ def test_binary_normal_form_engines_on_raw_grammars():
         assert cfg_intersect_empty(g, a) == cfg_empty(bar_hillel(g, a)), \
             (g.rules, a.transitions)
     assert verdicts == product_verdicts == {True, False}
+
+
+def test_letters_are_read_once_and_only_where_a_derivation_reaches():
+    """``derives_span`` asks for each letter's spans at most once, and never
+    for a letter that only begins a rule unreachable from the start (d, in
+    U's rule); a nullable symbol and a unit cycle reach the letters by
+    several paths."""
+    g = Cfg({"S", "T", "N", "U"}, "S",
+            [("S", ("N", "a", "S", "b")), ("S", ("T",)), ("T", ("S",)), ("T", ("c",)),
+             ("N", ()), ("N", ("a",)), ("S", ("N", "T", "N")), ("U", ("d", "S"))])
+    for w in ("c", "acb", "aacbb", "aacb", "abc", ""):
+        asked = []
+
+        def spans(letter, word=w):
+            asked.append(letter)
+            return [(i, i + 1) for i, s in enumerate(word) if s == letter]
+        got = derives_span(g, spans, (0,), (len(w),))
+        assert got == (as_word(w) in derive_bounded(g, len(w))), w
+        assert len(asked) == len(set(asked)) and "d" not in asked, (w, asked)
+
+
+def test_long_words_on_recursive_grammars():
+    """2,000-letter words on a left-recursive, a right-recursive and a
+    centre-embedding grammar: the engine is iterative, so none raises
+    ``RecursionError``, and each verdict is right."""
+    n = 2000
+    cases = [
+        (Cfg({"S"}, "S", [("S", ("S", "a")), ("S", ("a",))]), "a" * n, "a" * (n - 1) + "b"),
+        (Cfg({"S"}, "S", [("S", ("a", "S")), ("S", ("a",))]), "a" * n, "a" * (n - 1) + "b"),
+        (Cfg({"S"}, "S", [("S", ("a", "S", "b")), ("S", ())]),
+         "a" * (n // 2) + "b" * (n // 2), "a" * (n // 2) + "b" * (n // 2 - 1) + "a"),
+    ]
+    for g, member, other in cases:
+        assert cyk_member(g, as_word(member)), g.rules
+        assert not cyk_member(g, as_word(other)), g.rules

@@ -419,6 +419,48 @@ def test_derived_assignments_equal_sparse_leaf():
     assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
+def _goal_directed_grammar(rng, v):
+    """A random grammar over every letter of ``v`` with the paths of a
+    goal-directed leaf: an ε rule on N, a unit cycle S -> T -> S, a
+    left-recursive body S -> S L, a binary body led by the nullable N, and
+    the all-pad letter."""
+    pool = [letter(v, *c) for c in itertools.product("ab#", repeat=len(v))]
+    symbols = pool + ["S", "T", "N"]
+    rules = {("N", ()), ("S", ("T",)), ("T", ("S",)), ("S", ("S", rng.choice(pool))),
+             ("S", ("N", rng.choice(symbols))), ("T", (letter(v, *"#" * len(v)), "T")),
+             ("N", (rng.choice(pool),)), ("T", (rng.choice(pool),))}
+    for _ in range(rng.randint(1, 3)):
+        rules.add((rng.choice("STN"),
+                   tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3)))))
+    return Cfg(frozenset({"S", "T", "N"}), "S", frozenset(rules))
+
+
+def test_goal_directed_leaf_equals_derived_assignments():
+    """The pad-anywhere leaf (``force_slow``) against the derived tuples at
+    bound 2, an engine exact for any grammar, on every assignment over
+    Σ^{≤2}, for generated unranked grammars of one to three tracks."""
+    rng = random.Random(61)
+    short = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
+    verdicts = set()
+    for k, count in ((1, 12), (2, 10), (3, 4)):
+        v = tuple(f"x{i + 1}" for i in range(k))
+        prefix = QuantifierPrefix(tuple(zip("A" * k, v)))
+        grammars = []
+        while len(grammars) < count:
+            grammar = _goal_directed_grammar(rng, v)
+            if not is_ranked(grammar).ranked:
+                grammars.append(grammar)
+        for grammar in grammars:
+            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+            derived = cfhg_module.derived_assignments(g, 2)["S"]
+            leaf = cfhg_module._membership_leaf(g, True)
+            for assignment in itertools.product(short, repeat=k):
+                got = leaf(assignment)
+                assert got == (assignment in derived), (grammar.rules, assignment)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def _naive_derived_assignments(g, n):
     """The derivation as first written: every rule joined over whole sets,
     in place, until a pass adds nothing."""

@@ -19,7 +19,9 @@ ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
 language whose synchronous padding holds a column that no rule has; the
 witness search on unranked ∀∀ and ∀∃ misses and a ∀∃ grammar, on
 criterion 9's ∀∀ gadget at bound 9, a ranked ∃∃∀ grammar past the
-derivation cap, and a ranked grammar with a trailing all-pad letter; an NFH
+derivation cap, and a ranked grammar with a trailing all-pad letter; the
+pad-anywhere membership leaf on an unranked ∀∀ grammar with an ε rule, a
+unit cycle and an all-pad letter (``aa-unit-cycle-member``); an NFH
 whose quantifier line comes last, one whose automaton pads a track inside
 a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, ordered
 languages from a non-empty FIRST word, through a successor that ends in an
@@ -312,6 +314,11 @@ FIXED_FILES = {
     # pass the derivation cap, those whose z copies x do not
     "eea-letters.cfhg": "quantifiers: E x E y A z\nstart: S\nrule: S -> eps\n" + "".join(
         f"rule: S -> [x={x},y={y},z={z}] S\n" for x in "ab" for y in "ab" for z in "ab"),
+    # unranked, with an ε rule, a unit cycle S -> T -> S and an all-pad
+    # letter: it derives every pair over {a}, pads anywhere
+    "aa-unit-cycle.cfhg": "quantifiers: A x A y\nstart: S\nrule: S -> eps\n"
+                          "rule: S -> [x=a,y=#] S\nrule: S -> [x=#,y=a] S\n"
+                          "rule: S -> T\nrule: T -> S\nrule: T -> [x=#,y=#] T\n",
     # ranked, with a trailing all-pad letter: it derives the tracks (a, a)
     "trailing-pad.cfhg": "quantifiers: A x A y\nstart: S\n"
                          "rule: S -> [x=a,y=a] [x=#,y=#]\n",
@@ -410,6 +417,7 @@ FIXED_CALLS = [
     ("ea-member-eps", ["cfhg", "member-finite", "ea.cfhg", "eps.lang"]),
     ("ea-member-no-letter", ["cfhg", "member-finite", "ea.cfhg", "ab.lang"]),
     ("bare-terminal", ["cfhg", "member-finite", "bare.cfhg", "a.lang"]),
+    ("aa-unit-cycle-member", ["cfhg", "member-finite", "aa-unit-cycle.cfhg", "a.lang"]),
     # one refusal per cap
     ("probe-universe-cap", ["nfh", "probe", "ab.nfh", "--max-len", "4"]),
     ("witness-universe-cap", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "5"]),
