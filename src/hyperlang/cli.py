@@ -179,8 +179,8 @@ class _Report:
         if text is not None:
             self.lines.append(text)
 
-    def body(self, text: str, key: str = "output"):
-        self.document[key] = text
+    def body(self, text: str):
+        self.document["output"] = text
         self.lines.append(text.rstrip("\n"))
 
     def emit(self) -> int:

@@ -53,10 +53,11 @@ def render_word(w: Word) -> str:
 class TrackLetter:
     """A single letter of the joint alphabet: one symbol (or ``#``) per variable.
 
-    Letters are hashed in every engine loop, their text is the sort key of
-    rules and transitions and their pad set names a rank table's letter
-    entries, so each is computed at most once per letter.  The rank
-    analysis itself reads pad masks off the symbols."""
+    Letters are hashed in every engine loop and their text is the sort key
+    of rules and transitions, so each is computed at most once per letter.
+    The variable order is fixed, so a track is read by its position in
+    ``symbols``; ``vars`` names the tracks only for text and for the checks
+    that a letter's tracks are its automaton's or grammar's."""
 
     vars: tuple[str, ...]
     symbols: tuple[str, ...]
@@ -69,27 +70,14 @@ class TrackLetter:
     def __hash__(self) -> int:
         return self._hash
 
-    def __getitem__(self, var: str) -> str:
-        return self.symbols[self.vars.index(var)]
-
-    def items(self):
-        return tuple(zip(self.vars, self.symbols))
-
-    def pad_vars(self) -> frozenset[str]:
-        """Variables assigned the pad marker in this letter."""
-        pads = self.__dict__.get("_pads")
-        if pads is None:
-            pads = frozenset(v for v, s in self.items() if s == PAD)
-            object.__setattr__(self, "_pads", pads)
-        return pads
-
     def is_all_pad(self) -> bool:
         return all(s == PAD for s in self.symbols)
 
     def render(self) -> str:
         text = self.__dict__.get("_text")
         if text is None:
-            text = "[" + ",".join(f"{v}={s}" for v, s in self.items()) + "]"
+            pairs = zip(self.vars, self.symbols)
+            text = "[" + ",".join(f"{v}={s}" for v, s in pairs) + "]"
             object.__setattr__(self, "_text", text)
         return text
 

@@ -356,18 +356,9 @@ def project(a: Nfa, drop: str) -> Nfa:
         raise ValueError(f"variable {drop!r} not present")
     keep = tuple(v for v in a.vars if v != drop)
     if not keep:
-        raise ValueError("cannot project away the last variable; use to_base")
+        raise ValueError("cannot project away the last variable")
     i = a.vars.index(drop)
     return relabel(a, keep, lambda letter: letter.symbols[:i] + letter.symbols[i + 1:])
-
-
-def to_base(a: Nfa) -> Nfa:
-    """Flatten a one-track automaton to a base-alphabet automaton."""
-    if not a.is_track or len(a.vars) != 1:
-        raise ValueError("to_base expects a one-track automaton")
-    transitions = {(q, letter.symbols[0], p) for q, letter, p in a.transitions}
-    return Nfa(a.symbols | {s for _, s, _ in transitions}, a.states, a.initial,
-               a.accepting, transitions)
 
 
 def elim_pad(a: Nfa) -> Nfa:

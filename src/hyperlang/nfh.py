@@ -8,7 +8,6 @@ and the probe, which lists every accepted language of words up to a length.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
@@ -47,7 +46,6 @@ def nfh_accepts(n: Nfh, language: Iterable) -> bool:
     words = finite_language(language, n.symbols)
     letters = {l.symbols: l for l in n.underlying.letters()}
 
-    @functools.cache
     def leaf(assignment: tuple[Word, ...]) -> bool:
         word = [letters.get(c) for c in zip_longest(*assignment, fillvalue=PAD)]
         return all(word) and nfa_member(n.underlying, word)

@@ -20,13 +20,6 @@ from .core import PAD, TrackLetter, closure
 from .cfg import Cfg
 
 
-def letter_pads(token) -> frozenset[str]:
-    """t(σ): the word variables a terminal letter assigns the pad marker."""
-    if isinstance(token, TrackLetter):
-        return token.pad_vars()
-    return frozenset()
-
-
 @dataclass(frozen=True)
 class RankTable:
     """Final ranks: ``masks`` maps every variable and terminal to its left and
@@ -43,11 +36,11 @@ class RankTable:
 
     def _side(self, end: int) -> dict:
         """One side's name sets; a body takes its boundary symbol's."""
-        rank = {v: self.names(self.masks[end][v]) for v in self.g.variables}
+        masks = self.masks[end]
+        rank = {v: self.names(masks[v]) for v in self.g.variables}
         for _, body in self.g.rules:
             if body:
-                t = body[end]
-                rank[body] = rank[t] if self.g.is_variable(t) else letter_pads(t)
+                rank[body] = self.names(masks[body[end]])
         return rank
 
     left = cached_property(lambda self: self._side(0))

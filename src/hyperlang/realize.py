@@ -25,8 +25,7 @@ from typing import Iterator
 from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, compose_sync, difference, elim_pad,
-                  explore, fresh_state, pad_coreach, pad_suffix, project, to_base,
-                  trim, union_all)
+                  explore, fresh_state, pad_coreach, pad_suffix, trim, union_all)
 from .nfh import Nfh, accepted_assignments
 
 DET_CAP = 64  # states of a determinization input; the shortlex lasso's sets
@@ -181,7 +180,8 @@ def _successor_product(relation: Nfa, i: int) -> Nfa:
              for s in closed.symbols for t in closed.symbols}
     by_x: dict = {}
     for q, letter, p in closed.transitions:
-        by_x.setdefault(q, {}).setdefault(letter["x"], []).append((letter["y"], p))
+        x_sym, y_sym = letter.symbols
+        by_x.setdefault(q, {}).setdefault(x_sym, []).append((y_sym, p))
     joint_vars = ("z",) + tuple(f"y{j + 1}" for j in range(i))
 
     def step(state):
@@ -206,11 +206,12 @@ def _successor_product(relation: Nfa, i: int) -> Nfa:
 
 def successors_ge(product: Nfa) -> Nfa:
     """Base-alphabet NFA for the z-words of a successor product P_i: the words
-    with at least i distinct successors."""
-    joint = absorb_pad(product)
-    for y in product.vars[1:]:
-        joint = project(joint, y)
-    return elim_pad(to_base(joint))
+    with at least i distinct successors: P_i read on its z-track, track 0,
+    with ``#`` as ε.  An all-pad letter reads ``#`` there, so its source
+    accepts where its target does, and no pad absorption is needed."""
+    transitions = {(q, letter.symbols[0], p) for q, letter, p in product.transitions}
+    return elim_pad(Nfa(product.symbols | {PAD}, product.states, product.initial,
+                        product.accepting, transitions))
 
 
 def _capped(a: Nfa, stage: str) -> Nfa:
@@ -253,13 +254,13 @@ def _count_part(product: Nfa, exact: Nfa, vars: tuple[str, ...]) -> Nfa:
     base = pad_suffix(exact)
     moves, moves_base = product.moves_from(), base.adjacency()
     wide = {letter: TrackLetter(vars, letter.symbols
-                                + (letter["z"],) * (len(vars) - len(product.vars)))
+                                + (letter.symbols[0],) * (len(vars) - len(product.vars)))
             for letter in product.letters()}
 
     def step(state):
         q, b = state
         for letter, q2 in moves.get(q, ()):
-            for b2 in moves_base.get((b, letter["z"]), ()):
+            for b2 in moves_base.get((b, letter.symbols[0]), ()):
                 yield wide[letter], (q2, b2)
 
     return explore({(q, b) for q in product.initial for b in base.initial}, step,

@@ -7,7 +7,7 @@ import pytest
 
 from hyperlang.cfg import Cfg
 from hyperlang.cfhg import Cfhg
-from hyperlang.core import QuantifierPrefix, TrackLetter, as_word
+from hyperlang.core import PAD, QuantifierPrefix, TrackLetter, as_word
 from hyperlang.nfa import Dfa, Nfa
 from hyperlang.nfh import Nfh
 from hyperlang.pcp import PcpInstance
@@ -15,6 +15,14 @@ from hyperlang.pcp import PcpInstance
 
 def letter(var_names, *symbols):
     return TrackLetter(tuple(var_names), tuple(symbols))
+
+
+def pad_vars(token):
+    """The variables a terminal assigns the pad marker: none for a base
+    symbol."""
+    if not isinstance(token, TrackLetter):
+        return frozenset()
+    return frozenset(v for v, s in zip(token.vars, token.symbols) if s == PAD)
 
 
 def hword(tracks):

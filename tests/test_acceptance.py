@@ -39,8 +39,9 @@ from hyperlang.realize import (prefix_closed_relation, realize_finite,
                                realize_prefix_closed_fast, regular_relation,
                                relation_pairs)
 
-from conftest import (letter, random_base_grammar, random_prefix_closed_dfa,
-                      random_ranked_grammars, tile_grammar, words)
+from conftest import (letter, pad_vars, random_base_grammar,
+                      random_prefix_closed_dfa, random_ranked_grammars, tile_grammar,
+                      words)
 
 
 def probe_strings(n, max_len):
@@ -54,8 +55,8 @@ def derived_boundary_pads(g, variable, max_len=7):
     last letter of some word (right)."""
     derived = derive_bounded(Cfg(g.variables, variable, g.rules), max_len)
     assert derived and () not in derived
-    left = frozenset.intersection(*(w[0].pad_vars() for w in derived))
-    right = frozenset().union(*(w[-1].pad_vars() for w in derived))
+    left = frozenset.intersection(*(pad_vars(w[0]) for w in derived))
+    right = frozenset().union(*(pad_vars(w[-1]) for w in derived))
     return left, right
 
 

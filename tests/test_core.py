@@ -31,7 +31,8 @@ def test_pad_to_sync_properties(assignment):
     assert is_synchronous(h)
     longest = max(len(w) for w in assignment.values())
     assert len(h) == longest
-    recovered = {v: strip_hash(tuple(l[v] for l in h)) for v in assignment}
+    recovered = {v: strip_hash(tuple(l.symbols[j] for l in h))
+                 for j, v in enumerate(assignment)}
     assert recovered == assignment
 
 
@@ -53,7 +54,6 @@ def test_pad_to_sync_examples():
 def test_track_letter_rendering():
     t = letter(("x1", "x2"), "a", "#")
     assert t.render() == "[x1=a,x2=#]"
-    assert t.pad_vars() == frozenset({"x2"})
     assert not t.is_all_pad()
     assert letter(("x",), "#").is_all_pad()
 

@@ -31,6 +31,8 @@ UNREAD = {
                     "against, and a name the benchmark's span tracer wraps in `nfa`",
     "derive_bounded": "the bounded derivation that test_cfg, test_acceptance, "
                       "test_ranks and test_pcp compare against",
+    "project": "the track projection of the chain that tests check "
+               "successors_ge against",
     "realize_regular": "the paper's pumping construction that tests check "
                        "`realize regular` against",
     "relation_pairs": "the enumeration that tests read a relation's pairs from",

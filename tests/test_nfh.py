@@ -189,7 +189,8 @@ def test_pruned_probe_equals_membership(monkeypatch):
 def _filtered_assignments(underlying, max_len):
     """The enumerate-then-filter reading: every accepted letter sequence, kept
     when each track pads only at its end and its last letter is not all pad."""
-    return {tuple(strip_hash(tuple(l[v] for l in letters)) for v in underlying.vars)
+    return {tuple(strip_hash(tuple(l.symbols[j] for l in letters))
+                  for j in range(len(underlying.vars)))
             for letters in nfa_language(underlying, max_len)
             if is_synchronous(letters) and not (letters and letters[-1].is_all_pad())}
 
@@ -231,6 +232,34 @@ def test_well_padded_walk_and_leaf_match_the_references(monkeypatch):
                 padded = pad_to_sync(dict(zip(v, assignment)), v)
                 assert leaf(assignment) == nfa_member(underlying, padded), assignment
     assert filtered_out > 0
+
+
+def test_membership_leaf_decides_each_assignment_once(monkeypatch):
+    """One ``core.evaluate`` walk reaches each full assignment once, so the
+    ``nfh_accepts`` leaf needs no memo: under ∃∀∃ (the triples of the trie
+    walk test below) and ∀∀ (every pair) over three words, no assignment is
+    decided twice."""
+    decided = []
+
+    def counting(quantifiers, words, leaf, original=nfh_module.evaluate):
+        def counted(assignment):
+            decided.append(assignment)
+            return leaf(assignment)
+        return original(quantifiers, words, counted)
+
+    monkeypatch.setattr(nfh_module, "evaluate", counting)
+    triples = ["aba", "aca", "bac", "bbc", "bcc", "caa", "cbb", "ccc"]
+    v3, v2 = ("x", "y", "z"), ("x", "y")
+    eae = Nfa({"a", "b", "c", "#"}, {"q0", "q1"}, {"q0"}, {"q1"},
+              {("q0", letter(v3, *t), "q1") for t in triples}, v3)
+    pairs = {("q0", letter(v2, s, t), "q0") for s in "abc#" for t in "abc#"
+             if (s, t) != ("#", "#")}
+    aa = Nfa({"a", "b", "c", "#"}, {"q0"}, {"q0"}, {"q0"}, pairs, v2)
+    for prefix, underlying, leaves in (("E x A y E z", eae, 12), ("A x A y", aa, 9)):
+        decided.clear()
+        n = Nfh(frozenset("abc"), QuantifierPrefix.parse(prefix), underlying)
+        assert nfh_accepts(n, words("a", "b", "c"))
+        assert len(decided) == len(set(decided)) == leaves, prefix
 
 
 def test_trie_walk_short_circuits(monkeypatch):

@@ -4,15 +4,9 @@ import random
 
 from hyperlang.cfg import Cfg, derive_bounded
 from hyperlang.core import is_synchronous
-from hyperlang.ranks import compute_ranks, is_ranked, letter_pads
+from hyperlang.ranks import compute_ranks, is_ranked
 
-from conftest import letter, random_ranked_grammars, tile_grammar
-
-
-def test_letter_pads():
-    assert letter_pads(letter(("x1", "x2"), "a", "#")) == frozenset({"x2"})
-    assert letter_pads(letter(("x1", "x2"), "a", "b")) == frozenset()
-    assert letter_pads("V0") == frozenset()
+from conftest import letter, pad_vars, random_ranked_grammars, tile_grammar
 
 
 def test_tile_grammar_ranks():
@@ -138,7 +132,7 @@ def _reference_ranks(g):
         succ = _boundaries(g, end)
 
         def letters(v):
-            return [letter_pads(t) for u in _reach(g, succ, v) for t in succ[u]
+            return [pad_vars(t) for u in _reach(g, succ, v) for t in succ[u]
                     if not g.is_variable(t)]
 
         rank = {}
@@ -150,7 +144,7 @@ def _reference_ranks(g):
         for _, body in g.rules:
             if body:
                 t = body[end]
-                rank[body] = rank[t] if g.is_variable(t) else letter_pads(t)
+                rank[body] = rank[t] if g.is_variable(t) else pad_vars(t)
         table.append(rank)
     return table
 
@@ -159,7 +153,7 @@ def _reference_violations(g, left, right):
     """The pairs R(γ_i) ⊄ L(γ_{i+1}) on the reference ranks, a terminal's
     ranks being its pad set: rules in text order, positions in order."""
     def rank(side, t):
-        return side[t] if g.is_variable(t) else letter_pads(t)
+        return side[t] if g.is_variable(t) else pad_vars(t)
 
     return tuple(((v, body), i, rank(right, body[i]), rank(left, body[i + 1]))
                  for v, body in sorted(g.rules, key=repr)

@@ -12,8 +12,9 @@ from hyperlang.core import (PAD, QuantifierPrefix, TrackLetter, as_word,
 from hyperlang.errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from hyperlang.formats import parse_nfh, render_nfh
 from hyperlang.nfa import (Dfa, Nfa, absorb_pad, compose_free, difference,
-                           explore, nfa_language, nfa_member, pad_suffix, relabel,
-                           trim, union_all, with_var, word_automaton)
+                           elim_pad, explore, nfa_language, nfa_member, pad_suffix,
+                           project, relabel, trim, union_all, with_var,
+                           word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
                                _simple_paths, _successor_counts,
@@ -338,7 +339,7 @@ def _reference_successor_product(relation, i):
     all_pairs = frozenset(frozenset(p) for p in pairs)
     by_x: dict = {}
     for q, l, p in closed.transitions:
-        by_x.setdefault(q, {}).setdefault(l["x"], []).append((l["y"], p))
+        by_x.setdefault(q, {}).setdefault(l.symbols[0], []).append((l.symbols[1], p))
     joint_vars = ("z",) + tuple(f"y{j + 1}" for j in range(i))
 
     def step(state):
@@ -379,11 +380,11 @@ def _reference_realize_partially_ordered(spec):
         moves = product.moves_from()
         b_i = explore({(q, b) for q in product.initial for b in base.initial},
                       lambda s: ((l, (q, b)) for l, q in moves.get(s[0], ())
-                                 for b in base.step({s[1]}, l["z"])),
+                                 for b in base.step({s[1]}, l.symbols[0])),
                       lambda s: s[0] in product.accepting and s[1] in base.accepting,
                       product.symbols | base.symbols, product.vars)
         b_i = relabel(b_i, ("z",) + y_names,
-                      lambda l: l.symbols + (l["z"],) * (len(y_names) - i))
+                      lambda l: l.symbols + (l.symbols[0],) * (len(y_names) - i))
         if b_i.accepting:
             parts.append(compose_free(lines, b_i))
     prefix = QuantifierPrefix(tuple(("E", x) for x in x_names) + (("A", "z"),)
@@ -391,13 +392,9 @@ def _reference_realize_partially_ordered(spec):
     return Nfh(frozenset(symbols), prefix, absorb_pad(union_all(parts)))
 
 
-def test_ordered_copies_equal_the_pairwise_distinct_reference(monkeypatch):
-    """On generated prefix-closed relations over 1-3 letters and pumping
-    relations of small DFAs, ``successors_ge`` of the ordered copies has the
-    language of the pairwise-distinct reference at i = 1..k+1: ``difference``
-    both ways is empty.  On those over at most 2 letters,
-    ``realize_partially_ordered`` probes as the reference construction does
-    at ``max_len`` 2, m ≥ 2 minimal words among them."""
+def _generated_relation_specs():
+    """Prefix-closed relations of generated DFAs over 1-3 letters, then
+    pumping relations of small DFAs with k ≤ 3."""
     rng = random.Random(61)
     specs = []
     for _ in range(20):  # all accepting: prefix-closed, finite or infinite
@@ -411,6 +408,39 @@ def test_ordered_copies_equal_the_pairwise_distinct_reference(monkeypatch):
             specs.append(spec)
     assert {len(spec.relation.symbols) for spec in specs} == {2, 3, 4}
     assert {spec.max_successors for spec in specs[:20]} == {1, 2, 3}
+    return specs
+
+
+def _reference_successors_ge(product):
+    """The chain ``successors_ge`` once was: trailing pads absorbed, each
+    y-track projected away, the z-track flattened to base letters, then
+    pads eliminated."""
+    joint = absorb_pad(product)
+    for y in product.vars[1:]:
+        joint = project(joint, y)
+    transitions = {(q, letter.symbols[0], p) for q, letter, p in joint.transitions}
+    return elim_pad(Nfa(joint.symbols | {s for _, s, _ in transitions}, joint.states,
+                        joint.initial, joint.accepting, transitions))
+
+
+def test_successors_ge_equals_the_projection_chain():
+    """On the generated relations, ``successors_ge`` of P_i at i = 1..k+1 is
+    the automaton of the projection chain, field by field."""
+    fields = lambda a: (a.states, a.initial, a.accepting, a.transitions, a.symbols)
+    for spec in _generated_relation_specs():
+        for i in range(1, spec.max_successors + 2):
+            product = _successor_product(spec.relation, i)
+            assert fields(successors_ge(product)) == \
+                fields(_reference_successors_ge(product)), (spec, i)
+
+
+def test_ordered_copies_equal_the_pairwise_distinct_reference(monkeypatch):
+    """On the generated relations, ``successors_ge`` of the ordered copies
+    has the language of the pairwise-distinct reference at i = 1..k+1:
+    ``difference`` both ways is empty.  On those over at most 2 letters,
+    ``realize_partially_ordered`` probes as the reference construction does
+    at ``max_len`` 2, m ≥ 2 minimal words among them."""
+    specs = _generated_relation_specs()
     for spec in specs:
         for i in range(1, spec.max_successors + 2):
             got = successors_ge(_successor_product(spec.relation, i))

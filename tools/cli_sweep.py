@@ -27,10 +27,12 @@ a word and reads an all-pad letter inside a word, an ∃∀∃ NFH, ordered
 languages from a non-empty FIRST word, through a successor that ends in an
 all-pad letter, and from a FIRST word outside the alphabet, a grammar
 with a bare terminal, a finite L whose DFA holds a dead region with
-many simple paths, and the relation route on a three-letter prefix-closed
-DFA with three extensions at one state; and usage errors on both parse
-routes (``-h`` raises ``SystemExit``, so it is not among them).  Calls run in-process, in a
-scratch directory, with file names relative to it.
+many simple paths, and the relation route on prefix-closed DFAs with three
+extensions at one state over three letters and four over four
+(``pc4-relation``, which builds five successor products); and usage
+errors on both parse routes (``-h`` raises ``SystemExit``, so it is not
+among them).  Calls run in-process, in a scratch directory, with file
+names relative to it.
 Each call's output is deleted before it runs, unless the call's own files
 provide it: ``finite-over-stale`` writes over a file longer than any output,
 and must leave the bytes that ``finite`` writes.
@@ -95,6 +97,20 @@ trans: s0 b s2
 trans: s0 c s0
 trans: s1 b s1
 trans: s2 a s0
+"""
+
+# Prefix-closed and infinite over four letters; s0 has four accepting
+# extensions, so the relation route builds the successor products P_1..P_5.
+PREFIX_CLOSED_4_DFA = """\
+type: dfa
+alphabet: a b c d
+states: s0 s1
+initial: s0
+accepting: s0 s1
+trans: s0 a s1
+trans: s0 b s1
+trans: s0 c s1
+trans: s0 d s0
 """
 
 # f(a^2i) = b^2i and f(b^2i) = a^(2i+2): from eps it orders the even blocks.
@@ -277,6 +293,7 @@ FIXED_FILES = {
     "npc.nfa": NOT_PREFIX_CLOSED_NFA,
     "pc.nfa": PREFIX_CLOSED_NFA,
     "pc3.dfa": PREFIX_CLOSED_3_DFA,
+    "pc4.dfa": PREFIX_CLOSED_4_DFA,
     "succ.nfa": EVEN_BLOCKS_SUCCESSOR,
     "empty-succ.nfa": EMPTY_SUCCESSOR,
     "all-pad-succ.nfa": ALL_PAD_SUCCESSOR,
@@ -365,6 +382,8 @@ FIXED_CALLS = [
                      "-o", "out"]),
     ("pc-regular", ["realize", "regular", "pc.nfa", "-o", "out"]),
     ("pc3-relation", ["realize", "prefix-closed", "pc3.dfa", "--route", "relation",
+                      "-o", "out"]),
+    ("pc4-relation", ["realize", "prefix-closed", "pc4.dfa", "--route", "relation",
                       "-o", "out"]),
     ("ordered", ["realize", "ordered", "eps", "succ.nfa", "-o", "out"]),
     ("ordered-empty", ["realize", "ordered", "eps", "empty-succ.nfa", "-o", "out"]),
