@@ -7,8 +7,7 @@ reduction encoders, plus text formats and a CLI.
 
 import types
 
-from .core import (QuantifierPrefix, TrackLetter, is_synchronous, pad_to_sync,
-                   strip_hash)
+from .core import QuantifierPrefix, is_synchronous, pad_to_sync, strip_hash
 from .cfg import (Cfg, bar_hillel, cfg_empty, cleanup, cyk_member,
                   derive_bounded, to_cnf)
 from .cfhg import Cfhg, cfhg_empty, finite_member, regular_member

@@ -2,7 +2,8 @@
 
 A rule body is a tuple mixing terminals and variable names.  Variables are
 plain strings listed in ``Cfg.variables``; anything else in a body is a
-terminal (a base symbol string or a ``TrackLetter``).
+terminal: a base symbol string, or a track letter, the tuple of one symbol
+per track of ``Cfg.vars``.
 
 Membership needs no CNF: its one engine, ``derives_span``, is Earley's
 method read as deduction on the grammar's binary index, built once and
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Collection, Iterable
 
-from .core import TrackLetter, closure
+from .core import closure, letter_text
 from .errors import AlphabetMismatch, CapExceeded
 from .nfa import Nfa
 
@@ -26,14 +27,17 @@ DERIVATION_CAP = 10 ** 4
 
 
 class Cfg:
-    """An immutable context-free grammar."""
+    """An immutable context-free grammar.  ``vars`` names the tracks of its
+    track letters, and is ``None`` for a grammar over base symbols."""
 
-    __slots__ = ("variables", "start", "rules", "_index", "_terminals")
+    __slots__ = ("variables", "start", "rules", "vars", "_index", "_terminals")
 
-    def __init__(self, variables: Iterable[str], start: str, rules: Iterable[tuple]):
+    def __init__(self, variables: Iterable[str], start: str, rules: Iterable[tuple],
+                 vars=None):
         self.variables = frozenset(variables)
         self.start = start
         self.rules = frozenset((v, tuple(body)) for v, body in rules)
+        self.vars = tuple(vars) if vars is not None else None
         if start not in self.variables:
             raise ValueError(f"start symbol {start!r} is not a declared variable")
         for v, body in self.rules:
@@ -49,6 +53,20 @@ class Cfg:
             self._terminals = (frozenset(t for _, body in self.rules for t in body)
                                - self.variables)
         return self._terminals
+
+    def spell(self, token) -> str:
+        """A token as rules sort by it: a track letter as its text, a
+        variable or base symbol quoted."""
+        if self.vars is not None and isinstance(token, tuple):
+            return letter_text(self.vars, token)
+        return repr(token)
+
+    def rule_key(self, rule: tuple) -> str:
+        """``repr(rule)`` with every track letter spelled as its text: the
+        order that rule listings and messages follow."""
+        v, body = rule
+        tokens = ", ".join(map(self.spell, body))
+        return f"({v!r}, ({tokens}{',' if len(body) == 1 else ''}))"
 
 
 def _productive(rules: Iterable[tuple], variables) -> set[str]:
@@ -121,11 +139,11 @@ def cleanup(g: Cfg) -> Cfg:
     keep = _productive(rules, variables)
     if start not in keep:
         # Empty language: keep just the start symbol with no rules.
-        return Cfg({start}, start, ())
+        return Cfg({start}, start, (), g.vars)
     rules = [(v, body) for v, body in rules
              if v in keep and all(t in keep or t not in variables for t in body)]
     reach = _reachable(start, rules, variables)
-    return Cfg(reach, start, [(v, body) for v, body in rules if v in reach])
+    return Cfg(reach, start, [(v, body) for v, body in rules if v in reach], g.vars)
 
 
 def to_cnf(g: Cfg) -> Cfg:
@@ -185,7 +203,7 @@ def to_cnf(g: Cfg) -> Cfg:
     # Every variable still derives what it did, so all stay productive; the
     # variables reached only through unit rules are dropped.
     reach = _reachable(g.start, result, variables)
-    return Cfg(reach, g.start, [(v, body) for v, body in result if v in reach])
+    return Cfg(reach, g.start, [(v, body) for v, body in result if v in reach], g.vars)
 
 
 def _index(g: Cfg) -> tuple[dict, dict]:
@@ -223,12 +241,9 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     """Grammar for L(g) ∩ L(a), with triple-indexed variables (p, V, q),
     built on the CNF of ``g``."""
     g = to_cnf(g)
-    grammar_terminals = g.terminals()
-    track_terms = [t for t in grammar_terminals if isinstance(t, TrackLetter)]
-    if track_terms and not a.is_track:
-        raise AlphabetMismatch("track grammar intersected with a base automaton")
-    if not track_terms and grammar_terminals and a.is_track:
-        raise AlphabetMismatch("base grammar intersected with a track automaton")
+    if g.terminals() and (g.vars is None) == a.is_track:
+        grammar, automaton = ("base", "track") if a.is_track else ("track", "base")
+        raise AlphabetMismatch(f"{grammar} grammar intersected with a {automaton} automaton")
 
     states = sorted(a.states, key=repr)
     rules: set[tuple] = set()
@@ -262,7 +277,7 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
             rules.add((start, (name(q0, g.start, qf),)))
     if (g.start, ()) in g.rules and a.initial & a.accepting:
         rules.add((start, ()))
-    return cleanup(Cfg(variables, start, rules))
+    return cleanup(Cfg(variables, start, rules, g.vars))
 
 
 def cfg_intersect_empty(g: Cfg, a: Nfa) -> bool:

@@ -1,20 +1,21 @@
 """Context-free hypergrammars and their decidable decision procedures.
 
-A CFHG is a CFG over track letters plus a quantifier prefix.  Decision
-procedures follow the decidability frontier: ∃*-emptiness and single-∀
-emptiness are polynomial; ∀*/∃∀* emptiness is decidable for ranked grammars
-via diagonal restriction; finite-language membership is decidable for every
-prefix; everything else raises a structured ``Undecidable``.
+A CFHG is a CFG over track letters plus a quantifier prefix, whose
+variables name the tracks.  Decision procedures follow the decidability
+frontier: ∃*-emptiness and single-∀ emptiness are polynomial; ∀*/∃∀*
+emptiness is decidable for ranked grammars via diagonal restriction;
+finite-language membership is decidable for every prefix; everything else
+raises a structured ``Undecidable``.
 
 Finite-language membership decides each leaf of the quantifier tree (one
 word per variable) by ``cfg.derives_span``, Earley's method read as
 deduction on the grammar's binary index, which ``cfg`` builds once per
 grammar with no CNF: a ranked grammar on the synchronous padding read as a
 chain, any other grammar (and ``force_slow``) over the assigned words read
-with pads anywhere.  The ranked leaf looks its columns up among the
-grammar's letters and rejects a column that is none of them.  A state of
-the pad-anywhere reading is one position per word; a terminal's spans come
-straight from the words, once a derivation reaches it: no product is built.
+with pads anywhere.  The ranked leaf rejects a column of the padding that
+is none of the grammar's letters.  A state of the pad-anywhere reading is
+one position per word; a terminal's spans come straight from the words,
+once a derivation reaches it: no product is built.
 
 The undecidable routes get a bounded witness search over Σ^{≤N}.  It
 derives the grammar's track tuples once at N and looks each assignment up
@@ -34,8 +35,8 @@ from typing import Callable
 
 from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cleanup,
                   cyk_member, derives_span)
-from .core import (PAD, QuantifierPrefix, TrackLetter, Word, bounded_universe,
-                   evaluate, finite_language, nonempty_subsets, viable_words)
+from .core import (PAD, QuantifierPrefix, Word, bounded_universe, evaluate,
+                   finite_language, nonempty_subsets, viable_words)
 from .errors import CapExceeded, Undecidable
 from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
@@ -50,18 +51,20 @@ class Cfhg:
     underlying: Cfg
 
     def __post_init__(self):
+        grammar = self.underlying
         try:
-            self._check_terminals(self.underlying.terminals())
-        except ValueError:  # set order varies with the hash seed: use repr order
-            self._check_terminals(sorted(self.underlying.terminals(), key=repr))
+            self._check_terminals(grammar.terminals())
+        except ValueError:  # set order varies with the hash seed: use text order
+            self._check_terminals(sorted(grammar.terminals(), key=grammar.spell))
 
     def _check_terminals(self, terminals):
-        order = self.prefix.variables
+        order, grammar = self.prefix.variables, self.underlying
         for token in terminals:
-            if not isinstance(token, TrackLetter) or token.vars != order:
-                raise ValueError(
-                    f"terminal {token!r} is not a track letter over {order}")
-            for s in token.symbols:
+            if (not isinstance(token, tuple) or grammar.vars != order
+                    or len(token) != len(order)):
+                raise ValueError(f"terminal {grammar.spell(token)} is not a "
+                                 f"track letter over {order}")
+            for s in token:
                 if s != PAD and s not in self.symbols:
                     raise ValueError(f"symbol {s!r} outside the alphabet")
 
@@ -88,7 +91,7 @@ def emptiness_route(prefix: QuantifierPrefix) -> str:
     return "sync" if "E" not in qs[1:] else "emptinessexistsforall"
 
 
-def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple]:
+def _word_spans(assignment: tuple[Word, ...], letter: tuple[str, ...]) -> list[tuple]:
     """The moves of ``letter`` between states of the pad-anywhere reading of
     the assigned words, without building that product automaton.
 
@@ -100,7 +103,7 @@ def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple
     starts = [0]
     step = 0
     weight = 1
-    for word, symbol in zip(assignment, letter.symbols):
+    for word, symbol in zip(assignment, letter):
         if symbol == PAD:
             offsets = [i * weight for i in range(len(word) + 1)]
         else:
@@ -113,25 +116,26 @@ def _word_spans(assignment: tuple[Word, ...], letter: TrackLetter) -> list[tuple
 
 def _without_all_pad(g: Cfhg, grammar: Cfg) -> Cfg:
     """``grammar`` with g's all-pad letter erased: if ranked, its synchronous paddings."""
-    pad = TrackLetter(g.vars, (PAD,) * len(g.vars))
+    pad = (PAD,) * len(g.vars)
     if pad not in grammar.terminals():
         return grammar
     return Cfg(grammar.variables, grammar.start,
-               {(v, tuple(t for t in body if t != pad)) for v, body in grammar.rules})
+               {(v, tuple(t for t in body if t != pad)) for v, body in grammar.rules},
+               grammar.vars)
 
 
 def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], bool]:
     """The memoised leaf of the quantifier tree: is some #-padding of the
-    assignment derived?  A ranked leaf maps each column of the synchronous
-    padding to the grammar's letter with those symbols, or to None (False)."""
+    assignment derived?  A ranked leaf reads the columns of the synchronous
+    padding, and is False at once if one is none of the grammar's letters."""
     grammar = g.underlying
     if not force_slow and g.ranked():
         grammar = _without_all_pad(g, grammar)
-        letters = {t.symbols: t for t in grammar.terminals()}
+        letters = grammar.terminals()
 
         def leaf(assignment: tuple[Word, ...]) -> bool:
-            word = [letters.get(c) for c in zip_longest(*assignment, fillvalue=PAD)]
-            return all(word) and cyk_member(grammar, word)
+            word = list(zip_longest(*assignment, fillvalue=PAD))
+            return letters.issuperset(word) and cyk_member(grammar, word)
     else:
         def leaf(assignment: tuple[Word, ...]) -> bool:
             # the start state (code 0) has every word at position 0; the end
@@ -154,8 +158,8 @@ def _restriction(g: Cfhg, keep: Callable[[tuple[str, ...]], bool]) -> Cfg:
     """The cleaned grammar without the rules that hold a letter whose
     symbols ``keep`` rejects."""
     rules = {(v, body) for v, body in g.underlying.rules
-             if all(keep(t.symbols) for t in body if isinstance(t, TrackLetter))}
-    return cleanup(Cfg(g.underlying.variables, g.underlying.start, rules))
+             if all(keep(t) for t in body if isinstance(t, tuple))}
+    return cleanup(Cfg(g.underlying.variables, g.underlying.start, rules, g.vars))
 
 
 def diagonal_restriction(g: Cfhg) -> Cfg:
@@ -214,7 +218,7 @@ def derived_assignments(g: Cfhg, n: int) -> dict[str, set]:
     with whole sets elsewhere."""
     grammar = g.underlying
     sets = {v: set() for v in grammar.variables}
-    pieces = {t: {tuple(() if s == PAD else (s,) for s in t.symbols)}
+    pieces = {t: {tuple(() if s == PAD else (s,) for s in t)}
               for t in grammar.terminals()}
     delta = None  # None: the first pass joins every rule over whole sets
     while delta is None or any(delta.values()):

@@ -23,8 +23,8 @@ from .cfhg import (bounded_nonempty_witness, cfhg_empty, finite_member,
 from .core import render_word
 from .errors import CapExceeded, HyperlangError, ParseError, Undecidable
 from .formats import (parse_cfhg, parse_language, parse_nfa, parse_nfh,
-                      parse_pcp, rank_report, render_cfhg, render_nfh,
-                      render_violation)
+                      parse_pcp, parse_word, rank_report, render_cfhg,
+                      render_nfh, render_violation)
 from .nfa import Dfa, Nfa, determinize, trim
 from .nfh import nfh_accepts, nfh_hyperlanguage_probe
 from .pcp import pcp_encode_exists_forall, pcp_encode_forall
@@ -75,7 +75,8 @@ def _build_parser() -> tuple[_Parser, dict[tuple[str, str], _Parser]]:
     finite.add_argument("lang_file")
     finite.add_argument("-o", "--output", required=True)
     ordered = verb("realize", "ordered")
-    ordered.add_argument("first_word", help="the minimal word ('eps' for empty)")
+    ordered.add_argument("first_word", help="the minimal word, as a language "
+                         "file line ('eps' for empty, 'ab c' for symbols ab, c)")
     ordered.add_argument("successor_file", help="NFA over vars x y computing f")
     ordered.add_argument("-o", "--output", required=True)
     prefix_closed = verb("realize", "prefix-closed")
@@ -209,10 +210,9 @@ def _run_realize(args, report: _Report):
     if args.verb == "finite":
         n = realize_finite(parse_language(_read(args.lang_file)))
     elif args.verb == "ordered":
-        word = "" if args.first_word == "eps" else args.first_word
         successor = parse_nfa(_read(args.successor_file))
         try:
-            spec = OrderedLanguageSpec(tuple(word), successor)
+            spec = OrderedLanguageSpec(parse_word(args.first_word), successor)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
         n = realize_ordered(spec)
@@ -255,7 +255,7 @@ def _run_cfhg(args, report: _Report):
         verdict = is_ranked(g.underlying)
         report.verdict(verdict.ranked)
         for violation in verdict.violations:
-            line = render_violation(violation, with_ranks=True)
+            line = render_violation(g.vars, violation, with_ranks=True)
             report.lines.append(line)
             report.document.setdefault("violations", []).append(line)
 

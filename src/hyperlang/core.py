@@ -1,10 +1,11 @@
 """Words, track letters, word assignments, and the quantifier layer.
 
 A k-variable word assignment is read as a track word: a plain tuple of
-``TrackLetter`` values, each mapping every word variable to a base symbol or
-to the pad marker ``#``.  Shorter words are padded at the end with ``#`` so
-that all tracks have equal length: a track that has read ``#`` reads only
-``#`` after it, and no letter is all pad.
+track letters.  A track letter is the tuple of its k symbols, each a base
+symbol or the pad marker ``#``, in the variable order of its automaton or
+grammar, which alone names the tracks.  Shorter words are padded at the
+end with ``#`` so that all tracks have equal length: a track that has read
+``#`` reads only ``#`` after it, and no letter is all pad.
 
 NFH and CFHG membership share one semantics: the quantifier prefix binds each
 variable to a word of a finite language and an engine (``leaf``) decides every
@@ -49,39 +50,10 @@ def render_word(w: Word) -> str:
     return " ".join(w)
 
 
-@dataclass(frozen=True)
-class TrackLetter:
-    """A single letter of the joint alphabet: one symbol (or ``#``) per variable.
-
-    Letters are hashed in every engine loop and their text is the sort key
-    of rules and transitions, so each is computed at most once per letter.
-    The variable order is fixed, so a track is read by its position in
-    ``symbols``; ``vars`` names the tracks only for text and for the checks
-    that a letter's tracks are its automaton's or grammar's."""
-
-    vars: tuple[str, ...]
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.vars) != len(self.symbols):
-            raise ValueError("track letter must assign every variable")
-        object.__setattr__(self, "_hash", hash((self.vars, self.symbols)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def is_all_pad(self) -> bool:
-        return all(s == PAD for s in self.symbols)
-
-    def render(self) -> str:
-        text = self.__dict__.get("_text")
-        if text is None:
-            pairs = zip(self.vars, self.symbols)
-            text = "[" + ",".join(f"{v}={s}" for v, s in pairs) + "]"
-            object.__setattr__(self, "_text", text)
-        return text
-
-    __repr__ = render
+def letter_text(vars: Sequence[str], letter: Sequence[str]) -> str:
+    """A track letter as the text formats write it, ``[x=a,y=#]``: each
+    variable of ``vars`` with the symbol at its position."""
+    return "[" + ",".join(f"{v}={s}" for v, s in zip(vars, letter)) + "]"
 
 
 @dataclass(frozen=True)
@@ -122,20 +94,19 @@ def strip_hash(w: str | Sequence[str]) -> Word:
     return tuple(s for s in as_word(w) if s != PAD)
 
 
-def is_synchronous(letters: Sequence[TrackLetter]) -> bool:
+def is_synchronous(letters: Sequence[tuple[str, ...]]) -> bool:
     """True iff every track of the letter sequence has its pad markers only
     as a suffix."""
     return all(set(track[track.index(PAD):]) == {PAD}
-               for track in zip(*(l.symbols for l in letters)) if PAD in track)
+               for track in zip(*letters) if PAD in track)
 
 
 def pad_to_sync(assignment: Mapping[str, str | Sequence[str]],
-                var_order: Sequence[str] | None = None) -> tuple[TrackLetter, ...]:
-    """Right-pad the assigned words with ``#`` to equal length and zip them
-    into the track word's letters."""
-    order = tuple(var_order) if var_order is not None else tuple(assignment)
-    columns = zip_longest(*(as_word(assignment[v]) for v in order), fillvalue=PAD)
-    return tuple(TrackLetter(order, c) for c in columns)
+                var_order: Sequence[str] | None = None) -> tuple[tuple[str, ...], ...]:
+    """Right-pad the assigned words, in ``var_order``, with ``#`` to equal
+    length and zip them into the track word's letters."""
+    order = var_order if var_order is not None else assignment
+    return tuple(zip_longest(*(as_word(assignment[v]) for v in order), fillvalue=PAD))
 
 
 def finite_language(language: Iterable, symbols: frozenset[str]) -> list[Word]:
@@ -170,17 +141,22 @@ def _walk(quantifiers: Sequence[str], words: Sequence[Word],
 def bounded_universe(symbols: Iterable[str], max_len: int, stage: str) -> list[Word]:
     """All words of length ≤ ``max_len``, shortest first, in sorted symbol
     order; more than ``UNIVERSE_CAP`` of them raise ``UniverseTooLarge``,
-    whose message names the search (``stage``) that asked."""
+    whose message names the search (``stage``) that asked and counts the
+    words, or bounds their count by k^max_len where it would be long."""
     if max_len < 0:
         raise ValueError(f"the length bound must be at least 0, not {max_len}")
     ordered = sorted(symbols)
-    size = sum(len(ordered) ** i for i in range(max_len + 1))
+    k = len(ordered)
+    if k > 1 and max_len > 64:  # 2^64 words and more: the count is not written out
+        raise UniverseTooLarge(f"{stage} universe has over {k}^{max_len} words; "
+                               f"cap is {UNIVERSE_CAP}")
+    size = k * max_len + 1 if k < 2 else (k ** (max_len + 1) - 1) // (k - 1)
     if size > UNIVERSE_CAP:
         raise UniverseTooLarge(
             f"{stage} universe has {size} words; cap is {UNIVERSE_CAP}")
     universe: list[Word] = [()]
     frontier: list[Word] = [()]
-    for _ in range(max_len):
+    for _ in range(max_len if ordered else 0):
         frontier = [w + (s,) for w in frontier for s in ordered]
         universe.extend(frontier)
     return universe

@@ -10,8 +10,7 @@ import re
 
 from .cfg import Cfg
 from .cfhg import Cfhg
-from .core import (PAD, QuantifierPrefix, TrackLetter, Word, as_word,
-                   render_word)
+from .core import PAD, QuantifierPrefix, Word, as_word, letter_text, render_word
 from .errors import ParseError
 from .nfa import Dfa, Nfa, canonical
 from .nfh import Nfh
@@ -58,7 +57,9 @@ def _prefix(fields: dict[str, list[str]]) -> QuantifierPrefix | None:
     return prefixes[-1] if prefixes else None
 
 
-def parse_track_letter(token: str, var_order) -> TrackLetter:
+def parse_track_letter(token: str, var_order) -> tuple[str, ...]:
+    """The symbols of a letter ``[x=a,y=#]``, in the order of ``var_order``
+    (the letter's own order if None)."""
     m = _LETTER_RE.match(token)
     if not m:
         raise ParseError(f"expected a track letter like [x=a,y=#], got {token!r}")
@@ -75,8 +76,7 @@ def parse_track_letter(token: str, var_order) -> TrackLetter:
     extra = [v for v in assignment if v not in var_order]
     if missing or extra:
         raise ParseError(f"letter {token!r} does not cover variables {var_order}")
-    return TrackLetter(tuple(var_order),
-                       tuple(assignment[v] for v in var_order))
+    return tuple(assignment[v] for v in var_order)
 
 
 _AUTOMATON_KEYS = ("type", "alphabet", "vars", "states", "initial", "accepting", "trans")
@@ -134,10 +134,11 @@ def render_nfa(a: Nfa) -> str:
     lines.append("initial: " + " ".join(n for q, n in names.items() if q in a.initial))
     lines.append("accepting: " + " ".join(n for q, n in names.items()
                                           if q in a.accepting))
-    renamed = ((names[q], letter, names[p]) for q, letter, p in a.transitions)
-    for q, letter, p in sorted(renamed, key=repr):
-        token = letter.render() if a.is_track else letter
-        lines.append(f"trans: {q} {token} {p}")
+    rows = [(names[q], letter_text(a.vars, letter) if a.is_track else letter, names[p])
+            for q, letter, p in a.transitions]
+    # in the order of repr(transition), a track letter spelled as its text
+    key = (lambda row: f"({row[0]!r}, {row[1]}, {row[2]!r})") if a.is_track else repr
+    lines.extend("trans: " + " ".join(row) for row in sorted(rows, key=key))
     return "\n".join(lines) + "\n"
 
 
@@ -204,7 +205,7 @@ def parse_cfg_text(text: str):
         else:
             rules.add((head, _parse_rule_body(tokens, vars_, letters)))
     try:
-        grammar = Cfg(heads, start, rules)
+        grammar = Cfg(heads, start, rules, vars_)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return grammar, prefix, alphabet
@@ -218,8 +219,8 @@ def parse_cfhg(text: str) -> Cfhg:
         raise ParseError(f"the pad symbol {PAD!r} is not a letter of a "
                          "hypergrammar's alphabet")
     if alphabet is None:  # Cfhg refuses a terminal that is not a track letter
-        alphabet = {s for t in grammar.terminals() if isinstance(t, TrackLetter)
-                    for s in t.symbols} - {PAD}
+        alphabet = {s for t in grammar.terminals() if isinstance(t, tuple)
+                    for s in t} - {PAD}
     try:
         return Cfhg(frozenset(alphabet), prefix, grammar)
     except ValueError as exc:
@@ -231,13 +232,8 @@ def render_cfhg(g: Cfhg) -> str:
              "alphabet: " + " ".join(sorted(g.symbols)),
              "vars: " + " ".join(g.vars),
              f"start: {g.underlying.start}"]
-    for v, body in sorted(g.underlying.rules, key=repr):
-        if not body:
-            lines.append(f"rule: {v} -> eps")
-        else:
-            tokens = [t.render() if isinstance(t, TrackLetter) else t
-                      for t in body]
-            lines.append(f"rule: {v} -> " + " ".join(tokens))
+    for v, body in sorted(g.underlying.rules, key=g.underlying.rule_key):
+        lines.append(f"rule: {v} -> {_vertex_label(g.vars, body)}")
     return "\n".join(lines) + "\n"
 
 
@@ -247,6 +243,11 @@ def _parse_word(text: str) -> Word:
     return tuple(tokens) if len(tokens) > 1 else as_word("".join(tokens))
 
 
+def parse_word(line: str) -> Word:
+    """A word as a language file's line holds it: ``eps`` is the empty word."""
+    return () if line == "eps" else _parse_word(line)
+
+
 def parse_language(text: str) -> list[Word]:
     """One word per line; ``eps`` denotes the empty word.  The pad symbol
     ``#`` is not a word symbol."""
@@ -254,7 +255,7 @@ def parse_language(text: str) -> list[Word]:
     for line in _lines(text):
         if PAD in line:
             raise ParseError(f"word {line!r} holds the pad symbol {PAD!r}")
-        words.append(() if line == "eps" else _parse_word(line))
+        words.append(parse_word(line))
     if not words:
         raise ParseError("the language file lists no words")
     return words
@@ -268,7 +269,7 @@ def render_language(words) -> str:
     for w in sorted(set(map(as_word, words))):
         line = render_word(w)
         if (_lines(line) != [line] or PAD in line
-                or (() if line == "eps" else _parse_word(line)) != w):
+                or parse_word(line) != w):
             raise ValueError(f"no line of a language file carries the word {w!r}")
         lines.append(line)
     return "\n".join(lines) + "\n"
@@ -290,10 +291,12 @@ def parse_pcp(text: str) -> PcpInstance:
         raise ParseError(str(exc)) from exc
 
 
-def _vertex_label(vertex) -> str:
+def _vertex_label(vars, vertex) -> str:
+    """A variable, or a rule body as its text: its letters spelled over
+    ``vars``, ``eps`` if empty."""
     if isinstance(vertex, str):
         return vertex
-    return " ".join(t.render() if isinstance(t, TrackLetter) else t
+    return " ".join(letter_text(vars, t) if isinstance(t, tuple) else t
                     for t in vertex) or "eps"
 
 
@@ -301,11 +304,11 @@ def _rank_set(s) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def render_violation(violation, with_ranks: bool) -> str:
-    """One ranked-check violation: the rule and position, and optionally the
-    rank sets R and L that fail the inclusion."""
+def render_violation(vars, violation, with_ranks: bool) -> str:
+    """One ranked-check violation of a grammar over ``vars``: the rule and
+    position, and optionally the rank sets R and L that fail the inclusion."""
     (head, body), i, r, l = violation
-    line = f"violation: {head} -> {_vertex_label(body)} @ position {i}"
+    line = f"violation: {head} -> {_vertex_label(vars, body)} @ position {i}"
     if with_ranks:
         line += f": R={_rank_set(r)} ⊄ L={_rank_set(l)}"
     return line
@@ -316,8 +319,10 @@ def rank_report(g: Cfhg) -> str:
     table = compute_ranks(g.underlying)
     verdict = is_ranked(g.underlying, table)
     lines = ["vertex | L | R"]
-    for vertex in sorted(table.left, key=_vertex_label):
-        lines.append(f"{_vertex_label(vertex)} | {_rank_set(table.left[vertex])}"
+    label = lambda vertex: _vertex_label(g.vars, vertex)
+    for vertex in sorted(table.left, key=label):
+        lines.append(f"{label(vertex)} | {_rank_set(table.left[vertex])}"
                      f" | {_rank_set(table.right[vertex])}")
-    lines.extend(render_violation(v, with_ranks=False) for v in verdict.violations)
+    lines.extend(render_violation(g.vars, v, with_ranks=False)
+                 for v in verdict.violations)
     return "\n".join(lines) + "\n"

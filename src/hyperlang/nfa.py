@@ -1,8 +1,8 @@
 """NFAs and DFAs over base symbols or track letters, plus the composition calculus.
 
 Automata are immutable after construction.  Letters are either plain symbol
-strings (base alphabet, possibly including the pad marker ``#``) or
-``TrackLetter`` values over a fixed variable tuple.
+strings (base alphabet, possibly including the pad marker ``#``) or track
+letters, the tuples of one symbol per track of the automaton's ``vars``.
 
 The product and subset constructions share one worklist, ``explore``: each
 supplies only the moves of a state and its acceptance test, and gets back
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Container, Hashable, Iterable, Sequence
 
-from .core import PAD, TrackLetter, as_word, closure
+from .core import PAD, as_word, closure, letter_text
 from .errors import UnknownLetter, VarClash
 
 
@@ -53,9 +53,9 @@ class Nfa:
             if not isinstance(letter, str) or letter not in self.symbols:
                 raise ValueError(f"letter {letter!r} outside base alphabet")
         else:
-            if not isinstance(letter, TrackLetter) or letter.vars != self.vars:
+            if not isinstance(letter, tuple) or len(letter) != len(self.vars):
                 raise ValueError(f"letter {letter!r} does not match variables {self.vars}")
-            for s in letter.symbols:
+            for s in letter:
                 if s != PAD and s not in self.symbols:
                     raise ValueError(f"symbol {s!r} outside declared alphabet")
 
@@ -184,7 +184,7 @@ def word_automaton(w, symbols=None) -> Nfa:
 def pad_suffix(a: Nfa) -> Nfa:
     """Close an NFA under trailing pads: the language times ``#*`` on a base
     automaton, times the all-pad letter's star on a track automaton."""
-    pad = TrackLetter(a.vars, (PAD,) * len(a.vars)) if a.is_track else PAD
+    pad = (PAD,) * len(a.vars) if a.is_track else PAD
     pad_state = fresh_state(a.states, "pad")
     transitions = a.transitions | {(q, pad, pad_state)
                                    for q in a.accepting | {pad_state}}
@@ -203,10 +203,9 @@ def pad_anywhere(a: Nfa) -> Nfa:
 
 
 def relabel(a: Nfa, vars: tuple, f: Callable) -> Nfa:
-    """``a`` as a track automaton over ``vars``: each letter l becomes
-    ``TrackLetter(vars, f(l))``; states and alphabet stay."""
-    transitions = {(q, TrackLetter(vars, f(letter)), p)
-                   for q, letter, p in a.transitions}
+    """``a`` as a track automaton over ``vars``: each letter l becomes the
+    track letter ``f(l)``; states and alphabet stay."""
+    transitions = {(q, f(letter), p) for q, letter, p in a.transitions}
     return Nfa(a.symbols, a.states, a.initial, a.accepting, transitions, vars)
 
 
@@ -234,8 +233,9 @@ def pad_coreach(a: Nfa, targets: Iterable[Hashable]) -> set:
     """``targets`` and the states of track automaton ``a`` from which a path
     of all-pad letters reaches one of them."""
     pad_sources: dict = {}
+    all_pad = (PAD,) * len(a.vars)
     for q, letter, p in a.transitions:
-        if letter.is_all_pad():
+        if letter == all_pad:
             pad_sources.setdefault(p, []).append(q)
     return closure(targets, lambda p: pad_sources.get(p, ()))
 
@@ -262,8 +262,7 @@ def track_product(parts: Sequence[Nfa]) -> Nfa:
     def step(joint):
         options = [moves[i].get(q, []) for i, q in enumerate(joint)]
         for combo in itertools.product(*options):
-            yield (TrackLetter(joint_vars, tuple(s for l, _ in combo for s in l.symbols)),
-                   tuple(p for _, p in combo))
+            yield (tuple(s for l, _ in combo for s in l), tuple(p for _, p in combo))
 
     return explore(itertools.product(*(p.initial for p in parts)), step,
                    lambda joint: all(q in p.accepting for q, p in zip(joint, parts)),
@@ -290,7 +289,7 @@ def compose_sync(*parts: Nfa, track_vars: Sequence[str]) -> Nfa:
     moves = product.moves_from()
     return explore(product.initial,
                    lambda q: ((l, p) for l, p in moves.get(q, ())
-                              if len(set(l.symbols)) == 1),
+                              if len(set(l)) == 1),
                    product.accepting.__contains__, product.symbols, product.vars)
 
 
@@ -358,7 +357,7 @@ def project(a: Nfa, drop: str) -> Nfa:
     if not keep:
         raise ValueError("cannot project away the last variable")
     i = a.vars.index(drop)
-    return relabel(a, keep, lambda letter: letter.symbols[:i] + letter.symbols[i + 1:])
+    return relabel(a, keep, lambda letter: letter[:i] + letter[i + 1:])
 
 
 def elim_pad(a: Nfa) -> Nfa:
@@ -416,8 +415,10 @@ def nfa_language(a: Nfa, max_len: int) -> set:
 
 def canonical(a: Nfa) -> dict:
     """Canonical state names: ``{state: "q<i>"}`` in a deterministic
-    breadth-first order, unreached states last."""
+    breadth-first order, unreached states last.  A state's moves are taken
+    in the order of their ``repr``, a track letter spelled as its text."""
     moves = a.moves_from()
+    spell = (lambda letter: letter_text(a.vars, letter)) if a.is_track else repr
     order: list = []
     seen = set()
     frontier = sorted(a.initial, key=repr)
@@ -427,7 +428,8 @@ def canonical(a: Nfa) -> dict:
     while frontier:
         nxt = []
         for q in frontier:
-            for letter, p in sorted(moves.get(q, []), key=repr):
+            for letter, p in sorted(moves.get(q, []),
+                                    key=lambda m: f"({spell(m[0])}, {m[1]!r})"):
                 if p not in seen:
                     seen.add(p)
                     order.append(p)

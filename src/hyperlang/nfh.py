@@ -39,16 +39,15 @@ def nfh_accepts(n: Nfh, language: Iterable) -> bool:
     ``language`` is a finite, non-empty collection of words over the NFH's
     alphabet.  Each quantifier binds its variable to a word of the language;
     a fully bound assignment is checked by right-padding all words to equal
-    length and running the underlying automaton.  Each column of the padding
-    is looked up among the automaton's letters by symbol tuple, and a column
-    that is none of them rejects the leaf before the run.
+    length and running the underlying automaton.  A column of the padding
+    that is none of the automaton's letters rejects the leaf before the run.
     """
     words = finite_language(language, n.symbols)
-    letters = {l.symbols: l for l in n.underlying.letters()}
+    letters = n.underlying.letters()
 
     def leaf(assignment: tuple[Word, ...]) -> bool:
-        word = [letters.get(c) for c in zip_longest(*assignment, fillvalue=PAD)]
-        return all(word) and nfa_member(n.underlying, word)
+        word = list(zip_longest(*assignment, fillvalue=PAD))
+        return letters.issuperset(word) and nfa_member(n.underlying, word)
 
     return evaluate(n.prefix.quantifiers, words, leaf)
 
@@ -68,7 +67,7 @@ def accepted_assignments(underlying: Nfa, max_len: int) -> set[tuple[Word, ...]]
         return {t for t, states in frontier.items() if states & underlying.accepting}
 
     moves = underlying.moves_from()
-    reads = {l: sum(1 << i for i, s in enumerate(l.symbols) if s != PAD)
+    reads = {l: sum(1 << i for i, s in enumerate(l) if s != PAD)
              for l in underlying.letters()}
     frontier = {((),) * len(underlying.vars): underlying.initial}
     found = accepted(frontier)
@@ -80,7 +79,7 @@ def accepted_assignments(underlying: Nfa, max_len: int) -> set[tuple[Word, ...]]
                 for letter, p in moves.get(q, ()):
                     if reads[letter] and not reads[letter] & ended:
                         read = tuple(t if s == PAD else t + (s,)
-                                     for s, t in zip(letter.symbols, tracks))
+                                     for s, t in zip(letter, tracks))
                         step.setdefault(read, set()).add(p)
         frontier = step
         found |= accepted(frontier)

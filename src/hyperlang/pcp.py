@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfg import Cfg
-from .core import QuantifierPrefix, TrackLetter, Word, as_word, pad_to_sync
+from .core import QuantifierPrefix, Word, as_word, pad_to_sync
 from .cfhg import Cfhg
 
 
@@ -59,7 +59,7 @@ def pcp_encode_forall(instance: PcpInstance) -> Cfhg:
         chunk = pad_to_sync({"x1": a, "x2": b}, vars)
         rules.add(("V0", chunk + ("V0",)))
         rules.add(("V0", chunk))
-    grammar = Cfg({"V0"}, "V0", rules)
+    grammar = Cfg({"V0"}, "V0", rules, vars)
     prefix = QuantifierPrefix((("A", "x1"), ("A", "x2")))
     return Cfhg(frozenset(instance.symbols()), prefix, grammar)
 
@@ -81,15 +81,15 @@ def pcp_encode_exists_forall(instance: PcpInstance) -> Cfhg:
     for i, (a, b) in enumerate(instance.tiles):
         idx = index_symbols[i]
         a_chunk = pad_to_sync({"x1": a, "x2": ("c",) * len(a), "x3": a}, vars)
-        a_idx = (TrackLetter(vars, (idx, "c", idx)),)
+        a_idx = ((idx, "c", idx),)
         rules.add(("V1", a_chunk + ("V1",) + a_idx))
         rules.add(("V1", a_chunk + a_idx))
         cs = ("c",) * len(b)
         b_chunk = pad_to_sync({"x1": b, "x2": cs, "x3": cs}, vars)
-        b_idx = (TrackLetter(vars, (idx, "c", "c")),)
+        b_idx = ((idx, "c", "c"),)
         rules.add(("V2", b_chunk + ("V2",) + b_idx))
         rules.add(("V2", b_chunk + b_idx))
-    grammar = Cfg({"V0", "V1", "V2"}, "V0", rules)
+    grammar = Cfg({"V0", "V1", "V2"}, "V0", rules, vars)
     prefix = QuantifierPrefix((("E", "x1"), ("E", "x2"), ("A", "x3")))
     symbols = instance.symbols() | {"c"} | set(index_symbols)
     return Cfhg(frozenset(symbols), prefix, grammar)

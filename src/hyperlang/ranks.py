@@ -16,23 +16,22 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .core import PAD, TrackLetter, closure
+from .core import PAD, closure
 from .cfg import Cfg
 
 
 @dataclass(frozen=True)
 class RankTable:
     """Final ranks: ``masks`` maps every variable and terminal to its left and
-    right rank masks (a terminal's are its pad mask), ``bits`` each track to
-    its bit.  ``left`` and ``right``, the name sets of every variable and
-    right-hand side, are built when first read."""
+    right rank masks (a terminal's are its pad mask), bit i standing for the
+    i-th track of ``g.vars``.  ``left`` and ``right``, the name sets of every
+    variable and right-hand side, are built when first read."""
 
     g: Cfg
     masks: tuple[dict, dict]
-    bits: dict
 
     def names(self, mask: int) -> frozenset[str]:
-        return frozenset(v for v, bit in self.bits.items() if mask & bit)
+        return frozenset(v for i, v in enumerate(self.g.vars or ()) if mask >> i & 1)
 
     def _side(self, end: int) -> dict:
         """One side's name sets; a body takes its boundary symbol's."""
@@ -97,14 +96,11 @@ def _variable_ranks(g: Cfg, end: int, pads: dict) -> dict:
 
 def compute_ranks(g: Cfg) -> RankTable:
     """The left and right rank masks of every variable and terminal, a
-    terminal's being its pad mask over the tracks' bits."""
-    bits: dict = {}
-    pads = {t: sum(bits.setdefault(v, 1 << len(bits))
-                   for v, s in zip(t.vars, t.symbols) if s == PAD)
-            if isinstance(t, TrackLetter) and PAD in t.symbols else 0
-            for t in g.terminals()}
+    terminal's being its pad mask: bit i for a pad on the i-th track."""
+    pads = {t: sum(1 << i for i, s in enumerate(t) if s == PAD)
+            if isinstance(t, tuple) else 0 for t in g.terminals()}
     return RankTable(g, tuple({**pads, **_variable_ranks(g, end, pads)}
-                              for end in (0, -1)), bits)
+                              for end in (0, -1)))
 
 
 @dataclass(frozen=True)
@@ -131,5 +127,5 @@ def is_ranked(g: Cfg, table: RankTable | None = None) -> RankedVerdict:
             if r & ~l:
                 violations.append(((v, body), i, table.names(r), table.names(l)))
     # rules in text order; a rule's violations stay in position order
-    violations.sort(key=lambda violation: repr(violation[0]))
+    violations.sort(key=lambda violation: g.rule_key(violation[0]))
     return RankedVerdict(tuple(violations))

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import PAD, QuantifierPrefix, TrackLetter, Word, as_word
+from .core import PAD, QuantifierPrefix, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, compose_sync, difference, elim_pad,
                   explore, fresh_state, pad_coreach, pad_suffix, trim, union_all)
@@ -97,13 +97,13 @@ def realize_finite(words, alphabet=None) -> Nfh:
         raise ValueError(f"symbol {min(stray)!r} of a word is outside the alphabet")
     symbols = symbols or {"a"}
     width = len(str(len(language) - 1))
-    all_pad = TrackLetter(("x", "y"), (PAD, PAD))
+    all_pad = (PAD, PAD)
     states, initial, accepting, transitions = set(), set(), set(), set()
     for i, (w, s) in enumerate(zip(language, language[1:] + language[:1])):
         n = max(len(w), len(s))
         path = [(f"{i:0{width}d}", j) for j in range(n + 2)]
         columns = itertools.zip_longest(w, s, fillvalue=PAD)
-        transitions.update((path[j], TrackLetter(("x", "y"), column), path[j + 1])
+        transitions.update((path[j], column, path[j + 1])
                            for j, column in enumerate(columns))
         transitions |= {(path[n], all_pad, path[-1]), (path[-1], all_pad, path[-1])}
         states.update(path)
@@ -119,11 +119,11 @@ def _first_word_product(words: tuple[Word, ...], a: Nfa, vars: tuple[str, ...]) 
     """``absorb_pad(compose_free(*lines, b))``, ``lines`` the word automata of
     ``words`` on x1..xm over a's symbols but the pad and ``b`` the track
     automaton ``a`` with its tracks named ``vars``, in one ``explore`` over
-    (line state, state of a) with each distinct letter built once.  The line
-    reads the words' padded columns, then all-pad ones: on one word, the
-    composition's states and letters.  The words hold no pad, so a state
-    absorbs where the line has ended and a's state reaches, over all-pad
-    letters, an accepting state or a's pad state."""
+    (line state, state of a).  The line reads the words' padded columns,
+    then all-pad ones: on one word, the composition's states and letters.
+    The words hold no pad, so a state absorbs where the line has ended and
+    a's state reaches, over all-pad letters, an accepting state or a's pad
+    state."""
     columns = list(itertools.zip_longest(*words, fillvalue=PAD))
     columns += [(PAD,) * len(words)] * 2
     line = [f"q{i}" for i in range(len(columns) - 1)] + [("pad", 0)]
@@ -133,20 +133,14 @@ def _first_word_product(words: tuple[Word, ...], a: Nfa, vars: tuple[str, ...]) 
     absorbing = pad_coreach(a, a.accepting | {a_pad})
     moves = a.moves_from()
     joint_vars = tuple(f"x{i + 1}" for i in range(len(words))) + tuple(vars)
-    letters: dict = {}
 
     def step(state):
         position, q = state
         column, after = line_moves[position]
-        targets = [(letter.symbols, p) for letter, p in moves.get(q, ())]
+        for letter, p in moves.get(q, ()):
+            yield column + letter, (after, p)
         if q in a.accepting or q == a_pad:
-            targets.append((all_pad, a_pad))
-        for symbols, p in targets:
-            key = column + symbols
-            joint = letters.get(key)
-            if joint is None:
-                joint = letters[key] = TrackLetter(joint_vars, key)
-            yield joint, (after, p)
+            yield column + all_pad, (after, a_pad)
 
     line_symbols = ((a.symbols - {PAD}) or {"a"}) | {s for w in words for s in w}
     return explore({(line[0], q) for q in a.initial}, step,
@@ -179,8 +173,7 @@ def _successor_product(relation: Nfa, i: int) -> Nfa:
     after = {(s, t): key(s) < key(t) if key(s) <= key(t) else None
              for s in closed.symbols for t in closed.symbols}
     by_x: dict = {}
-    for q, letter, p in closed.transitions:
-        x_sym, y_sym = letter.symbols
+    for q, (x_sym, y_sym), p in closed.transitions:
         by_x.setdefault(q, {}).setdefault(x_sym, []).append((y_sym, p))
     joint_vars = ("z",) + tuple(f"y{j + 1}" for j in range(i))
 
@@ -193,8 +186,7 @@ def _successor_product(relation: Nfa, i: int) -> Nfa:
                 flags = tuple(done or after[pair]
                               for done, pair in zip(apart, zip(y_syms, y_syms[1:])))
                 if None not in flags:
-                    yield (TrackLetter(joint_vars, (x_sym,) + y_syms),
-                           (tuple(p for _, p in combo), flags))
+                    yield (x_sym,) + y_syms, (tuple(p for _, p in combo), flags)
 
     initial = {(combo, (False,) * (i - 1))
                for combo in itertools.product(closed.initial, repeat=i)}
@@ -209,7 +201,7 @@ def successors_ge(product: Nfa) -> Nfa:
     with at least i distinct successors: P_i read on its z-track, track 0,
     with ``#`` as ε.  An all-pad letter reads ``#`` there, so its source
     accepts where its target does, and no pad absorption is needed."""
-    transitions = {(q, letter.symbols[0], p) for q, letter, p in product.transitions}
+    transitions = {(q, letter[0], p) for q, letter, p in product.transitions}
     return elim_pad(Nfa(product.symbols | {PAD}, product.states, product.initial,
                         product.accepting, transitions))
 
@@ -253,15 +245,13 @@ def _count_part(product: Nfa, exact: Nfa, vars: tuple[str, ...]) -> Nfa:
     copies of the z-symbol."""
     base = pad_suffix(exact)
     moves, moves_base = product.moves_from(), base.adjacency()
-    wide = {letter: TrackLetter(vars, letter.symbols
-                                + (letter.symbols[0],) * (len(vars) - len(product.vars)))
-            for letter in product.letters()}
+    copies = len(vars) - len(product.vars)
 
     def step(state):
         q, b = state
         for letter, q2 in moves.get(q, ()):
-            for b2 in moves_base.get((b, letter.symbols[0]), ()):
-                yield wide[letter], (q2, b2)
+            for b2 in moves_base.get((b, letter[0]), ()):
+                yield letter + (letter[0],) * copies, (q2, b2)
 
     return explore({(q, b) for q in product.initial for b in base.initial}, step,
                    lambda state: state[0] in product.accepting
@@ -327,10 +317,10 @@ def prefix_closed_relation(a: Dfa) -> PartialOrderSpec:
     t, extensions, k, final = _prefix_closed_setup(a)
     transitions = set()
     for q, s, p in t.transitions:
-        transitions.add((q, TrackLetter(("x", "y"), (s, s)), p))
+        transitions.add((q, (s, s), p))
     for q, letters in extensions.items():
         for s in letters or [PAD]:
-            transitions.add((q, TrackLetter(("x", "y"), (PAD, s)), final))
+            transitions.add((q, (PAD, s), final))
     relation = Nfa(t.symbols | {PAD}, t.states | {final}, t.initial, {final},
                    transitions, ("x", "y"))
     return PartialOrderSpec(((),), relation, k)
@@ -348,10 +338,9 @@ def realize_prefix_closed_fast(a: Dfa) -> Nfh:
     joint_vars = ("z",) + y_names
     transitions = set()
     for q, s, p in t.transitions:
-        transitions.add((q, TrackLetter(joint_vars, (s,) * (k + 1)), p))
+        transitions.add((q, (s,) * (k + 1), p))
     for q, letters in extensions.items():
-        padded = tuple(letters) + (PAD,) * (k - len(letters))
-        transitions.add((q, TrackLetter(joint_vars, (PAD,) + padded), final))
+        transitions.add((q, (PAD, *letters) + (PAD,) * (k - len(letters)), final))
     component = Nfa(t.symbols | {PAD}, t.states | {final}, t.initial, {final},
                     transitions, joint_vars)
 
@@ -413,7 +402,6 @@ def _pump_component(a: Dfa, p, cycle: Word) -> Nfa:
     """
     moves = a.moves_from()
     n = len(cycle)
-    letter = lambda x_sym, y_sym: TrackLetter(("x", "y"), (x_sym, y_sym))
 
     def pump_steps(x_state, j, buffer):
         """Moves out of a pump-phase state (x_state|None, j, buffer): y reads
@@ -426,9 +414,9 @@ def _pump_component(a: Dfa, p, cycle: Word) -> Nfa:
             return
         if x_state is not None:
             for s, r in moves.get(x_state, []):
-                yield letter(s, y_sym), ("pump", r, j, rest + (s,))
+                yield (s, y_sym), ("pump", r, j, rest + (s,))
         if x_state is None or x_state in a.accepting:
-            yield letter(PAD, y_sym), ("pump", None, j, rest)
+            yield (PAD, y_sym), ("pump", None, j, rest)
 
     def step(state):
         if state[0] == "pump":
@@ -437,7 +425,7 @@ def _pump_component(a: Dfa, p, cycle: Word) -> Nfa:
             _, q, visited = state
             for s, r in moves.get(q, []):
                 if r not in visited:
-                    yield letter(s, s), ("walk", r, visited | {r})
+                    yield (s, s), ("walk", r, visited | {r})
             if q == p:
                 yield from pump_steps(q, 0, ())
 
@@ -520,7 +508,6 @@ def _successor_on_lasso(a: Dfa, moves: dict, sets: list[frozenset], loop: int) -
     gap = {i: next((d for d in range(1, size + 1) if a.start in sets[index(i + d)]),
                    None) for i in range(size)}
     symbols = a.symbols | {PAD}
-    letters = {(s, t): TrackLetter(("x", "y"), (s, t)) for s in symbols for t in symbols}
 
     def into(q, i):
         """q's (letter, target) moves into S_i, in letter order."""
@@ -532,19 +519,19 @@ def _successor_on_lasso(a: Dfa, moves: dict, sets: list[frozenset], loop: int) -
             for j in pred[i]:
                 options = into(q, j)
                 for s, p in options:
-                    yield letters[s, s], ("eq", p, j)
+                    yield (s, s), ("eq", p, j)
                 for (b, pb), (c, pc) in zip(options, options[1:]):
-                    yield letters[b, c], ("apart", pb, j, pc, 0)
+                    yield (b, c), ("apart", pb, j, pc, 0)
             return
         # x greatest, y least with d more letters left; qx None once x ended
         _, qx, i, qy, d = state
         for j in pred[i] if qx is not None else ():
             xs, ys = into(qx, j), into(qy, index(j + d))
             if xs and ys:
-                yield letters[xs[-1][0], ys[0][0]], ("apart", xs[-1][1], j, ys[0][1], d)
+                yield (xs[-1][0], ys[0][0]), ("apart", xs[-1][1], j, ys[0][1], d)
         ys = into(qy, index(d - 1)) if i == 0 and d else ()
         if ys:
-            yield letters[PAD, ys[0][0]], ("apart", None, 0, ys[0][1], d - 1)
+            yield (PAD, ys[0][0]), ("apart", None, 0, ys[0][1], d - 1)
 
     starts = [i for i in range(size) if a.start in sets[i]]
     initial = [("eq", a.start, i) for i in starts]

@@ -7,30 +7,30 @@ import pytest
 
 from hyperlang.cfg import Cfg
 from hyperlang.cfhg import Cfhg
-from hyperlang.core import PAD, QuantifierPrefix, TrackLetter, as_word
+from hyperlang.core import PAD, QuantifierPrefix, as_word
 from hyperlang.nfa import Dfa, Nfa
 from hyperlang.nfh import Nfh
 from hyperlang.pcp import PcpInstance
 
 
 def letter(var_names, *symbols):
-    return TrackLetter(tuple(var_names), tuple(symbols))
+    """The track letter, a tuple of symbols, giving each named track its symbol."""
+    assert len(var_names) == len(symbols)
+    return symbols
 
 
-def pad_vars(token):
+def pad_vars(var_names, token):
     """The variables a terminal assigns the pad marker: none for a base
     symbol."""
-    if not isinstance(token, TrackLetter):
+    if not isinstance(token, tuple):
         return frozenset()
-    return frozenset(v for v, s in zip(token.vars, token.symbols) if s == PAD)
+    return frozenset(v for v, s in zip(var_names, token) if s == PAD)
 
 
 def hword(tracks):
     """The track word, a tuple of letters, whose tracks are the given
     equal-length padded words (pads may stand anywhere)."""
-    order = tuple(tracks)
-    columns = zip(*(as_word(w) for w in tracks.values()))
-    return tuple(TrackLetter(order, c) for c in columns)
+    return tuple(zip(*(as_word(w) for w in tracks.values())))
 
 
 def words(*strings):
@@ -41,14 +41,6 @@ def words(*strings):
 def language_strings(language):
     """Render a set of words (tuples) as a set of plain strings."""
     return {"".join(w) for w in language}
-
-
-def hword_strings(bounded_words):
-    """Render derived track words as joined per-position strings."""
-    out = set()
-    for w in bounded_words:
-        out.add(tuple(t.symbols for t in w))
-    return out
 
 
 @pytest.fixture
@@ -95,7 +87,7 @@ def robot_grammar(var_names=("x",)):
         ("V1", (l("c"), "V1")),
         ("V1", (l("c"),)),
     }
-    return Cfg(frozenset({"V0", "V1"}), "V0", frozenset(rules))
+    return Cfg(frozenset({"V0", "V1"}), "V0", frozenset(rules), var_names)
 
 
 @pytest.fixture
@@ -117,7 +109,7 @@ def mixed_letter_grammar():
     """Every rule carries an off-diagonal letter; diagonal restriction kills it."""
     v = ("x1", "x2")
     g = Cfg(frozenset({"V0"}), "V0",
-            frozenset({("V0", (letter(v, "a", "b"),))}))
+            frozenset({("V0", (letter(v, "a", "b"),))}), v)
     return Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 A x2"), g)
 
 
@@ -138,7 +130,7 @@ def tile_grammar():
     for tile in (t1, t2, t3):
         rules.add(("V0", tile + ("V0",)))
         rules.add(("V0", tile))
-    return Cfg(frozenset({"V0"}), "V0", frozenset(rules))
+    return Cfg(frozenset({"V0"}), "V0", frozenset(rules), v)
 
 
 @pytest.fixture
@@ -159,7 +151,7 @@ def pumping_grammar():
         ("V2", ("V2", letter(v, "#", "b"))),
         ("V2", (letter(v, "#", "b"),)),
     }
-    g = Cfg(frozenset({"V0", "V1", "V2"}), "V0", frozenset(rules))
+    g = Cfg(frozenset({"V0", "V1", "V2"}), "V0", frozenset(rules), v)
     return Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 E x2"), g)
 
 
@@ -202,7 +194,7 @@ def random_track_grammar(rng, var_names=("x1", "x2"), symbols=("a", "b")):
                          for _ in range(rng.randint(1, 3)))
             rules.add((head, body))
         rules.add((head, (rng.choice(pool),)))
-    return Cfg(frozenset(variables), "V0", frozenset(rules))
+    return Cfg(frozenset(variables), "V0", frozenset(rules), var_names)
 
 
 def random_ranked_grammars(count, seed=7, var_names=("x1", "x2")):

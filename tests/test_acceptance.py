@@ -53,10 +53,10 @@ def derived_boundary_pads(g, variable, max_len=7):
     """Ranks of a variable read off the words it derives up to ``max_len``:
     the tracks padded by the first letter of every word (left), and by the
     last letter of some word (right)."""
-    derived = derive_bounded(Cfg(g.variables, variable, g.rules), max_len)
+    derived = derive_bounded(Cfg(g.variables, variable, g.rules, g.vars), max_len)
     assert derived and () not in derived
-    left = frozenset.intersection(*(pad_vars(w[0]) for w in derived))
-    right = frozenset().union(*(pad_vars(w[-1]) for w in derived))
+    left = frozenset.intersection(*(pad_vars(g.vars, w[0]) for w in derived))
+    right = frozenset().union(*(pad_vars(g.vars, w[-1]) for w in derived))
     return left, right
 
 
@@ -174,7 +174,7 @@ def test_criterion_08_finite_membership(g1_forall, tile_grammar_cfhg):
 def test_criterion_08_companion_shortest_action_word(g1_forall):
     assert not finite_member(g1_forall, words("cca"))
     assert finite_member(g1_forall, words("ccca"))
-    enumerated = {"".join(t.symbols[0] for t in w)
+    enumerated = {"".join(t[0] for t in w)
                   for w in derive_bounded(g1_forall.underlying, 4)}
     assert enumerated == {"cc", "ccc", "ccca", "cccc"}
 

@@ -187,7 +187,7 @@ def test_derive_bounded_cross_check(anbn):
 def test_track_letter_grammar(tile_grammar_cfhg):
     g = tile_grammar_cfhg.underlying
     shortest = min(derive_bounded(g, 3), key=len)
-    assert [t.symbols for t in shortest] in (
+    assert list(shortest) in (
         [("a", "a"), ("b", "a")],
         [("a", "b"), ("#", "a"), ("#", "a")],
         [("b", "b"), ("b", "b"), ("a", "#")],
@@ -307,3 +307,32 @@ def test_long_words_on_recursive_grammars():
     for g, member, other in cases:
         assert cyk_member(g, as_word(member)), g.rules
         assert not cyk_member(g, as_word(other)), g.rules
+
+
+class _Text:
+    """A stand-in whose ``repr`` is a track letter's text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+def test_rule_key_is_the_repr_of_rules_with_letters_as_text():
+    """``rule_key`` spells a rule as ``repr`` does once each letter is its
+    text, so rules list in that order, though ``"1]"`` sorts after ``"10"``
+    and ``"1'"`` before it."""
+    rng = random.Random(5)
+    v = ("x", "y")
+    pool = [c for c in itertools.product(("1", "10", "#", "a'"), repeat=2)
+            if c != ("#", "#")]
+    for _ in range(50):
+        rules = {(rng.choice(["S", "S'", "T"]),
+                  tuple(rng.choice(pool + ["S", "T", "c"]) for _ in range(rng.randint(0, 3))))
+                 for _ in range(rng.randint(1, 6))}
+        g = Cfg({"S", "S'", "T"}, "S", rules, v)
+        spelled = {rule: repr((rule[0], tuple(
+            _Text(f"[x={t[0]},y={t[1]}]") if isinstance(t, tuple) else t for t in rule[1])))
+            for rule in rules}
+        assert {rule: g.rule_key(rule) for rule in rules} == spelled

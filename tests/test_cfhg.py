@@ -29,7 +29,7 @@ from conftest import (letter, random_ranked_grammars, random_track_grammar,
 def _exists_pair_grammar():
     """∃x1∃x2 grammar deriving only the one-letter word ⟨a,b⟩."""
     v = ("x1", "x2")
-    g = Cfg(frozenset({"V0"}), "V0", frozenset({("V0", (letter(v, "a", "b"),))}))
+    g = Cfg(frozenset({"V0"}), "V0", frozenset({("V0", (letter(v, "a", "b"),))}), v)
     return Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("E x1 E x2"), g)
 
 
@@ -38,7 +38,7 @@ def test_exists_empty():
     assert not cfhg_empty(g)
     dead = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("E x"),
                 Cfg(frozenset({"V0"}), "V0",
-                    frozenset({("V0", (letter(("x",), "a"), "V0"))})))
+                    frozenset({("V0", (letter(("x",), "a"), "V0"))}), ("x",)))
     assert cfhg_empty(dead)
 
 
@@ -63,7 +63,7 @@ def test_exists_regular_member_single_var():
     g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("E x"),
              Cfg(frozenset({"V0"}), "V0",
                  frozenset({("V0", (letter(v, "a"), "V0", letter(v, "b"))),
-                            ("V0", (letter(v, "a"), letter(v, "b")))})))
+                            ("V0", (letter(v, "a"), letter(v, "b")))}), v))
     astar_bstar = Nfa({"a", "b"}, {"p", "q"}, {"p"}, {"p", "q"},
                       {("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")})
     assert regular_member(g, astar_bstar)
@@ -101,7 +101,7 @@ def test_finite_member_empty_language(g1_forall):
 
 def test_diagonal_restriction(robot_diagonal, mixed_letter_grammar):
     diag = diagonal_restriction(robot_diagonal)
-    derived = {"".join(t.symbols[0] for t in w) for w in derive_bounded(diag, 4)}
+    derived = {"".join(t[0] for t in w) for w in derive_bounded(diag, 4)}
     assert derived == {"cc", "ccc", "ccca", "cccc"}
     assert cfg_empty(diagonal_restriction(mixed_letter_grammar))
 
@@ -184,7 +184,7 @@ def test_bounded_nonempty_witness(robot_diagonal, tile_grammar_cfhg):
     # a ranked ∃∃∀ grammar deriving only ε: its member {ε} lies at length
     # 0, and, as on the enumerating route, a negative bound is refused
     eps = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("E x1 E x2 A x3"),
-               Cfg(frozenset({"V0"}), "V0", frozenset({("V0", ())})))
+               Cfg(frozenset({"V0"}), "V0", frozenset({("V0", ())}), ("x1", "x2", "x3")))
     assert bounded_nonempty_witness(eps, 0) == {()}
     for g in (tile_grammar_cfhg, eps):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ def _route_grammar(prefix, ranked):
     if not ranked:
         body = (letter(v, "#", *"a" * (len(v) - 1)),) + body
     return Cfhg(frozenset({"a"}), prefix,
-                Cfg(frozenset({"V0"}), "V0", frozenset({("V0", body)})))
+                Cfg(frozenset({"V0"}), "V0", frozenset({("V0", body)}), v))
 
 
 @pytest.mark.parametrize("prefix, ranked, expected", [
@@ -280,7 +280,7 @@ def test_router_agrees_with_search_and_membership():
                 if sync and empty is False:
                     diagonal = diagonal_restriction(g)
                     assert not cfg_empty(diagonal), (quantifiers, grammar.rules)
-                    word = tuple(t.symbols[0] for t in _shortest_word(diagonal))
+                    word = tuple(t[0] for t in _shortest_word(diagonal))
                     assert finite_member(g, [word]), (quantifiers, grammar.rules)
                     diagonal_members += 1
     assert found and diagonal_members
@@ -314,7 +314,7 @@ def _padded_grammar(rng, v, symbols="ab", recursive=False):
                                               else pool + variables)
                                    for _ in range(rng.randint(0, 3)))))
         rules.add((head, (rng.choice(pool),)))
-    return Cfg(frozenset(variables), "V0", frozenset(rules))
+    return Cfg(frozenset(variables), "V0", frozenset(rules), v)
 
 
 def _unranked_grammars(rng, v, count, symbols="ab", recursive=False):
@@ -332,7 +332,7 @@ def _forall_letter_pairs_grammar():
     v = ("x1", "x2")
     rules = {("V0", (letter(v, s, t),)) for s in "ab" for t in "ab"}
     return Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 A x2"),
-                Cfg(frozenset({"V0"}), "V0", frozenset(rules)))
+                Cfg(frozenset({"V0"}), "V0", frozenset(rules), v))
 
 
 def test_bounded_witness_equals_reference(monkeypatch, robot_diagonal,
@@ -432,7 +432,7 @@ def _goal_directed_grammar(rng, v):
     for _ in range(rng.randint(1, 3)):
         rules.add((rng.choice("STN"),
                    tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3)))))
-    return Cfg(frozenset({"S", "T", "N"}), "S", frozenset(rules))
+    return Cfg(frozenset({"S", "T", "N"}), "S", frozenset(rules), v)
 
 
 def test_goal_directed_leaf_equals_derived_assignments():
@@ -466,7 +466,7 @@ def _naive_derived_assignments(g, n):
     in place, until a pass adds nothing."""
     grammar = g.underlying
     sets = {v: set() for v in grammar.variables}
-    pieces = {t: {tuple(() if s == "#" else (s,) for s in t.symbols)}
+    pieces = {t: {tuple(() if s == "#" else (s,) for s in t)}
               for t in grammar.terminals()}
     size = -1
     while size < (size := sum(map(len, sets.values()))):
@@ -528,14 +528,14 @@ def test_ranked_shortcuts_read_a_trailing_all_pad_block():
     pad-anywhere leaf, and ``cfhg_empty`` with the search and the diagonal."""
     v = ("x", "y")
     g = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("A x A y"),
-             Cfg({"S"}, "S", {("S", (letter(v, "a", "a"), letter(v, "#", "#")))}))
+             Cfg({"S"}, "S", {("S", (letter(v, "a", "a"), letter(v, "#", "#")))}, v))
     assert g.ranked() and not cfhg_empty(g)
     assert finite_member(g, [("a",)]) and finite_member(g, [("a",)], force_slow=True)
     assert bounded_nonempty_witness(g, 1) == {("a",)}
     # the ∃∃∀ search bounds the tracks, not the trailing block
     v = ("x", "y", "z")
     g = Cfhg(frozenset({"a"}), QuantifierPrefix.parse("E x E y A z"),
-             Cfg({"S"}, "S", {("S", (letter(v, *"aaa"), letter(v, *"###")))}))
+             Cfg({"S"}, "S", {("S", (letter(v, *"aaa"), letter(v, *"###")))}, v))
     assert g.ranked() and bounded_nonempty_witness(g, 1) == {("a",)}
     rng = random.Random(41)
     short = [w for n in range(3) for w in itertools.product("ab", repeat=n)]
@@ -558,7 +558,7 @@ def test_ranked_shortcuts_read_a_trailing_all_pad_block():
             assert witness is None or not empty, grammar.rules
             if not empty:
                 diagonal = diagonal_restriction(g)
-                word = strip_hash(t.symbols[0] for t in _shortest_word(diagonal))
+                word = strip_hash(t[0] for t in _shortest_word(diagonal))
                 assert finite_member(g, [word], force_slow=True), grammar.rules
                 members += 1
     assert members
@@ -575,7 +575,7 @@ def test_unranked_witness_search_past_the_derivation_cap(monkeypatch):
     rules = {("V0", (letter(v, "a", "b"), "V1")), ("V1", ())}
     rules |= {("V1", (t, "V1")) for t in track_letters(v)}
     g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 A x2"),
-             Cfg({"V0", "V1"}, "V0", rules))
+             Cfg({"V0", "V1"}, "V0", rules, v))
     assert not g.ranked()
     assert bounded_nonempty_witness(g, 2) is None
     monkeypatch.setattr(cfhg_module, "DERIVATION_CAP", 10)
@@ -592,7 +592,7 @@ def test_unranked_witness_search_past_the_derivation_cap(monkeypatch):
     # x1 starts with a and x2 with b, or the other way round: {a, b} is a member
     rules.add(("V0", (letter(v, "b", "a"), "V1")))
     g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("A x1 E x2"),
-             Cfg({"V0", "V1"}, "V0", rules))
+             Cfg({"V0", "V1"}, "V0", rules, v))
     assert not g.ranked()
     with pytest.raises(CapExceeded, match="witness-search"):
         cfhg_module.derived_assignments(g, 2)
@@ -612,7 +612,7 @@ def test_unranked_witness_search_past_the_derivation_cap(monkeypatch):
 def _letter_set_grammar(rng, v):
     """A grammar deriving 2 to 8 random one-letter words over ``v``."""
     rules = {("V0", (t,)) for t in rng.sample(track_letters(v), rng.randint(2, 8))}
-    return Cfg(frozenset({"V0"}), "V0", frozenset(rules))
+    return Cfg(frozenset({"V0"}), "V0", frozenset(rules), v)
 
 
 def test_bounded_witness_equals_reference_on_generated_grammars():
@@ -716,7 +716,7 @@ def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
     assert bounded_nonempty_witness(g, 5) is None
     derived = set()
     for w in derive_bounded(g.underlying, 5):
-        x1, x2, x3 = zip(*(t.symbols for t in w))
+        x1, x2, x3 = zip(*w)
         if x3 == x1:
             derived.add(frozenset({strip_hash(x1), strip_hash(x2)}))
     assert len(tried) == len(derived) > 0
@@ -744,7 +744,7 @@ def _planted_ranked_grammar(rng, prefix, longest=2):
         for f in itertools.product(chosen, repeat=len(v) - m):
             if rng.random() < 0.8:
                 rules.add(("V0", pad_to_sync(dict(zip(v, chosen[:m] + list(f))), v)))
-    return Cfg(frozenset({"V0"}), "V0", frozenset(rules))
+    return Cfg(frozenset({"V0"}), "V0", frozenset(rules), v)
 
 
 def test_guided_witness_equals_reference_on_ranked_grammars(monkeypatch):
@@ -848,7 +848,7 @@ def test_witness_search_past_the_universe_cap(monkeypatch):
     for ends, first in (({()}, ()), ({(t,) for t in letters}, ("a",))):
         rules = {("S", (t, "S")) for t in letters} | {("S", end) for end in ends}
         g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("E x E y A z"),
-                 Cfg(frozenset({"S"}), "S", frozenset(rules)))
+                 Cfg(frozenset({"S"}), "S", frozenset(rules), v))
         with pytest.raises(CapExceeded):
             cfhg_module.derived_assignments(g, 5)
         assert bounded_nonempty_witness(g, 5) == {first}
@@ -898,7 +898,7 @@ def test_cyk_route_equals_slow_route():
     cases = []
     for grammar in random_ranked_grammars(10, seed=13):
         derived = {strip_hash(track) for w in derive_bounded(grammar, 4)
-                   for track in zip(*(l.symbols for l in w))}
+                   for track in zip(*w)}
         pool = sorted(derived | set(short))
         for q1, q2 in itertools.product("AE", repeat=2):
             g = Cfhg(frozenset({"a", "b"}),
@@ -912,7 +912,7 @@ def test_cyk_route_equals_slow_route():
         cases += [(g, [word, cs]), (g, [forward, cs]), (g, [_flip(rng, word), cs])]
     v = ("x1", "x2")
     eps = Cfg(frozenset({"S"}), "S", frozenset({("S", ()),
-                                                ("S", (letter(v, "a", "b"), "S"))}))
+                                                ("S", (letter(v, "a", "b"), "S"))}), v)
     for q1, q2 in itertools.product("AE", repeat=2):
         g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse(f"{q1} x1 {q2} x2"), eps)
         cases += [(g, [()]), (g, [(), ("a",)])]
@@ -923,7 +923,7 @@ def test_cyk_route_equals_slow_route():
         assert fast == finite_member(g, language, force_slow=True), \
             (g.underlying.rules, g.prefix.render(), language)
         verdicts.add(fast)
-        letters = {t.symbols for t in g.underlying.terminals()}
+        letters = g.underlying.terminals()
         kinds["foreign column"] += g.ranked() and any(
             c not in letters for words in itertools.product(language, repeat=len(g.vars))
             for c in itertools.zip_longest(*words, fillvalue="#"))
@@ -954,7 +954,7 @@ def test_sparse_leaf_equals_product_leaf():
         instance = PcpInstance.of(*tiles)
         for g in (pcp_encode_forall(instance), pcp_encode_exists_forall(instance)):
             leaf = cfhg_module._membership_leaf(g, True)
-            derived = [tuple(strip_hash(t) for t in zip(*(l.symbols for l in w)))
+            derived = [tuple(strip_hash(t) for t in zip(*w))
                        for w in sorted(derive_bounded(g.underlying, 5), key=len)]
             symbols = sorted(g.symbols)
             noise = [tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))

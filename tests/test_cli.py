@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,7 +18,8 @@ from hyperlang.cli import run
 from hyperlang.errors import UnknownLetter
 from hyperlang.formats import parse_cfhg, parse_nfa, parse_nfh, render_nfh
 from hyperlang.nfh import nfh_accepts
-from hyperlang.realize import (realize_finite, realize_regular,
+from hyperlang.realize import (OrderedLanguageSpec, realize_finite,
+                               realize_ordered, realize_regular,
                                realize_shortlex, regular_relation)
 
 from conftest import words
@@ -416,6 +418,26 @@ def test_cap_errors_name_the_search(files, capsys):
                                        f"{(6 ** 31 - 1) // 5} words; cap is 20\n")
 
 
+def test_a_huge_bound_is_refused_at_once(files, capsys):
+    """A bound of 10^6 is refused without counting its 2^(10^6) words."""
+    write, _ = files
+    grammar = write("ae.cfhg", "quantifiers: A x E y\nstart: S\nrule: S -> [x=a,y=b]\n")
+    for argv, stage in ((["nfh", "probe", write("e.nfh", EXISTS_A_NFH), "--max-len"],
+                         "probe"),
+                        (["cfhg", "empty", grammar, "--bounded"], "witness-search")):
+        started = time.perf_counter()
+        assert run(argv + ["1000000"]) == 2
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == (f"cap exceeded: {stage} universe has over "
+                                           "2^1000000 words; cap is 20\n")
+    # with no symbol the universe is {ε} at any bound, and is built at once
+    grammar = write("pad.cfhg", "quantifiers: A x E y\nstart: S\nrule: S -> [x=#,y=#]\n")
+    started = time.perf_counter()
+    assert run(["cfhg", "empty", grammar, "--bounded", "1000000000"]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().out.endswith("witness: {eps}\n")
+
+
 def test_cfhg_member_finite(files, capsys):
     write, _ = files
     g = write("g.cfhg", ROBOT)
@@ -478,6 +500,32 @@ def test_realize_ordered_refuses_a_first_word_outside_the_alphabet(files, capsys
     assert capsys.readouterr().err == ("usage error: symbol 'c' of the first word "
                                        "is outside the successor's alphabet\n")
     assert not (tmp / "out.nfh").exists()
+
+
+def test_realize_ordered_reads_first_as_a_language_line(files, capsys):
+    """FIRST is read as a line of a language file: spaced tokens are symbols
+    of several characters, unspaced text one symbol per character."""
+    write, tmp = files
+    succ = write("s.nfa", "type: nfa\nalphabet: 10 2\nvars: x y\nstates: q0 q1\n"
+                          "initial: q0\naccepting: q1\ntrans: q0 [x=10,y=2] q1\n"
+                          "trans: q1 [x=2,y=10] q1\n")
+    out = tmp / "out.nfh"
+    for first, word in (("10 2", ("10", "2")), ("eps", ())):
+        assert run(["realize", "ordered", first, succ, "-o", str(out)]) == 0
+        spec = OrderedLanguageSpec(word, parse_nfa(open(succ).read()))
+        assert out.read_text() == render_nfh(realize_ordered(spec))
+    capsys.readouterr()
+    # unspaced, "10" is the two symbols 1 and 0; a FIRST holding '#' is refused
+    assert run(["realize", "ordered", "10", succ, "-o", str(out)]) == 64
+    assert capsys.readouterr().err == ("usage error: symbol '0' of the first word "
+                                       "is outside the successor's alphabet\n")
+    assert run(["realize", "ordered", "10 #", succ, "-o", str(out)]) == 64
+    assert capsys.readouterr().err == ("usage error: the first word holds the pad "
+                                       "symbol '#'\n")
+    succ = write("ab.nfa", TWO_TRACK_NFA)
+    assert run(["realize", "ordered", "ab", succ, "-o", str(out)]) == 0
+    spec = OrderedLanguageSpec(("a", "b"), parse_nfa(TWO_TRACK_NFA))
+    assert out.read_text() == render_nfh(realize_ordered(spec))
 
 
 def test_cfhg_refuses_the_pad_symbol(files, capsys):

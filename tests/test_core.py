@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperlang.core import (PAD, QuantifierPrefix, as_word, evaluate,
-                            is_synchronous, pad_to_sync, render_word, strip_hash)
+                            is_synchronous, letter_text, pad_to_sync, render_word,
+                            strip_hash)
 
 from conftest import hword, letter
 
@@ -31,7 +32,7 @@ def test_pad_to_sync_properties(assignment):
     assert is_synchronous(h)
     longest = max(len(w) for w in assignment.values())
     assert len(h) == longest
-    recovered = {v: strip_hash(tuple(l.symbols[j] for l in h))
+    recovered = {v: strip_hash(tuple(l[j] for l in h))
                  for j, v in enumerate(assignment)}
     assert recovered == assignment
 
@@ -52,10 +53,11 @@ def test_pad_to_sync_examples():
 
 
 def test_track_letter_rendering():
+    """A letter is its tuple of symbols; its text names each track."""
     t = letter(("x1", "x2"), "a", "#")
-    assert t.render() == "[x1=a,x2=#]"
-    assert not t.is_all_pad()
-    assert letter(("x",), "#").is_all_pad()
+    assert t == ("a", "#")
+    assert letter_text(("x1", "x2"), t) == "[x1=a,x2=#]"
+    assert letter_text(("x",), ("10",)) == "[x=10]"
 
 
 def test_quantifier_prefix():

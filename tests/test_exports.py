@@ -12,7 +12,7 @@ SRC = Path(hyperlang.__file__).parent
 EXPORTS = """
 CapExceeded Cfg Cfhg Dfa EmptyLanguage HyperlangError Nfa Nfh
 NotPrefixClosed OrderedLanguageSpec ParseError PartialOrderSpec PcpInstance
-QuantifierPrefix RankTable TrackLetter Undecidable UniverseTooLarge
+QuantifierPrefix RankTable Undecidable UniverseTooLarge
 UnknownLetter VarClash bar_hillel cfg_empty cfhg_empty cleanup compose_free
 compose_sync compute_ranks cyk_member derive_bounded determinize difference
 finite_member is_ranked is_synchronous nfa_member nfh_accepts

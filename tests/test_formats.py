@@ -64,7 +64,7 @@ rule: V1 -> [x=c]
 
 def test_parse_track_letter():
     t = parse_track_letter("[x=a,y=#]", ("x", "y"))
-    assert t.symbols == ("a", "#")
+    assert t == ("a", "#")
     with pytest.raises(ParseError):
         parse_track_letter("x=a", ("x",))
     with pytest.raises(ParseError):

@@ -189,10 +189,10 @@ def test_pruned_probe_equals_membership(monkeypatch):
 def _filtered_assignments(underlying, max_len):
     """The enumerate-then-filter reading: every accepted letter sequence, kept
     when each track pads only at its end and its last letter is not all pad."""
-    return {tuple(strip_hash(tuple(l.symbols[j] for l in letters))
+    return {tuple(strip_hash(tuple(l[j] for l in letters))
                   for j in range(len(underlying.vars)))
             for letters in nfa_language(underlying, max_len)
-            if is_synchronous(letters) and not (letters and letters[-1].is_all_pad())}
+            if is_synchronous(letters) and not (letters and set(letters[-1]) == {"#"})}
 
 
 def test_well_padded_walk_and_leaf_match_the_references(monkeypatch):

@@ -67,7 +67,7 @@ def test_encode_exists_forall_unsolvable_bounded():
     # the x1-track words derivable within 8 letters is a member
     candidates = set()
     for w in derive_bounded(g.underlying, 8):
-        track = tuple(t.symbols[0] for t in w)
+        track = tuple(t[0] for t in w)
         candidates.add(tuple(s for s in track if s != "#"))
     assert candidates
     import itertools

@@ -40,7 +40,7 @@ def test_hash_free_grammar_has_empty_ranks():
     v = ("x1", "x2")
     g = Cfg(frozenset({"S"}), "S",
             frozenset({("S", (letter(v, "a", "a"), "S")),
-                       ("S", (letter(v, "b", "b"),))}))
+                       ("S", (letter(v, "b", "b"),))}), v)
     table = compute_ranks(g)
     for vertex in table.left:
         assert table.left[vertex] == frozenset()
@@ -72,7 +72,7 @@ def test_random_ranked_grammars_derive_synchronous_words():
 def test_rank_violation_reports_positions(pumping_grammar):
     v = ("x1", "x2")
     bad = Cfg(frozenset({"S"}), "S",
-              frozenset({("S", (letter(v, "a", "#"), letter(v, "a", "a")))}))
+              frozenset({("S", (letter(v, "a", "#"), letter(v, "a", "a")))}), v)
     verdict = is_ranked(bad)
     assert not verdict.ranked
     ((rule, position, right, left),) = verdict.violations
@@ -88,7 +88,7 @@ def _rank_grammar(rng):
     tracks = ("x1", "x2", "x3")[:rng.randint(1, 3)]
     pool = [letter(tracks, *(rng.choice("ab#") for _ in tracks))
             for _ in range(rng.randint(1, 4))]
-    pool = [t for t in pool if not t.is_all_pad()] + ["c"] * rng.randint(0, 1)
+    pool = [t for t in pool if set(t) != {"#"}] + ["c"] * rng.randint(0, 1)
     variables = [f"V{i}" for i in range(rng.randint(1, 6))]
     rules = set()
     for head in variables:
@@ -100,7 +100,7 @@ def _rank_grammar(rng):
                                    if rng.random() < p_variable
                                    else rng.choice(pool)
                                    for _ in range(rng.randint(0, 3)))))
-    return Cfg(variables, "V0", rules)
+    return Cfg(variables, "V0", rules, tracks)
 
 
 def _boundaries(g, end):
@@ -132,7 +132,7 @@ def _reference_ranks(g):
         succ = _boundaries(g, end)
 
         def letters(v):
-            return [pad_vars(t) for u in _reach(g, succ, v) for t in succ[u]
+            return [pad_vars(g.vars, t) for u in _reach(g, succ, v) for t in succ[u]
                     if not g.is_variable(t)]
 
         rank = {}
@@ -144,7 +144,7 @@ def _reference_ranks(g):
         for _, body in g.rules:
             if body:
                 t = body[end]
-                rank[body] = rank[t] if g.is_variable(t) else pad_vars(t)
+                rank[body] = rank[t] if g.is_variable(t) else pad_vars(g.vars, t)
         table.append(rank)
     return table
 
@@ -153,7 +153,7 @@ def _reference_violations(g, left, right):
     """The pairs R(γ_i) ⊄ L(γ_{i+1}) on the reference ranks, a terminal's
     ranks being its pad set: rules in text order, positions in order."""
     def rank(side, t):
-        return side[t] if g.is_variable(t) else pad_vars(t)
+        return side[t] if g.is_variable(t) else pad_vars(g.vars, t)
 
     return tuple(((v, body), i, rank(right, body[i]), rank(left, body[i + 1]))
                  for v, body in sorted(g.rules, key=repr)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import hyperlang.realize as realize_module
-from hyperlang.core import (PAD, QuantifierPrefix, TrackLetter, as_word,
+from hyperlang.core import (PAD, QuantifierPrefix, as_word,
                             bounded_universe, pad_to_sync)
 from hyperlang.errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from hyperlang.formats import parse_nfh, render_nfh
@@ -155,7 +155,7 @@ def _composed_first_word(words, a, track_vars):
     symbols = {s for s in a.symbols if s != PAD}
     lines = [with_var(word_automaton(w, symbols), f"x{j + 1}")
              for j, w in enumerate(words)]
-    renamed = relabel(a, track_vars, lambda l: l.symbols)
+    renamed = relabel(a, track_vars, lambda l: l)
     return absorb_pad(compose_free(*lines, renamed))
 
 
@@ -339,7 +339,7 @@ def _reference_successor_product(relation, i):
     all_pairs = frozenset(frozenset(p) for p in pairs)
     by_x: dict = {}
     for q, l, p in closed.transitions:
-        by_x.setdefault(q, {}).setdefault(l.symbols[0], []).append((l.symbols[1], p))
+        by_x.setdefault(q, {}).setdefault(l[0], []).append((l[1], p))
     joint_vars = ("z",) + tuple(f"y{j + 1}" for j in range(i))
 
     def step(state):
@@ -350,8 +350,7 @@ def _reference_successor_product(relation, i):
                 y_syms = tuple(y for y, _ in combo)
                 new_seen = seen | {frozenset((j1, j2)) for j1, j2 in pairs
                                    if y_syms[j1] != y_syms[j2]}
-                yield (TrackLetter(joint_vars, (x_sym,) + y_syms),
-                       (tuple(p for _, p in combo), new_seen))
+                yield (x_sym,) + y_syms, (tuple(p for _, p in combo), new_seen)
 
     initial = {(combo, frozenset())
                for combo in itertools.product(closed.initial, repeat=i)}
@@ -380,11 +379,11 @@ def _reference_realize_partially_ordered(spec):
         moves = product.moves_from()
         b_i = explore({(q, b) for q in product.initial for b in base.initial},
                       lambda s: ((l, (q, b)) for l, q in moves.get(s[0], ())
-                                 for b in base.step({s[1]}, l.symbols[0])),
+                                 for b in base.step({s[1]}, l[0])),
                       lambda s: s[0] in product.accepting and s[1] in base.accepting,
                       product.symbols | base.symbols, product.vars)
         b_i = relabel(b_i, ("z",) + y_names,
-                      lambda l: l.symbols + (l.symbols[0],) * (len(y_names) - i))
+                      lambda l: l + (l[0],) * (len(y_names) - i))
         if b_i.accepting:
             parts.append(compose_free(lines, b_i))
     prefix = QuantifierPrefix(tuple(("E", x) for x in x_names) + (("A", "z"),)
@@ -418,7 +417,7 @@ def _reference_successors_ge(product):
     joint = absorb_pad(product)
     for y in product.vars[1:]:
         joint = project(joint, y)
-    transitions = {(q, letter.symbols[0], p) for q, letter, p in joint.transitions}
+    transitions = {(q, letter[0], p) for q, letter, p in joint.transitions}
     return elim_pad(Nfa(joint.symbols | {s for _, s, _ in transitions}, joint.states,
                         joint.initial, joint.accepting, transitions))
 
@@ -760,8 +759,6 @@ def _reference_shortlex_successor(a):
     padded = pad_suffix(a)
     moves = padded.moves_from()
     symbols = padded.symbols
-    letters = {(s, t): TrackLetter(("x", "y"), (s, t))
-               for s in symbols for t in symbols}
 
     def less_step(state):
         qx, qy, order = state
@@ -769,7 +766,7 @@ def _reference_shortlex_successor(a):
             for t, py in moves.get(qy, ()):
                 new_order = _shortlex_step(order, s, t)
                 if new_order is not None and not s == t == PAD:
-                    yield letters[s, t], (px, py, new_order)
+                    yield (s, t), (px, py, new_order)
 
     def between_step(state):
         qw, xw, wy = state
@@ -781,7 +778,7 @@ def _reference_shortlex_successor(a):
                 for t in symbols:
                     new_wy = _shortlex_step(wy, w, t)
                     if new_wy is not None and not s == w == t == PAD:
-                        yield letters[s, t], (pw, new_xw, new_wy)
+                        yield (s, t), (pw, new_xw, new_wy)
 
     final = padded.accepting
     less = explore({(a.start, a.start, "=")}, less_step,

@@ -29,7 +29,15 @@ all-pad letter, and from a FIRST word outside the alphabet, a grammar
 with a bare terminal, a finite L whose DFA holds a dead region with
 many simple paths, and the relation route on prefix-closed DFAs with three
 extensions at one state over three letters and four over four
-(``pc4-relation``, which builds five successor products); and usage
+(``pc4-relation``, which builds five successor products); symbols of
+several characters, where a letter's text and the ``repr`` of its symbol
+tuple sort apart: ``pcp encode-ea`` on 11 tiles (index symbols ``10`` and
+``11``) with ``cfhg ranks`` and ``is-ranked`` on that encoding, and
+``realize regular`` and ``realize prefix-closed --route relation`` on DFAs
+over ``a ab`` and over ``1 10``, ``pcp encode-forall``, ``cfhg ranks`` and
+``is-ranked`` on rules that differ only in ``1`` and ``10`` on the last
+track, and ``realize finite`` on words over ``1 10`` (the calls of
+``tests/test_golden.py``); and usage
 errors on both parse routes (``-h`` raises ``SystemExit``, so it is not
 among them).  Calls run in-process, in a scratch directory, with file
 names relative to it.
@@ -233,6 +241,35 @@ rule: V0 -> [x=a] V0
 rule: V0 -> [x=b]
 """
 
+# 11 tiles: the index symbols 10 and 11 share a first character with 1
+TILES_11 = (("a", "ab"), ("b", "ba"), ("ab", "a"), ("ba", "b"), ("aa", "a"),
+            ("bb", "b"), ("a", "aa"), ("b", "bb"), ("ab", "ba"), ("ba", "ab"),
+            ("aab", "b"))
+
+# prefix-closed and infinite, over a symbol of two characters
+A_AB_DFA = """\
+type: dfa
+alphabet: a ab
+states: s0 s1
+initial: s0
+accepting: s0 s1
+trans: s0 a s1
+trans: s0 ab s0
+trans: s1 ab s1
+"""
+
+# every word over 1 and 10: its shortlex successor moves from one state on
+# [x=1,y=1] and [x=1,y=10], which a letter's text sorts 10 first
+ONE_TEN_DFA = """\
+type: dfa
+alphabet: 1 10
+states: s0
+initial: s0
+accepting: s0
+trans: s0 1 s0
+trans: s0 10 s0
+"""
+
 A_STAR_B_NFA = """\
 type: nfa
 alphabet: a b
@@ -340,6 +377,15 @@ FIXED_FILES = {
     "trailing-pad.cfhg": "quantifiers: A x A y\nstart: S\n"
                          "rule: S -> [x=a,y=a] [x=#,y=#]\n",
     "ab.nfa": A_STAR_B_NFA,
+    "tiles11.txt": "".join(f"{a} | {b}\n" for a, b in TILES_11),
+    "ea11.cfhg": ea_cfhg_text(TILES_11),
+    "a-ab.dfa": A_AB_DFA,
+    "one-ten.dfa": ONE_TEN_DFA,
+    "one-ten.lang": "1\n10\n1 10\n10 1\n",
+    # two rules that differ only in 1 and 10 on the last track
+    "tiles-one-ten.txt": "a 1 | a 1\na 1 | a 10\n",
+    "one-ten.cfhg": "quantifiers: A x A y\nstart: S\nrule: S -> [x=#,y=1] [x=a,y=1]\n"
+                    "rule: S -> [x=#,y=10] [x=a,y=1]\n",
     "tiles.txt": "".join(f"{a} | {b}\n" for a, b in CRITERION9_TILES),
     "words.lang": "eps\na\nab\n",
     # criterion 9's member: the solution 3 2 3 1, its indices reversed behind
@@ -442,6 +488,20 @@ FIXED_CALLS = [
     ("witness-universe-cap", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "5"]),
     ("path-cap", ["realize", "regular", "blocks6.dfa", "-o", "out"]),
     ("lasso-cap", ["realize", "regular", "cycles-7-11.dfa", "-o", "out"]),
+    # symbols of several characters
+    ("encode-ea-11", ["pcp", "encode-ea", "tiles11.txt", "-o", "out"]),
+    ("ea11-ranks", ["cfhg", "ranks", "ea11.cfhg"]),
+    ("ea11-is-ranked", ["cfhg", "is-ranked", "ea11.cfhg"]),
+    ("a-ab-regular", ["realize", "regular", "a-ab.dfa", "-o", "out"]),
+    ("a-ab-relation", ["realize", "prefix-closed", "a-ab.dfa", "--route", "relation",
+                       "-o", "out"]),
+    ("forall-one-ten", ["pcp", "encode-forall", "tiles-one-ten.txt", "-o", "out"]),
+    ("one-ten-ranks", ["cfhg", "ranks", "one-ten.cfhg"]),
+    ("one-ten-is-ranked", ["cfhg", "is-ranked", "one-ten.cfhg"]),
+    ("one-ten-regular", ["realize", "regular", "one-ten.dfa", "-o", "out"]),
+    ("one-ten-relation", ["realize", "prefix-closed", "one-ten.dfa", "--route",
+                          "relation", "-o", "out"]),
+    ("one-ten-finite", ["realize", "finite", "one-ten.lang", "-o", "out"]),
     ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
     ("bogus-verb", ["bogus"]),
     # usage errors: through the verb's own parser, then through the full one
