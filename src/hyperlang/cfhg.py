@@ -18,14 +18,15 @@ one position per word; a terminal's spans come straight from the words,
 once a derivation reaches it: no product is built.
 
 The undecidable routes get a bounded witness search over Σ^{≤N}.  It
-derives the grammar's track tuples once at N and looks each assignment up
-among them.  Under an ∃^m∀* prefix (the ∀∀ and ∃∃∀ PCP gadgets) it tests
-only the ∃ choices those tuples hold; after a ∀ before an ∃ it walks the
-subsets of their viable words.
+derives the grammar's track tuples once at N and decides the quantifier
+tree over them by ``core.members``.  Under an ∃^m∀* prefix (the ∀∀ and ∃∃∀
+PCP gadgets) it tests only the ∃ choices those tuples hold; after a ∀
+before an ∃ it walks the subsets of their viable words.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -33,10 +34,10 @@ from itertools import zip_longest
 from operator import add
 from typing import Callable
 
-from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cleanup,
-                  cyk_member, derives_span)
+from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cyk_member,
+                  derives_span)
 from .core import (PAD, QuantifierPrefix, Word, bounded_universe, evaluate,
-                   finite_language, nonempty_subsets, viable_words)
+                   finite_language, members, nonempty_subsets, viable_words)
 from .errors import CapExceeded, Undecidable
 from .nfa import Nfa, pad_anywhere, track_product, with_var
 from .ranks import is_ranked
@@ -125,8 +126,8 @@ def _without_all_pad(g: Cfhg, grammar: Cfg) -> Cfg:
 
 
 def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], bool]:
-    """The memoised leaf of the quantifier tree: is some #-padding of the
-    assignment derived?  A ranked leaf reads the columns of the synchronous
+    """The leaf of the quantifier tree: is some #-padding of the assignment
+    derived?  A ranked leaf reads the columns of the synchronous
     padding, and is False at once if one is none of the grammar's letters."""
     grammar = g.underlying
     if not force_slow and g.ranked():
@@ -143,7 +144,7 @@ def _membership_leaf(g: Cfhg, force_slow: bool) -> Callable[[tuple[Word, ...]], 
             end = math.prod(len(w) + 1 for w in assignment) - 1
             return derives_span(grammar, lambda letter: _word_spans(assignment, letter),
                                 (0,), (end,))
-    return functools.cache(leaf)
+    return leaf
 
 
 def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
@@ -155,11 +156,11 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
 
 
 def _restriction(g: Cfhg, keep: Callable[[tuple[str, ...]], bool]) -> Cfg:
-    """The cleaned grammar without the rules that hold a letter whose
-    symbols ``keep`` rejects."""
+    """The grammar without the rules that hold a letter whose symbols
+    ``keep`` rejects."""
     rules = {(v, body) for v, body in g.underlying.rules
              if all(keep(t) for t in body if isinstance(t, tuple))}
-    return cleanup(Cfg(g.underlying.variables, g.underlying.start, rules, g.vars))
+    return Cfg(g.underlying.variables, g.underlying.start, rules, g.vars)
 
 
 def diagonal_restriction(g: Cfhg) -> Cfg:
@@ -248,8 +249,9 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
 
     Evidence only — a miss does not decide emptiness.  Returns the first
     member in the bit-mask order of ``nonempty_subsets`` over
-    ``bounded_universe``.  The leaf is a lookup among the track tuples that
-    ``derived_assignments`` derives at max_len, exact for any grammar.
+    ``bounded_universe``: the first language that ``core.members`` yields
+    over the track tuples ``derived_assignments`` derives at max_len, exact
+    for any grammar.
 
     Under an ∃^m∀* prefix that member is set(x̄) for its own ∃ choices x̄:
     set(x̄) is a member within it (each ∀ then ranges over fewer words; for
@@ -271,26 +273,6 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
         raise ValueError(f"the length bound must be at least 0, not {max_len}")
     quantifiers = g.prefix.quantifiers
     foralls = [j for j, q in enumerate(quantifiers) if q == "A"]
-    if emptiness_route(g.prefix) != "forallexists":
-        candidates, leaf = _exists_forall_candidates(g, max_len, foralls)
-    else:
-        universe = bounded_universe(g.symbols, max_len, "witness-search")
-        try:
-            derived = derived_assignments(g, max_len)[g.underlying.start]
-        except CapExceeded:  # too many tuples: the memoised leaf per assignment
-            candidates, leaf = nonempty_subsets(universe), _membership_leaf(g, False)
-        else:
-            candidates = nonempty_subsets(viable_words(universe, derived, foralls))
-            leaf = derived.__contains__
-    for words in candidates:
-        if evaluate(quantifiers, words, leaf):
-            return frozenset(words)
-    return None
-
-
-def _exists_forall_candidates(g: Cfhg, max_len: int, foralls: list[int]):
-    """The candidate languages, in mask order, and the leaf of
-    ``bounded_nonempty_witness`` under an ∃^m∀* prefix."""
     most = max(1, len(g.vars) - len(foralls))
 
     def in_mask_order(derived: set) -> list:
@@ -300,17 +282,27 @@ def _exists_forall_candidates(g: Cfhg, max_len: int, foralls: list[int]):
             {frozenset(t[:most]) for t in derived if all(t[j] == t[0] for j in foralls)},
             key=lambda words: sorted(((len(w), w) for w in words), reverse=True))
 
+    forall_exists = emptiness_route(g.prefix) == "forallexists"
+    if forall_exists:  # built first: too large, it is refused before any derivation
+        universe = bounded_universe(g.symbols, max_len, "witness-search")
     try:
         derived = derived_assignments(g, max_len)[g.underlying.start]
-        return in_mask_order(derived), derived.__contains__
-    except CapExceeded:
-        leaf = _membership_leaf(g, False)
-    if g.ranked():
+    except CapExceeded:  # too many tuples: one memoised leaf decides each candidate
+        candidates = nonempty_subsets(universe) if forall_exists else None
+    else:
+        candidates = (nonempty_subsets(viable_words(universe, derived, foralls))
+                      if forall_exists else in_mask_order(derived))
+        return next((frozenset(words) for words in
+                     members(quantifiers, derived, candidates)), None)
+    if candidates is None and g.ranked():
         copies = Cfhg(g.symbols, g.prefix,
                       _restriction(g, lambda s: all(s[j] == s[0] for j in foralls)))
-        try:
-            return in_mask_order(
-                derived_assignments(copies, max_len)[copies.underlying.start]), leaf
-        except CapExceeded:
-            pass
-    return nonempty_subsets(bounded_universe(g.symbols, max_len, "witness-search"), most), leaf
+        with contextlib.suppress(CapExceeded):
+            candidates = in_mask_order(
+                derived_assignments(copies, max_len)[copies.underlying.start])
+    if candidates is None:
+        candidates = nonempty_subsets(
+            bounded_universe(g.symbols, max_len, "witness-search"), most)
+    leaf = functools.cache(_membership_leaf(g, False))
+    return next((frozenset(words) for words in candidates
+                 if evaluate(quantifiers, words, leaf)), None)

@@ -8,10 +8,12 @@ end with ``#`` so that all tracks have equal length: a track that has read
 ``#`` reads only ``#`` after it, and no letter is all pad.
 
 NFH and CFHG membership share one semantics: the quantifier prefix binds each
-variable to a word of a finite language and an engine (``leaf``) decides every
-full assignment.  ``evaluate`` walks that tree; ``finite_language``,
-``bounded_universe`` and ``nonempty_subsets`` supply its languages, and
-``viable_words`` prunes a subset walk to the words a member can hold.
+variable to a word of a finite language and a full assignment decides.
+``evaluate`` walks that tree with an engine (``leaf``) at each assignment;
+``members`` walks it over a finite set of accepted tuples, for each of a
+series of candidate languages.  ``finite_language``, ``bounded_universe`` and
+``nonempty_subsets`` supply the languages, and ``viable_words`` prunes a
+subset walk to the words a member can hold.
 ``closure`` is the one unlabelled graph search, shared by the automaton and
 grammar reachability walks.
 """
@@ -136,6 +138,35 @@ def _walk(quantifiers: Sequence[str], words: Sequence[Word],
         return leaf(bound)
     branches = (_walk(quantifiers, words, leaf, bound + (w,)) for w in words)
     return any(branches) if quantifiers[len(bound)] == "E" else all(branches)
+
+
+def members(quantifiers: Sequence[str], tuples: set[tuple[Word, ...]],
+            candidates: Iterable[Sequence[Word]]) -> Iterator[Sequence[Word]]:
+    """The candidate languages, in their order, over which the quantifier
+    tree holds when a full assignment holds iff it is one of ``tuples``.
+    The tuples are read into a trie, one level per variable; with none, no
+    candidate is read."""
+    if not tuples:
+        return
+    root: dict[Word, dict] = {}
+    for t in tuples:
+        node = root
+        for w in t:
+            node = node.setdefault(w, {})
+    yield from (words for words in candidates if _trie_walk(quantifiers, root, 0, words))
+
+
+# A trie, not ``evaluate`` with a set-lookup leaf: 1.6x faster on an unpruned ∃∃
+# probe of {a,b}^{≤3} accepting few pairs (186 vs 303 ms), as fast accepting all.
+def _trie_walk(quantifiers: Sequence[str], node: dict, depth: int,
+               words: Sequence[Word]) -> bool:
+    """Does the trie below ``node`` hold, over ``words``, the assignments the
+    quantifiers from ``depth`` on ask for?  Module-level, like ``_walk``."""
+    if depth == len(quantifiers):  # each node at depth k ends an assignment
+        return True
+    branches = (w in node and _trie_walk(quantifiers, node[w], depth + 1, words)
+                for w in words)
+    return any(branches) if quantifiers[depth] == "E" else all(branches)
 
 
 def bounded_universe(symbols: Iterable[str], max_len: int, stage: str) -> list[Word]:

@@ -293,24 +293,21 @@ def compose_sync(*parts: Nfa, track_vars: Sequence[str]) -> Nfa:
                    product.accepting.__contains__, product.symbols, product.vars)
 
 
-def union(a1: Nfa, a2: Nfa) -> Nfa:
-    """Language union via disjoint state tagging."""
-    if a1.vars != a2.vars:
-        raise ValueError("union operands must share the variable set")
-    states = {(0, q) for q in a1.states} | {(1, q) for q in a2.states}
-    transitions = {((0, q), l, (0, p)) for q, l, p in a1.transitions}
-    transitions |= {((1, q), l, (1, p)) for q, l, p in a2.transitions}
-    return Nfa(a1.symbols | a2.symbols, states,
-               {(0, q) for q in a1.initial} | {(1, q) for q in a2.initial},
-               {(0, q) for q in a1.accepting} | {(1, q) for q in a2.accepting},
-               transitions, a1.vars)
-
-
-def union_all(parts: Sequence[Nfa]) -> Nfa:
-    result = parts[0]
-    for part in parts[1:]:
-        result = union(result, part)
-    return result
+def union(*parts: Nfa) -> Nfa:
+    """Language union via disjoint state tagging, folded from the left: each
+    step tags the union so far 0 and the next part 1, so the states of an
+    earlier part sort first.  One part is its own union."""
+    a1 = parts[0]
+    for a2 in parts[1:]:
+        if a1.vars != a2.vars:
+            raise ValueError("union operands must share the variable set")
+        a1 = Nfa(a1.symbols | a2.symbols,
+                 {(0, q) for q in a1.states} | {(1, q) for q in a2.states},
+                 {(0, q) for q in a1.initial} | {(1, q) for q in a2.initial},
+                 {(0, q) for q in a1.accepting} | {(1, q) for q in a2.accepting},
+                 {((0, q), l, (0, p)) for q, l, p in a1.transitions}
+                 | {((1, q), l, (1, p)) for q, l, p in a2.transitions}, a1.vars)
+    return a1
 
 
 def difference(a1: Nfa, a2: Nfa) -> Nfa:

@@ -25,7 +25,7 @@ from typing import Iterator
 from .core import PAD, QuantifierPrefix, Word, as_word
 from .errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from .nfa import (Dfa, Nfa, absorb_pad, compose_sync, difference, elim_pad,
-                  explore, fresh_state, pad_coreach, pad_suffix, trim, union_all)
+                  explore, fresh_state, pad_coreach, pad_suffix, trim, union)
 from .nfh import Nfh, accepted_assignments
 
 DET_CAP = 64  # states of a determinization input; the shortlex lasso's sets
@@ -206,19 +206,14 @@ def successors_ge(product: Nfa) -> Nfa:
                         product.accepting, transitions))
 
 
-def _capped(a: Nfa, stage: str) -> Nfa:
-    """``a``, a trim automaton to be determinized; ``CapExceeded`` naming
-    ``stage`` if it has more than ``DET_CAP`` states."""
-    if len(a.states) > DET_CAP:
-        raise CapExceeded(f"{stage}: determinization input has {len(a.states)} "
-                          f"states (cap {DET_CAP})")
-    return a
-
-
 def successors_exact(at_least: Nfa, more: Nfa, i: int) -> Nfa:
     """Words with exactly i successors: those of ``at_least`` (at least i)
-    not in ``more`` (at least i+1)."""
-    return difference(at_least, _capped(more, f"successor count {i}"))
+    not in ``more`` (at least i+1), a trim automaton to be determinized:
+    ``CapExceeded`` naming the count if it has more than ``DET_CAP`` states."""
+    if len(more.states) > DET_CAP:
+        raise CapExceeded(f"successor count {i}: determinization input has "
+                          f"{len(more.states)} states (cap {DET_CAP})")
+    return difference(at_least, more)
 
 
 def _successor_counts(relation: Nfa, k: int) -> Iterator[tuple[Nfa, Nfa]]:
@@ -270,7 +265,7 @@ def realize_partially_ordered(spec: PartialOrderSpec) -> Nfh:
     parts = [part for part in parts if part.accepting]
     if not parts:
         raise EmptyLanguage("no word of the relation's domain has 1..k successors")
-    underlying = _first_word_product(spec.minimal_words, union_all(parts), vars)
+    underlying = _first_word_product(spec.minimal_words, union(*parts), vars)
     x_names = underlying.vars[:len(spec.minimal_words)]
     prefix = QuantifierPrefix(tuple(("E", x) for x in x_names) + (("A", "z"),)
                               + tuple(("E", y) for y in vars[1:]))
@@ -291,8 +286,6 @@ def _check_prefix_closed(a: Dfa) -> Dfa:
         q, p = min(violations, key=repr)
         raise NotPrefixClosed(
             f"accepting state {p!r} is reachable from non-accepting {q!r}")
-    if not (t.initial & t.accepting):
-        raise NotPrefixClosed("the empty word is not in the language")
     return t
 
 
@@ -445,7 +438,7 @@ def regular_relation(a: Dfa) -> PartialOrderSpec:
         component = _pump_component(a, q, c)
         if component.accepting:
             parts.append(component)
-    relation = union_all(parts)
+    relation = union(*parts)
     k = 1 + len(cycles)
     return PartialOrderSpec(tuple(paths), relation, k)
 

@@ -99,6 +99,35 @@ def test_finite_member_empty_language(g1_forall):
         finite_member(g1_forall, [])
 
 
+def test_membership_leaf_decides_each_assignment_once(monkeypatch):
+    """One ``core.evaluate`` walk reaches each full assignment once, so
+    neither ``finite_member`` leaf needs a memo: on ranked grammars of
+    one-letter tuples, through the chain leaf and through ``force_slow``,
+    under ∃∀∃ (the triples of ``test_nfh``'s trie walk test) and ∀∀ (every
+    pair) over three words, no assignment is decided twice."""
+    decided = []
+
+    def counting(quantifiers, words, leaf, original=cfhg_module.evaluate):
+        def counted(assignment):
+            decided.append(assignment)
+            return leaf(assignment)
+        return original(quantifiers, words, counted)
+
+    monkeypatch.setattr(cfhg_module, "evaluate", counting)
+    triples = [tuple(t) for t in ("aba", "aca", "bac", "bbc", "bcc", "caa", "cbb", "ccc")]
+    pairs = list(itertools.product("abc", repeat=2))
+    for prefix, tuples, leaves in (("E x A y E z", triples, 12), ("A x A y", pairs, 9)):
+        prefix = QuantifierPrefix.parse(prefix)
+        rules = frozenset(("S", (t,)) for t in tuples)
+        g = Cfhg(frozenset("abc"), prefix,
+                 Cfg(frozenset({"S"}), "S", rules, prefix.variables))
+        assert g.ranked()
+        for force_slow in (False, True):
+            decided.clear()
+            assert finite_member(g, words("a", "b", "c"), force_slow)
+            assert len(decided) == len(set(decided)) == leaves, (prefix, force_slow)
+
+
 def test_diagonal_restriction(robot_diagonal, mixed_letter_grammar):
     diag = diagonal_restriction(robot_diagonal)
     derived = {"".join(t[0] for t in w) for w in derive_bounded(diag, 4)}
@@ -661,15 +690,16 @@ def test_pruned_witness_search_equals_unpruned(monkeypatch):
     """On generated unranked grammars, plain and recursive, under all 14
     prefixes of one to three variables over {a, b} at bound 2, and under ∀∃
     and ∀∃∃ over {a} at bound 3, the search pruned to viable words returns
-    the unpruned reference's witness or miss.  Every language it evaluates
-    lies inside the viable words, and a grammar with none evaluates none."""
+    the unpruned reference's witness or miss.  Every language it walks
+    lies inside the viable words, and a grammar with none walks none."""
     tried = []
 
-    def spy(quantifiers, words, leaf, original=cfhg_module.evaluate):
-        tried.append(words)
-        return original(quantifiers, words, leaf)
+    def spy(quantifiers, node, depth, words, original=core_module._trie_walk):
+        if depth == 0:
+            tried.append(words)
+        return original(quantifiers, node, depth, words)
 
-    monkeypatch.setattr(cfhg_module, "evaluate", spy)
+    monkeypatch.setattr(core_module, "_trie_walk", spy)
     rng = random.Random(47)
     cases = [("".join(q), "ab", 2)
              for k in (1, 2, 3) for q in itertools.product("EA", repeat=k)]
@@ -697,7 +727,7 @@ def test_pruned_witness_search_equals_unpruned(monkeypatch):
 
 
 def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
-    """On the ∃∃∀ criterion-9 encoding the search evaluates each set
+    """On the ∃∃∀ criterion-9 encoding the search walks each set
     {x1, x2} of a tuple (x1, x2, x1) the grammar derives once, and no other
     language: none at length 1, the top words' sets at length 5 (no
     member).  The same grammar under ∀∃∃ walks every non-empty subset of
@@ -705,11 +735,12 @@ def test_witness_search_tries_only_small_languages(monkeypatch, pcp_fixture):
     of the 7 words."""
     tried = []
 
-    def spy(quantifiers, words, leaf, original=cfhg_module.evaluate):
-        tried.append(words)
-        return original(quantifiers, words, leaf)
+    def spy(quantifiers, node, depth, words, original=core_module._trie_walk):
+        if depth == 0:
+            tried.append(words)
+        return original(quantifiers, node, depth, words)
 
-    monkeypatch.setattr(cfhg_module, "evaluate", spy)
+    monkeypatch.setattr(core_module, "_trie_walk", spy)
     g = pcp_encode_exists_forall(pcp_fixture)
     assert bounded_nonempty_witness(g, 1) is None
     assert tried == []

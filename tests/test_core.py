@@ -1,12 +1,16 @@
-"""Track letters, word assignments, padding, and synchronicity."""
+"""Track letters, word assignments, padding, synchronicity, and the two
+quantifier-tree walks."""
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperlang.core import (PAD, QuantifierPrefix, as_word, evaluate,
-                            is_synchronous, letter_text, pad_to_sync, render_word,
-                            strip_hash)
+                            is_synchronous, letter_text, members, pad_to_sync,
+                            render_word, strip_hash)
 
 from conftest import hword, letter
 
@@ -103,3 +107,39 @@ def test_evaluate_short_circuits():
     assert evaluate(("E", "A"), words[:3], counting(
         lambda x, y: (x, y) != (("b",), ("a",)) and (x == ("c",) or y != ("b",))))
     assert calls == ["aa", "ab", "ba", "ca", "cb", "cc"]
+
+
+def _reference_members(quantifiers, tuples, candidates):
+    """``members`` by its definition: ``evaluate`` on each candidate, with
+    a leaf that looks the assignment up among the tuples."""
+    return [words for words in candidates
+            if evaluate(quantifiers, words, tuples.__contains__)]
+
+
+def test_members_equals_evaluate_with_a_set_leaf():
+    """On random tuple sets over the 7 words of {a, b}^{≤2}, sparse, dense
+    and empty, under every prefix of one to three quantifiers, ``members``
+    yields the candidates that the reference accepts, in the candidates'
+    own order: every language of one to three words, shuffled out of mask
+    order.  With no tuple it reads no candidate."""
+    rng = random.Random(41)
+    universe = [as_word(w) for w in ("", "a", "b", "aa", "ab", "ba", "bb")]
+    candidates = [c for k in (1, 2, 3) for c in itertools.combinations(universe, k)]
+    counts = set()
+    for k in (1, 2, 3):
+        every = list(itertools.product(universe, repeat=k))
+        for quantifiers in itertools.product("EA", repeat=k):
+            for density in (0.0, 0.3, 0.9):
+                tuples = {t for t in every if rng.random() < density}
+                rng.shuffle(candidates)
+                expected = _reference_members(quantifiers, tuples, candidates)
+                assert list(members(quantifiers, tuples, candidates)) == expected, \
+                    (quantifiers, density)
+                counts.add(min(len(expected), 1) + (len(expected) == len(candidates)))
+
+    def unread():
+        raise AssertionError("a candidate was read")
+        yield
+
+    assert list(members(("A", "E"), set(), unread())) == []
+    assert counts == {0, 1, 2}

@@ -186,6 +186,28 @@ def test_pruned_probe_equals_membership(monkeypatch):
     assert pruned_and_accepting > 0
 
 
+def test_probe_accepting_no_tuple_walks_no_subset(monkeypatch):
+    """Under ∃x every word of {a, b}^{≤3} is viable, so a probe walks the
+    subsets of all 15.  An NFH whose automaton accepts no assignment has no
+    member, and its probe draws none of the 32,767 subsets; the same
+    automaton accepting a* draws subsets, and finds members, at length 1."""
+    drawn = []
+
+    def spy(words, original=nfh_module.nonempty_subsets):
+        for subset in original(words):
+            drawn.append(subset)
+            yield subset
+
+    monkeypatch.setattr(nfh_module, "nonempty_subsets", spy)
+    moves = {("q0", letter(("x",), "a"), "q0")}
+    for accepting, max_len in ((set(), 3), ({"q0"}, 1)):
+        underlying = Nfa({"a", "b", "#"}, {"q0"}, {"q0"}, accepting, moves, ("x",))
+        n = Nfh(frozenset("ab"), QuantifierPrefix.parse("E x"), underlying)
+        drawn.clear()
+        probed = nfh_hyperlanguage_probe(n, max_len)
+        assert bool(probed) == bool(drawn) == bool(accepting)
+
+
 def _filtered_assignments(underlying, max_len):
     """The enumerate-then-filter reading: every accepted letter sequence, kept
     when each track pads only at its end and its last letter is not all pad."""
@@ -263,10 +285,11 @@ def test_membership_leaf_decides_each_assignment_once(monkeypatch):
 
 
 def test_trie_walk_short_circuits(monkeypatch):
-    """The probe's trie walk stops as ``core.evaluate`` does.  Under
-    ∃x∀y∃z over {a, b, c}, accepting the triples below: x = a fails at
-    y = a, x = b holds, so x = c is never walked.  Nine calls, one per
-    trie node visited: 16 if ∃ did not stop, 13 if ∀ did not."""
+    """The probe's trie walk, in ``core.members``, stops as
+    ``core.evaluate`` does.  Under ∃x∀y∃z over {a, b, c}, accepting the
+    triples below: x = a fails at y = a, x = b holds, so x = c is never
+    walked.  Nine calls, one per trie node visited: 16 if ∃ did not stop,
+    13 if ∀ did not."""
     triples = ["aba", "aca", "bac", "bbc", "bcc", "caa", "cbb", "ccc"]
     v = ("x", "y", "z")
     underlying = Nfa({"a", "b", "c", "#"}, {"q0", "q1"}, {"q0"}, {"q1"},
@@ -274,13 +297,13 @@ def test_trie_walk_short_circuits(monkeypatch):
     n = Nfh(frozenset("abc"), QuantifierPrefix.parse("E x A y E z"), underlying)
     depths, roots = [], []
 
-    def spy(quantifiers, node, depth, words, original=nfh_module._trie_walk):
+    def spy(quantifiers, node, depth, words, original=core_module._trie_walk):
         depths.append(depth)
         if depth == 0:
             roots.append(node)
         return original(quantifiers, node, depth, words)
 
-    monkeypatch.setattr(nfh_module, "_trie_walk", spy)
+    monkeypatch.setattr(core_module, "_trie_walk", spy)
     abc = tuple(as_word(w) for w in "abc")
     assert frozenset(abc) in nfh_hyperlanguage_probe(n, 1)
     depths.clear()

@@ -13,7 +13,7 @@ from hyperlang.errors import CapExceeded, EmptyLanguage, NotPrefixClosed
 from hyperlang.formats import parse_nfh, render_nfh
 from hyperlang.nfa import (Dfa, Nfa, absorb_pad, compose_free, difference,
                            elim_pad, explore, nfa_language, nfa_member, pad_suffix,
-                           project, relabel, trim, union_all, with_var,
+                           project, relabel, trim, union, with_var,
                            word_automaton)
 from hyperlang.nfh import Nfh, nfh_accepts, nfh_hyperlanguage_probe
 from hyperlang.realize import (OrderedLanguageSpec, PartialOrderSpec,
@@ -91,7 +91,7 @@ def _reference_realize_finite(words, alphabet=None):
                           with_var(word_automaton(s, symbols), "y"))
              for w, s in zip(language, language[1:] + language[:1])]
     return Nfh(frozenset(symbols), QuantifierPrefix((("A", "x"), ("E", "y"))),
-               absorb_pad(union_all(parts)))
+               absorb_pad(union(*parts)))
 
 
 def test_realize_finite_matches_product_reference():
@@ -237,13 +237,12 @@ def test_first_word_product_equals_composition(monkeypatch):
 
 def _finite_relation(pairs, symbols):
     """A 2-track NFA accepting exactly the given (u, v) word pairs."""
-    from hyperlang.nfa import compose_free, union_all
     parts = []
     for u, v in pairs:
         parts.append(compose_free(
             with_var(word_automaton(as_word(u), symbols=set(symbols)), "x"),
             with_var(word_automaton(as_word(v), symbols=set(symbols)), "y")))
-    return union_all(parts)
+    return union(*parts)
 
 
 def at_least(relation, i):
@@ -388,7 +387,7 @@ def _reference_realize_partially_ordered(spec):
             parts.append(compose_free(lines, b_i))
     prefix = QuantifierPrefix(tuple(("E", x) for x in x_names) + (("A", "z"),)
                               + tuple(("E", y) for y in y_names))
-    return Nfh(frozenset(symbols), prefix, absorb_pad(union_all(parts)))
+    return Nfh(frozenset(symbols), prefix, absorb_pad(union(*parts)))
 
 
 def _generated_relation_specs():

@@ -18,8 +18,10 @@ regular``; and, on fixed inputs below, the verbs no workload runs and the
 ranked membership leaf on criterion 9's 13-letter words, on {ε} and on a
 language whose synchronous padding holds a column that no rule has; the
 witness search on unranked ∀∀ and ∀∃ misses and a ∀∃ grammar, on
-criterion 9's ∀∀ gadget at bound 9, a ranked ∃∃∀ grammar past the
-derivation cap, and a ranked grammar with a trailing all-pad letter; the
+criterion 9's ∀∀ gadget at bound 9, a ranked ∃∃∀ grammar and an unranked
+∀∃∃∃ grammar past the derivation cap (``eea-derivation-cap``,
+``aeee-derivation-cap``), and a ranked grammar with a trailing all-pad
+letter; the
 pad-anywhere membership leaf on an unranked ∀∀ grammar with an ε rule, a
 unit cycle and an all-pad letter (``aa-unit-cycle-member``); an NFH
 whose quantifier line comes last, one whose automaton pads a track inside
@@ -52,6 +54,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -368,6 +371,13 @@ FIXED_FILES = {
     # pass the derivation cap, those whose z copies x do not
     "eea-letters.cfhg": "quantifiers: E x E y A z\nstart: S\nrule: S -> eps\n" + "".join(
         f"rule: S -> [x={x},y={y},z={z}] S\n" for x in "ab" for y in "ab" for z in "ab"),
+    # unranked ∀∃∃∃ over every letter of {a, b, #}^4 but the all-pad one: its
+    # tuples up to length 3 pass the derivation cap, while the universe
+    # Σ^{≤3} holds 15 words
+    "aeee-letters.cfhg": "quantifiers: A x E y E z E w\nstart: S\nrule: S -> eps\n"
+                         + "".join(f"rule: S -> [x={x},y={y},z={z},w={w}] S\n"
+                                   for x, y, z, w in itertools.product("ab#", repeat=4)
+                                   if (x, y, z, w) != ("#",) * 4),
     # unranked, with an ε rule, a unit cycle S -> T -> S and an all-pad
     # letter: it derives every pair over {a}, pads anywhere
     "aa-unit-cycle.cfhg": "quantifiers: A x A y\nstart: S\nrule: S -> eps\n"
@@ -472,6 +482,7 @@ FIXED_CALLS = [
     ("aa-criterion9-bounded", ["cfhg", "empty", "aa.cfhg", "--bounded", "9"]),
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
     ("eea-derivation-cap", ["cfhg", "empty", "eea-letters.cfhg", "--bounded", "5"]),
+    ("aeee-derivation-cap", ["cfhg", "empty", "aeee-letters.cfhg", "--bounded", "3"]),
     ("aa-unranked-miss", ["cfhg", "empty", "aa-unranked-miss.cfhg", "--bounded", "3"]),
     ("ae-unranked", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "2"]),
     ("ae-unranked-miss", ["cfhg", "empty", "ae-unranked-miss.cfhg", "--bounded", "3"]),
