@@ -17,16 +17,13 @@ is none of the grammar's letters.  A state of the pad-anywhere reading is
 one position per word; a terminal's spans come straight from the words,
 once a derivation reaches it: no product is built.
 
-The undecidable routes get a bounded witness search over Σ^{≤N}.  It
+The undecidable routes get a bounded witness search over Σ^{≤N}, which
 derives the grammar's track tuples once at N and decides the quantifier
-tree over them by ``core.members``.  Under an ∃^m∀* prefix (the ∀∀ and ∃∃∀
-PCP gadgets) it tests only the ∃ choices those tuples hold; after a ∀
-before an ∃ it walks the subsets of their viable words.
+tree over them by ``core.members`` (``bounded_nonempty_witness``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -34,8 +31,8 @@ from itertools import zip_longest
 from operator import add
 from typing import Callable
 
-from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cyk_member,
-                  derives_span)
+from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cleanup,
+                  cyk_member, derives_span)
 from .core import (PAD, QuantifierPrefix, Word, bounded_universe, evaluate,
                    finite_language, members, nonempty_subsets, viable_words)
 from .errors import CapExceeded, Undecidable
@@ -156,11 +153,11 @@ def finite_member(g: Cfhg, language, force_slow: bool = False) -> bool:
 
 
 def _restriction(g: Cfhg, keep: Callable[[tuple[str, ...]], bool]) -> Cfg:
-    """The grammar without the rules that hold a letter whose symbols
-    ``keep`` rejects."""
+    """The cleaned grammar without the rules that hold a letter whose
+    symbols ``keep`` rejects."""
     rules = {(v, body) for v, body in g.underlying.rules
              if all(keep(t) for t in body if isinstance(t, tuple))}
-    return Cfg(g.underlying.variables, g.underlying.start, rules, g.vars)
+    return cleanup(Cfg(g.underlying.variables, g.underlying.start, rules, g.vars))
 
 
 def diagonal_restriction(g: Cfhg) -> Cfg:
@@ -249,9 +246,7 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
 
     Evidence only — a miss does not decide emptiness.  Returns the first
     member in the bit-mask order of ``nonempty_subsets`` over
-    ``bounded_universe``: the first language that ``core.members`` yields
-    over the track tuples ``derived_assignments`` derives at max_len, exact
-    for any grammar.
+    ``bounded_universe``: ``core.members`` decides over the derived tuples.
 
     Under an ∃^m∀* prefix that member is set(x̄) for its own ∃ choices x̄:
     set(x̄) is a member within it (each ∀ then ranges over fewer words; for
@@ -276,33 +271,39 @@ def bounded_nonempty_witness(g: Cfhg, max_len: int):
     most = max(1, len(g.vars) - len(foralls))
 
     def in_mask_order(derived: set) -> list:
-        # a set's mask, compared through its words' shortlex keys,
-        # greatest first, so the 2^index bits are never built
+        # masks compared by the words' shortlex keys, greatest first: no 2^i bits
         return sorted(
             {frozenset(t[:most]) for t in derived if all(t[j] == t[0] for j in foralls)},
             key=lambda words: sorted(((len(w), w) for w in words), reverse=True))
 
-    forall_exists = emptiness_route(g.prefix) == "forallexists"
-    if forall_exists:  # built first: too large, it is refused before any derivation
+    def past_cap(candidates):  # one memoised leaf decides each assignment
+        leaf = functools.cache(_membership_leaf(g, False))
+        return next((frozenset(words) for words in candidates
+                     if evaluate(quantifiers, words, leaf)), None)
+
+    if emptiness_route(g.prefix) == "forallexists":
+        # built first: too large, it is refused before any derivation
         universe = bounded_universe(g.symbols, max_len, "witness-search")
-    try:
-        derived = derived_assignments(g, max_len)[g.underlying.start]
-    except CapExceeded:  # too many tuples: one memoised leaf decides each candidate
-        candidates = nonempty_subsets(universe) if forall_exists else None
-    else:
-        candidates = (nonempty_subsets(viable_words(universe, derived, foralls))
-                      if forall_exists else in_mask_order(derived))
+        try:
+            derived = derived_assignments(g, max_len)[g.underlying.start]
+        except CapExceeded:  # too many tuples: every subset of the universe
+            return past_cap(nonempty_subsets(universe))
+        candidates = nonempty_subsets(viable_words(universe, derived, foralls))
         return next((frozenset(words) for words in
                      members(quantifiers, derived, candidates)), None)
-    if candidates is None and g.ranked():
+    try:
+        derived = derived_assignments(g, max_len)[g.underlying.start]
+        return next((frozenset(words) for words in
+                     members(quantifiers, derived, in_mask_order(derived))), None)
+    except CapExceeded:  # too many tuples: the ranked copies, then the universe
+        pass
+    if g.ranked():
         copies = Cfhg(g.symbols, g.prefix,
                       _restriction(g, lambda s: all(s[j] == s[0] for j in foralls)))
-        with contextlib.suppress(CapExceeded):
-            candidates = in_mask_order(
-                derived_assignments(copies, max_len)[copies.underlying.start])
-    if candidates is None:
-        candidates = nonempty_subsets(
-            bounded_universe(g.symbols, max_len, "witness-search"), most)
-    leaf = functools.cache(_membership_leaf(g, False))
-    return next((frozenset(words) for words in candidates
-                 if evaluate(quantifiers, words, leaf)), None)
+        try:
+            derived = derived_assignments(copies, max_len)[copies.underlying.start]
+            return past_cap(in_mask_order(derived))
+        except CapExceeded:
+            pass
+    return past_cap(nonempty_subsets(bounded_universe(g.symbols, max_len, "witness-search"),
+                                     most))

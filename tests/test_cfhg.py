@@ -1,5 +1,6 @@
 """Hypergrammar decision procedures and undecidability routing."""
 
+import functools
 import itertools
 import random
 
@@ -813,7 +814,7 @@ def _mask_order_witness(g, max_len, most):
     greatest first), through one memoised ``finite_member`` leaf."""
     universe = [w for n in range(max_len + 1)
                 for w in itertools.product(sorted(g.symbols), repeat=n)]
-    leaf = cfhg_module._membership_leaf(g, False)
+    leaf = functools.cache(cfhg_module._membership_leaf(g, False))
     subsets = [c for k in range(1, most + 1)
                for c in itertools.combinations(range(len(universe)), k)]
     for c in sorted(subsets, key=lambda c: c[::-1]):
@@ -894,6 +895,28 @@ def test_witness_search_past_the_universe_cap(monkeypatch):
     monkeypatch.setattr(cfhg_module, "DERIVATION_CAP", 0)
     monkeypatch.setattr(core_module, "UNIVERSE_CAP", 63)
     assert bounded_nonempty_witness(g, 5) == got and built
+
+
+def test_ranked_copies_drop_what_the_start_no_longer_reaches(monkeypatch):
+    """Ranked ∃x∃y∀z over {a, b, c, d}: S -> ε | [x=a,y=a,z=b] T, where T
+    derives every (w, w, w) over {c, d}, 16,383 tuples at bound 13, past
+    ``cfg.DERIVATION_CAP``.  The copies drop S's T rule, so T is cut off
+    from the start: cleaned away, it derives nothing, and the search answers
+    {ε} with no universe (Σ^{≤13} holds 89,478,485 words)."""
+    v = ("x", "y", "z")
+    rules = {("S", ()), ("S", (letter(v, "a", "a", "b"), "T")), ("T", ())}
+    rules |= {("T", (letter(v, s, s, s), "T")) for s in "cd"}
+    g = Cfhg(frozenset("abcd"), QuantifierPrefix.parse("E x E y A z"),
+             Cfg(frozenset({"S", "T"}), "S", frozenset(rules), v))
+    assert g.ranked()
+    with pytest.raises(CapExceeded):
+        cfhg_module.derived_assignments(g, 13)
+
+    def no_universe(*args):
+        raise AssertionError("the ranked copies fell back to the universe")
+
+    monkeypatch.setattr(cfhg_module, "bounded_universe", no_universe)
+    assert bounded_nonempty_witness(g, 13) == {()}
 
 
 def _planted_pcp(rng):

@@ -20,7 +20,9 @@ language whose synchronous padding holds a column that no rule has; the
 witness search on unranked ∀∀ and ∀∃ misses and a ∀∃ grammar, on
 criterion 9's ∀∀ gadget at bound 9, a ranked ∃∃∀ grammar and an unranked
 ∀∃∃∃ grammar past the derivation cap (``eea-derivation-cap``,
-``aeee-derivation-cap``), and a ranked grammar with a trailing all-pad
+``aeee-derivation-cap``), a ranked ∃∃∀ grammar whose restriction to
+copied ∀ tracks cuts a variable past the cap off from the start
+(``eea-copies-unreachable``), and a ranked grammar with a trailing all-pad
 letter; the
 pad-anywhere membership leaf on an unranked ∀∀ grammar with an ε rule, a
 unit cycle and an all-pad letter (``aa-unit-cycle-member``); an NFH
@@ -371,6 +373,12 @@ FIXED_FILES = {
     # pass the derivation cap, those whose z copies x do not
     "eea-letters.cfhg": "quantifiers: E x E y A z\nstart: S\nrule: S -> eps\n" + "".join(
         f"rule: S -> [x={x},y={y},z={z}] S\n" for x in "ab" for y in "ab" for z in "ab"),
+    # ranked ∃∃∀ over {a, b, c, d}: T derives 16,383 tuples up to length 13,
+    # past the derivation cap; the copied-∀ restriction drops S's T rule
+    "eea-unreachable.cfhg": "quantifiers: E x E y A z\nalphabet: a b c d\nstart: S\n"
+                            "rule: S -> eps\nrule: S -> [x=a,y=a,z=b] T\n"
+                            "rule: T -> [x=c,y=c,z=c] T\nrule: T -> [x=d,y=d,z=d] T\n"
+                            "rule: T -> eps\n",
     # unranked ∀∃∃∃ over every letter of {a, b, #}^4 but the all-pad one: its
     # tuples up to length 3 pass the derivation cap, while the universe
     # Σ^{≤3} holds 15 words
@@ -483,6 +491,7 @@ FIXED_CALLS = [
     ("ea-derivation-cap", ["cfhg", "empty", "ea-cap.cfhg", "--bounded", "30"]),
     ("eea-derivation-cap", ["cfhg", "empty", "eea-letters.cfhg", "--bounded", "5"]),
     ("aeee-derivation-cap", ["cfhg", "empty", "aeee-letters.cfhg", "--bounded", "3"]),
+    ("eea-copies-unreachable", ["cfhg", "empty", "eea-unreachable.cfhg", "--bounded", "13"]),
     ("aa-unranked-miss", ["cfhg", "empty", "aa-unranked-miss.cfhg", "--bounded", "3"]),
     ("ae-unranked", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "2"]),
     ("ae-unranked-miss", ["cfhg", "empty", "ae-unranked-miss.cfhg", "--bounded", "3"]),
