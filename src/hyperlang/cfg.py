@@ -215,9 +215,9 @@ def _index(g: Cfg) -> tuple[dict, dict]:
     if g._index is not None:
         return g._index
     bodies: dict = {}  # head -> its bodies of at most two symbols
-    leaves: dict = {}  # terminal -> the stand-in that bodies hold
+    leaves = {t: object() for t in g.terminals()}  # terminal -> its stand-in
     for v, body in g.rules:
-        body = [t if t in g.variables else leaves.setdefault(t, object()) for t in body]
+        body = [t if t in g.variables else leaves[t] for t in body]
         while len(body) > 2:
             link = object()
             bodies.setdefault(link, []).append((body[-2], body[-1]))

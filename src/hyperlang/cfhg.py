@@ -37,7 +37,7 @@ from .core import (PAD, QuantifierPrefix, Word, bounded_universe, evaluate,
                    finite_language, members, nonempty_subsets, viable_words)
 from .errors import CapExceeded, Undecidable
 from .nfa import Nfa, pad_anywhere, track_product, with_var
-from .ranks import is_ranked
+from .ranks import violations
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,10 @@ class Cfhg:
         return self.prefix.variables
 
     def ranked(self) -> bool:
-        """Is the underlying grammar ranked?  Computed once per grammar."""
+        """Is the underlying grammar ranked?  Computed once per grammar, up to
+        its first violation."""
         if "_ranked" not in self.__dict__:
-            object.__setattr__(self, "_ranked", is_ranked(self.underlying).ranked)
+            object.__setattr__(self, "_ranked", not any(violations(self.underlying)))
         return self._ranked
 
 

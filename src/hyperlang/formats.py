@@ -6,8 +6,6 @@ All formats are line-based; blank lines and ``#!`` comments are ignored
 
 from __future__ import annotations
 
-import re
-
 from .cfg import Cfg
 from .cfhg import Cfhg
 from .core import PAD, QuantifierPrefix, Word, as_word, letter_text, render_word
@@ -16,8 +14,6 @@ from .nfa import Dfa, Nfa, canonical
 from .nfh import Nfh
 from .pcp import PcpInstance
 from .ranks import compute_ranks, is_ranked
-
-_LETTER_RE = re.compile(r"^\[([^\[\]]*)\]$")
 
 
 def _lines(text: str) -> list[str]:
@@ -60,16 +56,21 @@ def _prefix(fields: dict[str, list[str]]) -> QuantifierPrefix | None:
 def parse_track_letter(token: str, var_order) -> tuple[str, ...]:
     """The symbols of a letter ``[x=a,y=#]``, in the order of ``var_order``
     (the letter's own order if None)."""
-    m = _LETTER_RE.match(token)
-    if not m:
+    body = token[1:-1]
+    if token[:1] != "[" or token[-1:] != "]" or "[" in body or "]" in body:
         raise ParseError(f"expected a track letter like [x=a,y=#], got {token!r}")
-    assignment = {}
-    body = m.group(1)
-    for part in body.split(",") if body else []:
-        if "=" not in part:
-            raise ParseError(f"bad track-letter entry {part!r} in {token!r}")
-        var, sym = part.split("=", 1)
-        assignment[var.strip()] = sym.strip()
+    names, symbols = [], []
+    for entry in body.split(",") if body else ():
+        name, eq, symbol = entry.partition("=")
+        if not eq:
+            raise ParseError(f"bad track-letter entry {entry!r} in {token!r}")
+        names.append(name.strip())
+        symbols.append(symbol.strip())
+    names = tuple(names)
+    # as every writer spells a letter: its names in order, each once
+    if (var_order is None or names == var_order) and len(set(names)) == len(names):
+        return tuple(symbols)
+    assignment = dict(zip(names, symbols))  # a repeated name takes its last symbol
     if var_order is None:
         var_order = tuple(assignment)
     missing = [v for v in var_order if v not in assignment]
@@ -162,20 +163,6 @@ def render_nfh(n: Nfh) -> str:
     return f"quantifiers: {n.prefix.render()}\n" + render_nfa(n.underlying)
 
 
-def _parse_rule_body(tokens: list[str], vars_, letters: dict):
-    """Bracketed tokens are track letters, parsed once per grammar into
-    ``letters``; any other token is a variable or a bare base-alphabet
-    terminal, told apart by the grammar's heads."""
-    body = []
-    for token in tokens:
-        if token.startswith("["):
-            if token not in letters:
-                letters[token] = parse_track_letter(token, vars_)
-            token = letters[token]
-        body.append(token)
-    return tuple(body)
-
-
 def parse_cfg_text(text: str):
     """Parse the grammar format; returns (Cfg, quantifier prefix or None,
     declared alphabet or None)."""
@@ -197,13 +184,12 @@ def parse_cfg_text(text: str):
     if vars_ is None and prefix is not None:
         vars_ = prefix.variables
     heads = {h for h, _ in raw_rules} | {start}
-    rules = set()
-    letters: dict = {}
-    for head, tokens in raw_rules:
-        if tokens == ["eps"]:
-            rules.add((head, ()))
-        else:
-            rules.add((head, _parse_rule_body(tokens, vars_, letters)))
+    # each distinct token once: a bracketed one is a track letter; any other
+    # is a variable or a bare base-alphabet terminal, told apart by the heads
+    table = {token: parse_track_letter(token, vars_) if token.startswith("[") else token
+             for token in dict.fromkeys(t for _, tokens in raw_rules for t in tokens)}
+    rules = {(head, () if tokens == ["eps"] else tuple(map(table.__getitem__, tokens)))
+             for head, tokens in raw_rules}
     try:
         grammar = Cfg(heads, start, rules, vars_)
     except ValueError as exc:

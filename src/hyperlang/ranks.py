@@ -7,7 +7,8 @@ intersect); the right rank collects those that some derivation pads at its
 right boundary (alternatives accumulate).  A grammar is ranked when no rule
 can place a pad-producing symbol before a letter-producing one.  Ranks and
 the check run on bit masks, one bit per track; sets of track names are built
-only for the rank table, when read, and for violations.
+only for the rank table, when read, and for the violations ``is_ranked``
+reports.  ``Cfhg.ranked()`` stops at the first violation.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def _variable_ranks(g: Cfg, end: int, pads: dict) -> dict:
     worklist (Kildall, 1973) recomputes a variable only when one of its
     boundary variables changed, and a rank changes at most |tracks| + 1 times.
     """
+    if not any(pads.values()):  # every rank combines pad masks, all 0 here
+        return dict.fromkeys(g.variables, 0)
     combine = and_ if end == 0 else or_
     letters: dict = {v: [] for v in g.variables}  # V -> its boundary letters' pads
     inner: dict = {v: [] for v in g.variables}    # V -> its boundary variables
@@ -98,7 +101,7 @@ def compute_ranks(g: Cfg) -> RankTable:
     """The left and right rank masks of every variable and terminal, a
     terminal's being its pad mask: bit i for a pad on the i-th track."""
     pads = {t: sum(1 << i for i, s in enumerate(t) if s == PAD)
-            if isinstance(t, tuple) else 0 for t in g.terminals()}
+            if isinstance(t, tuple) and PAD in t else 0 for t in g.terminals()}
     return RankTable(g, tuple({**pads, **_variable_ranks(g, end, pads)}
                               for end in (0, -1)))
 
@@ -114,18 +117,27 @@ class RankedVerdict:
         return not self.violations
 
 
-def is_ranked(g: Cfg, table: RankTable | None = None) -> RankedVerdict:
-    """Check R(γ_i) ⊆ L(γ_{i+1}), on masks r & ~l == 0, for every adjacent
-    pair of every rule body."""
+def violations(g: Cfg, table: RankTable | None = None):
+    """Each (rule, i, r, l) whose adjacent pair at positions i, i + 1 breaks
+    R(γ_i) ⊆ L(γ_{i+1}), on the masks r & ~l != 0, rule by rule as
+    ``g.rules`` iterates."""
     if table is None:
         table = compute_ranks(g)
     left, right = table.masks
-    violations = []
-    for v, body in g.rules:
-        for i, (a, b) in enumerate(zip(body, body[1:])):
-            r, l = right[a], left[b]
-            if r & ~l:
-                violations.append(((v, body), i, table.names(r), table.names(l)))
+    for rule in g.rules:
+        body = rule[1]
+        for i, a in enumerate(body[:-1]):
+            r = right[a]  # most letters pad no track: skip the left lookup
+            if r and r & ~left[body[i + 1]]:
+                yield rule, i, r, left[body[i + 1]]
+
+
+def is_ranked(g: Cfg, table: RankTable | None = None) -> RankedVerdict:
+    """Every violation of the ranked check, its ranks as track-name sets."""
+    if table is None:
+        table = compute_ranks(g)
+    found = [(rule, i, table.names(r), table.names(l))
+             for rule, i, r, l in violations(g, table)]
     # rules in text order; a rule's violations stay in position order
-    violations.sort(key=lambda violation: g.rule_key(violation[0]))
-    return RankedVerdict(tuple(violations))
+    found.sort(key=lambda violation: g.rule_key(violation[0]))
+    return RankedVerdict(tuple(found))

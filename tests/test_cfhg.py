@@ -356,6 +356,26 @@ def _unranked_grammars(rng, v, count, symbols="ab", recursive=False):
     return grammars
 
 
+def test_ranked_agrees_with_the_violation_report():
+    """``Cfhg.ranked()``, which stops at the first violation, against the
+    full report of ``is_ranked``: on generated ranked grammars, unranked
+    ones, and padded ones of either kind, over one to three tracks."""
+    rng = random.Random(61)
+    verdicts = []
+    for k in (1, 2, 3):
+        v = tuple(f"x{i + 1}" for i in range(k))
+        prefix = QuantifierPrefix(tuple(zip("A" * k, v)))
+        grammars = (random_ranked_grammars(4, seed=k, var_names=v)
+                    + _unranked_grammars(rng, v, 4)
+                    + [_padded_grammar(rng, v, recursive=recursive)
+                       for recursive in (False, True) for _ in range(8)])
+        for grammar in grammars:
+            g = Cfhg(frozenset({"a", "b"}), prefix, grammar)
+            verdicts.append(g.ranked())
+            assert verdicts[-1] == is_ranked(grammar).ranked, grammar.rules
+    assert 20 < verdicts.count(False) < len(verdicts) - 20, verdicts
+
+
 def _forall_letter_pairs_grammar():
     """∀x1∀x2 grammar deriving every one-letter pair over {a, b}: its member
     languages are {a}, {b} and {a, b}."""

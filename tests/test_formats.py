@@ -71,6 +71,72 @@ def test_parse_track_letter():
         parse_track_letter("[x=a]", ("x", "y"))
 
 
+def _reference_track_letter(token, var_order):
+    """The regex parser that ``parse_track_letter`` replaced: one pattern
+    for the brackets and a name -> symbol map for every letter."""
+    m = re.match(r"^\[([^\[\]]*)\]$", token)
+    if not m:
+        raise ParseError(f"expected a track letter like [x=a,y=#], got {token!r}")
+    assignment = {}
+    body = m.group(1)
+    for part in body.split(",") if body else []:
+        if "=" not in part:
+            raise ParseError(f"bad track-letter entry {part!r} in {token!r}")
+        var, sym = part.split("=", 1)
+        assignment[var.strip()] = sym.strip()
+    if var_order is None:
+        var_order = tuple(assignment)
+    missing = [v for v in var_order if v not in assignment]
+    extra = [v for v in assignment if v not in var_order]
+    if missing or extra:
+        raise ParseError(f"letter {token!r} does not cover variables {var_order}")
+    return tuple(assignment[v] for v in var_order)
+
+
+def _random_letter_token(rng):
+    """A token as ``str.split`` yields it: entries over names in or out of
+    order, repeated, missing or extra, some without ``=`` or empty, in
+    brackets that may be missing or doubled inside."""
+    names = rng.choice([["x", "y"], ["y", "x"], ["x"], ["x", "x"], ["x", "y", "z"],
+                        ["x", "y", "y"], []])
+    entries = [f"{name}={rng.choice(['a', 'b', '#', '10', ''])}" for name in names]
+    if entries and rng.random() < 0.2:
+        entries[rng.randrange(len(entries))] = rng.choice(["x", "a", "", "=a", "x=a=b"])
+    body = ",".join(entries)
+    shape = rng.random()
+    if shape < 0.6:
+        return f"[{body}]"
+    if shape < 0.7:
+        return f"[{body}"
+    if shape < 0.8:
+        return f"{body}]"
+    cut = rng.randint(0, len(body))
+    return f"[{body[:cut]}{rng.choice('[]')}{body[cut:]}]"
+
+
+def test_parse_track_letter_matches_regex_reference():
+    """Generated tokens give the same symbols, or the same ``ParseError``
+    message, as the regex parser, under every variable order."""
+    rng = random.Random(43)
+    orders = [None, (), ("x",), ("x", "y"), ("y", "x"), ("x", "y", "z")]
+    outcomes = {"letter": 0, "error": 0}
+    for _ in range(3000):
+        token, order = _random_letter_token(rng), rng.choice(orders)
+        try:
+            expected = _reference_track_letter(token, order)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                parse_track_letter(token, order)
+            assert str(got.value) == str(err), (token, order)
+            outcomes["error"] += 1
+        else:
+            assert parse_track_letter(token, order) == expected, (token, order)
+            outcomes["letter"] += 1
+    assert min(outcomes.values()) > 500, outcomes
+    for token in ("[]", "[x=#,y=a]", "[y=a,x=#]", "[x=a,x=#,y=b]"):
+        assert parse_track_letter(token, None) == _reference_track_letter(token, None)
+
+
 def test_parse_nfa_base():
     a = parse_nfa(NFA_TEXT)
     assert nfa_member(a, as_word("ab"))

@@ -41,7 +41,12 @@ tuple sort apart: ``pcp encode-ea`` on 11 tiles (index symbols ``10`` and
 over ``a ab`` and over ``1 10``, ``pcp encode-forall``, ``cfhg ranks`` and
 ``is-ranked`` on rules that differ only in ``1`` and ``10`` on the last
 track, and ``realize finite`` on words over ``1 10`` (the calls of
-``tests/test_golden.py``); and usage
+``tests/test_golden.py``); track letters the parser refuses, in a
+grammar rule (``letter-unclosed``, ``letter-no-equals``,
+``letter-missing-var``, ``letter-extra-var``, ``letter-repeated-var``),
+and letters whose names come out of order, in a grammar rule
+(``letter-reordered-ranks``) and an NFH transition
+(``letter-reordered-member``); and usage
 errors on both parse routes (``-h`` raises ``SystemExit``, so it is not
 among them).  Calls run in-process, in a scratch directory, with file
 names relative to it.
@@ -275,6 +280,9 @@ trans: s0 1 s0
 trans: s0 10 s0
 """
 
+# over x and y: its second letter is the one under test
+LETTER_CFHG = "quantifiers: A x A y\nstart: S\nrule: S -> [x=a,y=b] {}\n"
+
 A_STAR_B_NFA = """\
 type: nfa
 alphabet: a b
@@ -394,6 +402,17 @@ FIXED_FILES = {
     # ranked, with a trailing all-pad letter: it derives the tracks (a, a)
     "trailing-pad.cfhg": "quantifiers: A x A y\nstart: S\n"
                          "rule: S -> [x=a,y=a] [x=#,y=#]\n",
+    # track letters the parser rejects: no closing bracket, an entry without
+    # '=', a missing, an extra and a repeated variable
+    "letter-unclosed.cfhg": LETTER_CFHG.format("[x=a"),
+    "letter-no-equals.cfhg": LETTER_CFHG.format("[x=a,y]"),
+    "letter-missing-var.cfhg": LETTER_CFHG.format("[x=a]"),
+    "letter-extra-var.cfhg": LETTER_CFHG.format("[x=a,y=b,z=c]"),
+    "letter-repeated-var.cfhg": LETTER_CFHG.format("[x=a,x=b]"),
+    # letters whose names come out of order, which the parser reorders
+    "letter-reordered.cfhg": LETTER_CFHG.format("[y=b,x=a]"),
+    "eae-reordered.nfh": EAE_NFH.replace("[x1=#,x2=a,x3=b]", "[x3=b,x1=#,x2=a]")
+                                .replace("[x1=#,x2=b,x3=a]", "[x2=b,x3=a,x1=#]"),
     "ab.nfa": A_STAR_B_NFA,
     "tiles11.txt": "".join(f"{a} | {b}\n" for a, b in TILES_11),
     "ea11.cfhg": ea_cfhg_text(TILES_11),
@@ -522,6 +541,14 @@ FIXED_CALLS = [
     ("one-ten-relation", ["realize", "prefix-closed", "one-ten.dfa", "--route",
                           "relation", "-o", "out"]),
     ("one-ten-finite", ["realize", "finite", "one-ten.lang", "-o", "out"]),
+    # track letters: refused, or read in the order of the variables
+    ("letter-unclosed", ["cfhg", "empty", "letter-unclosed.cfhg"]),
+    ("letter-no-equals", ["cfhg", "empty", "letter-no-equals.cfhg"]),
+    ("letter-missing-var", ["cfhg", "empty", "letter-missing-var.cfhg"]),
+    ("letter-extra-var", ["cfhg", "empty", "letter-extra-var.cfhg"]),
+    ("letter-repeated-var", ["cfhg", "empty", "letter-repeated-var.cfhg"]),
+    ("letter-reordered-ranks", ["cfhg", "ranks", "letter-reordered.cfhg"]),
+    ("letter-reordered-member", ["nfh", "member", "eae-reordered.nfh", "eps-a-b.lang"]),
     ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
     ("bogus-verb", ["bogus"]),
     # usage errors: through the verb's own parser, then through the full one
