@@ -60,55 +60,37 @@ def _build_parser() -> tuple[_Parser, dict[tuple[str, str], _Parser]]:
               for group in ("nfh", "realize", "cfhg", "pcp")}
     verbs = {}
 
-    def verb(group: str, name: str) -> _Parser:
+    def verb(group: str, name: str, *files: str) -> _Parser:
         verbs[group, name] = groups[group].add_parser(name)
+        for file in files:
+            verbs[group, name].add_argument(file)
         return verbs[group, name]
 
-    member = verb("nfh", "member")
-    member.add_argument("nfh_file")
-    member.add_argument("lang_file")
-    probe = verb("nfh", "probe")
-    probe.add_argument("nfh_file")
-    probe.add_argument("--max-len", type=int, required=True)
+    verb("nfh", "member", "nfh_file", "lang_file")
+    verb("nfh", "probe", "nfh_file").add_argument("--max-len", type=int, required=True)
 
-    finite = verb("realize", "finite")
-    finite.add_argument("lang_file")
-    finite.add_argument("-o", "--output", required=True)
+    verb("realize", "finite", "lang_file")
     ordered = verb("realize", "ordered")
     ordered.add_argument("first_word", help="the minimal word, as a language "
                          "file line ('eps' for empty, 'ab c' for symbols ab, c)")
     ordered.add_argument("successor_file", help="NFA over vars x y computing f")
-    ordered.add_argument("-o", "--output", required=True)
-    prefix_closed = verb("realize", "prefix-closed")
-    prefix_closed.add_argument("dfa_file")
-    prefix_closed.add_argument("--route", choices=["fast", "relation"],
-                               default="fast")
-    prefix_closed.add_argument("-o", "--output", required=True)
-    regular = verb("realize", "regular")
-    regular.add_argument("dfa_file")
-    regular.add_argument("-o", "--output", required=True)
+    verb("realize", "prefix-closed", "dfa_file").add_argument(
+        "--route", choices=["fast", "relation"], default="fast")
+    verb("realize", "regular", "dfa_file")
 
-    empty = verb("cfhg", "empty")
-    empty.add_argument("cfhg_file")
-    empty.add_argument("--bounded", type=int, default=None,
-                       help="also search for a member language up to this length")
-    mf = verb("cfhg", "member-finite")
-    mf.add_argument("cfhg_file")
-    mf.add_argument("lang_file")
-    mr = verb("cfhg", "member-regular")
-    mr.add_argument("cfhg_file")
-    mr.add_argument("nfa_file")
-    ranks = verb("cfhg", "ranks")
-    ranks.add_argument("cfhg_file")
-    ir = verb("cfhg", "is-ranked")
-    ir.add_argument("cfhg_file")
+    verb("cfhg", "empty", "cfhg_file").add_argument(
+        "--bounded", type=int, default=None,
+        help="also search for a member language up to this length")
+    verb("cfhg", "member-finite", "cfhg_file", "lang_file")
+    verb("cfhg", "member-regular", "cfhg_file", "nfa_file")
+    verb("cfhg", "ranks", "cfhg_file")
+    verb("cfhg", "is-ranked", "cfhg_file")
 
-    ef = verb("pcp", "encode-forall")
-    ef.add_argument("pcp_file")
-    ef.add_argument("-o", "--output", required=True)
-    ea = verb("pcp", "encode-ea")
-    ea.add_argument("pcp_file")
-    ea.add_argument("-o", "--output", required=True)
+    verb("pcp", "encode-forall", "pcp_file")
+    verb("pcp", "encode-ea", "pcp_file")
+    for (group, _), writer in verbs.items():
+        if group in ("realize", "pcp"):  # the verbs that write; -o ends their usage
+            writer.add_argument("-o", "--output", required=True)
     return parser, verbs
 
 
@@ -122,9 +104,15 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _write(path: str, text: str):
-    """Write over ``path`` from its start, then cut a regular file to length:
-    not atomic, but it spares the costly truncate-to-zero of a full file."""
+def _write(path: str, render, obj):
+    """Write ``render(obj)`` over ``path`` from its start, then cut a regular
+    file to length: not atomic, but it spares the costly truncate-to-zero of
+    a full file.  A render's ``ValueError`` (a symbol that its parser would
+    refuse) is a usage error, and writes nothing."""
+    try:
+        text = render(obj)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     try:
         with open(path, "w", encoding="utf-8",
                   opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as handle:
@@ -224,7 +212,7 @@ def _run_realize(args, report: _Report):
             n = realize_partially_ordered(prefix_closed_relation(dfa))
     else:
         n = realize_shortlex(_as_dfa(_read_base_automaton(args.dfa_file)))
-    _write(args.output, render_nfh(n))
+    _write(args.output, render_nfh, n)
     report.note("output", args.output, f"wrote {args.output}")
 
 
@@ -266,7 +254,7 @@ def _run_pcp(args, report: _Report):
         g = pcp_encode_forall(instance)
     else:
         g = pcp_encode_exists_forall(instance)
-    _write(args.output, render_cfhg(g))
+    _write(args.output, render_cfhg, g)
     report.note("output", args.output, f"wrote {args.output}")
 
 

@@ -10,7 +10,7 @@ from .cfg import Cfg
 from .cfhg import Cfhg
 from .core import PAD, QuantifierPrefix, Word, as_word, letter_text, render_word
 from .errors import ParseError
-from .nfa import Dfa, Nfa, canonical
+from .nfa import Dfa, Nfa
 from .nfh import Nfh
 from .pcp import PcpInstance
 from .ranks import compute_ranks, is_ranked
@@ -124,10 +124,48 @@ def _automaton(fields: dict[str, list[str]]) -> Nfa:
         raise ParseError(str(exc)) from exc
 
 
+def _check_track_symbols(symbols):
+    """``ValueError`` naming the least symbol that no track letter can carry."""
+    bad = sorted(s for s in symbols if "[" in s or "]" in s or "," in s)
+    if bad:
+        raise ValueError(f"no track letter can carry the symbol {bad[0]!r}: "
+                         "'[', ']' and ',' delimit a letter's text")
+
+
+def _state_names(a: Nfa, keyed: dict) -> dict:
+    """``{state: "q<i>"}`` breadth-first from the initial states, unreached
+    states last.  Moves go in the order of ``"(<keyed letter>, <repr of
+    target>)"``, and initial and unreached states in that of their ``repr``,
+    taken once per state and only where two or more are ordered."""
+    reprs: dict = {}
+    rep = lambda q: reprs.get(q) or reprs.setdefault(q, repr(q))
+    moves = a.moves_from()
+    order = sorted(a.initial, key=rep) if len(a.initial) > 1 else list(a.initial)
+    seen = set(order)
+    for q in order:  # a FIFO queue: the states appended below come up in turn
+        out = moves.get(q, ())
+        if len(out) > 1:
+            out = sorted(out, key=lambda move: f"({keyed[move[0]]}, {rep(move[1])})")
+        for _, p in out:
+            if p not in seen:
+                seen.add(p)
+                order.append(p)
+    order += sorted(a.states - seen, key=rep)
+    return {q: f"q{i}" for i, q in enumerate(order)}
+
+
 def render_nfa(a: Nfa) -> str:
-    kind = "dfa" if isinstance(a, Dfa) else "nfa"
-    names = canonical(a)
-    lines = [f"type: {kind}",
+    """Rows in the order of ``"('q<i>', <letter>, 'q<j>')"``, with a track
+    letter's text or a base letter's ``repr``; each letter is spelled once.
+    ``ValueError`` on a track symbol that no letter can carry."""
+    letters = a.letters()
+    if a.is_track:
+        _check_track_symbols(a.symbols)
+        text = keyed = {letter: letter_text(a.vars, letter) for letter in letters}
+    else:
+        text, keyed = {s: s for s in letters}, {s: repr(s) for s in letters}
+    names = _state_names(a, keyed)
+    lines = ["type: " + ("dfa" if isinstance(a, Dfa) else "nfa"),
              "alphabet: " + " ".join(sorted(s for s in a.symbols if s != PAD))]
     if a.is_track:
         lines.append("vars: " + " ".join(a.vars))
@@ -135,11 +173,9 @@ def render_nfa(a: Nfa) -> str:
     lines.append("initial: " + " ".join(n for q, n in names.items() if q in a.initial))
     lines.append("accepting: " + " ".join(n for q, n in names.items()
                                           if q in a.accepting))
-    rows = [(names[q], letter_text(a.vars, letter) if a.is_track else letter, names[p])
-            for q, letter, p in a.transitions]
-    # in the order of repr(transition), a track letter spelled as its text
-    key = (lambda row: f"({row[0]!r}, {row[1]}, {row[2]!r})") if a.is_track else repr
-    lines.extend("trans: " + " ".join(row) for row in sorted(rows, key=key))
+    lines += [row for _, row in sorted(
+        (f"('{names[q]}', {keyed[letter]}, '{names[p]}')",
+         f"trans: {names[q]} {text[letter]} {names[p]}") for q, letter, p in a.transitions)]
     return "\n".join(lines) + "\n"
 
 
@@ -214,6 +250,7 @@ def parse_cfhg(text: str) -> Cfhg:
 
 
 def render_cfhg(g: Cfhg) -> str:
+    _check_track_symbols(g.symbols)
     lines = [f"quantifiers: {g.prefix.render()}",
              "alphabet: " + " ".join(sorted(g.symbols)),
              "vars: " + " ".join(g.vars),

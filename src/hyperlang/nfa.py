@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Container, Hashable, Iterable, Sequence
 
-from .core import PAD, as_word, closure, letter_text
+from .core import PAD, as_word, closure
 from .errors import UnknownLetter, VarClash
 
 
@@ -408,30 +408,3 @@ def nfa_language(a: Nfa, max_len: int) -> set:
         if not frontier:
             break
     return results
-
-
-def canonical(a: Nfa) -> dict:
-    """Canonical state names: ``{state: "q<i>"}`` in a deterministic
-    breadth-first order, unreached states last.  A state's moves are taken
-    in the order of their ``repr``, a track letter spelled as its text."""
-    moves = a.moves_from()
-    spell = (lambda letter: letter_text(a.vars, letter)) if a.is_track else repr
-    order: list = []
-    seen = set()
-    frontier = sorted(a.initial, key=repr)
-    for q in frontier:
-        seen.add(q)
-        order.append(q)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for letter, p in sorted(moves.get(q, []),
-                                    key=lambda m: f"({spell(m[0])}, {m[1]!r})"):
-                if p not in seen:
-                    seen.add(p)
-                    order.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    for q in sorted(a.states - seen, key=repr):
-        order.append(q)
-    return {q: f"q{i}" for i, q in enumerate(order)}

@@ -84,9 +84,9 @@ def realize_finite(words, alphabet=None) -> Nfh:
     Word i of the sorted language gets a path of [x=w_i, y=w_(i+1 mod k)], the
     shorter padded, then an all-pad letter into a final state with an all-pad
     self-loop; the path's end and that state accept.  Fixed-width tags keep
-    the initial states in word order under ``repr``, which ``canonical`` sorts
-    by.  ``ValueError`` if a word holds the pad or a symbol outside ``alphabet``,
-    whose pad, if any, is not a symbol of the NFH."""
+    the initial states in word order under ``repr``, in which ``render_nfa``
+    names them.  ``ValueError`` if a word holds the pad or a symbol outside
+    ``alphabet``, whose pad, if any, is not a symbol of the NFH."""
     language = sorted({as_word(w) for w in words})
     if not language:
         raise EmptyLanguage("cannot realize the empty language")

@@ -491,6 +491,26 @@ def test_realize_refuses_the_pad_symbol(files, capsys, verb, text, code, message
     assert not (tmp / "out.nfh").exists()
 
 
+@pytest.mark.parametrize("argv, text, symbol", [
+    (["realize", "finite"], "a,b\n", ","),
+    (["realize", "finite"], "a[b\n", "["),
+    (["realize", "regular"], "type: dfa\nalphabet: a a]\nstates: s0\ninitial: s0\n"
+                             "accepting: s0\ntrans: s0 a s0\ntrans: s0 a] s0\n", "a]"),
+    (["pcp", "encode-forall"], "a,b | a\n", ","),
+], ids=["finite-comma", "finite-bracket", "regular-bracket", "encode-forall-comma"])
+def test_writers_refuse_a_symbol_no_track_letter_carries(files, capsys, argv, text, symbol):
+    """A symbol with '[', ']' or ',' would write a track letter that the
+    parsers refuse: a usage error that names it, and no file."""
+    write, tmp = files
+    out = tmp / "out"
+    for mode in ([], ["--json"]):
+        assert run(mode + argv + [write("in.txt", text), "-o", str(out)]) == 64
+        assert capsys.readouterr() == ("", f"usage error: no track letter can carry "
+                                       f"the symbol {symbol!r}: '[', ']' and ',' "
+                                       "delimit a letter's text\n")
+        assert not out.exists()
+
+
 def test_realize_ordered_refuses_a_first_word_outside_the_alphabet(files, capsys):
     """The written alphabet is the successor's: a FIRST symbol outside it
     would be a symbol of the file but not of the NFH built in memory."""

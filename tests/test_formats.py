@@ -6,24 +6,28 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import hyperlang
+import hyperlang.formats as formats_module
 from hyperlang.cfhg import Cfhg
-from hyperlang.core import QuantifierPrefix, as_word
+from hyperlang.core import PAD, QuantifierPrefix, as_word, letter_text
 from hyperlang.errors import ParseError
 from hyperlang.formats import (parse_cfhg, parse_language, parse_nfa,
                                parse_nfh, parse_pcp, parse_track_letter,
                                rank_report, render_cfhg, render_language,
                                render_nfa, render_nfh)
-from hyperlang.nfa import Dfa, nfa_member
+from hyperlang.nfa import Dfa, Nfa, nfa_member
 from hyperlang.nfh import nfh_accepts
 from hyperlang.pcp import (PcpInstance, pcp_encode_exists_forall,
                            pcp_encode_forall)
-from hyperlang.realize import (prefix_closed_relation, realize_finite,
-                               realize_prefix_closed_fast, realize_shortlex,
-                               shortlex_successor)
+from hyperlang.realize import (OrderedLanguageSpec, prefix_closed_relation,
+                               realize_finite, realize_ordered,
+                               realize_partially_ordered,
+                               realize_prefix_closed_fast, realize_regular,
+                               realize_shortlex, shortlex_successor)
 
 from conftest import (random_prefix_closed_dfa, random_ranked_grammars,
                       random_track_grammar, words)
@@ -177,6 +181,152 @@ def test_nfa_round_trip():
 def test_render_nfa_deterministic():
     a = parse_nfa(TRACK_NFA_TEXT)
     assert render_nfa(a) == render_nfa(parse_nfa(render_nfa(a)))
+
+
+def _reference_render_nfa(a):
+    """The render that spelled a letter in every sort key and every row, with
+    its state naming, ``canonical``: a state's moves in the order of their
+    ``repr``, a track letter spelled as its text."""
+    moves = a.moves_from()
+    spell = (lambda letter: letter_text(a.vars, letter)) if a.is_track else repr
+    order: list = []
+    seen = set()
+    frontier = sorted(a.initial, key=repr)
+    for q in frontier:
+        seen.add(q)
+        order.append(q)
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for letter, p in sorted(moves.get(q, []),
+                                    key=lambda m: f"({spell(m[0])}, {m[1]!r})"):
+                if p not in seen:
+                    seen.add(p)
+                    order.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    for q in sorted(a.states - seen, key=repr):
+        order.append(q)
+    names = {q: f"q{i}" for i, q in enumerate(order)}
+    kind = "dfa" if isinstance(a, Dfa) else "nfa"
+    lines = [f"type: {kind}",
+             "alphabet: " + " ".join(sorted(s for s in a.symbols if s != PAD))]
+    if a.is_track:
+        lines.append("vars: " + " ".join(a.vars))
+    lines.append("states: " + " ".join(names.values()))
+    lines.append("initial: " + " ".join(n for q, n in names.items() if q in a.initial))
+    lines.append("accepting: " + " ".join(n for q, n in names.items()
+                                          if q in a.accepting))
+    rows = [(names[q], letter_text(a.vars, letter) if a.is_track else letter, names[p])
+            for q, letter, p in a.transitions]
+    key = (lambda row: f"({row[0]!r}, {row[1]}, {row[2]!r})") if a.is_track else repr
+    lines.extend("trans: " + " ".join(row) for row in sorted(rows, key=key))
+    return "\n".join(lines) + "\n"
+
+
+# states of mixed repr kinds, distinct for distinct i
+_STATE_KINDS = (lambda i: f"s{i}", lambda i: i, lambda i: ("t", i), lambda i: (i, f"u{i}"))
+# symbols whose text and whose repr sort apart: 1 and 10, a and ab
+_SYMBOL_SETS = (("a", "b"), ("1", "10"), ("a", "ab"), ("a", "ab", "1", "10"))
+
+
+def _random_automaton(rng):
+    """A base or track NFA or DFA over mixed states: up to 4 initial states,
+    some unreached, and (for an NFA) one letter from a state to 2 or 3
+    distinct targets."""
+    n = rng.randint(1, 7)
+    states = [rng.choice(_STATE_KINDS)(i) for i in range(n)]
+    symbols = rng.choice(_SYMBOL_SETS)
+    vars_ = rng.choice([None, ("x",), ("x", "y")])
+    letters = (list(symbols) if vars_ is None
+               else list(itertools.product(symbols + (PAD,), repeat=len(vars_))))
+    moves = [(rng.choice(states), rng.choice(letters), rng.choice(states))
+             for _ in range(rng.randint(0, 2 * n))]
+    accepting = rng.sample(states, rng.randint(0, n))
+    if rng.random() < 0.3:  # a DFA keeps a state's first move on each letter
+        moves = {(q, letter): p for q, letter, p in reversed(moves)}
+        return Dfa(symbols, states, rng.choice(states), accepting,
+                   {(q, letter, p) for (q, letter), p in moves.items()}, vars_)
+    if n > 1:
+        q, letter = rng.choice(states), rng.choice(letters)
+        moves += [(q, letter, p) for p in rng.sample(states, min(n, 3))]
+    initial = rng.sample(states, rng.randint(1, min(n, 4)))
+    return Nfa(symbols, states, initial, accepting, moves, vars_)
+
+
+def _realized_automata(rng):
+    """The automata of the realize constructions and their relations."""
+    dfas = [random_prefix_closed_dfa(rng, 5) for _ in range(4)]
+    one_ten = Dfa({"1", "10"}, {"s0"}, "s0", {"s0"}, {("s0", "1", "s0"), ("s0", "10", "s0")})
+    successor = parse_nfa("type: nfa\nalphabet: a b ab\nvars: x y\nstates: p q r\n"
+                          "initial: p q\naccepting: r\ntrans: p [x=a,y=b] r\n"
+                          "trans: q [x=b,y=a] r\ntrans: q [x=b,y=ab] r\n"
+                          "trans: p [x=#,y=#] r\n")
+    nfhs = [realize_shortlex(d) for d in dfas + [one_ten]]
+    nfhs += [realize_prefix_closed_fast(d) for d in dfas]
+    nfhs += [realize_partially_ordered(prefix_closed_relation(d)) for d in dfas[:2]]
+    nfhs += [realize_regular(dfas[0]), realize_finite(words("", "1", "10", "1 10")),
+             realize_finite(words("a", "b", "aa", "ab", "ba", "bb", "aaa", "aab",
+                                  "aba", "abb", "baa", "bab")),
+             realize_ordered(OrderedLanguageSpec(("a",), successor))]
+    return [n.underlying for n in nfhs] + [shortlex_successor(d) for d in dfas]
+
+
+def _unreached(a):
+    seen, todo = set(a.initial), list(a.initial)
+    while todo:
+        for _, p in a.moves_from().get(todo.pop(), []):
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return a.states - seen
+
+
+def test_render_nfa_matches_the_reference():
+    """Every byte of ``render_nfa`` is the reference render's, on generated
+    automata and on the realize constructions' outputs."""
+    rng = random.Random(17)
+    automata = [_random_automaton(rng) for _ in range(400)] + _realized_automata(rng)
+    for a in automata:
+        assert render_nfa(a) == _reference_render_nfa(a), a.transitions
+    # the generated cases cover what the order depends on
+    moves = [Counter((q, letter) for q, letter, _ in a.transitions) for a in automata]
+    assert sum(1 for a in automata if a.is_track) > 100
+    assert sum(1 for a in automata if isinstance(a, Dfa)) > 50
+    assert {len(a.initial) for a in automata} >= {1, 2, 3, 4}
+    assert sum(1 for m in moves if max(m.values(), default=0) > 1) > 100
+    assert sum(1 for a in automata if len(_unreached(a)) > 1) > 50
+
+
+def test_render_nfa_spells_each_letter_once(monkeypatch):
+    """One render spells each distinct letter of a track automaton once,
+    however many moves read it, and checks the symbols once."""
+    a = realize_finite(words("a", "b", "aa", "ab", "ba", "bb")).underlying
+    spelled, checks = Counter(), []
+    spell, check = formats_module.letter_text, formats_module._check_track_symbols
+    monkeypatch.setattr(formats_module, "letter_text",
+                        lambda vars, letter: spelled.update([letter]) or spell(vars, letter))
+    monkeypatch.setattr(formats_module, "_check_track_symbols",
+                        lambda symbols: checks.append(symbols) or check(symbols))
+    text = render_nfa(a)
+    assert spelled == Counter(a.letters())
+    assert len(a.transitions) > len(a.letters())
+    assert checks == [a.symbols]
+    assert text == _reference_render_nfa(a)
+
+
+@pytest.mark.parametrize("symbol", ["a,b", "[", "a]", ","])
+def test_writers_refuse_a_symbol_no_track_letter_carries(symbol):
+    """A track letter holding '[', ']' or ',' would not parse back: both
+    writers refuse it and name it.  A base automaton writes it bare."""
+    message = f"no track letter can carry the symbol {symbol!r}"
+    track = Nfa({"a", symbol}, {"q"}, {"q"}, {"q"}, {("q", (symbol, "a"), "q")}, ("x", "y"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        render_nfa(track)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        render_cfhg(pcp_encode_forall(PcpInstance((((symbol,), ("a",)),))))
+    base = Nfa({"a", symbol}, {"q0"}, {"q0"}, {"q0"}, {("q0", symbol, "q0")})
+    assert parse_nfa(render_nfa(base)).transitions == base.transitions
 
 
 def test_parse_nfh():

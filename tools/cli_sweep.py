@@ -4,7 +4,10 @@
 
 Each line is ``<call id> exit=<code> out=<sha256> err=<sha256> file=<sha256>``:
 the exit code and the SHA-256 of stdout, of stderr and of the file the call
-wrote (``-`` when it wrote none).  Two checkouts give the same output
+wrote (``-`` when it wrote none).  A ``realize`` call's file is read back as
+an NFH and a ``pcp`` call's as a CFHG, by the package's own parser; the line
+of a call whose file does not parse ends in `` unreadable``.  Two checkouts
+give the same output
 when the CLI behaves the same on every call, so running the sweep with
 ``--src`` pointed at each and ``diff``-ing the outputs shows every call whose
 output changed; running it twice under different ``PYTHONHASHSEED`` values
@@ -46,7 +49,10 @@ grammar rule (``letter-unclosed``, ``letter-no-equals``,
 ``letter-missing-var``, ``letter-extra-var``, ``letter-repeated-var``),
 and letters whose names come out of order, in a grammar rule
 (``letter-reordered-ranks``) and an NFH transition
-(``letter-reordered-member``); and usage
+(``letter-reordered-member``); symbols that no track letter can carry,
+in a word of ``realize finite`` (``finite-comma``, ``finite-bracket``), a
+DFA's alphabet for ``realize regular`` (``regular-bracket``) and a tile of
+``pcp encode-forall`` (``forall-comma``); and usage
 errors on both parse routes (``-h`` raises ``SystemExit``, so it is not
 among them).  Calls run in-process, in a scratch directory, with file
 names relative to it.
@@ -451,6 +457,12 @@ FIXED_FILES = {
     "blocks6.dfa": blocks_dfa(6),
     "cycles-7-11.dfa": two_cycles_dfa(7, 11),
     "dead12.dfa": dead_region_dfa(12),
+    # symbols with ',', '[' or ']', which no track letter can carry
+    "comma.lang": "a,b\n",
+    "bracket.lang": "a[b\n",
+    "bracket.dfa": "type: dfa\nalphabet: a a]\nstates: s0\ninitial: s0\n"
+                   "accepting: s0\ntrans: s0 a s0\ntrans: s0 a] s0\n",
+    "comma-tiles.txt": "a,b | a\n",
     # longer than any output of the sweep (ring20-regular writes 74,197 bytes)
     "stale.nfh": "#! an earlier output\n" * 8192,
 }
@@ -549,6 +561,11 @@ FIXED_CALLS = [
     ("letter-repeated-var", ["cfhg", "empty", "letter-repeated-var.cfhg"]),
     ("letter-reordered-ranks", ["cfhg", "ranks", "letter-reordered.cfhg"]),
     ("letter-reordered-member", ["nfh", "member", "eae-reordered.nfh", "eps-a-b.lang"]),
+    # symbols that no track letter can carry: refused, and no file written
+    ("finite-comma", ["realize", "finite", "comma.lang", "-o", "out"]),
+    ("finite-bracket", ["realize", "finite", "bracket.lang", "-o", "out"]),
+    ("regular-bracket", ["realize", "regular", "bracket.dfa", "-o", "out"]),
+    ("forall-comma", ["pcp", "encode-forall", "comma-tiles.txt", "-o", "out"]),
     ("missing-file", ["nfh", "member", "no-such.nfh", "words.lang"]),
     ("bogus-verb", ["bogus"]),
     # usage errors: through the verb's own parser, then through the full one
@@ -560,24 +577,28 @@ FIXED_CALLS = [
 ]
 
 
-def import_cli(src: str):
-    """Import the package from ``src``, never from elsewhere."""
+def import_package(src: str):
+    """The package's CLI and text formats, imported from ``src``, never from
+    elsewhere."""
     src = os.path.abspath(src)
     sys.path.insert(0, src)
     import hyperlang.cli
+    import hyperlang.formats
     if os.path.dirname(os.path.abspath(hyperlang.__file__)) != os.path.join(src, "hyperlang"):
         raise SystemExit(f"hyperlang was imported from {hyperlang.__file__}, not {src}")
-    return hyperlang.cli
+    return hyperlang.cli, hyperlang.formats
 
 
 def digest(data: str | None) -> str:
     return "-" if data is None else hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def call(cli, argv: list[str], files: dict[str, str]) -> str:
+def call(cli, argv: list[str], files: dict[str, str], read=None) -> str:
     """Write ``files`` and run one call in the current directory; its exit
-    code and digests.  An output that ``files`` does not provide is deleted
-    first, so that a file the call leaves is one it wrote."""
+    code and digests, and `` unreadable`` if ``read``, the parser of its
+    output, refuses the file it wrote.  An output that ``files`` does not
+    provide is deleted first, so that a file the call leaves is one it
+    wrote."""
     for name, text in files.items():
         with open(name, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -595,8 +616,14 @@ def call(cli, argv: list[str], files: dict[str, str]) -> str:
     if output is not None and os.path.exists(output):
         with open(output, encoding="utf-8") as handle:
             written = handle.read()
-    return (f"exit={code} out={digest(out.getvalue())} err={digest(err.getvalue())} "
+    line = (f"exit={code} out={digest(out.getvalue())} err={digest(err.getvalue())} "
             f"file={digest(written)}")
+    if written is not None and read is not None:
+        try:
+            read(written)
+        except Exception:  # a parser crash is unreadable too
+            line += " unreadable"
+    return line
 
 
 def workload_calls(workload: str, seed: int):
@@ -636,13 +663,15 @@ def main(argv=None) -> int:
                         help="directory holding the hyperlang package to run")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    cli = import_cli(args.src)
+    cli, formats = import_package(args.src)
+    readers = {"realize": formats.parse_nfh, "pcp": formats.parse_cfhg}
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)
         for call_id, argv, files in all_calls(args.seeds):
+            read = readers.get(argv[0])
             for mode in ("text", "json"):
                 full = argv if mode == "text" else ["--json", *argv]
-                print(f"{call_id}/{mode} {call(cli, full, files)}")
+                print(f"{call_id}/{mode} {call(cli, full, files, read)}")
         os.chdir(HERE)
     return 0
 
