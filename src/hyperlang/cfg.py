@@ -88,11 +88,11 @@ def cfg_empty(g: Cfg) -> bool:
     return g.start not in _productive(g.rules, g.variables)
 
 
-def _reachable(start: str, rules: Iterable[tuple], variables) -> set[str]:
+def reachable(start: str, rules: Iterable[tuple], variables) -> set[str]:
     succ: dict = {}
     for v, body in rules:
-        succ.setdefault(v, []).extend(t for t in body if t in variables)
-    return closure({start}, lambda v: succ.get(v, ()))
+        succ.setdefault(v, []).extend(body)
+    return closure({start}, lambda v: variables.intersection(succ.get(v, ())))
 
 
 def cleanup(g: Cfg) -> Cfg:
@@ -142,7 +142,7 @@ def cleanup(g: Cfg) -> Cfg:
         return Cfg({start}, start, (), g.vars)
     rules = [(v, body) for v, body in rules
              if v in keep and all(t in keep or t not in variables for t in body)]
-    reach = _reachable(start, rules, variables)
+    reach = reachable(start, rules, variables)
     return Cfg(reach, start, [(v, body) for v, body in rules if v in reach], g.vars)
 
 
@@ -202,7 +202,7 @@ def to_cnf(g: Cfg) -> Cfg:
 
     # Every variable still derives what it did, so all stay productive; the
     # variables reached only through unit rules are dropped.
-    reach = _reachable(g.start, result, variables)
+    reach = reachable(g.start, result, variables)
     return Cfg(reach, g.start, [(v, body) for v, body in result if v in reach], g.vars)
 
 

@@ -32,7 +32,7 @@ from operator import add
 from typing import Callable
 
 from .cfg import (DERIVATION_CAP, Cfg, cfg_empty, cfg_intersect_empty, cleanup,
-                  cyk_member, derives_span)
+                  cyk_member, derives_span, reachable)
 from .core import (PAD, QuantifierPrefix, Word, bounded_universe, evaluate,
                    finite_language, members, nonempty_subsets, viable_words)
 from .errors import CapExceeded, Undecidable
@@ -209,26 +209,28 @@ def regular_member(g: Cfhg, a: Nfa) -> bool:
 
 
 def derived_assignments(g: Cfhg, n: int) -> dict[str, set]:
-    """Per variable, the tuples of stripped tracks, at most ``n`` symbols
-    each, that it derives: the least fixpoint of componentwise concatenation
-    over the rules.  Past ``cfg.DERIVATION_CAP`` tuples of a variable,
-    ``CapExceeded``.  Semi-naive (Bancilhon & Ramakrishnan 1986): after a
-    pass over whole sets, a rule is joined at each variable with new tuples,
-    with whole sets elsewhere."""
+    """Per variable that the start reaches, the tuples of stripped tracks, at
+    most ``n`` symbols each, that it derives: the least fixpoint of
+    componentwise concatenation over its rules.  Past ``cfg.DERIVATION_CAP``
+    tuples of one of them, ``CapExceeded``.  Semi-naive (Bancilhon &
+    Ramakrishnan 1986): after a pass over whole sets, a rule is joined at
+    each variable with new tuples, with whole sets elsewhere."""
     grammar = g.underlying
-    sets = {v: set() for v in grammar.variables}
+    sets = {v: set() for v in reachable(grammar.start, grammar.rules, grammar.variables)}
+    rules = [(v, body) for v, body in grammar.rules if v in sets]
+    empty = ((),) * len(g.vars)
     pieces = {t: {tuple(() if s == PAD else (s,) for s in t)}
               for t in grammar.terminals()}
     delta = None  # None: the first pass joins every rule over whole sets
     while delta is None or any(delta.values()):
         new: dict[str, set] = {v: set() for v in sets}
-        for v, body in grammar.rules:
+        for v, body in rules:
             for i in ([None] if delta is None else
-                      [i for i, t in enumerate(body) if grammar.is_variable(t) and delta[t]]):
-                combos = {((),) * len(g.vars)}
+                      [i for i, t in enumerate(body) if t in sets and delta[t]]):
+                combos = {empty}
                 for j, token in enumerate(body):
                     parts = ((delta if j == i else sets)[token]
-                             if grammar.is_variable(token) else pieces[token])
+                             if token in sets else pieces[token])
                     combos = {t for c in combos for p in parts
                               for t in (tuple(map(add, c, p)),)
                               if max(map(len, t), default=0) <= n}

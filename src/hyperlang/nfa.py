@@ -4,15 +4,16 @@ Automata are immutable after construction.  Letters are either plain symbol
 strings (base alphabet, possibly including the pad marker ``#``) or track
 letters, the tuples of one symbol per track of the automaton's ``vars``.
 
-The product and subset constructions share one worklist, ``explore``: each
-supplies only the moves of a state and its acceptance test, and gets back
-the trimmed automaton, whose every state is reachable and reaches an
+The product and subset constructions and pad elimination share one worklist,
+``explore``: each supplies only a state's moves and acceptance test, and gets
+back the trimmed automaton, whose every state is reachable and reaches an
 accepting one.  ``pad_suffix`` is the one trailing-pad closure, of base and
 track automata, and ``relabel`` the one rewrite of letters into track letters.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Container, Hashable, Iterable, Sequence
 
@@ -30,7 +31,7 @@ class Nfa:
     """
 
     __slots__ = ("symbols", "vars", "states", "initial", "accepting",
-                 "transitions", "_adj", "_radj")
+                 "transitions", "_moves")
 
     def __init__(self, symbols, states, initial, accepting, transitions, vars=None):
         self.symbols = frozenset(symbols)
@@ -39,8 +40,7 @@ class Nfa:
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
         self.transitions = frozenset(transitions)
-        self._adj = None
-        self._radj = None
+        self._moves = None
         if not self.initial <= self.states or not self.accepting <= self.states:
             raise ValueError("initial/accepting states must be declared states")
         for q, letter, p in self.transitions:
@@ -66,29 +66,14 @@ class Nfa:
     def letters(self) -> frozenset:
         return frozenset(letter for _, letter, _ in self.transitions)
 
-    def adjacency(self):
-        if self._adj is None:
-            adj: dict = {}
-            for q, letter, p in self.transitions:
-                adj.setdefault((q, letter), set()).add(p)
-            self._adj = adj
-        return self._adj
-
     def moves_from(self):
-        """state -> list of (letter, next state)."""
-        if self._radj is None:
+        """state -> list of (letter, next state): the one index of the moves."""
+        if self._moves is None:
             out: dict = {}
             for q, letter, p in self.transitions:
                 out.setdefault(q, []).append((letter, p))
-            self._radj = out
-        return self._radj
-
-    def step(self, states: frozenset, letter) -> frozenset:
-        adj = self.adjacency()
-        nxt: set = set()
-        for q in states:
-            nxt |= adj.get((q, letter), set())
-        return frozenset(nxt)
+            self._moves = out
+        return self._moves
 
 
 class Dfa(Nfa):
@@ -126,7 +111,7 @@ def nfa_member(a: Nfa, w) -> bool:
     """Subset-state run of ``a`` on one word (base word or track-letter sequence)."""
     current = a.initial
     for letter in _word_letters(a, w):
-        current = a.step(current, letter)
+        current = _subset_moves(a, current).get(letter, frozenset())
         if not current:
             return False
     return bool(current & a.accepting)
@@ -196,10 +181,8 @@ def pad_anywhere(a: Nfa) -> Nfa:
     """Allow pads in arbitrary positions: a ``#`` self-loop on every state."""
     if a.is_track:
         raise ValueError("pad_anywhere expects a base-alphabet automaton")
-    transitions = set(a.transitions)
-    for q in a.states:
-        transitions.add((q, PAD, q))
-    return Nfa(a.symbols | {PAD}, a.states, a.initial, a.accepting, transitions)
+    return Nfa(a.symbols | {PAD}, a.states, a.initial, a.accepting,
+               a.transitions | {(q, PAD, q) for q in a.states})
 
 
 def relabel(a: Nfa, vars: tuple, f: Callable) -> Nfa:
@@ -310,6 +293,14 @@ def union(*parts: Nfa) -> Nfa:
     return a1
 
 
+def _subset_moves(a: Nfa, subset) -> dict:
+    """letter -> the states that ``a`` moves to from ``subset`` on it, in one pass."""
+    moves, by_letter = a.moves_from(), {}
+    for letter, p in (move for q in subset for move in moves.get(q, ())):
+        by_letter.setdefault(letter, set()).add(p)
+    return {letter: frozenset(ps) for letter, ps in by_letter.items()}
+
+
 def difference(a1: Nfa, a2: Nfa) -> Nfa:
     """The words of ``a1`` that ``a2`` rejects: a product of ``a1`` with the
     subset construction of ``a2``, which runs on ``a1``'s letters only."""
@@ -319,8 +310,9 @@ def difference(a1: Nfa, a2: Nfa) -> Nfa:
 
     def step(state):
         q, subset = state
+        after = _subset_moves(a2, subset)
         for letter, q2 in moves1.get(q, []):
-            yield letter, (q2, a2.step(subset, letter))
+            yield letter, (q2, after.get(letter, frozenset()))
 
     return explore({(q, a2.initial) for q in a1.initial}, step,
                    lambda state: state[0] in a1.accepting
@@ -331,17 +323,9 @@ def difference(a1: Nfa, a2: Nfa) -> Nfa:
 def determinize(a: Nfa) -> Dfa:
     """Trimmed subset construction over the letters that actually occur in
     ``a``; a DFA of its start subset alone when ``a`` accepts nothing."""
-    letters = a.letters()
-
-    def step(subset):
-        for letter in letters:
-            nxt = a.step(subset, letter)
-            if nxt:
-                yield letter, nxt
-
     start = frozenset(a.initial)
-    d = explore({start}, step, lambda s: not a.accepting.isdisjoint(s), a.symbols,
-                a.vars)
+    d = explore({start}, lambda s: _subset_moves(a, s).items(),
+                lambda s: not a.accepting.isdisjoint(s), a.symbols, a.vars)
     return Dfa(d.symbols, d.states if d.initial else {start}, start, d.accepting,
                d.transitions, d.vars)
 
@@ -360,25 +344,20 @@ def project(a: Nfa, drop: str) -> Nfa:
 def elim_pad(a: Nfa) -> Nfa:
     """Treat ``#`` transitions of a base automaton as epsilon and eliminate them.
 
-    The resulting language is the pad-stripped image of the original language.
+    The resulting language is the pad-stripped image of the original language,
+    in one ``explore``: a state moves by the non-pad moves of its pad closure,
+    and accepts if that meets F.  A closure is taken when the walk reaches it.
     """
     if a.is_track:
         raise ValueError("elim_pad expects a base-alphabet automaton")
-    eps: dict = {}
-    for q, l, p in a.transitions:
-        if l == PAD:
-            eps.setdefault(q, set()).add(p)
-    closures = {q: closure({q}, lambda r: eps.get(r, ())) for q in a.states}
-    transitions = set()
-    for q in a.states:
-        for mid in closures[q]:
-            for l, p in a.moves_from().get(mid, []):
-                if l != PAD:
-                    transitions.add((q, l, p))
-    accepting = {q for q in a.states if closures[q] & a.accepting}
-    initial = a.initial
-    return trim(Nfa(a.symbols - {PAD} or a.symbols, a.states, initial, accepting,
-                    transitions))
+    moves = a.moves_from()
+    pad_closure = functools.cache(
+        lambda q: closure({q}, lambda r: (p for l, p in moves.get(r, ()) if l == PAD)))
+    return explore(a.initial,
+                   lambda q: ((l, p) for mid in pad_closure(q)
+                              for l, p in moves.get(mid, ()) if l != PAD),
+                   lambda q: not a.accepting.isdisjoint(pad_closure(q)),
+                   a.symbols - {PAD} or a.symbols)
 
 
 def nfa_language(a: Nfa, max_len: int) -> set:

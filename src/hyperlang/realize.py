@@ -239,14 +239,15 @@ def _count_part(product: Nfa, exact: Nfa, vars: tuple[str, ...]) -> Nfa:
     i successors and y1..yi those successors; letters widen to ``vars`` by
     copies of the z-symbol."""
     base = pad_suffix(exact)
-    moves, moves_base = product.moves_from(), base.adjacency()
+    moves, moves_base = product.moves_from(), base.moves_from()
     copies = len(vars) - len(product.vars)
 
     def step(state):
         q, b = state
         for letter, q2 in moves.get(q, ()):
-            for b2 in moves_base.get((b, letter[0]), ()):
-                yield letter + (letter[0],) * copies, (q2, b2)
+            for z, b2 in moves_base.get(b, ()):
+                if z == letter[0]:
+                    yield letter + (letter[0],) * copies, (q2, b2)
 
     return explore({(q, b) for q in product.initial for b in base.initial}, step,
                    lambda state: state[0] in product.accepting

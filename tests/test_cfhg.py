@@ -512,15 +512,18 @@ def test_goal_directed_leaf_equals_derived_assignments():
 
 
 def _naive_derived_assignments(g, n):
-    """The derivation as first written: every rule joined over whole sets,
-    in place, until a pass adds nothing."""
+    """The derivation as first written: every rule of a variable that the
+    start reaches joined over whole sets, in place, until a pass adds
+    nothing."""
     grammar = g.underlying
-    sets = {v: set() for v in grammar.variables}
+    sets = {v: set() for v in core_module.closure(
+        {grammar.start}, lambda u: [t for w, body in grammar.rules if w == u
+                                    for t in body if grammar.is_variable(t)])}
     pieces = {t: {tuple(() if s == "#" else (s,) for s in t)}
               for t in grammar.terminals()}
     size = -1
     while size < (size := sum(map(len, sets.values()))):
-        for v, body in grammar.rules:
+        for v, body in (rule for rule in grammar.rules if rule[0] in sets):
             combos = {((),) * len(g.vars)}
             for token in body:
                 parts = sets[token] if grammar.is_variable(token) else pieces[token]
@@ -922,21 +925,49 @@ def test_ranked_copies_drop_what_the_start_no_longer_reaches(monkeypatch):
     derives every (w, w, w) over {c, d}, 16,383 tuples at bound 13, past
     ``cfg.DERIVATION_CAP``.  The copies drop S's T rule, so T is cut off
     from the start: cleaned away, it derives nothing, and the search answers
-    {ε} with no universe (Σ^{≤13} holds 89,478,485 words)."""
+    {ε} with no universe (Σ^{≤13} holds 89,478,485 words).  The same holds
+    when the letter sits in its own variable A (S -> ε | A T): the copies
+    leave A unproductive, and only the cleanup cuts S -> A T and so T off."""
     v = ("x", "y", "z")
-    rules = {("S", ()), ("S", (letter(v, "a", "a", "b"), "T")), ("T", ())}
-    rules |= {("T", (letter(v, s, s, s), "T")) for s in "cd"}
-    g = Cfhg(frozenset("abcd"), QuantifierPrefix.parse("E x E y A z"),
-             Cfg(frozenset({"S", "T"}), "S", frozenset(rules), v))
-    assert g.ranked()
-    with pytest.raises(CapExceeded):
-        cfhg_module.derived_assignments(g, 13)
+    t_rules = {("T", ())} | {("T", (letter(v, s, s, s), "T")) for s in "cd"}
+    grammars = [
+        ({"S", "T"}, {("S", ()), ("S", (letter(v, "a", "a", "b"), "T"))}),
+        ({"S", "A", "T"}, {("S", ()), ("S", ("A", "T")),
+                           ("A", (letter(v, "a", "a", "b"),))}),
+    ]
 
     def no_universe(*args):
         raise AssertionError("the ranked copies fell back to the universe")
 
     monkeypatch.setattr(cfhg_module, "bounded_universe", no_universe)
-    assert bounded_nonempty_witness(g, 13) == {()}
+    for variables, rules in grammars:
+        g = Cfhg(frozenset("abcd"), QuantifierPrefix.parse("E x E y A z"),
+                 Cfg(frozenset(variables), "S", frozenset(rules | t_rules), v))
+        assert g.ranked()
+        with pytest.raises(CapExceeded):
+            cfhg_module.derived_assignments(g, 13)
+        assert bounded_nonempty_witness(g, 13) == {()}, sorted(variables)
+
+
+def test_a_variable_the_start_cannot_reach_derives_nothing(monkeypatch):
+    """Unranked ∃x∃y∀z over {a, b}: S -> [x=a,y=#,z=a] | [x=#,y=a,z=a]
+    [x=a,y=#,z=#], and an unreachable U deriving every word over the other
+    26 letters of {a, b, #}³, past ``cfg.DERIVATION_CAP`` at bound 4.  Only
+    S is derived, so the search answers {a} at bounds 3 to 5 with no
+    universe, as it does without U."""
+    v = ("x", "y", "z")
+    rules = {("S", (letter(v, "a", "#", "a"),)),
+             ("S", (letter(v, "#", "a", "a"), letter(v, "a", "#", "#")))}
+    others = [letter(v, *c) for c in itertools.product("ab#", repeat=3) if c != ("#",) * 3]
+    unreachable = {("U", (t, "U")) for t in others} | {("U", (t,)) for t in others}
+    monkeypatch.setattr(cfhg_module, "bounded_universe", None)  # not called
+    for extra in (unreachable, set()):
+        g = Cfhg(frozenset({"a", "b"}), QuantifierPrefix.parse("E x E y A z"),
+                 Cfg(frozenset({"S", "U"}), "S", frozenset(rules | extra), v))
+        assert not g.ranked()
+        for n in (3, 4, 5):
+            assert set(cfhg_module.derived_assignments(g, n)) == {"S"}
+            assert bounded_nonempty_witness(g, n) == {("a",)}, (n, bool(extra))
 
 
 def _planted_pcp(rng):

@@ -656,6 +656,34 @@ def test_usage_and_parse_errors(files, capsys):
         assert out.err == "usage error: a length bound must be at least 0\n"
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["nfh", "member"], FIG1.replace("A x E y", "A x E"),
+     "bad quantifier prefix 'A x E'"),
+    (["nfh", "member"], EXISTS_A_NFH.replace("[x=a] q1", "[x=a]"),
+     "bad transition line 'q0 [x=a]'"),
+    (["nfh", "member"], EXISTS_A_NFH.replace("[x=a] q1", "[x=a] q9"),
+     "transition (q0,('a',),q9) uses undeclared state"),
+    (["nfh", "member"], EXISTS_A_NFH.replace("vars: x\n", "").replace("[x=a]", "a"),
+     "an NFH underlying automaton needs a 'vars:' line"),
+    (["nfh", "member"], FIG1.replace("A x E y", "A y E x"),
+     "quantifier prefix must cover the underlying variables ('x', 'y') in order"),
+    (["realize", "regular"], PREFIX_CLOSED_DFA + "trans: s0 a s2\n",
+     "nondeterministic moves from s0 on a"),
+    (["cfhg", "member-finite"], EXISTS_A_CFHG.replace("V0 -> [x=a]", "V0 [x=a]"),
+     "bad rule line 'V0 [x=a]'"),
+    (["cfhg", "member-finite"], EXISTS_A_CFHG.replace("a b", "a").replace("x=a", "x=b"),
+     "symbol 'b' outside the alphabet"),
+], ids=["quantifier-prefix", "transition-line", "undeclared-state", "no-vars",
+        "prefix-order", "dfa-nondeterministic", "rule-line", "grammar-symbol"])
+def test_parse_errors_name_the_fault(files, capsys, argv, text, message):
+    """A file that does not parse: exit 65, the parser's message and no output."""
+    write, tmp = files
+    rest = [write("l.txt", "a\n")] if argv[0] != "realize" else ["-o", str(tmp / "o")]
+    for mode in ([], ["--json"]):
+        assert run(mode + argv + [write("in.txt", text)] + rest) == 65
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
 def _verb_calls(write, tmp):
     """A valid argv after GROUP VERB, for every verb."""
     nfh, lang = write("f.nfh", FIG1), write("l.txt", "a\n")

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from hyperlang.core import PAD, as_word, pad_to_sync, strip_hash
+from hyperlang.core import PAD, as_word, closure, pad_to_sync, strip_hash
 from hyperlang.errors import UnknownLetter, VarClash
 from hyperlang.nfa import (Nfa, compose_free, compose_sync, determinize,
-                           difference, nfa_language, nfa_member, pad_anywhere,
-                           pad_suffix, project, relabel, track_product, trim,
-                           union, with_var, word_automaton)
+                           difference, elim_pad, nfa_language, nfa_member,
+                           pad_anywhere, pad_suffix, project, relabel,
+                           track_product, trim, union, with_var, word_automaton)
 
 from conftest import hword
 
@@ -75,6 +75,56 @@ def test_pad_anywhere():
                 for p in itertools.product("ab#", repeat=n)}
     want = {w for w in universe if "".join(strip_hash(as_word(w))) == "ab"}
     assert got == want
+
+
+def _reference_elim_pad(a):
+    """``elim_pad`` as it was: the pad-closed automaton over every state,
+    then trimmed."""
+    eps: dict = {}
+    for q, l, p in a.transitions:
+        if l == PAD:
+            eps.setdefault(q, set()).add(p)
+    closures = {q: closure({q}, lambda r: eps.get(r, ())) for q in a.states}
+    transitions = set()
+    for q in a.states:
+        for mid in closures[q]:
+            for l, p in a.moves_from().get(mid, []):
+                if l != PAD:
+                    transitions.add((q, l, p))
+    accepting = {q for q in a.states if closures[q] & a.accepting}
+    return trim(Nfa(a.symbols - {PAD} or a.symbols, a.states, a.initial, accepting,
+                    transitions))
+
+
+def test_elim_pad_matches_the_reference():
+    """``elim_pad`` against the automaton over every state, trimmed, on
+    generated base automata over a, b and the pad (or the pad alone) with
+    pad cycles, pad moves into accepting states, states with no pad move
+    and unreached states: the same states, initial and accepting states,
+    transitions and symbols."""
+    rng = random.Random(71)
+    fields = lambda a: (a.states, a.initial, a.accepting, a.transitions, a.symbols)
+    seen = dict.fromkeys(("pad cycle", "accepts through pads", "no pad move",
+                          "unreached", "pad alone"), 0)
+    for _ in range(300):
+        symbols = "#" if rng.random() < 0.05 else "ab#"
+        states = list(range(rng.randint(1, 6)))
+        delta = {(rng.choice(states), rng.choice(symbols), rng.choice(states))
+                 for _ in range(rng.randint(0, 10))}
+        initial = rng.sample(states, rng.randint(1, min(2, len(states))))
+        a = Nfa(set(symbols), states, initial,
+                {q for q in states if rng.random() < 0.3}, delta)
+        got = elim_pad(a)
+        assert fields(got) == fields(_reference_elim_pad(a)), (a.transitions,
+                                                               a.initial, a.accepting)
+        pads = {q: [p for r, l, p in delta if r == q and l == PAD] for q in states}
+        reached = closure(a.initial, lambda q: (p for _, p in a.moves_from().get(q, ())))
+        seen["pad cycle"] += any(q in closure(pads[q], pads.get) for q in states)
+        seen["accepts through pads"] += bool(got.accepting - a.accepting)
+        seen["no pad move"] += any(not pads[q] for q in states)
+        seen["unreached"] += len(reached) < len(states)
+        seen["pad alone"] += symbols == "#"
+    assert min(seen.values()) > 0, seen
 
 
 def test_compose_free_basic():

@@ -375,10 +375,10 @@ def _reference_realize_partially_ordered(spec):
     counts = _successor_counts(spec.relation, spec.max_successors)
     for i, (product, exact) in enumerate(counts, 1):
         base = pad_suffix(exact)
-        moves = product.moves_from()
+        moves, moves_base = product.moves_from(), base.moves_from()
         b_i = explore({(q, b) for q in product.initial for b in base.initial},
                       lambda s: ((l, (q, b)) for l, q in moves.get(s[0], ())
-                                 for b in base.step({s[1]}, l[0])),
+                                 for z, b in moves_base.get(s[1], ()) if z == l[0]),
                       lambda s: s[0] in product.accepting and s[1] in base.accepting,
                       product.symbols | base.symbols, product.vars)
         b_i = relabel(b_i, ("z",) + y_names,

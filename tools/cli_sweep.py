@@ -25,8 +25,9 @@ criterion 9's ∀∀ gadget at bound 9, a ranked ∃∃∀ grammar and an unrank
 ∀∃∃∃ grammar past the derivation cap (``eea-derivation-cap``,
 ``aeee-derivation-cap``), a ranked ∃∃∀ grammar whose restriction to
 copied ∀ tracks cuts a variable past the cap off from the start
-(``eea-copies-unreachable``), and a ranked grammar with a trailing all-pad
-letter; the
+(``eea-copies-unreachable``), an unranked ∃∃∀ grammar with a variable
+past the cap that the start does not reach (``eea-unreachable-cap``), and
+a ranked grammar with a trailing all-pad letter; the
 pad-anywhere membership leaf on an unranked ∀∀ grammar with an ε rule, a
 unit cycle and an all-pad letter (``aa-unit-cycle-member``); an NFH
 whose quantifier line comes last, one whose automaton pads a track inside
@@ -393,6 +394,13 @@ FIXED_FILES = {
                             "rule: S -> eps\nrule: S -> [x=a,y=a,z=b] T\n"
                             "rule: T -> [x=c,y=c,z=c] T\nrule: T -> [x=d,y=d,z=d] T\n"
                             "rule: T -> eps\n",
+    # unranked ∃∃∀ whose member is {a}; the unreachable U derives every word
+    # over the other letters of {a, b, #}^3, past the derivation cap at bound 4
+    "eea-unreachable-cap.cfhg": "quantifiers: E x E y A z\nalphabet: a b\nstart: S\n"
+                                "rule: S -> [x=a,y=#,z=a]\n"
+                                "rule: S -> [x=#,y=a,z=a] [x=a,y=#,z=#]\n" + "".join(
+        f"rule: U -> [x={x},y={y},z={z}] U\nrule: U -> [x={x},y={y},z={z}]\n"
+        for x, y, z in itertools.product("ab#", repeat=3) if (x, y, z) != ("#",) * 3),
     # unranked ∀∃∃∃ over every letter of {a, b, #}^4 but the all-pad one: its
     # tuples up to length 3 pass the derivation cap, while the universe
     # Σ^{≤3} holds 15 words
@@ -523,6 +531,7 @@ FIXED_CALLS = [
     ("eea-derivation-cap", ["cfhg", "empty", "eea-letters.cfhg", "--bounded", "5"]),
     ("aeee-derivation-cap", ["cfhg", "empty", "aeee-letters.cfhg", "--bounded", "3"]),
     ("eea-copies-unreachable", ["cfhg", "empty", "eea-unreachable.cfhg", "--bounded", "13"]),
+    ("eea-unreachable-cap", ["cfhg", "empty", "eea-unreachable-cap.cfhg", "--bounded", "4"]),
     ("aa-unranked-miss", ["cfhg", "empty", "aa-unranked-miss.cfhg", "--bounded", "3"]),
     ("ae-unranked", ["cfhg", "empty", "ae-unranked.cfhg", "--bounded", "2"]),
     ("ae-unranked-miss", ["cfhg", "empty", "ae-unranked-miss.cfhg", "--bounded", "3"]),
